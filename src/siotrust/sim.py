@@ -50,7 +50,6 @@ from .community import (
     Community,
     SimilarityWeights,
     SocialProfile,
-    community_of,
     pairwise_similarity,
     partition_by_similarity,
 )
@@ -67,7 +66,13 @@ from .social import (
     classify_relation,
     context_for,
 )
-from .trust import OpinionStore, TrustAssessment, assess
+from .trust import (
+    OpinionStore,
+    TrustAssessment,
+    assess,  # noqa: F401  the engine assesses in arrays; perfbench counts scalar calls here
+    assess_array,
+    exchange_recommendations,
+)
 
 SHARED_HOME = "home-0"
 
@@ -333,6 +338,7 @@ class SimulationEngine:
         self.store = OpinionStore(self.context.base_rate)
         self.similarity = _StaticSimilarity(config.weights())
         self.communities: list[Community] = []
+        self._community_of: dict[str, Community] = {}
         self.rec_cache: dict[tuple[str, str], float] = {}
         self.assessments: list[TrustAssessment] = []
         self.attempts: list[AttackAttempt] = []
@@ -448,9 +454,7 @@ class SimulationEngine:
         return found
 
     def _manager_community(self, manager_id: str) -> Community | None:
-        if not self.communities:
-            return None
-        return community_of(self.communities, manager_id)
+        return self._community_of.get(manager_id)
 
     def _profile_of(self, identity_id: str) -> SocialProfile:
         if identity_id in self._legit_id_set:
@@ -490,8 +494,11 @@ class SimulationEngine:
         )
 
     def _squared_distances(self) -> np.ndarray:
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        return np.einsum("ijk,ijk->ij", diff, diff)
+        x = self.positions[:, 0]
+        y = self.positions[:, 1]
+        dx = x[:, None] - x[None, :]
+        dy = y[:, None] - y[None, :]
+        return dx * dx + dy * dy
 
     # -- request phases -------------------------------------------------------
 
@@ -686,14 +693,23 @@ class SimulationEngine:
         self._snapshot_positions(now)
 
     def _form_communities(self, now: float) -> None:
+        """Partition legitimate profiles at the first epoch; log it every epoch.
+
+        Legitimate profiles never change, so the partition is static. It is
+        still withheld until the first epoch: before it, managers have no
+        community and similarity falls back to the base rate.
+        """
+
         def similarity_of(pair: tuple[str, str]) -> float:
             return self.similarity.pair(
                 self.registry.device(pair[0]), self.registry.device(pair[1])
             )
 
-        self.communities = partition_by_similarity(
-            self.legit_ids, similarity_of, self.context, self.cfg.similarity_threshold
-        )
+        if not self.communities:
+            self.communities = partition_by_similarity(
+                self.legit_ids, similarity_of, self.context, self.cfg.similarity_threshold
+            )
+            self._community_of = {m: c for c in self.communities for m in c.members}
         for community in self.communities:
             self.log.append(now, f"community id={community.id} size={len(community.members)}")
 
@@ -725,72 +741,68 @@ class SimulationEngine:
         subordinates forward theirs to the nearest manager only. A
         contribution counts when the receiving manager's relation to the
         sender matches the configured filter. Attacker devices never send.
+
+        The exchange runs on the dense store, one vector add per sender.
+        Its means are bit-equal to summing each (receiver, subject) key in
+        sender order under three rules (see `exchange_recommendations`):
+          - E is `pos/mass + a*(2/mass)`, as in `Opinion.expected_value`;
+          - senders add in a fixed order: managers first, then
+            subordinates in `legit_ids` order;
+          - no matrix product, whose summation order moves some means by
+            one ulp.
         """
-        grouped = self.store.by_evaluator()
-        sums: dict[tuple[str, str], float] = {}
-        counts: dict[tuple[str, str], int] = {}
-        managers = self.registry.managers()
-        manager_ids = [m.id for m in managers]
-
-        def contribute(receiver_id: str, sender_id: str) -> None:
-            opinions = grouped.get(sender_id)
-            if not opinions:
-                return
-            for subject, opinion in opinions.items():
-                key = (receiver_id, subject)
-                sums[key] = sums.get(key, 0.0) + opinion.expected_value()
-                counts[key] = counts.get(key, 0) + 1
-
-        for sender_id in manager_ids:
-            for receiver_id in manager_ids:
-                if receiver_id == sender_id:
-                    continue
-                if self._relation(receiver_id, sender_id) is self.cfg.relation:
-                    contribute(receiver_id, sender_id)
-
+        relation = self.cfg.relation
+        manager_ids = [m.id for m in self.registry.managers()]
+        routes = [
+            (sender, [r for r in manager_ids if r != sender and self._relation(r, sender) is relation])
+            for sender in manager_ids
+        ]
         sq_dist = self._squared_distances()
         for device_id in self.legit_ids:
-            device = self.registry.device(device_id)
-            if device.is_manager:
+            if self.registry.device(device_id).is_manager:
                 continue
             nearest = self._nearest_manager(self.index[device_id], sq_dist)
-            if self._relation(nearest.id, device_id) is self.cfg.relation:
-                contribute(nearest.id, device_id)
-
-        self.rec_cache = {key: sums[key] / counts[key] for key in sums}
+            if self._relation(nearest.id, device_id) is relation:
+                routes.append((device_id, [nearest.id]))
+        self.rec_cache = exchange_recommendations(self.store, routes)
 
     def _monitor_members(self, now: float) -> None:
         """Assess every member at every manager, without verdicts.
 
         These assessments feed the trust trace and the in-network side of
-        the ESR split. Membership itself is not revisited.
+        the ESR split. Membership itself is not revisited. Each manager's
+        D, S and R are taken over the sorted members at once and blended as
+        arrays: D for all managers comes from one read of the opinion store,
+        and S is computed once per community, since it does not depend on
+        the manager. Rows share the cached S and R float objects rather
+        than holding copies, which keeps the retained assessments small.
         """
         base = self.store.base_rate
-        for manager in self.registry.managers():
-            community = self._manager_community(manager.id)
-            for identity_id in sorted(self.gate.members):
-                if identity_id == manager.id:
-                    continue
-                direct = self.store.direct_trust(manager.id, identity_id)
-                if community is None:
-                    similarity = base
-                else:
-                    similarity = self.similarity.community_mean(
-                        self._profile_of(identity_id), community, self.registry
-                    )
-                recommended = self.rec_cache.get((manager.id, identity_id))
-                self.assessments.append(
-                    assess(
-                        time=now,
-                        evaluator=manager.id,
-                        subject=identity_id,
-                        relation=self.cfg.relation,
-                        direct=direct,
-                        similarity=similarity,
-                        recommended=base if recommended is None else recommended,
-                        split="internal",
-                    )
+        managers = self.registry.managers()
+        members = sorted(self.gate.members)
+        direct = self.store.direct_trust_matrix([m.id for m in managers], members).tolist()
+        similarity: dict[int, list[float]] = {}  # community id -> S over all members
+        for manager, direct_row in zip(managers, direct):
+            community = self._community_of[manager.id]
+            if community.id not in similarity:
+                similarity[community.id] = [
+                    self.similarity.community_mean(self._profile_of(s), community, self.registry)
+                    for s in members
+                ]
+            others = [k for k, s in enumerate(members) if s != manager.id]
+            subjects = [members[k] for k in others]
+            self.assessments.extend(
+                assess_array(
+                    now,
+                    manager.id,
+                    subjects,
+                    self.cfg.relation,
+                    [direct_row[k] for k in others],
+                    [similarity[community.id][k] for k in others],
+                    [self.rec_cache.get((manager.id, s), base) for s in subjects],
+                    split="internal",
                 )
+            )
 
     def _snapshot_positions(self, now: float) -> None:
         for device_id in self.ids:

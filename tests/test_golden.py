@@ -1,0 +1,83 @@
+"""Golden hashes: pinned small configs reproduce their output files byte for byte.
+
+The determinism contract holds across changes to the program, not only
+within one process. Each config runs through `run_batch` (one seed, well
+under a second) and every per-seed file plus `metrics.csv` must hash to the
+value pinned here. A change that alters outputs on purpose re-pins these and
+says why.
+
+The three configs cover the default stolen/churn scenario, fabricated
+identities under the multi schedule (the opinion store and recommendation
+cache grow along the identity axis), and the `por` relation filter, under
+which no sender qualifies and the recommendation cache stays empty.
+"""
+
+import hashlib
+
+import pytest
+
+from siotrust import ScenarioConfig, SimulationEngine, cli
+
+GOLDEN = {
+    "default-40": (
+        {"node_count": 40},
+        {
+            "attacks-s1.csv": "a1a0fd821da9b65297e87c7575819c247c597b6dc1c7beb2f533adffb85a9972",
+            "communities-s1.csv": "bb346db0b31f82c0391b7725c5f26b7b91327285546173f5e5efc1c623055173",
+            "decisions-s1.csv": "2e8c7571edab151008b31340cfe183a2436776e3f00ab4835512d2006402b66f",
+            "esr-s1.csv": "882ff9ba45d7388bbdf6471192860c248d6520b6ea297d16d2ecc3d34d0310a2",
+            "events-s1.log": "56e4b6fa7579ad956b8bfc8a0c05669fe6584e8e67fbfa683cf5d22d3ec0c722",
+            "metrics.csv": "2aac9b767b597c52e608ca80564c68fcd1460aff9e2857ec1e0ed48e88e9df87",
+            "trust-s1.csv": "b2bf10b4bf71baf78235bf7565bd38cd6204dea21fa2857256a8a008e80736ee",
+        },
+    ),
+    "fabricated-multi-40": (
+        {"node_count": 40, "identity_source": "fabricated", "behavior": "multi"},
+        {
+            "attacks-s1.csv": "f3f21ec7a8a745b2288d525962b6efb2a142dae1f97716f635df1d95c8288c3d",
+            "communities-s1.csv": "bb346db0b31f82c0391b7725c5f26b7b91327285546173f5e5efc1c623055173",
+            "decisions-s1.csv": "92ef15884e80b539bf6b358f500b15ddbfd03babd9b4ef498d0b91e469964e8f",
+            "esr-s1.csv": "c43e6a3a4c7ae0a839ba950c533f014b7cfa5e19d7572a5a6f234f00ffdac065",
+            "events-s1.log": "923427221720c292c9cbd9b590149a69e60d56cf8fa3441a88c982d52c68c24b",
+            "metrics.csv": "0d939f02e356127004aaf0fcef4bcd8552af49fbda99c37f46607792926a698a",
+            "trust-s1.csv": "79c8e567f5598fee0ee7cc4c6c2febdc9986ce2ead61cdfea5ceb8e251cc8300",
+        },
+    ),
+    "por-40": (
+        {"node_count": 40, "relation": "por"},
+        {
+            "attacks-s1.csv": "e6656c13287a862604a00f09f558db25e7a18d6be42bf7d2f6e461a7141d8b98",
+            "communities-s1.csv": "bb346db0b31f82c0391b7725c5f26b7b91327285546173f5e5efc1c623055173",
+            "decisions-s1.csv": "4a24629504d8c07b139fa47e0372b80b5c7db09280bdc95850400ca061757632",
+            "esr-s1.csv": "3731e053e3068618a916f848180592d94513f013f47de5e18a37ef0ad0a42888",
+            "events-s1.log": "f959beb9478876cd0ceaf3b7b47e6f480105df22ac383fd4bf7b32681882f5f7",
+            "metrics.csv": "1af6b575e3401e161f0d6abe6cc53c1f2f38c56974d1d23e120a48e3944c3f52",
+            "trust-s1.csv": "003c18fee5b30a3733c3f54736cab1a5a94d60d09e4de833e0858ffba15b67c9",
+        },
+    ),
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_match_pinned_hashes(name, tmp_path):
+    overrides, expected = GOLDEN[name]
+    cli.run_batch(ScenarioConfig.from_mapping(overrides), [1], tmp_path)
+    got = {p.name: sha256(p) for p in sorted(tmp_path.iterdir()) if p.name != "manifest.json"}
+    assert got == expected
+
+
+def test_fabricated_config_mints_identities(tmp_path):
+    overrides, _ = GOLDEN["fabricated-multi-40"]
+    result = cli.run_batch(ScenarioConfig.from_mapping(overrides), [1], tmp_path)[0]
+    assert any(" fabricate attacker=" in line for line in result.log.lines)
+
+
+def test_por_config_leaves_the_recommendation_cache_empty():
+    overrides, _ = GOLDEN["por-40"]
+    engine = SimulationEngine(ScenarioConfig.from_mapping({**overrides, "seed": 1}))
+    engine.run()
+    assert engine.rec_cache == {}

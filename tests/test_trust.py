@@ -10,6 +10,8 @@ from siotrust.trust import (
     OpinionStore,
     aggregate_expected,
     assess,
+    assess_array,
+    exchange_recommendations,
     overall_trust,
     recommendation,
     weights_from_relation,
@@ -206,3 +208,119 @@ class TestAssess:
         assert header == ["time", "evaluator", "subject", "relation", "D", "S", "R", "T"]
         assert row[:4] == ["30.0", "m0", "d5", "clor"]
         assert [float(cell) for cell in row[4:]] == [0.4, 0.6, 0.8, item.trust]
+
+
+# -- dense store and the vectorised epoch reads ------------------------------
+
+IDS = [f"v{i}" for i in range(12)]
+RECEIVERS = IDS[:4]
+outcomes = st.sampled_from(["positive", "negative"])
+
+
+def reference_exchange(opinions, routes):
+    """Per-key sequential sums over dicts of Opinion objects, in sender order."""
+    grouped = {}
+    for (holder, subject), op in sorted(opinions.items()):
+        grouped.setdefault(holder, {})[subject] = op
+    sums, counts = {}, {}
+    for sender, receivers in routes:
+        for receiver in receivers:
+            for subject, op in grouped.get(sender, {}).items():
+                key = (receiver, subject)
+                sums[key] = sums.get(key, 0.0) + op.expected_value()
+                counts[key] = counts.get(key, 0) + 1
+    return {key: sums[key] / counts[key] for key in sums}
+
+
+@st.composite
+def epochs(draw):
+    """Write batches over a growing id pool, each followed by an exchange.
+
+    Later batches reach ids no earlier batch could, so rows and columns
+    first seen after an earlier epoch are exercised.
+    """
+    out = []
+    for k in range(draw(st.integers(1, 4))):
+        pool = st.sampled_from(IDS[: 3 * k + 3])
+        writes = draw(st.lists(st.tuples(pool, pool, outcomes, st.integers(1, 40)), max_size=20))
+        routes = draw(
+            st.lists(
+                st.tuples(st.sampled_from(IDS), st.lists(st.sampled_from(RECEIVERS), unique=True)),
+                max_size=12,
+            )
+        )
+        out.append((writes, routes))
+    return out
+
+
+class TestDenseStore:
+    @given(base_rate=st.floats(0.0, 1.0), plan=epochs())
+    def test_exchange_is_bit_equal_to_the_sequential_sum(self, base_rate, plan):
+        store = OpinionStore(base_rate)
+        opinions = {}
+        for writes, routes in plan:
+            for evaluator, subject, outcome, times in writes:
+                op = opinions.setdefault((evaluator, subject), Opinion(base_rate=base_rate))
+                for _ in range(times):
+                    store.record_experience(evaluator, subject, outcome)
+                    op.record(outcome)
+            got = exchange_recommendations(store, routes)
+            expected = reference_exchange(opinions, routes)
+            assert got.keys() == expected.keys()
+            for key, value in got.items():
+                assert type(value) is float
+                assert value == expected[key]
+
+    @given(base_rate=st.floats(0.0, 1.0), plan=epochs())
+    def test_reads_match_the_scalar_api(self, base_rate, plan):
+        store = OpinionStore(base_rate)
+        opinions = {}
+        for writes, _ in plan:
+            for evaluator, subject, outcome, times in writes:
+                op = opinions.setdefault((evaluator, subject), Opinion(base_rate=base_rate))
+                for _ in range(times):
+                    store.record_experience(evaluator, subject, outcome)
+                    op.record(outcome)
+        assert len(store) == len(opinions)
+        assert store.by_evaluator() == {
+            e: {s: opinions[e, s] for s in sorted(IDS) if (e, s) in opinions}
+            for e in sorted({e for e, _ in opinions})
+        }
+        matrix = store.direct_trust_matrix(IDS, IDS)
+        for i, evaluator in enumerate(IDS):
+            for j, subject in enumerate(IDS):
+                op = opinions.get((evaluator, subject))
+                assert store.get(evaluator, subject) == op
+                expected = base_rate if op is None else op.expected_value()
+                assert matrix[i, j] == store.direct_trust(evaluator, subject) == expected
+
+    def test_unknown_outcome_leaves_no_entry(self):
+        store = OpinionStore(base_rate=0.5)
+        with pytest.raises(ValueError, match="unknown outcome"):
+            store.record_experience("e", "s", "meh")
+        assert len(store) == 0 and store.get("e", "s") is None
+
+    def test_empty_exchange(self):
+        assert exchange_recommendations(OpinionStore(0.5), [("a", ["b"])]) == {}
+
+
+components = st.floats(-0.25, 1.25) | st.just(math.nan)
+
+
+class TestAssessArray:
+    @pytest.mark.parametrize("relation", list(RelationType))
+    @given(rows=st.lists(st.tuples(components, components, components), max_size=8))
+    def test_matches_scalar_assess_and_its_error(self, relation, rows):
+        direct, similarity, recommended = ([row[i] for row in rows] for i in range(3))
+        subjects = [f"s{k}" for k in range(len(rows))]
+        try:
+            expected = [assess(9.0, "m", s, relation, d, si, r, "internal") for s, (d, si, r) in zip(subjects, rows)]
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                assess_array(9.0, "m", subjects, relation, direct, similarity, recommended, "internal")
+            assert str(caught.value) == str(exc)
+            return
+        got = assess_array(9.0, "m", subjects, relation, direct, similarity, recommended, "internal")
+        assert got == expected
+        for item in got:
+            assert all(type(v) is float for v in (item.direct, item.similarity, item.recommended, item.trust))
