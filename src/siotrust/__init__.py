@@ -21,7 +21,6 @@ from .authn import (
 from .community import (
     Community,
     SimilarityWeights,
-    community_of,
     community_similarity,
     form_communities,
     friendship_similarity,
@@ -58,9 +57,7 @@ from .social import (
     IdentitySource,
     RelationType,
     classify_relation,
-    classify_relation_flagged,
     context_for,
-    load_roster,
 )
 from .trust import (
     Opinion,
@@ -68,7 +65,6 @@ from .trust import (
     TrustAssessment,
     assess,
     overall_trust,
-    recommendation,
     weights_from_relation,
     write_trust_trace_csv,
 )
@@ -111,8 +107,6 @@ __all__ = [
     "accuracy",
     "assess",
     "classify_relation",
-    "classify_relation_flagged",
-    "community_of",
     "community_similarity",
     "context_for",
     "detection_rate",
@@ -124,10 +118,8 @@ __all__ = [
     "interest_similarity",
     "jaccard",
     "load_friendship_edges",
-    "load_roster",
     "overall_trust",
     "pairwise_similarity",
-    "recommendation",
     "run_scenario",
     "sample_subgraph",
     "synthetic_small_world",

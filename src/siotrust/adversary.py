@@ -127,7 +127,6 @@ class AttackerEngine:
             return already
         identity = Identity(
             id=victim.id,
-            holder=self.device.id,
             friends=set(victim.friends),
             interests=set(victim.interests),
             source=IdentitySource.STOLEN,
@@ -154,7 +153,6 @@ class AttackerEngine:
         interests = self._forge(self.observed_interests, k)
         identity = Identity(
             id=candidate,
-            holder=self.device.id,
             friends=friends,
             interests=interests,
             source=IdentitySource.FABRICATED,

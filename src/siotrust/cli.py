@@ -111,11 +111,17 @@ def resolve(args: argparse.Namespace) -> tuple[ScenarioConfig, list[int]]:
         manifest = _load_json(args.from_manifest)
         if manifest.get("format") != MANIFEST_FORMAT:
             raise ConfigError(f"{args.from_manifest!r} is not a recognized run manifest")
-        base = ScenarioConfig.from_mapping(manifest["config"])
-        seeds = [int(s) for s in manifest["seeds"]]
+        for key in ("config", "seeds"):
+            if key not in manifest:
+                raise ConfigError(f"manifest has no {key!r} field")
+        if not isinstance(manifest["config"], dict):
+            raise ConfigError("manifest 'config' must be a JSON object")
+        seeds = manifest["seeds"]
+        if not isinstance(seeds, list) or any(type(s) is not int for s in seeds):
+            raise ConfigError(f"manifest 'seeds' must be a list of integers: {seeds!r}")
         if not seeds:
             raise ConfigError("manifest lists no seeds")
-        return base, seeds
+        return ScenarioConfig.from_mapping(manifest["config"]), seeds
 
     mapping: dict[str, Any] = {}
     if args.config:

@@ -11,9 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
-
-import networkx as nx
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .social import ConfigError, Context, Device
 
@@ -90,48 +88,53 @@ def form_communities(
     singletons). Output order is deterministic: members sorted, communities
     numbered by their smallest member id.
     """
-    ordered = sorted(devices, key=lambda d: d.id)
-    similarity = {}
-    for a in range(len(ordered)):
-        for b in range(a + 1, len(ordered)):
-            i, j = ordered[a], ordered[b]
-            similarity[(i.id, j.id)] = pairwise_similarity(i, j, weights)
-    return partition_by_similarity(
-        [d.id for d in ordered], similarity.__getitem__, context, threshold
-    )
+    by_id = {d.id: d for d in devices}
+
+    def similarity_of(pair: tuple[str, str]) -> float:
+        return pairwise_similarity(by_id[pair[0]], by_id[pair[1]], weights)
+
+    return partition_by_similarity(list(by_id), similarity_of, context, threshold)
 
 
 def partition_by_similarity(
     ids: Sequence[str],
-    similarity_of,
+    similarity_of: Callable[[tuple[str, str]], float],
     context: Context,
     threshold: float,
 ) -> list[Community]:
-    """Connected-component partition over a precomputed similarity lookup.
+    """Connected components of the strict-threshold similarity graph.
 
-    `similarity_of((i, j))` is called with id pairs in sorted order. Shared
+    `similarity_of((i, j))` is called once per id pair, with i < j. Shared
     by form_communities and the simulation engine, which caches the static
-    pairwise similarities once per run.
+    pairwise similarities once per run. Components are found by union-find
+    over indices into the sorted ids.
     """
-    graph = nx.Graph()
     ordered = sorted(ids)
-    graph.add_nodes_from(ordered)
+    parent = list(range(len(ordered)))
+
+    def root(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
     for a in range(len(ordered)):
         for b in range(a + 1, len(ordered)):
             if similarity_of((ordered[a], ordered[b])) > threshold:
-                graph.add_edge(ordered[a], ordered[b])
-    components = sorted(
-        (tuple(sorted(component)) for component in nx.connected_components(graph)),
-        key=lambda members: members[0],
-    )
+                parent[root(b)] = root(a)
+    # visiting ids in sorted order opens each component at its smallest
+    # member and fills it in sorted order, which is the numbering we want
+    components: dict[int, list[str]] = {}
+    for k, device_id in enumerate(ordered):
+        components.setdefault(root(k), []).append(device_id)
     return [
         Community(
             id=index,
-            members=members,
+            members=tuple(members),
             context_kind=context.kind,
             similarity_threshold=threshold,
         )
-        for index, members in enumerate(components)
+        for index, members in enumerate(components.values())
     ]
 
 
@@ -154,13 +157,6 @@ def community_similarity(
         return 0.0
     total = sum(pairwise_similarity(subject, roster[m], weights) for m in others)
     return total / len(others)
-
-
-def community_of(communities: Iterable[Community], device_id: str) -> Community | None:
-    for community in communities:
-        if device_id in community:
-            return community
-    return None
 
 
 def write_communities_csv(communities: Iterable[Community], path: str | Path) -> None:

@@ -29,10 +29,6 @@ class FriendshipGraph:
     def node_count(self) -> int:
         return len(self.adjacency)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(n) for n in self.adjacency.values()) // 2
-
     def nodes(self) -> list[str]:
         return sorted(self.adjacency)
 

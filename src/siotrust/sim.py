@@ -45,7 +45,7 @@ from .adversary import (
     AttackerEngine,
     AttackerProfile,
 )
-from .authn import AccessGate, AccessRequest, Admission, DecisionRecord, Verdict
+from .authn import AccessGate, AccessRequest, DecisionRecord, Verdict
 from .community import (
     Community,
     SimilarityWeights,
@@ -209,13 +209,13 @@ class ScenarioConfig:
             if name not in known:
                 raise ConfigError(f"unknown scenario parameter: {name!r}")
             kwargs[name] = raw
-        if "relation" in kwargs and not isinstance(kwargs["relation"], RelationType):
-            kwargs["relation"] = RelationType(str(kwargs["relation"]))
-        if "behavior" in kwargs and not isinstance(kwargs["behavior"], AttackBehavior):
-            kwargs["behavior"] = AttackBehavior(str(kwargs["behavior"]))
-        if "identity_source" in kwargs and not isinstance(kwargs["identity_source"], IdentitySource):
-            kwargs["identity_source"] = IdentitySource(str(kwargs["identity_source"]))
         try:
+            if "relation" in kwargs and not isinstance(kwargs["relation"], RelationType):
+                kwargs["relation"] = RelationType(str(kwargs["relation"]))
+            if "behavior" in kwargs and not isinstance(kwargs["behavior"], AttackBehavior):
+                kwargs["behavior"] = AttackBehavior(str(kwargs["behavior"]))
+            if "identity_source" in kwargs and not isinstance(kwargs["identity_source"], IdentitySource):
+                kwargs["identity_source"] = IdentitySource(str(kwargs["identity_source"]))
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
@@ -256,12 +256,14 @@ class EventLog:
 
 
 class _StaticSimilarity:
-    """Caches over presented profiles, which never change after creation.
+    """Caches over presented profiles, keyed by identity id.
 
-    Legitimate profiles are fixed at build time, stolen identities copy a
-    victim's sets verbatim and fabricated sets are frozen when forged, so
-    pairwise similarities and per-community means are safe to memoize for
-    the whole run.
+    An id always presents the same sets: legitimate profiles are fixed at
+    build time, a stolen identity copies its victim's sets verbatim, and
+    fabricated ids are unique with sets frozen when forged. With
+    `pairwise_similarity` exactly symmetric, pairwise similarities and
+    per-community means are safe to memoize for the whole run, and equal
+    `community_similarity` bit for bit.
     """
 
     def __init__(self, weights: SimilarityWeights) -> None:
@@ -305,7 +307,6 @@ class RunResult:
     assessments: list[TrustAssessment]
     communities: list[Community]
     attempts: list[AttackAttempt]
-    admissions: list[Admission]
     counters: ConfusionCounters
 
     def esr_splits(self) -> dict[str, list[float]]:
@@ -342,7 +343,6 @@ class SimulationEngine:
         self.rec_cache: dict[tuple[str, str], float] = {}
         self.assessments: list[TrustAssessment] = []
         self.attempts: list[AttackAttempt] = []
-        self.admissions: list[Admission] = []
 
         self._build_world()
 
@@ -350,11 +350,10 @@ class SimulationEngine:
             registry=self.registry,
             store=self.store,
             relation_filter=config.relation,
+            similarity=self._request_similarity,
+            recommender=lambda manager_id, subject: self.rec_cache.get((manager_id, subject)),
             trust_threshold=config.trust_threshold,
-            weights=config.weights(),
             attacker_devices=frozenset(self.attacker_ids),
-            community_of=self._manager_community,
-            recommender=lambda manager, subject: self.rec_cache.get((manager.id, subject)),
         )
         self._relations: dict[tuple[str, str], RelationType] = {}
         self._next_epoch = config.epoch_interval
@@ -453,8 +452,18 @@ class SimulationEngine:
             self._relations[key] = found
         return found
 
-    def _manager_community(self, manager_id: str) -> Community | None:
-        return self._community_of.get(manager_id)
+    def _request_similarity(self, request: AccessRequest, manager_id: str) -> float:
+        """The gate's S: the presented profile against the manager's community.
+
+        Before the first epoch a manager has no community yet; similarity
+        evidence is then vacuous and falls back to the base rate, the same
+        convention vacuous D and R follow. The request itself is the
+        profile, under the presented identity id that the cache keys on.
+        """
+        community = self._community_of.get(manager_id)
+        if community is None:
+            return self.store.base_rate
+        return self.similarity.community_mean(request, community, self.registry)
 
     def _profile_of(self, identity_id: str) -> SocialProfile:
         if identity_id in self._legit_id_set:
@@ -472,10 +481,11 @@ class SimulationEngine:
         steps = int(round(cfg.duration / cfg.tick))
         for step in range(steps):
             now = step * cfg.tick
-            if now + 1e-9 >= self._next_epoch:
-                self._epoch(now)
-                self._next_epoch += cfg.epoch_interval
+            # epoch tasks never move a device, so one matrix serves the tick
             sq_dist = self._squared_distances()
+            if now + 1e-9 >= self._next_epoch:
+                self._epoch(now, sq_dist)
+                self._next_epoch += cfg.epoch_interval
             self._legit_requests(now, sq_dist)
             self._attacker_requests(now, sq_dist)
             self._interactions(now, sq_dist)
@@ -489,7 +499,6 @@ class SimulationEngine:
             assessments=self.assessments,
             communities=self.communities,
             attempts=self.attempts,
-            admissions=self.admissions,
             counters=counters,
         )
 
@@ -600,7 +609,6 @@ class SimulationEngine:
             admission = self.gate.admit(
                 request.identity, request.target_manager, request.presenter, request.time
             )
-            self.admissions.append(admission)
             conflicts = "|".join(admission.conflicting_presenters) or "-"
             self.log.append(
                 request.time,
@@ -685,10 +693,10 @@ class SimulationEngine:
 
     # -- epoch tasks --------------------------------------------------------------
 
-    def _epoch(self, now: float) -> None:
+    def _epoch(self, now: float, sq_dist: np.ndarray) -> None:
         self._form_communities(now)
         self._duplicate_scan(now)
-        self._rebuild_recommendations()
+        self._rebuild_recommendations(sq_dist)
         self._monitor_members(now)
         self._snapshot_positions(now)
 
@@ -734,7 +742,7 @@ class SimulationEngine:
                 now, f"duplicate-scan identity={identity_id} presenters={joined} penalty={penalty}"
             )
 
-    def _rebuild_recommendations(self) -> None:
+    def _rebuild_recommendations(self, sq_dist: np.ndarray) -> None:
         """Periodic opinion exchange.
 
         Managers broadcast their own opinions to every other manager;
@@ -757,7 +765,6 @@ class SimulationEngine:
             (sender, [r for r in manager_ids if r != sender and self._relation(r, sender) is relation])
             for sender in manager_ids
         ]
-        sq_dist = self._squared_distances()
         for device_id in self.legit_ids:
             if self.registry.device(device_id).is_manager:
                 continue
@@ -808,7 +815,6 @@ class SimulationEngine:
         for device_id in self.ids:
             i = self.index[device_id]
             x, y = self.positions[i]
-            self.registry.device(device_id).position = (float(x), float(y))
             self.log.append(now, f"pos device={device_id} x={x:.6f} y={y:.6f}")
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class ConfigError(ValueError):
@@ -95,12 +94,6 @@ def context_for(kind: str, base_rates: Mapping[str, float] | None = None) -> Con
     raise ConfigError(f"unknown context kind: {kind!r}")
 
 
-def base_rate_of(ctx: Context) -> float:
-    if not 0.0 <= ctx.base_rate <= 1.0:
-        raise ConfigError(f"base rate out of range: {ctx.base_rate}")
-    return ctx.base_rate
-
-
 @dataclass
 class Device:
     """A physical node and its true social profile."""
@@ -113,7 +106,6 @@ class Device:
     batch: str = ""
     home: str | None = None
     work: str | None = None
-    position: tuple[float, float] = (0.0, 0.0)
     speed: float = 0.0
 
     def __post_init__(self) -> None:
@@ -132,39 +124,29 @@ class Identity:
 
     `friends` and `interests` are the presented lists; for a stolen identity
     they are copies of the victim's, for a fabricated one they are forged.
-    `holder` is the device doing the presenting.
     """
 
     id: str
-    holder: str
     friends: set[str] = field(default_factory=set)
     interests: set[str] = field(default_factory=set)
     source: IdentitySource = IdentitySource.LEGITIMATE
 
 
 def classify_relation(i: Device, j: Device) -> RelationType:
-    """Single relation type for a device pair, by fixed precedence."""
-    relation, _ = classify_relation_flagged(i, j)
-    return relation
-
-
-def classify_relation_flagged(i: Device, j: Device) -> tuple[RelationType, bool]:
     """Classify a pair, precedence OOR > POR > CLOR > CWOR > SOR.
 
-    The second element flags the weak case: no shared attribute and no
-    friendship edge either way. Weak pairs still count as SOR for weights.
+    SOR covers a friendship edge either way and, as the weak fallback, a
+    pair with no shared attribute and no friendship at all.
     """
     if i.owner and i.owner == j.owner:
-        return RelationType.OOR, False
+        return RelationType.OOR
     if i.batch and i.batch == j.batch:
-        return RelationType.POR, False
+        return RelationType.POR
     if i.home is not None and i.home == j.home:
-        return RelationType.CLOR, False
+        return RelationType.CLOR
     if i.work is not None and i.work == j.work:
-        return RelationType.CWOR, False
-    if j.id in i.friends or i.id in j.friends:
-        return RelationType.SOR, False
-    return RelationType.SOR, True
+        return RelationType.CWOR
+    return RelationType.SOR
 
 
 class DeviceRegistry:
@@ -185,7 +167,6 @@ class DeviceRegistry:
         self._devices[device.id] = device
         identity = Identity(
             id=device.id,
-            holder=device.id,
             friends=set(device.friends),
             interests=set(device.interests),
             source=IdentitySource.LEGITIMATE,
@@ -217,55 +198,9 @@ class DeviceRegistry:
     def managers(self) -> list[Device]:
         return [d for d in self.devices() if d.is_manager]
 
-    def subordinates(self) -> list[Device]:
-        return [d for d in self.devices() if not d.is_manager]
-
     def has_identity(self, identity_id: str) -> bool:
         return identity_id in self._identities
 
     def presentations(self, identity_id: str) -> list[Identity]:
         """All presentations of an identity id (more than one only under theft)."""
         return list(self._identities.get(identity_id, []))
-
-    def duplicated_identities(self) -> dict[str, list[Identity]]:
-        return {k: list(v) for k, v in self._identities.items() if len(v) > 1}
-
-
-def load_roster(path: str | Path) -> list[Device]:
-    """Parse a device roster file.
-
-    One device per line, whitespace separated:
-        device_id class owner batch home work x y
-    `class` is manager or subordinate; `-` marks an absent home or work
-    token; `#` starts a comment. Malformed lines fail with their number.
-    """
-    devices: list[Device] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 8:
-            raise ValueError(f"roster line {lineno}: expected 8 fields, got {len(fields)}")
-        dev_id, klass, owner, batch, home, work, x, y = fields
-        try:
-            device_class = DeviceClass(klass)
-        except ValueError:
-            raise ValueError(f"roster line {lineno}: unknown device class {klass!r}") from None
-        try:
-            position = (float(x), float(y))
-        except ValueError:
-            raise ValueError(f"roster line {lineno}: bad coordinates {x!r} {y!r}") from None
-        devices.append(
-            Device(
-                id=dev_id,
-                device_class=device_class,
-                owner=owner,
-                batch=batch,
-                home=None if home == "-" else home,
-                work=None if work == "-" else work,
-                position=position,
-            )
-        )
-    return devices

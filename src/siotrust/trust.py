@@ -25,12 +25,11 @@ import csv
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from statistics import fmean
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .social import Device, RelationType, classify_relation
+from .social import RelationType
 
 Outcome = Literal["positive", "negative"]
 
@@ -168,10 +167,6 @@ class OpinionStore:
         columns = [self.subjects.get(s, -1) for s in subjects]
         return trust[np.ix_(rows, columns)]
 
-    def opinions_of(self, evaluator: str) -> dict[str, Opinion]:
-        """subject -> opinion for one evaluator, subjects sorted."""
-        return self.by_evaluator().get(evaluator, {})
-
     def by_evaluator(self) -> dict[str, dict[str, Opinion]]:
         """Every held opinion as a copy, grouped by evaluator, both levels sorted."""
         subjects = sorted(self.subjects.items())
@@ -188,38 +183,6 @@ class OpinionStore:
     def __len__(self) -> int:
         positive, negative = self._evidence()
         return int(np.count_nonzero(positive + negative))
-
-
-def aggregate_expected(values: Sequence[float], base_rate: float) -> float:
-    """Mean of recommendation expected values; vacuous falls back to the base rate."""
-    if not values:
-        return base_rate
-    return fmean(values)
-
-
-def recommendation(
-    store: OpinionStore,
-    evaluator: Device,
-    subject: str,
-    relation_filter: RelationType,
-    recommenders: Iterable[Device],
-) -> float:
-    """Aggregate recommendations about a subject from matching recommenders.
-
-    A recommender counts when its relation to the evaluator matches the
-    filter and it actually holds an opinion about the subject. The evaluator
-    itself never recommends to itself.
-    """
-    values = []
-    for rec in sorted(recommenders, key=lambda d: d.id):
-        if rec.id == evaluator.id:
-            continue
-        if classify_relation(evaluator, rec) is not relation_filter:
-            continue
-        opinion = store.get(rec.id, subject)
-        if opinion is not None:
-            values.append(opinion.expected_value())
-    return aggregate_expected(values, store.base_rate)
 
 
 def exchange_recommendations(

@@ -77,7 +77,6 @@ class TestTheft:
         engine = make_engine(registry, attacker)
         stolen = engine.steal_identity(victims[0], now=4.0)
         assert stolen.id == "v0"
-        assert stolen.holder == "a0"
         assert stolen.source is IdentitySource.STOLEN
         assert stolen.friends == victims[0].friends
         assert stolen.friends is not victims[0].friends
@@ -96,9 +95,9 @@ class TestTheft:
         registry, _, victims, attacker = build_world()
         engine = make_engine(registry, attacker)
         engine.steal_identity(victims[1])
-        assert list(registry.duplicated_identities()) == ["v1"]
-        holders = {ident.holder for ident in registry.presentations("v1")}
-        assert holders == {"v1", "a0"}
+        sources = [ident.source for ident in registry.presentations("v1")]
+        assert sources == [IdentitySource.LEGITIMATE, IdentitySource.STOLEN]
+        assert len(registry.presentations("v0")) == 1
 
 
 class TestFabrication:

@@ -6,12 +6,12 @@ from siotrust.authn import (
     AccessGate,
     AccessRequest,
     AdmissionError,
-    DecisionReason,
     RoutingError,
     Verdict,
     write_decision_csv,
 )
-from siotrust.community import Community
+from siotrust.community import community_similarity
+from siotrust.sim import ScenarioConfig, SimulationEngine
 from siotrust.social import Device, DeviceClass, DeviceRegistry, RelationType
 from siotrust.trust import OpinionStore
 
@@ -41,10 +41,18 @@ def request(identity, manager="m0", time=0.0, presenter=None, friends=(), intere
     )
 
 
-def make_gate(base_rate=1.0, **kw):
+def make_gate(base_rate=1.0, similarity=None, recommender=None, **kw):
+    """A gate whose S and R sources know nothing: S is the base rate, R absent."""
     registry = build_world()
     store = OpinionStore(base_rate=base_rate)
-    gate = AccessGate(registry, store, RelationType.CLOR, **kw)
+    gate = AccessGate(
+        registry,
+        store,
+        RelationType.CLOR,
+        similarity=similarity or (lambda request, manager_id: store.base_rate),
+        recommender=recommender or (lambda manager_id, subject: None),
+        **kw,
+    )
     return gate, store
 
 
@@ -54,7 +62,6 @@ class TestEvaluate:
         decision = gate.evaluate(request("s0"))
         assert decision.trust == pytest.approx(0.4, abs=1e-12)
         assert decision.verdict is Verdict.DENY
-        assert decision.reason is DecisionReason.BELOW_THRESHOLD
 
     def test_high_base_rate_grants(self):
         gate, _ = make_gate(base_rate=1.0)
@@ -92,12 +99,8 @@ class TestEvaluate:
         assert internal.assessment.split == "internal"
 
     def test_decision_log_records_attacker_flag(self):
-        registry = build_world()
-        registry.register_bare(Device(id="adv", device_class=DeviceClass.SUBORDINATE))
-        store = OpinionStore(base_rate=1.0)
-        gate = AccessGate(
-            registry, store, RelationType.CLOR, attacker_devices=frozenset({"adv"})
-        )
+        gate, _ = make_gate(base_rate=1.0, attacker_devices=frozenset({"adv"}))
+        gate.registry.register_bare(Device(id="adv", device_class=DeviceClass.SUBORDINATE))
         gate.evaluate(request("s0"))
         gate.evaluate(request("s0", presenter="adv"))
         legit, attack = gate.decisions
@@ -105,31 +108,80 @@ class TestEvaluate:
         assert attack.attacker and attack.true_device_kind == "attacker"
 
 
-class TestSimilarityHook:
-    def test_no_community_yet_falls_back_to_base_rate(self):
-        gate, _ = make_gate(base_rate=0.2, community_of=lambda manager_id: None)
-        decision = gate.evaluate(request("s0"))
-        assert decision.assessment.similarity == 0.2
+def gate_similarity_samples(overrides):
+    """Run a scenario and record every gate evaluation.
 
-    def test_community_similarity_of_presented_profile(self):
-        community = Community(0, ("m0", "s0"), "residence", 0.5)
-        gate, _ = make_gate(base_rate=1.0, community_of=lambda manager_id: community)
-        # an empty presented profile shares nothing with the community
-        decision = gate.evaluate(request("ghost", interests=()))
-        assert decision.assessment.similarity == 0.0
-        # the real member profile matches the other member's interests
-        decision = gate.evaluate(request("s0"))
-        assert decision.assessment.similarity == pytest.approx(0.5)
+    Returns the engine and one (request, S the gate used, the manager's
+    community at that moment or None) sample per evaluation.
+    """
+    engine = SimulationEngine(ScenarioConfig.from_mapping({**overrides, "seed": 1}))
+    evaluate = engine.gate.evaluate
+    samples = []
+
+    def recording(presented):
+        community = engine._community_of.get(presented.target_manager)
+        decision = evaluate(presented)
+        samples.append((presented, decision.assessment.similarity, community))
+        return decision
+
+    engine.gate.evaluate = recording
+    engine.run()
+    return engine, samples
+
+
+@pytest.fixture(scope="module")
+def gate_runs():
+    """A stolen and a fabricated 40-node run, as pinned in test_golden."""
+    return [
+        gate_similarity_samples({"node_count": 40}),
+        gate_similarity_samples({"node_count": 40, "identity_source": "fabricated", "behavior": "multi"}),
+    ]
+
+
+class TestSimilarityHook:
+    def test_injected_similarity_sees_request_and_manager(self):
+        calls = []
+
+        def similarity(request, manager_id):
+            calls.append((request, manager_id))
+            return 0.25
+
+        gate, _ = make_gate(base_rate=1.0, similarity=similarity)
+        presented = request("s0", manager="m1")
+        decision = gate.evaluate(presented)
+        assert calls == [(presented, "m1")]
+        assert decision.assessment.similarity == 0.25
+
+    def test_no_community_yet_falls_back_to_base_rate(self, gate_runs):
+        for engine, samples in gate_runs:
+            early = [(r, s) for r, s, community in samples if community is None]
+            assert early
+            for presented, similarity in early:
+                assert presented.time < engine.cfg.epoch_interval
+                assert similarity == engine.store.base_rate
+
+    def test_community_similarity_of_presented_profile(self, gate_runs):
+        # The engine's cached S equals the uncached reference exactly, for
+        # legitimate, stolen and fabricated presentations alike.
+        for engine, samples in gate_runs:
+            roster = {d.id: d for d in engine.registry.devices()}
+            late = [(r, s, c) for r, s, c in samples if c is not None]
+            assert any(r.presenter in engine.attacker_ids for r, _, _ in late)
+            for presented, similarity, community in late:
+                assert presented.time >= engine.cfg.epoch_interval
+                reference = community_similarity(presented, community, roster, engine.cfg.weights())
+                assert similarity == reference
 
 
 class TestRecommenderHook:
     def test_injected_cache_wins(self):
-        gate, _ = make_gate(base_rate=1.0, recommender=lambda manager, subject: 0.25)
+        cache = {("m0", "s0"): 0.25}
+        gate, _ = make_gate(base_rate=1.0, recommender=lambda m, s: cache.get((m, s)))
         decision = gate.evaluate(request("s0"))
         assert decision.assessment.recommended == 0.25
 
     def test_cache_miss_falls_back_to_base_rate(self):
-        gate, _ = make_gate(base_rate=0.7, recommender=lambda manager, subject: None)
+        gate, _ = make_gate(base_rate=0.7, recommender=lambda manager_id, subject: None)
         decision = gate.evaluate(request("s0"))
         assert decision.assessment.recommended == 0.7
 
@@ -157,13 +209,6 @@ class TestMembership:
         assert admission.conflict
         assert admission.conflicting_presenters == ("s0",)
         assert gate.member_presenters("s0") == {"s0", "intruder"}
-
-    def test_retry_cooldown(self):
-        gate, _ = make_gate(base_rate=0.2, retry_cooldown=5.0)
-        assert gate.retry_allowed("s0", "m0", 0.0)
-        gate.evaluate(request("s0", time=3.0))
-        assert not gate.retry_allowed("s0", "m0", 7.0)
-        assert gate.retry_allowed("s0", "m0", 8.0)
 
 
 def test_decision_csv(tmp_path):

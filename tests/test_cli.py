@@ -97,10 +97,11 @@ class TestReplay:
         main(["--config", config_path, "--seed", "7", "--seeds", "2", "--out", str(first)])
         code = main(["--from-manifest", str(first / "manifest.json"), "--out", str(again)])
         assert code == 0
-        for seed in (7, 8):
-            name = f"events-s{seed}.log"
-            assert (again / name).read_bytes() == (first / name).read_bytes()
-        assert (again / "metrics.csv").read_text() == (first / "metrics.csv").read_text()
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
+        assert len(names) == 2 * 6 + 2  # six files per seed, metrics.csv, manifest.json
+        for name in names:
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_replay_refuses_extra_scenario_flags(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"
@@ -114,6 +115,24 @@ class TestReplay:
         impostor.write_text(json.dumps({"format": "something-else"}))
         assert main(["--from-manifest", str(impostor)]) == 2
         assert "not a recognized run manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields,named",
+        [
+            ({"seeds": [1]}, "'config'"),
+            ({"config": SMALL}, "'seeds'"),
+            ({"config": SMALL, "seeds": [1, "two"]}, "'seeds'"),
+            ({"config": SMALL, "seeds": [1.5]}, "'seeds'"),
+            ({"config": SMALL, "seeds": 3}, "'seeds'"),
+            ({"config": [30], "seeds": [1]}, "'config'"),
+        ],
+    )
+    def test_replay_rejects_incomplete_manifest(self, tmp_path, capsys, fields, named):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"format": "siotrust-manifest/1", **fields}))
+        assert main(["--from-manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest") and named in err
 
 
 class TestBadInput:
@@ -133,6 +152,12 @@ class TestBadInput:
         path.write_text(json.dumps({"node_cuont": 30}))
         assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "unknown scenario parameter" in capsys.readouterr().err
+
+    def test_bad_enum_value_in_config(self, tmp_path, capsys):
+        path = tmp_path / "enum.json"
+        path.write_text(json.dumps({"behavior": "nope"}))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "error: 'nope' is not a valid AttackBehavior" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "ghost.json")]) == 2

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from siotrust.community import (
     Community,
     SimilarityWeights,
-    community_of,
     community_similarity,
     form_communities,
     jaccard,
@@ -176,12 +175,6 @@ class TestCommunitySimilarity:
     def test_empty_community_is_an_error(self):
         with pytest.raises(ValueError):
             community_similarity(self.members["a"], Community(0, (), "residence", 0.5), {})
-
-
-def test_community_of():
-    communities = [Community(0, ("a", "b"), "residence", 0.5), Community(1, ("c",), "residence", 0.5)]
-    assert community_of(communities, "c").id == 1
-    assert community_of(communities, "nope") is None
 
 
 def test_communities_csv(tmp_path):

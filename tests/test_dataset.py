@@ -23,22 +23,22 @@ class TestLoadEdges:
     def test_reversed_duplicates_collapse(self, tmp_path):
         graph = load_friendship_edges(write_edges(tmp_path, "1 2\n2 1\n1 2\n"))
         assert graph.node_count == 2
-        assert graph.edge_count == 1
+        assert graph.adjacency == {"1": {"2"}, "2": {"1"}}
 
     def test_self_loops_dropped_with_count(self, tmp_path):
         graph = load_friendship_edges(write_edges(tmp_path, "3 3\n1 2\n"))
         assert graph.dropped_self_loops == 1
-        assert graph.edge_count == 1
+        assert graph.adjacency == {"1": {"2"}, "2": {"1"}}
         assert "3" not in graph.neighbors("1")
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         graph = load_friendship_edges(write_edges(tmp_path, "# header\n\n1 2\n"))
-        assert graph.edge_count == 1
+        assert graph.adjacency == {"1": {"2"}, "2": {"1"}}
 
     def test_empty_file_is_a_valid_empty_graph(self, tmp_path):
         graph = load_friendship_edges(write_edges(tmp_path, ""))
         assert graph.node_count == 0
-        assert graph.edge_count == 0
+        assert graph.adjacency == {}
 
     def test_malformed_line_reported_with_number(self, tmp_path):
         with pytest.raises(ValueError, match="line 2"):
@@ -70,7 +70,7 @@ class TestSampleSubgraph:
     def test_single_node_sample(self):
         sampled = sample_subgraph(self.graph, 1, seed=1)
         assert sampled.node_count == 1
-        assert sampled.edge_count == 0
+        assert not any(sampled.adjacency.values())
 
     def test_same_seed_same_subgraph(self):
         a = sample_subgraph(self.graph, 15, seed=9)
@@ -101,7 +101,7 @@ class TestSyntheticSmallWorld:
         b = synthetic_small_world(30, seed=11)
         assert a.node_count == 30
         assert a.adjacency == b.adjacency
-        assert a.edge_count > 0
+        assert any(a.adjacency.values())
 
     def test_no_self_loops(self):
         graph = synthetic_small_world(25, seed=2)
@@ -113,4 +113,4 @@ class TestSyntheticSmallWorld:
 def test_published_friendship_corpus_counts():
     graph = load_friendship_edges(BRIGHTKITE)
     assert graph.node_count == 58_228
-    assert graph.edge_count == 214_078
+    assert sum(len(n) for n in graph.adjacency.values()) // 2 == 214_078

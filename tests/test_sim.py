@@ -81,8 +81,9 @@ class TestScenarioConfig:
             ScenarioConfig.from_mapping({"node_cuont": 50})
 
     def test_mapping_type_junk_becomes_config_error(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig.from_mapping({"node_count": "thirty"})
+        for junk in ({"node_count": "thirty"}, {"behavior": "nope"}, {"relation": 7}, {"identity_source": "legit"}):
+            with pytest.raises(ConfigError):
+                ScenarioConfig.from_mapping(junk)
 
     def test_with_seed(self):
         cfg = ScenarioConfig(**SMALL)

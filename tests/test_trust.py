@@ -4,16 +4,16 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from siotrust.social import Device, DeviceClass, RelationType
+from siotrust.authn import AccessRequest
+from siotrust.sim import ScenarioConfig, SimulationEngine
+from siotrust.social import RelationType
 from siotrust.trust import (
     Opinion,
     OpinionStore,
-    aggregate_expected,
     assess,
     assess_array,
     exchange_recommendations,
     overall_trust,
-    recommendation,
     weights_from_relation,
     write_trust_trace_csv,
 )
@@ -95,16 +95,17 @@ class TestOpinionStore:
         store.record_experience("e", "z", "positive")
         store.record_experience("e", "a", "positive")
         store.record_experience("other", "m", "positive")
-        assert list(store.opinions_of("e")) == ["a", "z"]
+        assert list(store.by_evaluator()["e"]) == ["a", "z"]
 
     def test_by_evaluator_matches_per_evaluator_view(self):
         store = OpinionStore(base_rate=0.5)
         for evaluator, subject in [("e1", "a"), ("e1", "b"), ("e2", "a")]:
             store.record_experience(evaluator, subject, "positive")
         grouped = store.by_evaluator()
-        assert set(grouped) == {"e1", "e2"}
-        for evaluator in grouped:
-            assert grouped[evaluator] == store.opinions_of(evaluator)
+        assert {(e, s) for e in grouped for s in grouped[e]} == {("e1", "a"), ("e1", "b"), ("e2", "a")}
+        for evaluator, opinions in grouped.items():
+            for subject, opinion in opinions.items():
+                assert opinion == store.get(evaluator, subject)
 
     def test_base_rate_validated(self):
         with pytest.raises(ValueError):
@@ -155,38 +156,52 @@ class TestOverallTrust:
             overall_trust(0.5, 0.5, bad, RelationType.CLOR)
 
 
-def _colocated(device_id, device_class=DeviceClass.SUBORDINATE):
-    return Device(id=device_id, device_class=device_class, home="h")
+def small_engine(**overrides):
+    """A 30-node world before its first epoch: every legitimate pair is CLOR."""
+    return SimulationEngine(ScenarioConfig(node_count=30, duration=60.0, seed=5, **overrides))
 
 
 class TestRecommendation:
     def test_mean_over_matching_relations_only(self):
-        store = OpinionStore(base_rate=0.5)
-        evaluator = _colocated("m", DeviceClass.MANAGER)
-        friendly = _colocated("r1")
-        stranger = Device(id="r2", device_class=DeviceClass.SUBORDINATE)  # weak SOR
-        store.record_experience("r1", "s", "positive")
-        store.record_experience("r2", "s", "negative")
-        value = recommendation(store, evaluator, "s", RelationType.CLOR, [evaluator, friendly, stranger])
-        assert value == pytest.approx(Opinion(1, 0, 0.5).expected_value())
+        engine = small_engine()
+        base = engine.store.base_rate
+        # d002 leaves the shared home, so it no longer relates to the other
+        # managers by co-location and its opinions must not reach them
+        engine.registry.device("d002").home = None
+        engine.store.record_experience("d001", "x", "positive")
+        engine.store.record_experience("d002", "x", "negative")
+        engine.store.record_experience("adv00", "x", "negative")  # attackers never send
+        engine._rebuild_recommendations(engine._squared_distances())
+        assert engine.rec_cache[("d000", "x")] == Opinion(1, 0, base).expected_value()
+        assert ("d001", "x") not in engine.rec_cache
+        assert ("d002", "x") not in engine.rec_cache
 
     def test_holders_without_opinions_do_not_dilute(self):
         store = OpinionStore(base_rate=0.5)
-        evaluator = _colocated("m", DeviceClass.MANAGER)
-        silent = _colocated("r1")
-        vocal = _colocated("r2")
+        store.record_experience("r1", "other", "positive")  # r1 holds nothing about s
         store.record_experience("r2", "s", "positive")
-        value = recommendation(store, evaluator, "s", RelationType.CLOR, [silent, vocal])
-        assert value == pytest.approx(Opinion(1, 0, 0.5).expected_value())
+        received = exchange_recommendations(store, [("r1", ["m"]), ("r2", ["m"])])
+        assert received[("m", "s")] == Opinion(1, 0, 0.5).expected_value()
 
     def test_no_recommenders_falls_back_to_base_rate(self):
-        store = OpinionStore(base_rate=0.2)
-        evaluator = _colocated("m", DeviceClass.MANAGER)
-        assert recommendation(store, evaluator, "s", RelationType.CLOR, [evaluator]) == 0.2
+        # under the por filter no legitimate pair qualifies as a sender
+        engine = small_engine(relation=RelationType.POR, context_kind="park")
+        engine.store.record_experience("d001", "d010", "positive")
+        engine._rebuild_recommendations(engine._squared_distances())
+        assert engine.rec_cache == {}
+        subject = engine.registry.device("d010")
+        request = AccessRequest(0.0, "d010", "d010", frozenset(subject.friends), frozenset(subject.interests), "d000")
+        assert engine.gate.evaluate(request).assessment.recommended == 0.2
 
     def test_aggregate_expected_fallback(self):
-        assert aggregate_expected([], 0.4) == 0.4
-        assert aggregate_expected([0.2, 0.8], 0.4) == pytest.approx(0.5)
+        store = OpinionStore(base_rate=0.4)
+        store.record_experience("r1", "s", "positive")
+        store.record_experience("r2", "s", "negative")
+        received = exchange_recommendations(store, [("r1", ["m"]), ("r2", ["m"])])
+        expected = (Opinion(1, 0, 0.4).expected_value() + Opinion(0, 1, 0.4).expected_value()) / 2
+        assert received == {("m", "s"): expected}
+        # a receiver nobody sent to has no entry; the gate reads that as the base rate
+        assert exchange_recommendations(store, [("r1", [])]) == {}
 
 
 class TestAssess:
