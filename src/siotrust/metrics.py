@@ -10,7 +10,6 @@ denominator) surface as None, never as zero.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
@@ -161,22 +160,64 @@ def esr_cdf(values: Sequence[float]) -> list[tuple[float, float]] | None:
     Tied values all carry the fraction of samples at or below them, so the
     curve is nondecreasing and ends at exactly 1.0. An empty sample set has
     no CDF and yields None rather than a degenerate curve.
+
+    One pass over the sorted values, from the top: a value that differs
+    from the one above it ends a run of ties, and the whole run carries
+    `(index of its last element + 1) / n`, which is what `bisect_right`
+    over the sorted values gives each of them. Ties are found with `!=`,
+    so 0.0 and -0.0 tie, as they do under `bisect_right`.
     """
     if not values:
         return None
     ordered = sorted(values)
     n = len(ordered)
-    return [(v, bisect_right(ordered, v) / n) for v in ordered]
+    curve = []
+    above = None
+    end = n
+    for value in reversed(ordered):
+        if value != above:
+            above, fraction = value, end / n
+        curve.append((value, fraction))
+        end -= 1
+    curve.reverse()
+    return curve
+
+
+# Lines per write in the chunked writers: bounded memory, few write calls.
+CHUNK_LINES = 4096
+
+
+def check_unquoted(text: str, rows: int, columns: int) -> str:
+    """`text` as is, if its `rows` lines hold no field csv.writer would quote.
+
+    The chunked writers format rows as plain comma-joined lines. That is
+    byte-equal to `csv.writer` only while no field holds a comma, a quote or
+    a line break, which engine ids, relation values, split names and float
+    reprs never do; anything else raises instead of writing a broken row.
+    """
+    if (
+        text.count(",") != rows * (columns - 1)
+        or text.count("\n") != rows
+        or '"' in text
+        or "\r" in text
+    ):
+        raise ValueError("a CSV field holds a comma, quote or line break")
+    return text
 
 
 def write_esr_csv(split_values: Mapping[str, Sequence[float]], path: str | Path) -> None:
-    """ESR curves per split (internal/external); empty splits emit no rows."""
+    """ESR curves per split (internal/external); empty splits emit no rows.
+
+    Rows are f-string lines written `CHUNK_LINES` at a time, the same
+    bytes `csv.writer` would write.
+    """
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["split", "trust", "cum_fraction"])
+        handle.write("split,trust,cum_fraction\n")
         for split in sorted(split_values):
             curve = esr_cdf(split_values[split])
             if curve is None:
                 continue
-            for value, fraction in curve:
-                writer.writerow([split, repr(value), repr(fraction)])
+            for start in range(0, len(curve), CHUNK_LINES):
+                chunk = curve[start : start + CHUNK_LINES]
+                text = "".join([f"{split},{value!r},{fraction!r}\n" for value, fraction in chunk])
+                handle.write(check_unquoted(text, len(chunk), 3))

@@ -54,7 +54,7 @@ from .community import (
     partition_by_similarity,
 )
 from .dataset import FriendshipGraph, load_friendship_edges, sample_subgraph, synthetic_small_world
-from .metrics import ConfusionCounters, MetricsReport
+from .metrics import CHUNK_LINES, ConfusionCounters, MetricsReport
 from .social import (
     ConfigError,
     Context,
@@ -232,24 +232,35 @@ class EventLog:
     Every line is fully formatted at append time; two runs agree iff their
     logs agree byte for byte, which is exactly what the determinism tests
     compare.
+
+    The engine passes one time object for every event of a tick, so the
+    `t=<repr> ` prefix is formatted once per new time object and reused
+    while the same object comes back. Reuse keys on identity, not
+    equality: 0.0 and -0.0, or 30 and 30.0, are equal times with
+    different text.
     """
 
     def __init__(self) -> None:
         self.lines: list[str] = []
         self._last_time = -math.inf
+        self._prefix = ""
 
     def append(self, time: float, text: str) -> None:
-        if time < self._last_time:
-            raise ValueError(f"event log time went backwards: {time} after {self._last_time}")
-        self._last_time = time
-        self.lines.append(f"t={time!r} {text}")
+        if time is not self._last_time:
+            if time < self._last_time:
+                raise ValueError(f"event log time went backwards: {time} after {self._last_time}")
+            self._last_time = time
+            self._prefix = f"t={time!r} "
+        self.lines.append(self._prefix + text)
 
     def text(self) -> str:
         return "".join(line + "\n" for line in self.lines)
 
     def write(self, path: str | Path) -> None:
+        """The log as `text()` gives it, written `CHUNK_LINES` lines at a time."""
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(self.text())
+            for start in range(0, len(self.lines), CHUNK_LINES):
+                handle.write("\n".join(self.lines[start : start + CHUNK_LINES]) + "\n")
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -427,14 +438,18 @@ class SimulationEngine:
         highs = np.array([cfg.area_width, cfg.area_height])
         self.positions = self.rng.uniform(lows, highs, size=(n, 2))
         self.targets = self.rng.uniform(lows, highs, size=(n, 2))
-        self.speeds = np.array([self.registry.device(i).speed for i in self.ids])
+        self.devices = [self.registry.device(i) for i in self.ids]  # by index
+        self.speeds = np.array([d.speed for d in self.devices])
         self._area_low = lows
         self._area_high = highs
         self.last_interaction = np.full((n, n), -math.inf)
 
     def _friendship_graph(self, size: int) -> FriendshipGraph:
         if self.cfg.friends_path is not None:
-            full = load_friendship_edges(self.cfg.friends_path)
+            try:
+                full = load_friendship_edges(self.cfg.friends_path)
+            except ValueError as exc:  # a malformed line, or bytes that are not UTF-8
+                raise ConfigError(f"friendship file {self.cfg.friends_path!r}: {exc}") from exc
             if full.node_count < size:
                 raise ConfigError(
                     f"friendship file has {full.node_count} nodes, scenario needs {size}"
@@ -516,14 +531,19 @@ class SimulationEngine:
         own = self.manager_indices[int(np.argmin(row))]
         return self.registry.device(self.ids[own])
 
-    def _in_range(self, device_index: int, sq_dist: np.ndarray, mask: np.ndarray) -> list[Device]:
-        """Devices under `mask` within interaction radius, nearest first."""
+    def _in_range(self, device_index: int, sq_dist: np.ndarray) -> list[Device]:
+        """Legitimate devices within interaction radius, nearest first.
+
+        Ties in distance go by id. `self.ids` is sorted, so index order is id
+        order, and a stable sort of the ascending hits by distance gives
+        exactly the `(distance, id)` order.
+        """
         row = sq_dist[device_index]
         radius_sq = self.cfg.interaction_radius**2
-        hits = np.nonzero(mask & (row <= radius_sq))[0]
-        ordered = sorted(int(i) for i in hits if i != device_index)
-        ordered.sort(key=lambda i: (row[i], self.ids[i]))
-        return [self.registry.device(self.ids[i]) for i in ordered]
+        hits = np.nonzero(self.legit_mask & (row <= radius_sq))[0]
+        hits = hits[hits != device_index]
+        ordered = hits[row[hits].argsort(kind="stable")]
+        return [self.devices[i] for i in ordered.tolist()]
 
     def _legit_requests(self, now: float, sq_dist: np.ndarray) -> None:
         cfg = self.cfg
@@ -551,8 +571,8 @@ class SimulationEngine:
         for attacker_id in self.attacker_ids:
             engine = self.engines[attacker_id]
             device_index = self.index[attacker_id]
-            victims = self._in_range(device_index, sq_dist, self.legit_mask)
-            managers = self._in_range(device_index, sq_dist, self.manager_mask)
+            victims = self._in_range(device_index, sq_dist)
+            managers = [d for d in victims if d.is_manager]  # managers are legitimate
             engine.observe(victims)
             picked = engine.attempt(now, managers, victims)
             self._drain_acquisitions(engine, now)
@@ -628,53 +648,52 @@ class SimulationEngine:
     # -- interactions and movement ----------------------------------------------
 
     def _member_presentation(self) -> tuple[np.ndarray, list[str | None]]:
-        """Which devices currently act as members, and under which identity."""
-        n = len(self.ids)
-        member = np.zeros(n, dtype=bool)
-        identity_of: list[str | None] = [None] * n
-        for i, device_id in enumerate(self.ids):
-            if self.attacker_mask[i]:
-                presented = self.engines[device_id].presented
-                if (
-                    presented is not None
-                    and self.gate.is_member(presented.id)
-                    and device_id in self.gate.member_presenters(presented.id)
-                ):
-                    member[i] = True
-                    identity_of[i] = presented.id
-            elif self.gate.is_member(device_id):
-                member[i] = True
-                identity_of[i] = device_id
+        """Which devices currently act as members, and under which identity.
+
+        A legitimate device is a member under its own id; an attacker device
+        is one while it presents an identity the roster holds under it.
+        Attacker device ids are never identity ids.
+        """
+        members = self.gate.members
+        identity_of: list[str | None] = [i if i in members else None for i in self.ids]
+        for attacker_id, engine in self.engines.items():
+            presented = engine.presented
+            holders = members.get(presented.id, ()) if presented is not None else ()
+            identity_of[self.index[attacker_id]] = presented.id if attacker_id in holders else None
+        member = np.array([i is not None for i in identity_of])
         return member, identity_of
 
     def _interactions(self, now: float, sq_dist: np.ndarray) -> None:
+        """Service experiences between members in radius, each pair once per period.
+
+        Pairs i < j in row-major order, found among the pairs in radius and
+        then filtered by membership and due time: the same pairs, in the
+        same order, as filtering the upper triangle of the whole matrix.
+        """
         cfg = self.cfg
         member, identity_of = self._member_presentation()
-        if not member.any():
-            return
-        radius_sq = cfg.interaction_radius**2
-        due = now - self.last_interaction >= cfg.interaction_period
-        eligible = (sq_dist <= radius_sq) & member[:, None] & member[None, :] & due
-        ii, jj = np.nonzero(np.triu(eligible, k=1))
+        ii, jj = np.nonzero(sq_dist <= cfg.interaction_radius**2)
+        upper = ii < jj
+        ii, jj = ii[upper], jj[upper]
+        due = now - self.last_interaction[ii, jj] >= cfg.interaction_period
+        keep = member[ii] & member[jj] & due
+        ii, jj = ii[keep], jj[keep]
         if len(ii) == 0:
             return
-        draws = self.rng.random((len(ii), 2))
-        for k in range(len(ii)):
-            i, j = int(ii[k]), int(jj[k])
-            self.last_interaction[i, j] = now
-            self._record_experience(now, self.ids[i], identity_of[j], self.attacker_mask[j], draws[k, 0])
-            self._record_experience(now, self.ids[j], identity_of[i], self.attacker_mask[i], draws[k, 1])
-
-    def _record_experience(
-        self, now: float, evaluator: str, subject: str | None, subject_is_attacker: bool, draw: float
-    ) -> None:
-        assert subject is not None
-        if subject_is_attacker:
-            outcome = "negative" if draw < self.cfg.p_negative_attacker else "positive"
-        else:
-            outcome = "positive" if draw < self.cfg.p_positive_legit else "negative"
-        self.store.record_experience(evaluator, subject, outcome)
-        self.log.append(now, f"exp evaluator={evaluator} subject={subject} outcome={outcome}")
+        draws = self.rng.random((len(ii), 2)).ravel()
+        self.last_interaction[ii, jj] = now
+        # two experiences per pair, in log order: i's of j (draw 0), j's of i (draw 1)
+        evaluators = np.column_stack([ii, jj]).ravel()
+        subjects = np.column_stack([jj, ii]).ravel()
+        positive = _interaction_outcomes(
+            draws, self.attacker_mask[subjects], cfg.p_positive_legit, cfg.p_negative_attacker
+        )
+        ids = self.ids
+        for e, s, good in zip(evaluators.tolist(), subjects.tolist(), positive.tolist()):
+            evaluator, subject = ids[e], identity_of[s]
+            outcome = "positive" if good else "negative"
+            self.store.record_experience(evaluator, subject, outcome)
+            self.log.append(now, f"exp evaluator={evaluator} subject={subject} outcome={outcome}")
 
     def _move(self) -> None:
         tick = self.cfg.tick
@@ -781,8 +800,9 @@ class SimulationEngine:
         D, S and R are taken over the sorted members at once and blended as
         arrays: D for all managers comes from one read of the opinion store,
         and S is computed once per community, since it does not depend on
-        the manager. Rows share the cached S and R float objects rather
-        than holding copies, which keeps the retained assessments small.
+        the manager. Rows are `TrustAssessment` named tuples; they share
+        the cached S and R float objects rather than holding copies, which
+        keeps the retained assessments small.
         """
         base = self.store.base_rate
         managers = self.registry.managers()
@@ -816,6 +836,18 @@ class SimulationEngine:
             i = self.index[device_id]
             x, y = self.positions[i]
             self.log.append(now, f"pos device={device_id} x={x:.6f} y={y:.6f}")
+
+
+def _interaction_outcomes(
+    draws: np.ndarray, subject_is_attacker: np.ndarray, p_positive_legit: float, p_negative_attacker: float
+) -> np.ndarray:
+    """Whether each experience is positive, elementwise over uniform draws.
+
+    A legitimate subject gives a positive experience when the draw is below
+    `p_positive_legit`, an attacker a negative one when it is below
+    `p_negative_attacker`: the same `<` comparisons a scalar rule makes.
+    """
+    return np.where(subject_is_attacker, ~(draws < p_negative_attacker), draws < p_positive_legit)
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:

@@ -154,17 +154,22 @@ class DeviceRegistry:
 
     Identity ids are unique at creation; the one sanctioned exception is a
     stolen identity, which duplicates its victim's id by design.
+
+    The sorted manager tuple is built on first use and dropped whenever a
+    device is added; attackers ask for it on every attempt.
     """
 
     def __init__(self) -> None:
         self._devices: dict[str, Device] = {}
         self._identities: dict[str, list[Identity]] = {}
+        self._managers: tuple[Device, ...] | None = None
 
     def register(self, device: Device) -> Identity:
         """Add a device and mint its own legitimate identity."""
         if device.id in self._devices:
             raise ValueError(f"duplicate device id: {device.id!r}")
         self._devices[device.id] = device
+        self._managers = None
         identity = Identity(
             id=device.id,
             friends=set(device.friends),
@@ -179,6 +184,7 @@ class DeviceRegistry:
         if device.id in self._devices:
             raise ValueError(f"duplicate device id: {device.id!r}")
         self._devices[device.id] = device
+        self._managers = None
 
     def add_identity(self, identity: Identity) -> None:
         existing = self._identities.get(identity.id)
@@ -195,8 +201,10 @@ class DeviceRegistry:
     def devices(self) -> list[Device]:
         return [self._devices[k] for k in sorted(self._devices)]
 
-    def managers(self) -> list[Device]:
-        return [d for d in self.devices() if d.is_manager]
+    def managers(self) -> tuple[Device, ...]:
+        if self._managers is None:
+            self._managers = tuple(d for d in self.devices() if d.is_manager)
+        return self._managers
 
     def has_identity(self, identity_id: str) -> bool:
         return identity_id in self._identities

@@ -21,14 +21,16 @@ alpha = beta = (1 - gamma) / 2, so the three weights sum to one.
 
 from __future__ import annotations
 
-import csv
 from array import array
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
+from .metrics import CHUNK_LINES, check_unquoted
 from .social import RelationType
 
 Outcome = Literal["positive", "negative"]
@@ -265,9 +267,14 @@ def _blend(direct, similarity, recommended, relation: RelationType):
     return alpha * direct + beta * similarity + gamma * recommended
 
 
-@dataclass(frozen=True)
-class TrustAssessment:
-    """One evaluation of a subject identity, with its component breakdown."""
+class TrustAssessment(NamedTuple):
+    """One evaluation of a subject identity, with its component breakdown.
+
+    A named tuple rather than a dataclass: monitoring builds one row per
+    member per manager per epoch (137 k at 200 nodes), and a tuple is both
+    cheaper to build and smaller to retain. Rows are read by attribute or
+    unpacked in field order; nothing mutates them.
+    """
 
     time: float
     evaluator: str
@@ -319,7 +326,9 @@ def assess_array(
     The components are sequences of Python floats and the rows keep those
     very objects; the blend is computed as an array and returned through
     `.tolist()`, so every float in a row is a Python float and the CSV
-    writers print the same bytes as for scalar assessments.
+    writers print the same bytes as for scalar assessments. Rows are built
+    straight from the zipped columns, as `TrustAssessment._make` builds
+    them, without a Python call per row.
     """
     trust = overall_trust_array(
         np.array(direct, dtype=np.float64),
@@ -327,26 +336,51 @@ def assess_array(
         np.array(recommended, dtype=np.float64),
         relation,
     )
-    return [
-        TrustAssessment(time, evaluator, subject, relation, d, s, r, t, split)
-        for subject, d, s, r, t in zip(subjects, direct, similarity, recommended, trust.tolist())
-    ]
+    columns = zip(
+        repeat(time), repeat(evaluator), subjects, repeat(relation),
+        direct, similarity, recommended, trust.tolist(), repeat(split),
+    )
+    return list(map(partial(tuple.__new__, TrustAssessment), columns))
+
+
+class _Reprs(dict):
+    """repr memo for one low-cardinality numeric column: `memo[value]`.
+
+    Zero is never stored: 0.0 and -0.0 are equal keys with different text.
+    Keys that compare equal across types (1 and 1.0) would collide the same
+    way, so one memo serves one column, whose values share a type: the
+    engine's times are all `step * tick`, D and S are all floats.
+    """
+
+    def __missing__(self, value) -> str:
+        text = repr(value)
+        if value:
+            self[value] = text
+        return text
 
 
 def write_trust_trace_csv(assessments: Iterable[TrustAssessment], path: str | Path) -> None:
+    """One CSV row per assessment: time, ids, relation, then D, S, R, T by repr.
+
+    Rows are formatted as f-string lines and written `CHUNK_LINES` at a
+    time, the same bytes `csv.writer` writes: no field needs quoting
+    (`check_unquoted` raises if one would). Time, D and S repeat a few
+    hundred distinct values over 10^5 rows, so their reprs are memoised; R
+    and T are mostly distinct and formatted directly.
+    """
+    times, directs, similarities = _Reprs(), _Reprs(), _Reprs()
+    relation_of: RelationType | None = None
+    relation_text = ""
+    rows = iter(assessments)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["time", "evaluator", "subject", "relation", "D", "S", "R", "T"])
-        for item in assessments:
-            writer.writerow(
-                [
-                    repr(item.time),
-                    item.evaluator,
-                    item.subject,
-                    item.relation.value,
-                    repr(item.direct),
-                    repr(item.similarity),
-                    repr(item.recommended),
-                    repr(item.trust),
-                ]
-            )
+        handle.write("time,evaluator,subject,relation,D,S,R,T\n")
+        while chunk := list(islice(rows, CHUNK_LINES)):
+            lines = []
+            for time, evaluator, subject, relation, d, s, r, t, _ in chunk:
+                if relation is not relation_of:
+                    relation_of, relation_text = relation, relation.value
+                lines.append(
+                    f"{times[time]},{evaluator},{subject},{relation_text},"
+                    f"{directs[d]},{similarities[s]},{r!r},{t!r}\n"
+                )
+            handle.write(check_unquoted("".join(lines), len(lines), 8))

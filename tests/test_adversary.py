@@ -280,6 +280,6 @@ def test_attack_csv(tmp_path):
     ]
     path = tmp_path / "attacks.csv"
     write_attack_csv(attempts, path)
-    header, row = list(csv.reader(path.open()))
+    header, row = list(csv.reader(path.read_text().splitlines()))
     assert header == ["time", "attacker_device", "identity", "source", "behavior", "target_manager"]
     assert row == ["10.0", "a0", "v3", "stolen", "churn", "m1"]

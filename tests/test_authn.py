@@ -216,6 +216,6 @@ def test_decision_csv(tmp_path):
     gate.evaluate(request("s0"))
     path = tmp_path / "decisions.csv"
     write_decision_csv(gate.decisions, path)
-    header, row = list(csv.reader(path.open()))
+    header, row = list(csv.reader(path.read_text().splitlines()))
     assert header == ["time", "manager", "identity", "true_device_kind", "verdict", "trust"]
     assert row == ["0.0", "m0", "s0", "legitimate", "grant", "1.0"]

@@ -176,6 +176,18 @@ class TestBadInput:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, named",
+        [(b"1 2 3\n", "edge line 1: expected 2 fields, got 3"), (b"1 \xff\n", "utf-8")],
+    )
+    def test_malformed_friends_file(self, tmp_path, config_path, capsys, content, named):
+        edges = tmp_path / "e.txt"
+        edges.write_bytes(content)
+        code = main(["--config", config_path, "--friends", str(edges), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: friendship file") and named in err
+
     def test_unknown_flag_exits_through_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--bogus"])

@@ -180,7 +180,7 @@ class TestCommunitySimilarity:
 def test_communities_csv(tmp_path):
     path = tmp_path / "communities.csv"
     write_communities_csv([Community(0, ("a", "b"), "park", 0.5)], path)
-    rows = list(csv.reader(path.open()))
+    rows = list(csv.reader(path.read_text().splitlines()))
     assert rows == [
         ["community_id", "device_id", "context_kind"],
         ["0", "a", "park"],

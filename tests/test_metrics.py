@@ -1,11 +1,13 @@
 import csv
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, strategies as st
 
 from siotrust.metrics import (
+    CHUNK_LINES,
     ConfusionCounters,
     MetricsReport,
     accuracy,
@@ -95,7 +97,7 @@ class TestMetricsCsv:
         ]
         path = tmp_path / "metrics.csv"
         write_metrics_csv(reports, path)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["scenario", "context", "relation", "seed", "DR", "ACC", "FN", "FP"]
         assert rows[1][:4] == ["churn-stolen", "residence", "clor", "1"]
         assert float(rows[1][4]) == pytest.approx(75.0)
@@ -126,9 +128,76 @@ class TestEsrCdf:
     def test_csv_skips_empty_split(self, tmp_path):
         path = tmp_path / "esr.csv"
         write_esr_csv({"internal": [], "external": [0.5, 0.25]}, path)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows == [
             ["split", "trust", "cum_fraction"],
             ["external", "0.25", "0.5"],
             ["external", "0.5", "1.0"],
         ]
+
+
+def reference_cdf(values):
+    """The per-sample bisect formula the one-pass curve replaced."""
+    if not values:
+        return None
+    ordered = sorted(values)
+    return [(v, bisect_right(ordered, v) / len(ordered)) for v in ordered]
+
+
+def reference_esr_csv(split_values, path):
+    """The row-by-row writer the chunked one replaced: csv.writer over reprs."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["split", "trust", "cum_fraction"])
+        for split in sorted(split_values):
+            curve = reference_cdf(split_values[split])
+            if curve is None:
+                continue
+            for value, fraction in curve:
+                writer.writerow([split, repr(value), repr(fraction)])
+
+
+# equal values with different text, the extremes, and repeats (trust is never NaN)
+awkward = st.sampled_from([0.0, -0.0, 1e-05, 5e-324, 1.0, 0.5]) | st.floats(0.0, 1.0)
+
+
+def same_points(got, want):
+    """Equal curves, down to the sign of every zero."""
+    assert got == want
+    assert [repr(p) for p in got] == [repr(p) for p in want]
+
+
+class TestEsrAgainstTheReference:
+    @given(st.lists(awkward, max_size=300))
+    def test_curve_equals_the_bisect_formula(self, values):
+        got = esr_cdf(values)
+        want = reference_cdf(values)
+        if want is None:
+            assert got is None
+        else:
+            same_points(got, want)
+
+    def test_ties_of_zero_and_negative_zero(self):
+        values = [0.5, -0.0, 0.0, 1e-05, -0.0, 0.5]
+        same_points(esr_cdf(values), reference_cdf(values))
+        assert [f for _, f in esr_cdf(values)] == [0.5, 0.5, 0.5, 2 / 3, 1.0, 1.0]
+
+    @given(internal=st.lists(awkward, max_size=60), external=st.lists(awkward, max_size=60))
+    def test_csv_bytes_equal_the_csv_writer(self, internal, external, tmp_path_factory):
+        out = tmp_path_factory.mktemp("esr")
+        splits = {"internal": internal, "external": external}
+        write_esr_csv(splits, out / "got.csv")
+        reference_esr_csv(splits, out / "want.csv")
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+    def test_chunk_boundaries(self, tmp_path):
+        rng = random.Random(5)
+        values = [rng.choice([0.0, -0.0, 0.75, rng.random()]) for _ in range(2 * CHUNK_LINES + 3)]
+        splits = {"internal": values, "external": values[:CHUNK_LINES]}
+        write_esr_csv(splits, tmp_path / "got.csv")
+        reference_esr_csv(splits, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_a_split_name_that_needs_quoting_raises(self, tmp_path):
+        with pytest.raises(ValueError, match="comma, quote or line break"):
+            write_esr_csv({"in,ternal": [0.5]}, tmp_path / "esr.csv")

@@ -1,12 +1,17 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from siotrust.adversary import AttackBehavior
-from siotrust.metrics import ConfusionCounters
+from siotrust.metrics import CHUNK_LINES, ConfusionCounters
 from siotrust.sim import (
     SHARED_HOME,
     EventLog,
     ScenarioConfig,
     SimulationEngine,
+    _interaction_outcomes,
     run_scenario,
 )
 from siotrust.social import ConfigError, IdentitySource, RelationType
@@ -114,6 +119,35 @@ class TestEventLog:
         path = tmp_path / "events.log"
         log.write(path)
         assert path.read_text() == log.text()
+
+    def test_backwards_after_a_run_of_equal_times(self):
+        log = EventLog()
+        now = 7.0
+        for _ in range(3):
+            log.append(now, "same object")
+        log.append(float("7.0"), "equal, another object")
+        with pytest.raises(ValueError, match="backwards: 6.5 after 7.0"):
+            log.append(6.5, "late")
+        assert log.lines == ["t=7.0 same object"] * 3 + ["t=7.0 equal, another object"]
+
+    def test_equal_times_keep_their_own_text(self):
+        log = EventLog()
+        for time in (0.0, -0.0, 0.0, 30, 30.0, 30):
+            log.append(time, "x")
+        assert log.lines == ["t=0.0 x", "t=-0.0 x", "t=0.0 x", "t=30 x", "t=30.0 x", "t=30 x"]
+
+    def test_first_line_at_zero_is_unchanged(self, small_run):
+        _, result = small_run
+        assert result.log.lines[0] == "t=0.0 bootstrap manager=d000"
+
+    def test_write_equals_text_across_chunks(self, tmp_path):
+        log = EventLog()
+        for k in range(2 * CHUNK_LINES + 1):
+            log.append(float(k // 3), f"line {k}")
+        log.write(tmp_path / "events.log")
+        assert (tmp_path / "events.log").read_text() == log.text()
+        EventLog().write(tmp_path / "empty.log")
+        assert (tmp_path / "empty.log").read_bytes() == b""
 
 
 class TestWorldBuild:
@@ -233,3 +267,127 @@ class TestParkContext:
         first_wave = [d for d in park_run.decisions if d.time == 0.0]
         assert first_wave
         assert not any(d.granted for d in first_wave)
+
+
+# -- tick phases against the loops they replaced -------------------------------
+
+
+def reference_in_range(engine, device_index, sq_dist, mask):
+    """The scalar ordering: hits under `mask` other than the device, by (distance, id)."""
+    row = sq_dist[device_index]
+    hits = np.nonzero(mask & (row <= engine.cfg.interaction_radius**2))[0]
+    ordered = sorted(int(i) for i in hits if i != device_index)
+    ordered.sort(key=lambda i: (row[i], engine.ids[i]))
+    return [engine.registry.device(engine.ids[i]) for i in ordered]
+
+
+class TestInRange:
+    # few distinct distances, so ties are common; 225.0 is the radius itself
+    @given(distances=st.lists(st.sampled_from([0.0, 1.0, 4.0, 224.9, 225.0, 225.1]), min_size=30, max_size=30),
+           device_index=st.integers(0, 29))
+    def test_order_equals_the_distance_id_sort(self, small_run, distances, device_index):
+        engine, _ = small_run
+        sq_dist = np.zeros((30, 30))
+        sq_dist[device_index] = distances
+        got = engine._in_range(device_index, sq_dist)
+        assert got == reference_in_range(engine, device_index, sq_dist, engine.legit_mask)
+        # the attacker phase takes managers in range as the victims that manage
+        managers = [d for d in got if d.is_manager]
+        assert managers == reference_in_range(engine, device_index, sq_dist, engine.manager_mask)
+
+
+def scalar_outcome(draw, subject_is_attacker, p_positive_legit, p_negative_attacker):
+    """The per-experience rule the array form replaced; True is positive."""
+    if subject_is_attacker:
+        return not draw < p_negative_attacker
+    return draw < p_positive_legit
+
+
+probabilities = st.sampled_from([0.0, 0.8, 0.95, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestInteractionOutcomes:
+    @given(p_pos=probabilities, p_neg=probabilities, data=st.data())
+    def test_equal_to_the_scalar_rule(self, p_pos, p_neg, data):
+        # draws exactly at either threshold, next to them, and anywhere in [0, 1)
+        near = [p_pos, p_neg, math.nextafter(p_pos, 0.0), math.nextafter(p_neg, 0.0)]
+        draw = st.sampled_from([d for d in near if d < 1.0] or [0.0]) | st.floats(0.0, 1.0, exclude_max=True)
+        cells = data.draw(st.lists(st.tuples(draw, st.booleans()), min_size=1, max_size=40))
+        draws = np.array([d for d, _ in cells])
+        attacker = np.array([a for _, a in cells])
+        got = _interaction_outcomes(draws, attacker, p_pos, p_neg).tolist()
+        assert got == [scalar_outcome(d, a, p_pos, p_neg) for d, a in cells]
+
+    def test_draws_at_the_configured_thresholds(self):
+        cfg = ScenarioConfig()
+        draws = np.array([cfg.p_positive_legit, cfg.p_negative_attacker] * 2)
+        attacker = np.array([False, False, True, True])
+        assert _interaction_outcomes(draws, attacker, cfg.p_positive_legit, cfg.p_negative_attacker).tolist() == [
+            False,  # a draw at p_positive_legit is not below it: negative
+            True,
+            True,
+            True,  # a draw at p_negative_attacker is not below it: positive
+        ]
+
+
+class ScalarInteractions(SimulationEngine):
+    """The engine with the per-pair interaction loop the batched one replaced."""
+
+    def _scalar_member_presentation(self):
+        n = len(self.ids)
+        member = np.zeros(n, dtype=bool)
+        identity_of = [None] * n
+        for i, device_id in enumerate(self.ids):
+            if self.attacker_mask[i]:
+                presented = self.engines[device_id].presented
+                if (
+                    presented is not None
+                    and self.gate.is_member(presented.id)
+                    and device_id in self.gate.member_presenters(presented.id)
+                ):
+                    member[i] = True
+                    identity_of[i] = presented.id
+            elif self.gate.is_member(device_id):
+                member[i] = True
+                identity_of[i] = device_id
+        assert np.array_equal(member, self._member_presentation()[0])
+        assert identity_of == self._member_presentation()[1]
+        return member, identity_of
+
+    def _interactions(self, now, sq_dist):
+        cfg = self.cfg
+        member, identity_of = self._scalar_member_presentation()
+        if not member.any():
+            return
+        due = now - self.last_interaction >= cfg.interaction_period
+        eligible = (sq_dist <= cfg.interaction_radius**2) & member[:, None] & member[None, :] & due
+        ii, jj = np.nonzero(np.triu(eligible, k=1))
+        if len(ii) == 0:
+            return
+        draws = self.rng.random((len(ii), 2))
+        for k in range(len(ii)):
+            i, j = int(ii[k]), int(jj[k])
+            self.last_interaction[i, j] = now
+            self._experience(now, self.ids[i], identity_of[j], self.attacker_mask[j], draws[k, 0])
+            self._experience(now, self.ids[j], identity_of[i], self.attacker_mask[i], draws[k, 1])
+
+    def _experience(self, now, evaluator, subject, subject_is_attacker, draw):
+        if subject_is_attacker:
+            outcome = "negative" if draw < self.cfg.p_negative_attacker else "positive"
+        else:
+            outcome = "positive" if draw < self.cfg.p_positive_legit else "negative"
+        self.store.record_experience(evaluator, subject, outcome)
+        self.log.append(now, f"exp evaluator={evaluator} subject={subject} outcome={outcome}")
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, {"identity_source": IdentitySource.FABRICATED, "behavior": AttackBehavior.MULTI}]
+)
+def test_batched_interactions_equal_the_per_pair_loop(overrides):
+    config = ScenarioConfig(**SMALL, **overrides)
+    batched = SimulationEngine(config)
+    scalar = ScalarInteractions(config)
+    assert batched.run().log.lines == scalar.run().log.lines
+    assert any(" exp " in line for line in scalar.log.lines)
+    assert np.array_equal(batched.last_interaction, scalar.last_interaction)
+    assert batched.store.by_evaluator() == scalar.store.by_evaluator()

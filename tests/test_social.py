@@ -143,3 +143,13 @@ class TestRegistry:
         reg.register(Device(id="a", device_class=DeviceClass.MANAGER))
         assert [d.id for d in reg.devices()] == ["a", "b"]
         assert [d.id for d in reg.managers()] == ["a"]
+
+    def test_manager_listing_is_built_once_and_follows_new_devices(self):
+        reg = DeviceRegistry()
+        reg.register(Device(id="m2", device_class=DeviceClass.MANAGER))
+        first = reg.managers()
+        assert reg.managers() is first
+        reg.register(Device(id="m1", device_class=DeviceClass.MANAGER))
+        assert [d.id for d in reg.managers()] == ["m1", "m2"]
+        reg.register_bare(Device(id="m0", device_class=DeviceClass.MANAGER))
+        assert [d.id for d in reg.managers()] == ["m0", "m1", "m2"]

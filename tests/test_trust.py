@@ -1,5 +1,6 @@
 import csv
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,9 +8,11 @@ from hypothesis import given, strategies as st
 from siotrust.authn import AccessRequest
 from siotrust.sim import ScenarioConfig, SimulationEngine
 from siotrust.social import RelationType
+from siotrust.metrics import CHUNK_LINES
 from siotrust.trust import (
     Opinion,
     OpinionStore,
+    TrustAssessment,
     assess,
     assess_array,
     exchange_recommendations,
@@ -219,10 +222,89 @@ class TestAssess:
         assert abs(item.trust - 0.59) < 1e-12
         path = tmp_path / "trace.csv"
         write_trust_trace_csv([item], path)
-        header, row = list(csv.reader(path.open()))
+        header, row = list(csv.reader(path.read_text().splitlines()))
         assert header == ["time", "evaluator", "subject", "relation", "D", "S", "R", "T"]
         assert row[:4] == ["30.0", "m0", "d5", "clor"]
         assert [float(cell) for cell in row[4:]] == [0.4, 0.6, 0.8, item.trust]
+
+
+def reference_trust_csv(assessments, path):
+    """The row-by-row writer the chunked one replaced: csv.writer over reprs."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["time", "evaluator", "subject", "relation", "D", "S", "R", "T"])
+        for item in assessments:
+            writer.writerow(
+                [
+                    repr(item.time),
+                    item.evaluator,
+                    item.subject,
+                    item.relation.value,
+                    repr(item.direct),
+                    repr(item.similarity),
+                    repr(item.recommended),
+                    repr(item.trust),
+                ]
+            )
+
+
+# equal values with different text, the extremes, and repeats
+awkward = st.sampled_from([0.0, -0.0, 1e-05, 5e-324, 1.0, 0.5, 0.1 + 0.2]) | st.floats(0.0, 1.0)
+rows = st.builds(
+    TrustAssessment,
+    time=awkward | st.sampled_from([30.0, 60.0]),
+    evaluator=st.sampled_from(["d000", "d001", "m0"]),
+    subject=st.sampled_from(["d005", "adv00", "fab-adv01-3"]),
+    relation=st.sampled_from(list(RelationType)),
+    direct=awkward,
+    similarity=awkward,
+    recommended=awkward,
+    trust=awkward,
+    split=st.sampled_from(["internal", "external"]),
+)
+
+
+class TestTrustTraceCsv:
+    @given(items=st.lists(rows, max_size=40))
+    def test_bytes_equal_the_csv_writer(self, items, tmp_path_factory):
+        out = tmp_path_factory.mktemp("trace")
+        write_trust_trace_csv(items, out / "got.csv")
+        reference_trust_csv(items, out / "want.csv")
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+    def test_zero_and_negative_zero_keep_their_text(self, tmp_path):
+        items = [
+            TrustAssessment(t, "m", "s", RelationType.SOR, d, d, d, d)
+            for t, d in ((0.0, 0.0), (-0.0, -0.0), (0.0, 0.0), (-0.0, 5e-324))
+        ]
+        write_trust_trace_csv(items, tmp_path / "trace.csv")
+        lines = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+        assert lines == [
+            "0.0,m,s,sor,0.0,0.0,0.0,0.0",
+            "-0.0,m,s,sor,-0.0,-0.0,-0.0,-0.0",
+            "0.0,m,s,sor,0.0,0.0,0.0,0.0",
+            "-0.0,m,s,sor,5e-324,5e-324,5e-324,5e-324",
+        ]
+
+    def test_chunk_boundaries_and_a_generator_input(self, tmp_path):
+        rng = random.Random(3)
+        relations = list(RelationType)
+        items = [
+            TrustAssessment(
+                float(k // 500), f"d{k % 7:03d}", f"d{k % 11:03d}", relations[k % 5],
+                rng.choice([0.0, -0.0, 0.25, rng.random()]), rng.random(), rng.random(), rng.random(),
+            )
+            for k in range(2 * CHUNK_LINES + 1)
+        ]
+        write_trust_trace_csv((item for item in items), tmp_path / "got.csv")
+        reference_trust_csv(items, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("bad_id", ["a,b", 'say "hi"', "two\nlines", "cr\r"])
+    def test_a_field_that_needs_quoting_raises(self, bad_id, tmp_path):
+        item = TrustAssessment(1.0, bad_id, "s", RelationType.SOR, 0.5, 0.5, 0.5, 0.5)
+        with pytest.raises(ValueError, match="comma, quote or line break"):
+            write_trust_trace_csv([item], tmp_path / "trace.csv")
 
 
 # -- dense store and the vectorised epoch reads ------------------------------
