@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Mapping
@@ -357,12 +358,17 @@ class SimulationEngine:
 
         self._build_world()
 
+        # The gate reaches back through a weak proxy: a strong reference would
+        # make engine and gate a cycle, and every finished run (its log, rows
+        # and store) would then stay in memory until a full garbage collection,
+        # whose cost would fall on whatever runs next.
+        engine = weakref.proxy(self)
         self.gate = AccessGate(
             registry=self.registry,
             store=self.store,
             relation_filter=config.relation,
-            similarity=self._request_similarity,
-            recommender=lambda manager_id, subject: self.rec_cache.get((manager_id, subject)),
+            similarity=lambda request, manager_id: engine._request_similarity(request, manager_id),
+            recommender=lambda manager_id, subject: engine.rec_cache.get((manager_id, subject)),
             trust_threshold=config.trust_threshold,
             attacker_devices=frozenset(self.attacker_ids),
         )

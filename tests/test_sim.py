@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -241,6 +243,25 @@ class TestRunSemantics:
         assert report.relation == "clor"
         assert report.seed == 5
         assert report.counters is result.counters
+
+    def test_a_finished_engine_is_freed_without_the_cycle_collector(self):
+        # engine and gate must not form a cycle: a dropped run's log, rows
+        # and store would otherwise wait for a full collection
+        gc.collect()
+        gc.disable()
+        try:
+            engine = SimulationEngine(ScenarioConfig(**SMALL))
+            result = engine.run()
+            gone = weakref.ref(engine)
+            store = weakref.ref(engine.store)
+            del engine
+            assert gone() is None
+            log = weakref.ref(result.log)
+            del result
+            assert log() is None
+            assert store() is None
+        finally:
+            gc.enable()
 
 
 @pytest.fixture(scope="module")
