@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -208,8 +209,7 @@ class AttackerEngine:
         self.presented = active
         if now - self._last_attempt < self.profile.attempt_interval:
             return None
-        all_managers = {m.id for m in self.registry.managers()}
-        if self._attempted >= all_managers:
+        if self._attempted >= self._manager_ids:
             active = self._rotate(now, victims)
             self.presented = active
         candidates = [m for m in managers if m.id not in self._attempted]
@@ -219,6 +219,11 @@ class AttackerEngine:
         self._attempted.add(target.id)
         self._last_attempt = now
         return active, target
+
+    @cached_property
+    def _manager_ids(self) -> frozenset[str]:
+        """Every manager of the network, fixed once the scenario is built."""
+        return frozenset(m.id for m in self.registry.managers())
 
     def _multi_attempt(
         self, now: float, managers: Sequence[Device], victims: Sequence[Device]

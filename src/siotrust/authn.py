@@ -1,12 +1,13 @@
 """Threshold admission control run by manager nodes.
 
-A request presents an identity to a manager; the manager computes overall
-trust from its own opinion (D), the presented profile's similarity to the
-manager's community (S) and filtered recommendations (R), then grants
-strictly above the trust threshold. A grant must precede admission;
-admitting the same identity through a second device is an identity
-conflict, which is surfaced to the caller as an observation rather than
-acted on directly (trust is the only verdict path).
+A request presents an identity to a manager; the manager blends its own
+opinion (D), the presented profile's similarity to the manager's community
+(S) and filtered recommendations (R) into overall trust, then grants
+strictly above the trust threshold. The gate only decides: the caller
+gathers D, S and R and hands them over as values. A grant must precede
+admission; admitting the same identity through a second device is an
+identity conflict, which is surfaced to the caller as an observation rather
+than acted on directly (trust is the only verdict path).
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .community import community_similarity  # noqa: F401  the gate's S is injected; perfbench times this name
+from .community import community_similarity  # noqa: F401  the gate is handed S; perfbench times this name
 from .social import DeviceClass, DeviceRegistry, RelationType
-from .trust import OpinionStore, TrustAssessment, assess
+from .trust import TrustAssessment, assess
 
 
 class RoutingError(Exception):
@@ -101,31 +102,23 @@ class Admission:
 class AccessGate:
     """Admission control over one scenario's manager set.
 
-    The gate owns the grant ledger and the member roster. S and R come from
-    the caller: `similarity(request, manager_id)` scores the presented
-    profile against the manager's community, and `recommender(manager_id,
-    subject)` returns the aggregated recommendation or None when nothing was
-    received, in which case R is the base rate. The simulation engine feeds
-    both from its per-run similarity cache and per-epoch exchange.
+    The gate decides and keeps the books: it blends the D, S and R it is
+    handed as values, applies the threshold, logs the decision, and owns
+    the grant ledger and the member roster. It sources no evidence; the
+    simulation engine gathers all three.
     """
 
     def __init__(
         self,
         registry: DeviceRegistry,
-        store: OpinionStore,
         relation_filter: RelationType,
-        similarity: Callable[[AccessRequest, str], float],
-        recommender: Callable[[str, str], float | None],
         trust_threshold: float = 0.6,
         attacker_devices: frozenset[str] = frozenset(),
     ) -> None:
         if not 0.0 <= trust_threshold <= 1.0:
             raise ValueError(f"trust threshold out of range: {trust_threshold}")
         self.registry = registry
-        self.store = store
         self.relation_filter = relation_filter
-        self.similarity = similarity
-        self.recommender = recommender
         self.trust_threshold = trust_threshold
         self.attacker_devices = attacker_devices
         self._grants: set[tuple[str, str]] = set()
@@ -147,27 +140,18 @@ class AccessGate:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, request: AccessRequest) -> AccessDecision:
-        """Adjudicate one request and log the decision."""
+    def evaluate(
+        self, request: AccessRequest, direct: float, similarity: float, recommended: float
+    ) -> AccessDecision:
+        """Adjudicate one request on the given D, S and R, and log the decision."""
         manager = self.registry.device(request.target_manager)
         if manager.device_class is not DeviceClass.MANAGER:
             raise RoutingError(f"target {manager.id!r} is not a manager")
 
-        direct = self.store.direct_trust(manager.id, request.identity)
-        similarity = self.similarity(request, manager.id)
-        recommended = self.recommender(manager.id, request.identity)
-        if recommended is None:
-            recommended = self.store.base_rate
         split = "internal" if self.is_member(request.identity) else "external"
         assessment = assess(
-            time=request.time,
-            evaluator=manager.id,
-            subject=request.identity,
-            relation=self.relation_filter,
-            direct=direct,
-            similarity=similarity,
-            recommended=recommended,
-            split=split,
+            request.time, manager.id, request.identity, self.relation_filter,
+            direct, similarity, recommended, split,
         )
         if assessment.trust > self.trust_threshold:
             verdict = Verdict.GRANT

@@ -25,15 +25,17 @@ Determinism contract: a config and a seed fix every byte of the event log.
 All randomness flows from two seeded generators (a numpy PCG64 stream for
 geometry and experience outcomes, a python Random for attacker forging),
 iteration is always over sorted ids or fixed index arrays, and times are
-computed as step * tick rather than accumulated.
+computed as step * tick rather than accumulated. So are epochs: epoch k
+runs at the first tick whose time reaches k * epoch_interval (within 1e-9),
+every epoch due at that tick.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import weakref
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -358,22 +360,13 @@ class SimulationEngine:
 
         self._build_world()
 
-        # The gate reaches back through a weak proxy: a strong reference would
-        # make engine and gate a cycle, and every finished run (its log, rows
-        # and store) would then stay in memory until a full garbage collection,
-        # whose cost would fall on whatever runs next.
-        engine = weakref.proxy(self)
         self.gate = AccessGate(
             registry=self.registry,
-            store=self.store,
             relation_filter=config.relation,
-            similarity=lambda request, manager_id: engine._request_similarity(request, manager_id),
-            recommender=lambda manager_id, subject: engine.rec_cache.get((manager_id, subject)),
             trust_threshold=config.trust_threshold,
             attacker_devices=frozenset(self.attacker_ids),
         )
         self._relations: dict[tuple[str, str], RelationType] = {}
-        self._next_epoch = config.epoch_interval
         self._last_request: dict[str, float] = {}
 
     # -- world construction ---------------------------------------------------
@@ -474,12 +467,10 @@ class SimulationEngine:
         return found
 
     def _request_similarity(self, request: AccessRequest, manager_id: str) -> float:
-        """The gate's S: the presented profile against the manager's community.
+        """A request's S: the presented profile against the manager's community.
 
-        Before the first epoch a manager has no community yet; similarity
-        evidence is then vacuous and falls back to the base rate, the same
-        convention vacuous D and R follow. The request itself is the
-        profile, under the presented identity id that the cache keys on.
+        Before the first epoch a manager has no community yet, and S is the
+        base rate, as vacuous D and R are. The request itself is the profile.
         """
         community = self._community_of.get(manager_id)
         if community is None:
@@ -500,13 +491,14 @@ class SimulationEngine:
             self.log.append(0.0, f"bootstrap manager={manager.id}")
 
         steps = int(round(cfg.duration / cfg.tick))
+        epoch = 1  # the next epoch's number; see the module docstring
         for step in range(steps):
             now = step * cfg.tick
             # epoch tasks never move a device, so one matrix serves the tick
             sq_dist = self._squared_distances()
-            if now + 1e-9 >= self._next_epoch:
+            while now + 1e-9 >= epoch * cfg.epoch_interval:
                 self._epoch(now, sq_dist)
-                self._next_epoch += cfg.epoch_interval
+                epoch += 1
             self._legit_requests(now, sq_dist)
             self._attacker_requests(now, sq_dist)
             self._interactions(now, sq_dist)
@@ -569,7 +561,7 @@ class SimulationEngine:
                 interests=frozenset(device.interests),
                 target_manager=manager.id,
             )
-            self._adjudicate(request, presenter_device=device)
+            self._adjudicate(request)
             self._last_request[device_id] = now
 
     def _attacker_requests(self, now: float, sq_dist: np.ndarray) -> None:
@@ -591,8 +583,7 @@ class SimulationEngine:
                 # Presented identity is already on the roster under another
                 # device; the manager books hard negative evidence before
                 # adjudicating.
-                for _ in range(cfg.duplicate_request_penalty):
-                    self.store.record_experience(target.id, identity.id, "negative")
+                self.store.record_experience(target.id, identity.id, "negative", cfg.duplicate_request_penalty)
                 self.log.append(
                     now,
                     f"duplicate identity={identity.id} presenter={attacker_id} "
@@ -606,7 +597,7 @@ class SimulationEngine:
                 interests=frozenset(identity.interests),
                 target_manager=target.id,
             )
-            decision = self._adjudicate(request, presenter_device=engine.device)
+            decision = self._adjudicate(request)
             self.attempts.append(
                 AttackAttempt(
                     time=now,
@@ -620,10 +611,17 @@ class SimulationEngine:
             engine.notify(decision.verdict is Verdict.GRANT, now, victims)
             self._drain_acquisitions(engine, now)
 
-    def _adjudicate(self, request: AccessRequest, presenter_device: Device):
-        decision = self.gate.evaluate(request)
+    def _adjudicate(self, request: AccessRequest):
+        """Gather D, S and R (R as in monitoring), let the gate decide, log and admit."""
+        manager, subject = request.target_manager, request.identity
+        decision = self.gate.evaluate(
+            request,
+            direct=self.store.direct_trust(manager, subject),
+            similarity=self._request_similarity(request, manager),
+            recommended=self.rec_cache.get((manager, subject), self.store.base_rate),
+        )
         self.assessments.append(decision.assessment)
-        kind = "attacker" if request.presenter in self.gate.attacker_devices else "legit"
+        kind = "attacker" if self.gate.decisions[-1].attacker else "legit"
         verdict = "grant" if decision.verdict is Verdict.GRANT else "deny"
         self.log.append(
             request.time,
@@ -760,8 +758,7 @@ class SimulationEngine:
             if len(presenters) < 2:
                 continue
             for manager in managers:
-                for _ in range(penalty):
-                    self.store.record_experience(manager.id, identity_id, "negative")
+                self.store.record_experience(manager.id, identity_id, "negative", penalty)
             joined = "|".join(sorted(presenters))
             self.log.append(
                 now, f"duplicate-scan identity={identity_id} presenters={joined} penalty={penalty}"
@@ -785,11 +782,7 @@ class SimulationEngine:
             one ulp.
         """
         relation = self.cfg.relation
-        manager_ids = [m.id for m in self.registry.managers()]
-        routes = [
-            (sender, [r for r in manager_ids if r != sender and self._relation(r, sender) is relation])
-            for sender in manager_ids
-        ]
+        routes = list(self._manager_routes)
         for device_id in self.legit_ids:
             if self.registry.device(device_id).is_manager:
                 continue
@@ -797,6 +790,15 @@ class SimulationEngine:
             if self._relation(nearest.id, device_id) is relation:
                 routes.append((device_id, [nearest.id]))
         self.rec_cache = exchange_recommendations(self.store, routes)
+
+    @cached_property
+    def _manager_routes(self) -> list[tuple[str, list[str]]]:
+        """(manager, managers it broadcasts to): static, so built at the first epoch only."""
+        manager_ids = [m.id for m in self.registry.managers()]
+        return [
+            (sender, [r for r in manager_ids if r != sender and self._relation(r, sender) is self.cfg.relation])
+            for sender in manager_ids
+        ]
 
     def _monitor_members(self, now: float) -> None:
         """Assess every member at every manager, without verdicts.

@@ -156,7 +156,7 @@ class DeviceRegistry:
     stolen identity, which duplicates its victim's id by design.
 
     The sorted manager tuple is built on first use and dropped whenever a
-    device is added; attackers ask for it on every attempt.
+    device is added.
     """
 
     def __init__(self) -> None:

@@ -113,13 +113,18 @@ class OpinionStore:
             return None
         return Opinion(positive, negative, self.base_rate)
 
-    def record_experience(self, evaluator: str, subject: str, outcome: Outcome) -> None:
+    def record_experience(self, evaluator: str, subject: str, outcome: Outcome, units: int = 1) -> None:
+        """Book `units` experiences of one outcome; zero units write nothing."""
         if outcome == "positive":
             counts = self._positive
         elif outcome == "negative":
             counts = self._negative
         else:
             raise ValueError(f"unknown outcome: {outcome!r}")
+        if units < 0:
+            raise ValueError(f"experience units must be non-negative: {units}")
+        if units == 0:
+            return
         row = self.evaluators.get(evaluator)
         if row is None:
             row = self.evaluators[evaluator] = len(self.evaluators)
@@ -132,7 +137,7 @@ class OpinionStore:
             for rows in (self._positive, self._negative):
                 for counts_row in rows:
                     counts_row.append(0)
-        counts[row][column] += 1
+        counts[row][column] += units
 
     def direct_trust(self, evaluator: str, subject: str) -> float:
         """Expected value of the evaluator's own opinion; vacuous -> base rate."""

@@ -13,7 +13,7 @@ from siotrust.authn import (
 from siotrust.community import community_similarity
 from siotrust.sim import ScenarioConfig, SimulationEngine
 from siotrust.social import Device, DeviceClass, DeviceRegistry, RelationType
-from siotrust.trust import OpinionStore
+from siotrust.trust import Opinion
 
 
 def build_world():
@@ -41,68 +41,57 @@ def request(identity, manager="m0", time=0.0, presenter=None, friends=(), intere
     )
 
 
-def make_gate(base_rate=1.0, similarity=None, recommender=None, **kw):
-    """A gate whose S and R sources know nothing: S is the base rate, R absent."""
-    registry = build_world()
-    store = OpinionStore(base_rate=base_rate)
-    gate = AccessGate(
-        registry,
-        store,
-        RelationType.CLOR,
-        similarity=similarity or (lambda request, manager_id: store.base_rate),
-        recommender=recommender or (lambda manager_id, subject: None),
-        **kw,
-    )
-    return gate, store
+def make_gate(**kw):
+    return AccessGate(build_world(), RelationType.CLOR, **kw)
+
+
+def vacuous(gate, presented, base_rate=1.0):
+    """Evaluate with no evidence at all: D, S and R all at the base rate."""
+    return gate.evaluate(presented, base_rate, base_rate, base_rate)
 
 
 class TestEvaluate:
     def test_vacuous_world_scores_the_base_rate(self):
-        gate, _ = make_gate(base_rate=0.4)
-        decision = gate.evaluate(request("s0"))
+        decision = vacuous(make_gate(), request("s0"), base_rate=0.4)
         assert decision.trust == pytest.approx(0.4, abs=1e-12)
         assert decision.verdict is Verdict.DENY
 
     def test_high_base_rate_grants(self):
-        gate, _ = make_gate(base_rate=1.0)
-        decision = gate.evaluate(request("s0"))
+        decision = vacuous(make_gate(), request("s0"), base_rate=1.0)
         assert decision.trust == 1.0
         assert decision.verdict is Verdict.GRANT
 
     def test_threshold_is_strictly_greater(self):
-        gate, _ = make_gate(base_rate=0.6)
-        decision = gate.evaluate(request("s0"))
+        decision = vacuous(make_gate(), request("s0"), base_rate=0.6)
         assert decision.trust == pytest.approx(0.6)
         assert decision.verdict is Verdict.DENY
 
     def test_only_managers_adjudicate(self):
-        gate, _ = make_gate()
         with pytest.raises(RoutingError):
-            gate.evaluate(request("s0", manager="s0"))
+            vacuous(make_gate(), request("s0", manager="s0"))
 
     def test_direct_evidence_moves_the_verdict(self):
-        gate, store = make_gate(base_rate=0.5)
-        assert gate.evaluate(request("s0")).verdict is Verdict.DENY
-        for _ in range(30):
-            store.record_experience("m0", "s0", "positive")
-        decision = gate.evaluate(request("s0"))
+        gate = make_gate()
+        assert vacuous(gate, request("s0"), base_rate=0.5).verdict is Verdict.DENY
+        direct = Opinion(30, 0, 0.5).expected_value()
+        decision = gate.evaluate(request("s0"), direct, 0.5, 0.5)
         # D = 30/32 + 0.5 * 2/32, S and R vacuous at 0.5
         assert decision.trust == pytest.approx(0.35 * 0.96875 + 0.65 * 0.5)
         assert decision.verdict is Verdict.GRANT
 
     def test_split_follows_membership(self):
-        gate, _ = make_gate()
-        external = gate.evaluate(request("s0"))
+        gate = make_gate()
+        external = vacuous(gate, request("s0"))
         assert external.assessment.split == "external"
         gate.bootstrap_member("s0", "s0")
-        internal = gate.evaluate(request("s0"))
+        internal = vacuous(gate, request("s0"))
         assert internal.assessment.split == "internal"
 
     def test_decision_log_records_attacker_flag(self):
-        gate, _ = make_gate(base_rate=1.0, attacker_devices=frozenset({"adv"}))
+        gate = make_gate(attacker_devices=frozenset({"adv"}))
         gate.registry.register_bare(Device(id="adv", device_class=DeviceClass.SUBORDINATE))
-        gate.evaluate(request("s0"))
-        gate.evaluate(request("s0", presenter="adv"))
+        vacuous(gate, request("s0"))
+        vacuous(gate, request("s0", presenter="adv"))
         legit, attack = gate.decisions
         assert not legit.attacker and legit.true_device_kind == "legitimate"
         assert attack.attacker and attack.true_device_kind == "attacker"
@@ -111,18 +100,19 @@ class TestEvaluate:
 def gate_similarity_samples(overrides):
     """Run a scenario and record every gate evaluation.
 
-    Returns the engine and one (request, S the gate used, the manager's
-    community at that moment or None) sample per evaluation.
+    Returns the engine and one (request, S the engine handed the gate, the
+    manager's community at that moment or None, R handed over, the
+    manager's received recommendation or None) sample per evaluation.
     """
     engine = SimulationEngine(ScenarioConfig.from_mapping({**overrides, "seed": 1}))
     evaluate = engine.gate.evaluate
     samples = []
 
-    def recording(presented):
+    def recording(presented, direct, similarity, recommended):
+        key = (presented.target_manager, presented.identity)
         community = engine._community_of.get(presented.target_manager)
-        decision = evaluate(presented)
-        samples.append((presented, decision.assessment.similarity, community))
-        return decision
+        samples.append((presented, similarity, community, recommended, engine.rec_cache.get(key)))
+        return evaluate(presented, direct, similarity, recommended)
 
     engine.gate.evaluate = recording
     engine.run()
@@ -139,22 +129,18 @@ def gate_runs():
 
 
 class TestSimilarityHook:
+    """The gate blends the S it is given; the engine hands it the community S."""
+
     def test_injected_similarity_sees_request_and_manager(self):
-        calls = []
-
-        def similarity(request, manager_id):
-            calls.append((request, manager_id))
-            return 0.25
-
-        gate, _ = make_gate(base_rate=1.0, similarity=similarity)
         presented = request("s0", manager="m1")
-        decision = gate.evaluate(presented)
-        assert calls == [(presented, "m1")]
+        decision = make_gate().evaluate(presented, 1.0, 0.25, 1.0)
+        assert decision.assessment.evaluator == "m1"
         assert decision.assessment.similarity == 0.25
+        assert decision.trust == pytest.approx(0.35 + 0.35 * 0.25 + 0.3)
 
     def test_no_community_yet_falls_back_to_base_rate(self, gate_runs):
         for engine, samples in gate_runs:
-            early = [(r, s) for r, s, community in samples if community is None]
+            early = [(r, s) for r, s, community, _, _ in samples if community is None]
             assert early
             for presented, similarity in early:
                 assert presented.time < engine.cfg.epoch_interval
@@ -165,7 +151,7 @@ class TestSimilarityHook:
         # legitimate, stolen and fabricated presentations alike.
         for engine, samples in gate_runs:
             roster = {d.id: d for d in engine.registry.devices()}
-            late = [(r, s, c) for r, s, c in samples if c is not None]
+            late = [(r, s, c) for r, s, c, _, _ in samples if c is not None]
             assert any(r.presenter in engine.attacker_ids for r, _, _ in late)
             for presented, similarity, community in late:
                 assert presented.time >= engine.cfg.epoch_interval
@@ -174,37 +160,44 @@ class TestSimilarityHook:
 
 
 class TestRecommenderHook:
-    def test_injected_cache_wins(self):
-        cache = {("m0", "s0"): 0.25}
-        gate, _ = make_gate(base_rate=1.0, recommender=lambda m, s: cache.get((m, s)))
-        decision = gate.evaluate(request("s0"))
-        assert decision.assessment.recommended == 0.25
+    """The gate blends the R it is given; the engine hands it the exchange's R."""
 
-    def test_cache_miss_falls_back_to_base_rate(self):
-        gate, _ = make_gate(base_rate=0.7, recommender=lambda manager_id, subject: None)
-        decision = gate.evaluate(request("s0"))
-        assert decision.assessment.recommended == 0.7
+    def test_injected_cache_wins(self, gate_runs):
+        decision = make_gate().evaluate(request("s0"), 1.0, 1.0, 0.25)
+        assert decision.assessment.recommended == 0.25
+        for _, samples in gate_runs:
+            received = [(r, cached) for _, _, _, r, cached in samples if cached is not None]
+            assert received
+            for recommended, cached in received:
+                assert recommended is cached
+
+    def test_cache_miss_falls_back_to_base_rate(self, gate_runs):
+        for engine, samples in gate_runs:
+            missed = [r for _, _, _, r, cached in samples if cached is None]
+            assert missed
+            for recommended in missed:
+                assert recommended == engine.store.base_rate
 
 
 class TestMembership:
     def test_admit_requires_a_grant(self):
-        gate, _ = make_gate()
+        gate = make_gate()
         with pytest.raises(AdmissionError):
             gate.admit("s0", "m0", "s0", 0.0)
 
     def test_grant_then_admit(self):
-        gate, _ = make_gate()
-        gate.evaluate(request("s0"))
+        gate = make_gate()
+        vacuous(gate, request("s0"))
         admission = gate.admit("s0", "m0", "s0", 0.0)
         assert not admission.conflict
         assert gate.is_member("s0")
         assert gate.member_presenters("s0") == {"s0"}
 
     def test_second_presenter_is_a_conflict(self):
-        gate, _ = make_gate()
-        gate.evaluate(request("s0"))
+        gate = make_gate()
+        vacuous(gate, request("s0"))
         gate.admit("s0", "m0", "s0", 0.0)
-        gate.evaluate(request("s0", presenter="intruder", time=5.0))
+        vacuous(gate, request("s0", presenter="intruder", time=5.0))
         admission = gate.admit("s0", "m0", "intruder", 5.0)
         assert admission.conflict
         assert admission.conflicting_presenters == ("s0",)
@@ -212,8 +205,8 @@ class TestMembership:
 
 
 def test_decision_csv(tmp_path):
-    gate, _ = make_gate(base_rate=1.0)
-    gate.evaluate(request("s0"))
+    gate = make_gate()
+    vacuous(gate, request("s0"))
     path = tmp_path / "decisions.csv"
     write_decision_csv(gate.decisions, path)
     header, row = list(csv.reader(path.read_text().splitlines()))

@@ -264,6 +264,31 @@ class TestRunSemantics:
             gc.enable()
 
 
+def first_tick_reaching(k, tick, interval):
+    """Time of the first tick with step * tick + 1e-9 >= k * interval."""
+    step = max(0, math.floor(k * interval / tick) - 1)
+    while step * tick + 1e-9 < k * interval:
+        step += 1
+    return step * tick
+
+
+@pytest.mark.parametrize("tick,duration", [(1.0, 7900.0), (1.1, 7900.0), (2.5, 100.0)])
+def test_epoch_k_fires_at_the_first_tick_reaching_k_intervals(tick, duration):
+    # an interval of 1.1 is no multiple of a 1.0 tick, equals a 1.1 tick and
+    # is shorter than a 2.5 one. A running sum of 1.1 drifts from k * 1.1:
+    # it fired epoch 7140 a tick late at tick 1.0 and lost one at tick 1.1.
+    config = ScenarioConfig(node_count=4, attacker_fraction=0.0, tick=tick, epoch_interval=1.1, duration=duration)
+    result = run_scenario(config)
+    fired = [float(line.split()[0][2:]) for line in result.log.lines if " pos device=d000 " in line]
+    steps = int(round(config.duration / tick))
+    expected = []
+    while (due := first_tick_reaching(len(expected) + 1, tick, config.epoch_interval)) < steps * tick:
+        expected.append(due)
+    assert fired == expected
+    if tick == 1.0:
+        assert fired[7139] == 7854.0
+
+
 @pytest.fixture(scope="module")
 def park_run():
     return run_scenario(

@@ -194,7 +194,7 @@ class TestRecommendation:
         assert engine.rec_cache == {}
         subject = engine.registry.device("d010")
         request = AccessRequest(0.0, "d010", "d010", frozenset(subject.friends), frozenset(subject.interests), "d000")
-        assert engine.gate.evaluate(request).assessment.recommended == 0.2
+        assert engine._adjudicate(request).assessment.recommended == 0.2
 
     def test_aggregate_expected_fallback(self):
         store = OpinionStore(base_rate=0.4)
@@ -390,6 +390,33 @@ class TestDenseStore:
                 assert store.get(evaluator, subject) == op
                 expected = base_rate if op is None else op.expected_value()
                 assert matrix[i, j] == store.direct_trust(evaluator, subject) == expected
+
+    @given(base_rate=st.floats(0.0, 1.0), plan=epochs())
+    def test_k_units_equal_k_single_writes(self, base_rate, plan):
+        batched, single = OpinionStore(base_rate), OpinionStore(base_rate)
+        for writes, _ in plan:
+            for evaluator, subject, outcome, times in writes:
+                batched.record_experience(evaluator, subject, outcome, times)
+                for _ in range(times):
+                    single.record_experience(evaluator, subject, outcome)
+        assert (batched.evaluators, batched.subjects) == (single.evaluators, single.subjects)
+        assert len(batched) == len(single)
+        for got, want in zip(batched.expected_values(), single.expected_values()):
+            assert got.tolist() == want.tolist()
+        for evaluator in IDS:
+            for subject in IDS:
+                assert batched.get(evaluator, subject) == single.get(evaluator, subject)
+
+    def test_zero_units_write_nothing(self):
+        store = OpinionStore(base_rate=0.5)
+        store.record_experience("e", "s", "positive")
+        store.record_experience("new", "s", "negative", 0)
+        store.record_experience("e", "fresh", "negative", 0)
+        assert store.evaluators == {"e": 0} and store.subjects == {"s": 0}
+        assert store.get("e", "s") == Opinion(1, 0, 0.5) and len(store) == 1
+        with pytest.raises(ValueError, match="non-negative"):
+            store.record_experience("e", "s", "negative", -1)
+        assert store.get("e", "s") == Opinion(1, 0, 0.5)
 
     def test_unknown_outcome_leaves_no_entry(self):
         store = OpinionStore(base_rate=0.5)
