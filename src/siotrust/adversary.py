@@ -112,10 +112,15 @@ class AttackerEngine:
     # -- observation and identity acquisition --------------------------------
 
     def observe(self, devices_in_radius: Sequence[Device]) -> None:
-        """Eavesdrop on nearby traffic to collect forgeable material."""
+        """Eavesdrop on nearby traffic to collect forgeable material.
+
+        A device's interests are static, so a device already observed adds
+        nothing new and is skipped.
+        """
         for dev in devices_in_radius:
-            self.observed_devices.add(dev.id)
-            self.observed_interests.update(dev.interests)
+            if dev.id not in self.observed_devices:
+                self.observed_devices.add(dev.id)
+                self.observed_interests.update(dev.interests)
 
     def steal_identity(self, victim: Device, now: float = 0.0) -> Identity:
         """Copy a victim's presented profile under the victim's identity id.

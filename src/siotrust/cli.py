@@ -154,10 +154,12 @@ def _output_names(seed: int) -> dict[str, str]:
 def _run_one(config: ScenarioConfig, out_dir: Path) -> RunResult:
     result = run_scenario(config)
     names = _output_names(config.seed)
+    assessments = result.assessments
     result.log.write(out_dir / names["events"])
     write_decision_csv(result.decisions, out_dir / names["decisions"])
-    write_trust_trace_csv(result.assessments, out_dir / names["trust"])
-    write_esr_csv(result.esr_splits(), out_dir / names["esr"])
+    trust_text = assessments.trust_text()  # each T formatted once, for both files
+    write_trust_trace_csv(assessments, out_dir / names["trust"], trust_text)
+    write_esr_csv(assessments.trust, trust_text, assessments.split_rows(), out_dir / names["esr"])
     write_communities_csv(result.communities, out_dir / names["communities"])
     write_attack_csv(result.attempts, out_dir / names["attacks"])
     return result

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
+import numpy as np
+
 
 class AdjudicatedRequest(Protocol):
     attacker: bool
@@ -205,19 +207,59 @@ def check_unquoted(text: str, rows: int, columns: int) -> str:
     return text
 
 
-def write_esr_csv(split_values: Mapping[str, Sequence[float]], path: str | Path) -> None:
+def float_texts(values: np.ndarray, suffix: str = "") -> np.ndarray:
+    """`repr(value) + suffix` for every float64, as an object array.
+
+    Each distinct bit pattern is formatted once and shared by every row that
+    holds it. Keying on bits, not on value, keeps 0.0 and -0.0 apart: equal
+    values with different text.
+    """
+    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64), return_inverse=True)
+    texts = np.array([repr(v) + suffix for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse]
+
+
+def join_columns(columns: Sequence[np.ndarray | str], rows: int) -> str:
+    """Row-major concatenation of text columns, `rows` long each.
+
+    A column is an object array of strings or one string shared by every
+    row. The text is assembled from references to those strings in one
+    `str.join`, with no intermediate object per row.
+    """
+    grid = np.empty((rows, len(columns)), dtype=object)
+    for k, column in enumerate(columns):
+        grid[:, k] = column
+    return "".join(grid.ravel().tolist())
+
+
+def write_esr_csv(
+    trust: np.ndarray, trust_text: np.ndarray, split_rows: Mapping[str, np.ndarray], path: str | Path
+) -> None:
     """ESR curves per split (internal/external); empty splits emit no rows.
 
-    Rows are f-string lines written `CHUNK_LINES` at a time, the same
-    bytes `csv.writer` would write.
+    `trust` holds the T column, `trust_text` its reprs (an object array, the
+    same text the trust trace prints), and `split_rows` the rows of each
+    split. A split's points are its values in the order of a stable argsort,
+    which is the order `sorted` gives, 0.0 and -0.0 tied in row order. Each
+    point carries `esr_cdf`'s fraction: ties are found with `!=`, and a run
+    of ties carries `(index of its last element + 1) / n`, computed as one
+    float64 division, which is the division Python does on the two ints.
+    Rows are written `CHUNK_LINES` at a time, each fraction formatted once
+    per chunk, the same bytes `csv.writer` would write.
     """
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("split,trust,cum_fraction\n")
-        for split in sorted(split_values):
-            curve = esr_cdf(split_values[split])
-            if curve is None:
+        for split in sorted(split_rows):
+            rows = np.asarray(split_rows[split], dtype=np.intp)
+            n = len(rows)
+            if n == 0:
                 continue
-            for start in range(0, len(curve), CHUNK_LINES):
-                chunk = curve[start : start + CHUNK_LINES]
-                text = "".join([f"{split},{value!r},{fraction!r}\n" for value, fraction in chunk])
-                handle.write(check_unquoted(text, len(chunk), 3))
+            rows = rows[np.argsort(trust[rows], kind="stable")]
+            ordered = trust[rows]
+            ends = np.append(np.flatnonzero(ordered[1:] != ordered[:-1]), n - 1)
+            fractions = np.repeat((ends + 1) / n, np.diff(ends, prepend=-1))
+            for start in range(0, n, CHUNK_LINES):
+                chunk = slice(start, min(start + CHUNK_LINES, n))
+                lines = chunk.stop - start
+                columns = [f"{split},", trust_text[rows[chunk]], ",", float_texts(fractions[chunk], "\n")]
+                handle.write(check_unquoted(join_columns(columns, lines), lines, 3))

@@ -36,7 +36,6 @@ import math
 import random
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
@@ -57,7 +56,8 @@ from .community import (
     partition_by_similarity,
 )
 from .dataset import FriendshipGraph, load_friendship_edges, sample_subgraph, synthetic_small_world
-from .metrics import CHUNK_LINES, ConfusionCounters, MetricsReport
+from .metrics import ConfusionCounters, MetricsReport
+from .record import EventLog
 from .social import (
     ConfigError,
     Context,
@@ -70,11 +70,11 @@ from .social import (
     context_for,
 )
 from .trust import (
+    AssessmentTable,
     OpinionStore,
-    TrustAssessment,
     assess,  # noqa: F401  the engine assesses in arrays; perfbench counts scalar calls here
-    assess_array,
     exchange_recommendations,
+    overall_trust_array,
 )
 
 SHARED_HOME = "home-0"
@@ -125,6 +125,14 @@ class ScenarioConfig:
     friends_path: str | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (type(value) is bool or not isinstance(value, int)):
+                raise ConfigError(f"{f.name} must be an integer: {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative: {self.seed}")
+        if self.friends_path is not None and not isinstance(self.friends_path, str):
+            raise ConfigError(f"friends_path must be a path string: {self.friends_path!r}")
         if self.node_count < 2:
             raise ConfigError(f"need at least 2 nodes: {self.node_count}")
         if not 0.0 <= self.attacker_fraction < 1.0:
@@ -229,46 +237,6 @@ class ScenarioConfig:
         return replace(self, seed=seed)
 
 
-class EventLog:
-    """Append-only run log with nondecreasing timestamps.
-
-    Every line is fully formatted at append time; two runs agree iff their
-    logs agree byte for byte, which is exactly what the determinism tests
-    compare.
-
-    The engine passes one time object for every event of a tick, so the
-    `t=<repr> ` prefix is formatted once per new time object and reused
-    while the same object comes back. Reuse keys on identity, not
-    equality: 0.0 and -0.0, or 30 and 30.0, are equal times with
-    different text.
-    """
-
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self._last_time = -math.inf
-        self._prefix = ""
-
-    def append(self, time: float, text: str) -> None:
-        if time is not self._last_time:
-            if time < self._last_time:
-                raise ValueError(f"event log time went backwards: {time} after {self._last_time}")
-            self._last_time = time
-            self._prefix = f"t={time!r} "
-        self.lines.append(self._prefix + text)
-
-    def text(self) -> str:
-        return "".join(line + "\n" for line in self.lines)
-
-    def write(self, path: str | Path) -> None:
-        """The log as `text()` gives it, written `CHUNK_LINES` lines at a time."""
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            for start in range(0, len(self.lines), CHUNK_LINES):
-                handle.write("\n".join(self.lines[start : start + CHUNK_LINES]) + "\n")
-
-    def __len__(self) -> int:
-        return len(self.lines)
-
-
 class _StaticSimilarity:
     """Caches over presented profiles, keyed by identity id.
 
@@ -313,22 +281,26 @@ class _StaticSimilarity:
 
 @dataclass
 class RunResult:
-    """Everything one run produced, in generation order."""
+    """Everything one run produced, in generation order.
+
+    The log and the assessments are the columnar run record: they share
+    one id table and one time table, and hold no Python object per event
+    or per assessment (see `record.EventLog` and `trust.AssessmentTable`).
+    Iterating `assessments` builds its `TrustAssessment` rows on demand.
+    """
 
     config: ScenarioConfig
     log: EventLog
     decisions: list[DecisionRecord]
-    assessments: list[TrustAssessment]
+    assessments: AssessmentTable
     communities: list[Community]
     attempts: list[AttackAttempt]
     counters: ConfusionCounters
 
     def esr_splits(self) -> dict[str, list[float]]:
-        """Trust samples for the empirical success-rate CDFs, by split."""
-        splits: dict[str, list[float]] = {"internal": [], "external": []}
-        for a in self.assessments:
-            splits.setdefault(a.split, []).append(a.trust)
-        return splits
+        """Trust samples for the empirical success-rate CDFs, by split, in row order."""
+        trust = self.assessments.trust
+        return {split: trust[rows].tolist() for split, rows in self.assessments.split_rows().items()}
 
     def metrics_report(self) -> MetricsReport:
         return MetricsReport(
@@ -349,16 +321,19 @@ class SimulationEngine:
         self.rng = np.random.Generator(np.random.PCG64(config.seed))
         self.pyrng = random.Random(config.seed)
         self.log = EventLog()
+        self.assessments = AssessmentTable(self.log.symbols)
         self.registry = DeviceRegistry()
         self.store = OpinionStore(self.context.base_rate)
         self.similarity = _StaticSimilarity(config.weights())
         self.communities: list[Community] = []
         self._community_of: dict[str, Community] = {}
         self.rec_cache: dict[tuple[str, str], float] = {}
-        self.assessments: list[TrustAssessment] = []
         self.attempts: list[AttackAttempt] = []
 
         self._build_world()
+        code = self.log.symbols.code
+        self._codes = np.array([code(device_id) for device_id in self.ids], dtype=np.intc)  # by index
+        self._outcomes = np.array([code("negative"), code("positive")], dtype=np.intc)
 
         self.gate = AccessGate(
             registry=self.registry,
@@ -488,7 +463,7 @@ class SimulationEngine:
         cfg = self.cfg
         for manager in self.registry.managers():
             self.gate.bootstrap_member(manager.id, manager.id)
-            self.log.append(0.0, f"bootstrap manager={manager.id}")
+            self.log.append(0.0, "bootstrap", manager.id)
 
         steps = int(round(cfg.duration / cfg.tick))
         epoch = 1  # the next epoch's number; see the module docstring
@@ -529,8 +504,8 @@ class SimulationEngine:
         own = self.manager_indices[int(np.argmin(row))]
         return self.registry.device(self.ids[own])
 
-    def _in_range(self, device_index: int, sq_dist: np.ndarray) -> list[Device]:
-        """Legitimate devices within interaction radius, nearest first.
+    def _in_range(self, device_index: int, sq_dist: np.ndarray) -> np.ndarray:
+        """Indices of the legitimate devices within interaction radius, nearest first.
 
         Ties in distance go by id. `self.ids` is sorted, so index order is id
         order, and a stable sort of the ascending hits by distance gives
@@ -540,8 +515,7 @@ class SimulationEngine:
         radius_sq = self.cfg.interaction_radius**2
         hits = np.nonzero(self.legit_mask & (row <= radius_sq))[0]
         hits = hits[hits != device_index]
-        ordered = hits[row[hits].argsort(kind="stable")]
-        return [self.devices[i] for i in ordered.tolist()]
+        return hits[row[hits].argsort(kind="stable")]
 
     def _legit_requests(self, now: float, sq_dist: np.ndarray) -> None:
         cfg = self.cfg
@@ -569,8 +543,9 @@ class SimulationEngine:
         for attacker_id in self.attacker_ids:
             engine = self.engines[attacker_id]
             device_index = self.index[attacker_id]
-            victims = self._in_range(device_index, sq_dist)
-            managers = [d for d in victims if d.is_manager]  # managers are legitimate
+            in_range = self._in_range(device_index, sq_dist)
+            victims = [self.devices[i] for i in in_range.tolist()]
+            managers = [self.devices[i] for i in in_range[self.manager_mask[in_range]].tolist()]
             engine.observe(victims)
             picked = engine.attempt(now, managers, victims)
             self._drain_acquisitions(engine, now)
@@ -585,9 +560,7 @@ class SimulationEngine:
                 # adjudicating.
                 self.store.record_experience(target.id, identity.id, "negative", cfg.duplicate_request_penalty)
                 self.log.append(
-                    now,
-                    f"duplicate identity={identity.id} presenter={attacker_id} "
-                    f"manager={target.id} penalty={cfg.duplicate_request_penalty}",
+                    now, "duplicate", identity.id, attacker_id, target.id, cfg.duplicate_request_penalty
                 )
             request = AccessRequest(
                 time=now,
@@ -620,14 +593,12 @@ class SimulationEngine:
             similarity=self._request_similarity(request, manager),
             recommended=self.rec_cache.get((manager, subject), self.store.base_rate),
         )
-        self.assessments.append(decision.assessment)
+        self.assessments.append(*decision.assessment)
         kind = "attacker" if self.gate.decisions[-1].attacker else "legit"
         verdict = "grant" if decision.verdict is Verdict.GRANT else "deny"
         self.log.append(
-            request.time,
-            f"decision manager={request.target_manager} identity={request.identity} "
-            f"presenter={request.presenter} kind={kind} verdict={verdict} "
-            f"trust={decision.trust!r} split={decision.assessment.split}",
+            request.time, "decision", request.target_manager, request.identity, request.presenter,
+            kind, verdict, decision.trust, decision.assessment.split,
         )
         if decision.verdict is Verdict.GRANT:
             admission = self.gate.admit(
@@ -635,9 +606,7 @@ class SimulationEngine:
             )
             conflicts = "|".join(admission.conflicting_presenters) or "-"
             self.log.append(
-                request.time,
-                f"admit identity={admission.identity} manager={admission.manager} "
-                f"presenter={admission.presenter} conflicts={conflicts}",
+                request.time, "admit", admission.identity, admission.manager, admission.presenter, conflicts
             )
         return decision
 
@@ -645,27 +614,26 @@ class SimulationEngine:
         while engine.events:
             event: AcquisitionEvent = engine.events.pop(0)
             if event.kind == "theft":
-                self.log.append(now, f"theft attacker={engine.device.id} identity={event.identity} victim={event.victim}")
+                self.log.append(now, "theft", engine.device.id, event.identity, event.victim)
             else:
-                self.log.append(now, f"fabricate attacker={engine.device.id} identity={event.identity}")
+                self.log.append(now, "fabricate", engine.device.id, event.identity)
 
     # -- interactions and movement ----------------------------------------------
 
-    def _member_presentation(self) -> tuple[np.ndarray, list[str | None]]:
-        """Which devices currently act as members, and under which identity.
+    def _member_presentation(self) -> np.ndarray:
+        """The id-table code of the identity each device acts under as a member, -1 if none.
 
         A legitimate device is a member under its own id; an attacker device
         is one while it presents an identity the roster holds under it.
         Attacker device ids are never identity ids.
         """
         members = self.gate.members
-        identity_of: list[str | None] = [i if i in members else None for i in self.ids]
+        codes = np.where([i in members for i in self.ids], self._codes, -1)
         for attacker_id, engine in self.engines.items():
             presented = engine.presented
             holders = members.get(presented.id, ()) if presented is not None else ()
-            identity_of[self.index[attacker_id]] = presented.id if attacker_id in holders else None
-        member = np.array([i is not None for i in identity_of])
-        return member, identity_of
+            codes[self.index[attacker_id]] = self.log.symbols.code(presented.id) if attacker_id in holders else -1
+        return codes
 
     def _interactions(self, now: float, sq_dist: np.ndarray) -> None:
         """Service experiences between members in radius, each pair once per period.
@@ -673,9 +641,12 @@ class SimulationEngine:
         Pairs i < j in row-major order, found among the pairs in radius and
         then filtered by membership and due time: the same pairs, in the
         same order, as filtering the upper triangle of the whole matrix.
+        The tick's experiences, i's of j then j's of i for each pair, go to
+        the opinion store in one batched write and to the log in one extend.
         """
         cfg = self.cfg
-        member, identity_of = self._member_presentation()
+        identity_codes = self._member_presentation()
+        member = identity_codes >= 0
         ii, jj = np.nonzero(sq_dist <= cfg.interaction_radius**2)
         upper = ii < jj
         ii, jj = ii[upper], jj[upper]
@@ -692,12 +663,12 @@ class SimulationEngine:
         positive = _interaction_outcomes(
             draws, self.attacker_mask[subjects], cfg.p_positive_legit, cfg.p_negative_attacker
         )
-        ids = self.ids
-        for e, s, good in zip(evaluators.tolist(), subjects.tolist(), positive.tolist()):
-            evaluator, subject = ids[e], identity_of[s]
-            outcome = "positive" if good else "negative"
-            self.store.record_experience(evaluator, subject, outcome)
-            self.log.append(now, f"exp evaluator={evaluator} subject={subject} outcome={outcome}")
+        names = self.log.symbols.names
+        evaluator_codes, subject_codes = self._codes[evaluators], identity_codes[subjects]
+        self.store.record_experiences(
+            [names[c] for c in evaluator_codes.tolist()], [names[c] for c in subject_codes.tolist()], positive
+        )
+        self.log.extend(now, "exp", evaluator_codes, subject_codes, self._outcomes[positive.view(np.uint8)])
 
     def _move(self) -> None:
         tick = self.cfg.tick
@@ -742,7 +713,7 @@ class SimulationEngine:
             )
             self._community_of = {m: c for c in self.communities for m in c.members}
         for community in self.communities:
-            self.log.append(now, f"community id={community.id} size={len(community.members)}")
+            self.log.append(now, "community", community.id, len(community.members))
 
     def _duplicate_scan(self, now: float) -> None:
         """Penalize roster identities held by more than one device.
@@ -752,17 +723,17 @@ class SimulationEngine:
         not met yet.
         """
         penalty = self.cfg.duplicate_epoch_penalty
-        managers = self.registry.managers()
-        for identity_id in sorted(self.gate.members):
-            presenters = self.gate.member_presenters(identity_id)
-            if len(presenters) < 2:
-                continue
-            for manager in managers:
-                self.store.record_experience(manager.id, identity_id, "negative", penalty)
-            joined = "|".join(sorted(presenters))
-            self.log.append(
-                now, f"duplicate-scan identity={identity_id} presenters={joined} penalty={penalty}"
+        managers = [m.id for m in self.registry.managers()]
+        duplicated = [(i, held) for i, held in sorted(self.gate.members.items()) if len(held) > 1]
+        if penalty and duplicated:  # zero units write nothing, not even a row or a column
+            self.store.record_experiences(
+                managers * len(duplicated),
+                [identity_id for identity_id, _ in duplicated for _ in managers],
+                np.zeros(len(managers) * len(duplicated), dtype=bool),
+                penalty,
             )
+        for identity_id, presenters in duplicated:
+            self.log.append(now, "duplicate-scan", identity_id, "|".join(sorted(presenters)), penalty)
 
     def _rebuild_recommendations(self, sq_dist: np.ndarray) -> None:
         """Periodic opinion exchange.
@@ -805,45 +776,32 @@ class SimulationEngine:
 
         These assessments feed the trust trace and the in-network side of
         the ESR split. Membership itself is not revisited. Each manager's
-        D, S and R are taken over the sorted members at once and blended as
-        arrays: D for all managers comes from one read of the opinion store,
-        and S is computed once per community, since it does not depend on
-        the manager. Rows are `TrustAssessment` named tuples; they share
-        the cached S and R float objects rather than holding copies, which
-        keeps the retained assessments small.
+        D, S and R are taken over the sorted members at once, blended as
+        arrays and appended to the assessment columns: D for all managers
+        comes from one read of the opinion store, and S is computed once
+        per community, since it does not depend on the manager.
         """
         base = self.store.base_rate
         managers = self.registry.managers()
         members = sorted(self.gate.members)
-        direct = self.store.direct_trust_matrix([m.id for m in managers], members).tolist()
-        similarity: dict[int, list[float]] = {}  # community id -> S over all members
+        codes = np.array([self.log.symbols.code(s) for s in members], dtype=np.intc)
+        direct = self.store.direct_trust_matrix([m.id for m in managers], members)
+        similarity: dict[int, np.ndarray] = {}  # community id -> S over all members
         for manager, direct_row in zip(managers, direct):
             community = self._community_of[manager.id]
             if community.id not in similarity:
-                similarity[community.id] = [
+                similarity[community.id] = np.array([
                     self.similarity.community_mean(self._profile_of(s), community, self.registry)
                     for s in members
-                ]
-            others = [k for k, s in enumerate(members) if s != manager.id]
-            subjects = [members[k] for k in others]
-            self.assessments.extend(
-                assess_array(
-                    now,
-                    manager.id,
-                    subjects,
-                    self.cfg.relation,
-                    [direct_row[k] for k in others],
-                    [similarity[community.id][k] for k in others],
-                    [self.rec_cache.get((manager.id, s), base) for s in subjects],
-                    split="internal",
-                )
-            )
+                ])
+            others = np.array([k for k, s in enumerate(members) if s != manager.id], dtype=np.intp)
+            d, s = direct_row[others], similarity[community.id][others]
+            r = np.array([self.rec_cache.get((manager.id, members[k]), base) for k in others.tolist()])
+            t = overall_trust_array(d, s, r, self.cfg.relation)
+            self.assessments.extend(now, manager.id, codes[others], self.cfg.relation, d, s, r, t, "internal")
 
     def _snapshot_positions(self, now: float) -> None:
-        for device_id in self.ids:
-            i = self.index[device_id]
-            x, y = self.positions[i]
-            self.log.append(now, f"pos device={device_id} x={x:.6f} y={y:.6f}")
+        self.log.extend(now, "pos", self._codes, self.positions[:, 0], self.positions[:, 1])
 
 
 def _interaction_outcomes(

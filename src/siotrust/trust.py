@@ -24,13 +24,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .metrics import CHUNK_LINES, check_unquoted
+from .metrics import CHUNK_LINES, check_unquoted, float_texts, join_columns
+from .record import Symbols
 from .social import RelationType
 
 Outcome = Literal["positive", "negative"]
@@ -77,16 +77,18 @@ class OpinionStore:
 
     Dense layout: every evaluator owns one row and every subject one column,
     both assigned on first sight (fabricated identities keep arriving during
-    a run, so neither axis is fixed). A row is a pair of `array("q")`
-    buffers, positive and negative counts, so a write is one Python integer
-    update and a read copies the whole store into two int64 matrices in one
-    `np.frombuffer` call. An entry is held, i.e. an opinion exists, once it
-    has any evidence; every write adds some, so held is `positive + negative
-    > 0` and a zero entry reads exactly like an absent one. Vectorised
-    expected values use `Opinion`'s own formula, `pos/mass + a*(2/mass)`,
-    so they are bit-equal to the scalar API. The recommendation exchange
-    keeps its sums bit-equal with two more rules, fixed sender order and no
-    matrix product (see `exchange_recommendations`).
+    a run, so neither axis is fixed). The counts are one int64 array,
+    negative and positive by row and column, whose capacity doubles when an
+    axis outgrows it; so a batch of experiences is one `np.add.at`, and a
+    read of the whole store is a view. An entry is held, i.e. an opinion
+    exists, once it has any evidence; every write adds some, so held is
+    `positive + negative > 0` and a zero entry reads exactly like an absent
+    one. Vectorised expected values use `Opinion`'s own formula,
+    `pos/mass + a*(2/mass)`, so they are bit-equal to the scalar API. The
+    recommendation exchange keeps its sums bit-equal with two more rules,
+    fixed sender order and no matrix product (see `exchange_recommendations`).
+    Counts leave the store as Python ints, so every float computed from
+    them is a Python float.
 
     The store carries the run's context base rate, which fills the uncertain
     mass of every expected value it computes.
@@ -98,8 +100,7 @@ class OpinionStore:
         self.base_rate = base_rate
         self.evaluators: dict[str, int] = {}  # id -> row
         self.subjects: dict[str, int] = {}  # id -> column, in column order
-        self._positive: list[array] = []
-        self._negative: list[array] = []
+        self._counts = np.zeros((2, 16, 16), dtype=np.int64)  # [negative, positive][row, column]
 
     def get(self, evaluator: str, subject: str) -> Opinion | None:
         """A copy of the held opinion, or None when there is no evidence."""
@@ -107,37 +108,53 @@ class OpinionStore:
         column = self.subjects.get(subject)
         if row is None or column is None:
             return None
-        positive = self._positive[row][column]
-        negative = self._negative[row][column]
+        negative, positive = self._counts[:, row, column].tolist()
         if positive == 0 and negative == 0:
             return None
         return Opinion(positive, negative, self.base_rate)
 
     def record_experience(self, evaluator: str, subject: str, outcome: Outcome, units: int = 1) -> None:
         """Book `units` experiences of one outcome; zero units write nothing."""
-        if outcome == "positive":
-            counts = self._positive
-        elif outcome == "negative":
-            counts = self._negative
-        else:
+        if outcome not in ("positive", "negative"):
             raise ValueError(f"unknown outcome: {outcome!r}")
         if units < 0:
             raise ValueError(f"experience units must be non-negative: {units}")
         if units == 0:
             return
-        row = self.evaluators.get(evaluator)
-        if row is None:
-            row = self.evaluators[evaluator] = len(self.evaluators)
-            zeros = array("q", bytes(8 * len(self.subjects)))
-            self._positive.append(zeros)
-            self._negative.append(array("q", zeros))
-        column = self.subjects.get(subject)
-        if column is None:
-            column = self.subjects[subject] = len(self.subjects)
-            for rows in (self._positive, self._negative):
-                for counts_row in rows:
-                    counts_row.append(0)
-        counts[row][column] += units
+        row = self.evaluators.setdefault(evaluator, len(self.evaluators))
+        column = self.subjects.setdefault(subject, len(self.subjects))
+        self._reserve()
+        self._counts[int(outcome == "positive"), row, column] += units
+
+    def record_experiences(
+        self, evaluators: Sequence[str], subjects: Sequence[str], positive: np.ndarray, units: int = 1
+    ) -> None:
+        """`units` experiences per (evaluator, subject, positive?) triple, as one write.
+
+        Equal to calling `record_experience` on each triple in order, for a
+        positive number of units: new rows and columns are assigned in
+        first-sight order along the batch.
+        """
+        if units < 1:
+            raise ValueError(f"batched experience units must be positive: {units}")
+        rows = _positions(self.evaluators, evaluators)
+        columns = _positions(self.subjects, subjects)
+        self._reserve()
+        np.add.at(self._counts, (np.asarray(positive, dtype=np.intp), rows, columns), units)
+
+    def _reserve(self) -> None:
+        """Grow the counts, doubling, until every assigned row and column fits."""
+        _, rows, columns = self._counts.shape
+        if len(self.evaluators) <= rows and len(self.subjects) <= columns:
+            return
+        while rows < len(self.evaluators):
+            rows *= 2
+        while columns < len(self.subjects):
+            columns *= 2
+        grown = np.zeros((2, rows, columns), dtype=np.int64)
+        _, held_rows, held_columns = self._counts.shape
+        grown[:, :held_rows, :held_columns] = self._counts
+        self._counts = grown
 
     def direct_trust(self, evaluator: str, subject: str) -> float:
         """Expected value of the evaluator's own opinion; vacuous -> base rate."""
@@ -147,12 +164,9 @@ class OpinionStore:
         return opinion.expected_value()
 
     def _evidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """(positive, negative) counts as int64 matrices, evaluator rows x subject columns."""
-        shape = (len(self.evaluators), len(self.subjects))
-        return tuple(
-            np.frombuffer(b"".join(rows), dtype=np.int64).reshape(shape)
-            for rows in (self._positive, self._negative)
-        )
+        """(positive, negative) counts as int64 views, evaluator rows x subject columns."""
+        negative, positive = self._counts[:, : len(self.evaluators), : len(self.subjects)]
+        return positive, negative
 
     def expected_values(self) -> tuple[np.ndarray, np.ndarray]:
         """(E, held) over the whole store, E bit-equal to Opinion.expected_value.
@@ -177,9 +191,10 @@ class OpinionStore:
     def by_evaluator(self) -> dict[str, dict[str, Opinion]]:
         """Every held opinion as a copy, grouped by evaluator, both levels sorted."""
         subjects = sorted(self.subjects.items())
+        positives, negatives = (counts.tolist() for counts in self._evidence())
         grouped: dict[str, dict[str, Opinion]] = {}
         for evaluator, row in sorted(self.evaluators.items()):
-            positive, negative = self._positive[row], self._negative[row]
+            positive, negative = positives[row], negatives[row]
             grouped[evaluator] = {
                 subject: Opinion(positive[column], negative[column], self.base_rate)
                 for subject, column in subjects
@@ -190,6 +205,14 @@ class OpinionStore:
     def __len__(self) -> int:
         positive, negative = self._evidence()
         return int(np.count_nonzero(positive + negative))
+
+
+def _positions(axis: dict[str, int], ids: Sequence[str]) -> np.ndarray:
+    """Each id's index on a store axis, assigning new ids in first-sight order."""
+    found = list(map(axis.get, ids))
+    if None in found:
+        found = [axis.setdefault(i, len(axis)) for i in ids]
+    return np.array(found, dtype=np.intp)
 
 
 def exchange_recommendations(
@@ -275,9 +298,8 @@ def _blend(direct, similarity, recommended, relation: RelationType):
 class TrustAssessment(NamedTuple):
     """One evaluation of a subject identity, with its component breakdown.
 
-    A named tuple rather than a dataclass: monitoring builds one row per
-    member per manager per epoch (137 k at 200 nodes), and a tuple is both
-    cheaper to build and smaller to retain. Rows are read by attribute or
+    A run keeps its assessments as columns (`AssessmentTable`) and builds
+    these rows only when they are read. Rows are read by attribute or
     unpacked in field order; nothing mutates them.
     """
 
@@ -316,76 +338,139 @@ def assess(
     )
 
 
-def assess_array(
-    time: float,
-    evaluator: str,
-    subjects: Sequence[str],
-    relation: RelationType,
-    direct: Sequence[float],
-    similarity: Sequence[float],
-    recommended: Sequence[float],
-    split: str = "external",
-) -> list[TrustAssessment]:
-    """assess for one evaluator and many subjects, one row per subject.
-
-    The components are sequences of Python floats and the rows keep those
-    very objects; the blend is computed as an array and returned through
-    `.tolist()`, so every float in a row is a Python float and the CSV
-    writers print the same bytes as for scalar assessments. Rows are built
-    straight from the zipped columns, as `TrustAssessment._make` builds
-    them, without a Python call per row.
-    """
-    trust = overall_trust_array(
-        np.array(direct, dtype=np.float64),
-        np.array(similarity, dtype=np.float64),
-        np.array(recommended, dtype=np.float64),
-        relation,
-    )
-    columns = zip(
-        repeat(time), repeat(evaluator), subjects, repeat(relation),
-        direct, similarity, recommended, trust.tolist(), repeat(split),
-    )
-    return list(map(partial(tuple.__new__, TrustAssessment), columns))
+_SPLITS = ("internal", "external")
+_RELATIONS = tuple(RelationType)
 
 
-class _Reprs(dict):
-    """repr memo for one low-cardinality numeric column: `memo[value]`.
+class AssessmentTable:
+    """Every trust assessment of a run, as columns.
 
-    Zero is never stored: 0.0 and -0.0 are equal keys with different text.
-    Keys that compare equal across types (1 and 1.0) would collide the same
-    way, so one memo serves one column, whose values share a type: the
-    engine's times are all `step * tick`, D and S are all floats.
+    A row is a time-table index, the evaluator and subject as id-table
+    codes (see `record.Symbols`), the relation and the split as one-byte
+    codes, and D, S, R and T as float64: 46 bytes, and no Python object.
+    Iterating the table builds `TrustAssessment` rows on demand, each float
+    read back as the same Python float it was stored from, so the rows
+    equal the ones the assessments were made as. Building them costs about
+    0.6 µs and 220 bytes a row while held; the writers and
+    `RunResult.esr_splits` read the columns instead.
     """
 
-    def __missing__(self, value) -> str:
-        text = repr(value)
-        if value:
-            self[value] = text
-        return text
+    def __init__(self, symbols: Symbols | None = None) -> None:
+        self.symbols = Symbols() if symbols is None else symbols
+        self._time = array("i")
+        self._evaluator = array("i")
+        self._subject = array("i")
+        self._relation = array("B")
+        self._split = array("B")
+        self._components = tuple(array("d") for _ in range(4))  # D, S, R, T
+
+    def append(
+        self,
+        time: float,
+        evaluator: str,
+        subject: str,
+        relation: RelationType,
+        direct: float,
+        similarity: float,
+        recommended: float,
+        trust: float,
+        split: str = "external",
+    ) -> None:
+        """One row, its fields in `TrustAssessment` order."""
+        self._time.append(self.symbols.time(time))
+        self._evaluator.append(self.symbols.code(evaluator))
+        self._subject.append(self.symbols.code(subject))
+        self._relation.append(_RELATIONS.index(relation))
+        self._split.append(_SPLITS.index(split))
+        for column, value in zip(self._components, (direct, similarity, recommended, trust)):
+            column.append(value)
+
+    def extend(
+        self,
+        time: float,
+        evaluator: str,
+        subjects: np.ndarray,
+        relation: RelationType,
+        direct: np.ndarray,
+        similarity: np.ndarray,
+        recommended: np.ndarray,
+        trust: np.ndarray,
+        split: str,
+    ) -> None:
+        """One evaluator's rows at one time; subjects as id-table codes, the rest as arrays."""
+        count = len(subjects)
+        self._time.frombytes(np.full(count, self.symbols.time(time), dtype=np.intc).tobytes())
+        self._evaluator.frombytes(np.full(count, self.symbols.code(evaluator), dtype=np.intc).tobytes())
+        self._subject.frombytes(np.asarray(subjects, dtype=np.intc).tobytes())
+        self._relation.frombytes(bytes([_RELATIONS.index(relation)]) * count)
+        self._split.frombytes(bytes([_SPLITS.index(split)]) * count)
+        for column, values in zip(self._components, (direct, similarity, recommended, trust)):
+            column.frombytes(np.asarray(values, dtype=np.float64).tobytes())
+
+    def __len__(self) -> int:
+        return len(self._time)
+
+    def __iter__(self) -> Iterator[TrustAssessment]:
+        names, times = self.symbols.names, self.symbols.times
+        columns = zip(
+            map(times.__getitem__, self._time),
+            map(names.__getitem__, self._evaluator),
+            map(names.__getitem__, self._subject),
+            map(_RELATIONS.__getitem__, self._relation),
+            *self._components,
+            map(_SPLITS.__getitem__, self._split),
+        )
+        return map(partial(tuple.__new__, TrustAssessment), columns)
+
+    @property
+    def trust(self) -> np.ndarray:
+        """The T column, a float64 copy."""
+        return np.array(self._components[3], dtype=np.float64)
+
+    def trust_text(self) -> np.ndarray:
+        """The repr of every T, in row order: the text both the trust trace and the ESR print."""
+        return float_texts(self.trust)
+
+    def split_rows(self) -> dict[str, np.ndarray]:
+        """The row indices of each split, every split listed."""
+        codes = np.frombuffer(self._split, dtype=np.uint8)
+        return {split: np.flatnonzero(codes == k) for k, split in enumerate(_SPLITS)}
 
 
-def write_trust_trace_csv(assessments: Iterable[TrustAssessment], path: str | Path) -> None:
+def write_trust_trace_csv(assessments: AssessmentTable, path: str | Path, trust_text: np.ndarray) -> None:
     """One CSV row per assessment: time, ids, relation, then D, S, R, T by repr.
 
-    Rows are formatted as f-string lines and written `CHUNK_LINES` at a
-    time, the same bytes `csv.writer` writes: no field needs quoting
-    (`check_unquoted` raises if one would). Time, D and S repeat a few
-    hundred distinct values over 10^5 rows, so their reprs are memoised; R
-    and T are mostly distinct and formatted directly.
+    `trust_text` is the T column's text (`AssessmentTable.trust_text`), which
+    the ESR writer shares. Rows are assembled from text columns and written
+    `CHUNK_LINES` at a time, the same bytes `csv.writer` writes: no field
+    needs quoting (`check_unquoted` raises if one would). Times and ids are
+    formatted once per table entry; D, S and R once per distinct value in
+    a chunk, which for D and S is a few hundred values over 10^5 rows.
     """
-    times, directs, similarities = _Reprs(), _Reprs(), _Reprs()
-    relation_of: RelationType | None = None
-    relation_text = ""
-    rows = iter(assessments)
+    count = len(assessments)
+    symbols = assessments.symbols
+    names = np.array([name + "," for name in symbols.names], dtype=object)
+    times = np.array([f"{time!r}," for time in symbols.times], dtype=object)
+    relations = np.array([relation.value + "," for relation in _RELATIONS], dtype=object)
+    time = np.frombuffer(assessments._time, dtype=np.intc)
+    evaluator = np.frombuffer(assessments._evaluator, dtype=np.intc)
+    subject = np.frombuffer(assessments._subject, dtype=np.intc)
+    relation = np.frombuffer(assessments._relation, dtype=np.uint8)
+    direct, similarity, recommended, _ = (np.frombuffer(c, dtype=np.float64) for c in assessments._components)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("time,evaluator,subject,relation,D,S,R,T\n")
-        while chunk := list(islice(rows, CHUNK_LINES)):
-            lines = []
-            for time, evaluator, subject, relation, d, s, r, t, _ in chunk:
-                if relation is not relation_of:
-                    relation_of, relation_text = relation, relation.value
-                lines.append(
-                    f"{times[time]},{evaluator},{subject},{relation_text},"
-                    f"{directs[d]},{similarities[s]},{r!r},{t!r}\n"
-                )
-            handle.write(check_unquoted("".join(lines), len(lines), 8))
+        for start in range(0, count, CHUNK_LINES):
+            rows = slice(start, min(start + CHUNK_LINES, count))
+            columns = [
+                times[time[rows]],
+                names[evaluator[rows]],
+                names[subject[rows]],
+                relations[relation[rows]],
+                float_texts(direct[rows], ","),
+                float_texts(similarity[rows], ","),
+                float_texts(recommended[rows], ","),
+                trust_text[rows],
+                "\n",
+            ]
+            lines = rows.stop - rows.start
+            handle.write(check_unquoted(join_columns(columns, lines), lines, 8))

@@ -197,3 +197,29 @@ class TestBadInput:
         with pytest.raises(SystemExit) as exc:
             main(["--behavior", "stealth"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"seed": 1.5},
+            {"seed": -1},
+            {"seed": True},
+            {"shared_interest_count": 2.5},
+            {"duplicate_request_penalty": 1.5},
+            {"node_count": 50.5},
+            {"pool_size": 2.5},
+            {"friends_path": 3},
+        ],
+    )
+    def test_malformed_integer_config_values(self, tmp_path, capsys, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**SMALL, **bad}))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        (name,) = bad
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_flag(self, tmp_path, config_path, capsys):
+        assert main(["--config", config_path, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be non-negative")

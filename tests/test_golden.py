@@ -6,10 +6,12 @@ under a second) and every per-seed file plus `metrics.csv` must hash to the
 value pinned here. A change that alters outputs on purpose re-pins these and
 says why.
 
-The three configs cover the default stolen/churn scenario, fabricated
+The four configs cover the default stolen/churn scenario, fabricated
 identities under the multi schedule (the opinion store and recommendation
-cache grow along the identity axis), and the `por` relation filter, under
-which no sender qualifies and the recommendation cache stays empty.
+cache grow along the identity axis), the `por` relation filter, under
+which no sender qualifies and the recommendation cache stays empty, and an
+integer `tick`: its times stay ints, so the log and the trust trace print
+`t=30`, not `t=30.0`, while the bootstrap lines keep `t=0.0`.
 """
 
 import hashlib
@@ -55,6 +57,18 @@ GOLDEN = {
             "trust-s1.csv": "003c18fee5b30a3733c3f54736cab1a5a94d60d09e4de833e0858ffba15b67c9",
         },
     ),
+    "integer-tick-30": (
+        {"node_count": 30, "tick": 1, "duration": 120},
+        {
+            "attacks-s1.csv": "e543b0c6c0ee8d37d9f89a969659a653e551f26cca46314c77dd28c52fab42ff",
+            "communities-s1.csv": "622add20fadf1b9036b4a9c447e0b66871e03dffdf1a3f75157b6213a4d7e344",
+            "decisions-s1.csv": "7c3196acfcbecc246b2e86ffae67581e5f96090547360238ef053f45e1ce0e02",
+            "esr-s1.csv": "67ea7ecd666675395b21bfb073925f8f0e59f0d92b708e8556524f18859af33f",
+            "events-s1.log": "8cc3e59585c109e800aaf150c015344279ee95125fc2791ca180706a83bdce4c",
+            "metrics.csv": "327443ceeb3acb3eeddf2c81f9504a09b9bba1afb72737b075acc9636aa762d4",
+            "trust-s1.csv": "6e4cd481039b8355c98178ca6fedb998d7cfe2d84d2bd52496f510cc61582c2c",
+        },
+    ),
 }
 
 
@@ -73,7 +87,7 @@ def test_outputs_match_pinned_hashes(name, tmp_path):
 def test_fabricated_config_mints_identities(tmp_path):
     overrides, _ = GOLDEN["fabricated-multi-40"]
     result = cli.run_batch(ScenarioConfig.from_mapping(overrides), [1], tmp_path)[0]
-    assert any(" fabricate attacker=" in line for line in result.log.lines)
+    assert any(" fabricate attacker=" in line for line in result.log.text().splitlines())
 
 
 def test_por_config_leaves_the_recommendation_cache_empty():

@@ -3,6 +3,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +16,7 @@ from siotrust.metrics import (
     esr_cdf,
     false_negative_rate,
     false_positive_rate,
+    float_texts,
     write_esr_csv,
     write_metrics_csv,
 )
@@ -127,13 +129,26 @@ class TestEsrCdf:
 
     def test_csv_skips_empty_split(self, tmp_path):
         path = tmp_path / "esr.csv"
-        write_esr_csv({"internal": [], "external": [0.5, 0.25]}, path)
+        write_splits({"internal": [], "external": [0.5, 0.25]}, path)
         rows = list(csv.reader(path.read_text().splitlines()))
         assert rows == [
             ["split", "trust", "cum_fraction"],
             ["external", "0.25", "0.5"],
             ["external", "0.5", "1.0"],
         ]
+
+
+def write_splits(split_values, path):
+    """write_esr_csv over one T column holding every split's values, splits interleaved."""
+    labelled = [(split, value) for split, values in split_values.items() for value in values]
+    random.Random(len(labelled)).shuffle(labelled)  # rows of a split need not be adjacent
+    # ...but within a split they keep their given order, which ties depend on
+    order = {split: iter(values) for split, values in split_values.items()}
+    labelled = [(split, next(order[split])) for split, _ in labelled]
+    trust = np.array([value for _, value in labelled], dtype=np.float64)
+    rows = {split: np.array([k for k, (s, _) in enumerate(labelled) if s == split], dtype=np.intp)
+            for split in split_values}
+    write_esr_csv(trust, float_texts(trust), rows, path)
 
 
 def reference_cdf(values):
@@ -186,7 +201,7 @@ class TestEsrAgainstTheReference:
     def test_csv_bytes_equal_the_csv_writer(self, internal, external, tmp_path_factory):
         out = tmp_path_factory.mktemp("esr")
         splits = {"internal": internal, "external": external}
-        write_esr_csv(splits, out / "got.csv")
+        write_splits(splits, out / "got.csv")
         reference_esr_csv(splits, out / "want.csv")
         assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
@@ -194,10 +209,46 @@ class TestEsrAgainstTheReference:
         rng = random.Random(5)
         values = [rng.choice([0.0, -0.0, 0.75, rng.random()]) for _ in range(2 * CHUNK_LINES + 3)]
         splits = {"internal": values, "external": values[:CHUNK_LINES]}
-        write_esr_csv(splits, tmp_path / "got.csv")
+        write_splits(splits, tmp_path / "got.csv")
         reference_esr_csv(splits, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_a_split_name_that_needs_quoting_raises(self, tmp_path):
         with pytest.raises(ValueError, match="comma, quote or line break"):
-            write_esr_csv({"in,ternal": [0.5]}, tmp_path / "esr.csv")
+            write_splits({"in,ternal": [0.5]}, tmp_path / "esr.csv")
+
+
+def esr_cdf_csv(split_values, path):
+    """The writer the argsort one replaced: esr_cdf's (value, fraction) points, each by repr."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write("split,trust,cum_fraction\n")
+        for split in sorted(split_values):
+            curve = esr_cdf(split_values[split])
+            if curve is not None:
+                handle.write("".join(f"{split},{value!r},{fraction!r}\n" for value, fraction in curve))
+
+
+class TestEsrAgainstTheCdfWriter:
+    @given(internal=st.lists(awkward, max_size=80), external=st.lists(awkward, max_size=80))
+    def test_bytes_equal_esr_cdf_and_repr(self, internal, external, tmp_path_factory):
+        out = tmp_path_factory.mktemp("esr")
+        splits = {"internal": internal, "external": external}
+        write_splits(splits, out / "got.csv")
+        esr_cdf_csv(splits, out / "want.csv")
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+    def test_zero_ties_keep_row_order_across_chunks(self, tmp_path):
+        # 0.0 and -0.0 tie; a stable argsort keeps their row order, as sorted does
+        values = [-0.0, 0.0, 0.5, 0.0, -0.0, 1e-05, 0.5] * (CHUNK_LINES // 3)
+        write_splits({"external": values}, tmp_path / "got.csv")
+        esr_cdf_csv({"external": values}, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        head = (tmp_path / "got.csv").read_text().splitlines()[1:5]
+        assert [line.split(",")[1] for line in head] == ["-0.0", "0.0", "0.0", "-0.0"]
+
+
+class TestFloatTexts:
+    @given(st.lists(awkward | st.floats(allow_nan=False), max_size=50), st.sampled_from(["", ","]))
+    def test_each_value_prints_its_repr(self, values, suffix):
+        got = float_texts(np.array(values, dtype=np.float64), suffix)
+        assert got.tolist() == [repr(v) + suffix for v in values]

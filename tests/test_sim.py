@@ -1,12 +1,13 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from siotrust.adversary import AttackBehavior
+from siotrust.adversary import AttackBehavior, AttackerEngine
 from siotrust.metrics import CHUNK_LINES, ConfusionCounters
 from siotrust.sim import (
     SHARED_HOME,
@@ -65,6 +66,33 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(**kw)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"seed": 1.5},
+            {"seed": -1},
+            {"node_count": 50.5},
+            {"node_count": True},
+            {"shared_interest_count": 2.5},
+            {"duplicate_request_penalty": 1.5},
+            {"duplicate_epoch_penalty": False},
+            {"pool_size": 2.5},
+            {"deny_streak_limit": 3.0},
+            {"forged_set_size": np.int64(2)},
+            {"friends_path": 3},
+        ],
+    )
+    def test_malformed_integer_fields_rejected(self, kw):
+        (name,) = kw
+        for build in (lambda: ScenarioConfig(**kw), lambda: ScenarioConfig.from_mapping(kw)):
+            with pytest.raises(ConfigError, match=name):
+                build()
+
+    def test_float_fields_keep_an_integer_as_it_is(self):
+        cfg = ScenarioConfig.from_mapping({"tick": 1, "duration": 120, "speed": 2})
+        assert (type(cfg.tick), type(cfg.duration), type(cfg.speed)) == (int, int, int)
+        assert ScenarioConfig(friends_path=None).friends_path is None
+
     def test_base_rate_override_feeds_the_context(self):
         cfg = ScenarioConfig(context_kind="park", base_rate=0.35)
         assert cfg.context().base_rate == 0.35
@@ -102,54 +130,175 @@ class TestScenarioConfig:
 class TestEventLog:
     def test_lines_carry_repr_times(self):
         log = EventLog()
-        log.append(0.0, "hello")
-        log.append(12.5, "again")
-        assert log.lines == ["t=0.0 hello", "t=12.5 again"]
-        assert log.text() == "t=0.0 hello\nt=12.5 again\n"
+        log.append(0.0, "bootstrap", "d000")
+        log.append(12.5, "community", 0, 7)
+        assert log.text() == "t=0.0 bootstrap manager=d000\nt=12.5 community id=0 size=7\n"
         assert len(log) == 2
 
     def test_equal_times_are_fine_backwards_is_not(self):
         log = EventLog()
-        log.append(3.0, "a")
-        log.append(3.0, "b")
+        log.append(3.0, "bootstrap", "a")
+        log.append(3.0, "bootstrap", "b")
         with pytest.raises(ValueError, match="backwards"):
-            log.append(2.9, "c")
+            log.append(2.9, "bootstrap", "c")
 
     def test_write_round_trip(self, tmp_path):
         log = EventLog()
-        log.append(1.0, "x")
+        log.append(1.0, "fabricate", "adv00", "fab-adv00-0")
         path = tmp_path / "events.log"
         log.write(path)
-        assert path.read_text() == log.text()
+        assert path.read_text() == log.text() == "t=1.0 fabricate attacker=adv00 identity=fab-adv00-0\n"
 
     def test_backwards_after_a_run_of_equal_times(self):
         log = EventLog()
         now = 7.0
         for _ in range(3):
-            log.append(now, "same object")
-        log.append(float("7.0"), "equal, another object")
+            log.append(now, "bootstrap", "same")
+        log.append(float("7.0"), "bootstrap", "equal")
         with pytest.raises(ValueError, match="backwards: 6.5 after 7.0"):
-            log.append(6.5, "late")
-        assert log.lines == ["t=7.0 same object"] * 3 + ["t=7.0 equal, another object"]
+            log.append(6.5, "bootstrap", "late")
+        assert log.text().splitlines() == ["t=7.0 bootstrap manager=same"] * 3 + ["t=7.0 bootstrap manager=equal"]
 
     def test_equal_times_keep_their_own_text(self):
         log = EventLog()
         for time in (0.0, -0.0, 0.0, 30, 30.0, 30):
-            log.append(time, "x")
-        assert log.lines == ["t=0.0 x", "t=-0.0 x", "t=0.0 x", "t=30 x", "t=30.0 x", "t=30 x"]
+            log.append(time, "bootstrap", "x")
+        prefixes = [line.split()[0] for line in log.text().splitlines()]
+        assert prefixes == ["t=0.0", "t=-0.0", "t=0.0", "t=30", "t=30.0", "t=30"]
 
     def test_first_line_at_zero_is_unchanged(self, small_run):
         _, result = small_run
-        assert result.log.lines[0] == "t=0.0 bootstrap manager=d000"
+        assert result.log.text().splitlines()[0] == "t=0.0 bootstrap manager=d000"
 
     def test_write_equals_text_across_chunks(self, tmp_path):
         log = EventLog()
         for k in range(2 * CHUNK_LINES + 1):
-            log.append(float(k // 3), f"line {k}")
+            log.append(float(k // 3), "community", k, k % 5)
+            if k % 7 == 0:
+                log.extend(float(k // 3), "pos", np.array([log.symbols.code("d000")] * 3), np.arange(3.0), -np.arange(3.0))
         log.write(tmp_path / "events.log")
         assert (tmp_path / "events.log").read_text() == log.text()
         EventLog().write(tmp_path / "empty.log")
         assert (tmp_path / "empty.log").read_bytes() == b""
+
+
+# the f-strings the engine formatted each event with when the log held lines
+LINE_FORMATS = {
+    "bootstrap": lambda m: f"bootstrap manager={m}",
+    "duplicate": lambda i, p, m, n: f"duplicate identity={i} presenter={p} manager={m} penalty={n}",
+    "decision": lambda m, i, p, k, v, t, s: (
+        f"decision manager={m} identity={i} presenter={p} kind={k} verdict={v} trust={t!r} split={s}"
+    ),
+    "admit": lambda i, m, p, c: f"admit identity={i} manager={m} presenter={p} conflicts={c}",
+    "theft": lambda a, i, v: f"theft attacker={a} identity={i} victim={v}",
+    "fabricate": lambda a, i: f"fabricate attacker={a} identity={i}",
+    "exp": lambda e, s, o: f"exp evaluator={e} subject={s} outcome={o}",
+    "community": lambda c, n: f"community id={c} size={n}",
+    "duplicate-scan": lambda i, p, n: f"duplicate-scan identity={i} presenters={p} penalty={n}",
+    "pos": lambda d, x, y: f"pos device={d} x={x:.6f} y={y:.6f}",
+}
+# fields that `extend` takes as id-table codes
+CODED_FIELDS = {"exp": (0, 1, 2), "pos": (0,)}
+
+
+class LineLog:
+    """The line-per-append log the columnar one replaced, fed the same typed events.
+
+    Each line is formatted at append time with the old f-string, its
+    `t=<repr> ` prefix reused while the same time object comes back.
+    """
+
+    def __init__(self, symbols):
+        self.symbols = symbols
+        self.lines = []
+        self._last_time = -math.inf
+        self._prefix = ""
+
+    def append(self, time, kind, *fields):
+        if time is not self._last_time:
+            if time < self._last_time:
+                raise ValueError(f"event log time went backwards: {time} after {self._last_time}")
+            self._last_time = time
+            self._prefix = f"t={time!r} "
+        self.lines.append(self._prefix + LINE_FORMATS[kind](*fields))
+
+    def extend(self, time, kind, *columns):
+        for fields in zip(*(np.asarray(c).tolist() for c in columns)):
+            decoded = [self.symbols.names[v] if k in CODED_FIELDS[kind] else v for k, v in enumerate(fields)]
+            self.append(time, kind, *decoded)
+
+    def text(self):
+        return "".join(line + "\n" for line in self.lines)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"node_count": 40},
+        {"node_count": 40, "identity_source": "fabricated", "behavior": "multi"},
+        {"node_count": 30, "tick": 1, "duration": 120},
+        {"node_count": 30, "context_kind": "park", "duration": 200},
+    ],
+)
+def test_columnar_log_equals_the_line_log(overrides, tmp_path):
+    config = ScenarioConfig.from_mapping(overrides)
+    columnar = run_scenario(config)
+    engine = SimulationEngine(config)
+    engine.log = LineLog(engine.log.symbols)
+    reference = engine.run().log.text()
+    assert columnar.log.text() == reference
+    assert len(columnar.log) == len(engine.log.lines)
+    columnar.log.write(tmp_path / "events.log")
+    assert (tmp_path / "events.log").read_bytes() == reference.encode("utf-8")
+    if type(config.tick) is int:
+        assert "\nt=30 community id=0 " in reference
+
+
+awkward_floats = st.sampled_from([0.0, -0.0, 1e-05, 5e-324, 0.1 + 0.2, 1.0, 99.9999995]) | st.floats(-1e3, 1e3)
+names = st.sampled_from(["d000", "d001", "adv00", "fab-adv00-3", "-", "d000|adv00"])
+# (kind, strategy of its fields): ids and labels as strings, as `append` takes them
+FIELDS = {
+    "bootstrap": st.tuples(names),
+    "duplicate": st.tuples(names, names, names, st.integers(0, 50)),
+    "decision": st.tuples(names, names, names, st.sampled_from(["legit", "attacker"]),
+                          st.sampled_from(["grant", "deny"]), awkward_floats, st.sampled_from(["internal", "external"])),
+    "admit": st.tuples(names, names, names, names),
+    "theft": st.tuples(names, names, names),
+    "fabricate": st.tuples(names, names),
+    "community": st.tuples(st.integers(0, 9), st.integers(0, 300)),
+    "duplicate-scan": st.tuples(names, names, st.integers(0, 9)),
+}
+batch = st.lists(st.tuples(names, names, st.sampled_from(["positive", "negative"])), max_size=5)
+positions = st.lists(st.tuples(names, awkward_floats, awkward_floats), max_size=5)
+step = st.one_of(
+    st.sampled_from(sorted(FIELDS)).flatmap(lambda kind: st.tuples(st.just(kind), FIELDS[kind])),
+    st.tuples(st.just("exp"), batch),
+    st.tuples(st.just("pos"), positions),
+)
+
+
+@given(
+    ticks=st.lists(
+        st.tuples(st.sampled_from([0, 0.0, -0.0, 30, 30.0, 60.0]), st.lists(step, max_size=6)), max_size=8
+    )
+)
+def test_columnar_log_equals_the_line_log_on_any_events(ticks):
+    columnar = EventLog()
+    reference = LineLog(columnar.symbols)
+    ticks = sorted(ticks, key=lambda tick: tick[0])  # stable: equal times keep their order
+    for time, steps in ticks:
+        for kind, fields in steps:
+            if kind in CODED_FIELDS:
+                columns = [list(column) for column in zip(*fields)] or [[], [], []]
+                for k in CODED_FIELDS[kind]:
+                    columns[k] = [columnar.symbols.code(v) for v in columns[k]]
+                for log in (columnar, reference):
+                    log.extend(time, kind, *(np.array(c) for c in columns))
+            else:
+                for log in (columnar, reference):
+                    log.append(time, kind, *fields)
+    assert columnar.text() == reference.text()
+    assert len(columnar) == len(reference.lines)
 
 
 class TestWorldBuild:
@@ -216,7 +365,7 @@ class TestRunSemantics:
 
     def test_epoch_work_waits_for_the_first_epoch(self, small_run):
         _, result = small_run
-        community_lines = [l for l in result.log.lines if l.split(" ", 1)[1].startswith("community ")]
+        community_lines = [l for l in result.log.text().splitlines() if l.split(" ", 1)[1].startswith("community ")]
         assert community_lines
         assert all(l.startswith("t=30.0 ") for l in community_lines)
         assert result.communities
@@ -279,7 +428,7 @@ def test_epoch_k_fires_at_the_first_tick_reaching_k_intervals(tick, duration):
     # it fired epoch 7140 a tick late at tick 1.0 and lost one at tick 1.1.
     config = ScenarioConfig(node_count=4, attacker_fraction=0.0, tick=tick, epoch_interval=1.1, duration=duration)
     result = run_scenario(config)
-    fired = [float(line.split()[0][2:]) for line in result.log.lines if " pos device=d000 " in line]
+    fired = [float(line.split()[0][2:]) for line in result.log.text().splitlines() if " pos device=d000 " in line]
     steps = int(round(config.duration / tick))
     expected = []
     while (due := first_tick_reaching(len(expected) + 1, tick, config.epoch_interval)) < steps * tick:
@@ -335,10 +484,13 @@ class TestInRange:
         engine, _ = small_run
         sq_dist = np.zeros((30, 30))
         sq_dist[device_index] = distances
-        got = engine._in_range(device_index, sq_dist)
+        in_range = engine._in_range(device_index, sq_dist)
+        got = [engine.devices[i] for i in in_range.tolist()]
         assert got == reference_in_range(engine, device_index, sq_dist, engine.legit_mask)
-        # the attacker phase takes managers in range as the victims that manage
-        managers = [d for d in got if d.is_manager]
+        # the attacker phase takes managers in range from the manager mask:
+        # the victims that manage, in the same order
+        managers = [engine.devices[i] for i in in_range[engine.manager_mask[in_range]].tolist()]
+        assert managers == [d for d in got if d.is_manager]
         assert managers == reference_in_range(engine, device_index, sq_dist, engine.manager_mask)
 
 
@@ -396,8 +548,8 @@ class ScalarInteractions(SimulationEngine):
             elif self.gate.is_member(device_id):
                 member[i] = True
                 identity_of[i] = device_id
-        assert np.array_equal(member, self._member_presentation()[0])
-        assert identity_of == self._member_presentation()[1]
+        names = self.log.symbols.names
+        assert identity_of == [None if c < 0 else names[c] for c in self._member_presentation().tolist()]
         return member, identity_of
 
     def _interactions(self, now, sq_dist):
@@ -423,7 +575,7 @@ class ScalarInteractions(SimulationEngine):
         else:
             outcome = "positive" if draw < self.cfg.p_positive_legit else "negative"
         self.store.record_experience(evaluator, subject, outcome)
-        self.log.append(now, f"exp evaluator={evaluator} subject={subject} outcome={outcome}")
+        self.log.append(now, "exp", evaluator, subject, outcome)
 
 
 @pytest.mark.parametrize(
@@ -433,7 +585,104 @@ def test_batched_interactions_equal_the_per_pair_loop(overrides):
     config = ScenarioConfig(**SMALL, **overrides)
     batched = SimulationEngine(config)
     scalar = ScalarInteractions(config)
-    assert batched.run().log.lines == scalar.run().log.lines
-    assert any(" exp " in line for line in scalar.log.lines)
+    assert batched.run().log.text() == scalar.run().log.text()
+    assert " exp " in scalar.log.text()
     assert np.array_equal(batched.last_interaction, scalar.last_interaction)
     assert batched.store.by_evaluator() == scalar.store.by_evaluator()
+
+
+def observe_every_time(self, devices_in_radius):
+    """The observe loop before already observed devices were skipped."""
+    for dev in devices_in_radius:
+        self.observed_devices.add(dev.id)
+        self.observed_interests.update(dev.interests)
+
+
+def test_observing_each_device_once_gathers_the_same_sets(monkeypatch):
+    # fabricated identities forge their sets from what was observed, so the
+    # forged sets and the log read the observations
+    config = ScenarioConfig(node_count=40, duration=300.0, identity_source=IdentitySource.FABRICATED,
+                            forged_set_size=3, seed=2)
+    skipping = SimulationEngine(config)
+    skipped = skipping.run()
+    monkeypatch.setattr(AttackerEngine, "observe", observe_every_time)
+    every = SimulationEngine(config)
+    assert every.run().log.text() == skipped.log.text()
+
+    def observations(engine):
+        return {a: (e.observed_devices, e.observed_interests) for a, e in engine.engines.items()}
+
+    def forged(engine):
+        return {i.id: (i.friends, i.interests) for e in engine.engines.values() for i in e.pool}
+
+    assert observations(skipping) == observations(every)
+    assert forged(skipping) == forged(every)
+    assert any(friends and interests for friends, interests in forged(every).values())
+
+
+class TestRecordFootprint:
+    """A finished run keeps its record as columns: bytes per row, no object per row."""
+
+    @staticmethod
+    def config(duration):
+        return ScenarioConfig(node_count=40, seed=1, duration=duration)
+
+    def test_bytes_per_event_and_per_assessment(self):
+        run_scenario(self.config(60.0))  # first-use caches outside the run
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_scenario(self.config(600.0))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # 17 bytes of columns per event and 46 per assessment, plus the
+        # arrays' headroom and the decisions, attempts and communities
+        assert retained <= 32 * len(result.log) + 64 * len(result.assessments)
+
+    def tracked_objects(self, duration):
+        run_scenario(self.config(duration))
+        gc.collect()
+        before = len(gc.get_objects())
+        result = run_scenario(self.config(duration))
+        # decisions and attack attempts are one dataclass per request, not
+        # part of the columnar record
+        result.decisions.clear()
+        result.attempts.clear()
+        gc.collect()
+        return len(gc.get_objects()) - before, result
+
+    def test_tracked_objects_do_not_grow_with_duration(self):
+        short, short_run = self.tracked_objects(300.0)
+        long, long_run = self.tracked_objects(600.0)
+        assert len(long_run.log) > 1.5 * len(short_run.log)
+        assert len(long_run.assessments) > 1.5 * len(short_run.assessments)
+        assert long == short
+
+
+class LoopDuplicateScan(SimulationEngine):
+    """The engine with the per-(identity, manager) penalty loop the batched write replaced."""
+
+    def _duplicate_scan(self, now):
+        penalty = self.cfg.duplicate_epoch_penalty
+        for identity_id in sorted(self.gate.members):
+            presenters = self.gate.member_presenters(identity_id)
+            if len(presenters) < 2:
+                continue
+            for manager in self.registry.managers():
+                self.store.record_experience(manager.id, identity_id, "negative", penalty)
+            self.log.append(now, "duplicate-scan", identity_id, "|".join(sorted(presenters)), penalty)
+
+
+@pytest.mark.parametrize("penalty", [0, 4])
+def test_batched_duplicate_penalties_equal_the_loop(penalty):
+    config = ScenarioConfig(**SMALL, duplicate_epoch_penalty=penalty)
+    batched, loop = SimulationEngine(config), LoopDuplicateScan(config)
+    text = batched.run().log.text()
+    assert text == loop.run().log.text()
+    assert " duplicate-scan " in text
+    assert list(batched.store.subjects) == list(loop.store.subjects)
+    assert list(batched.store.evaluators) == list(loop.store.evaluators)
+    assert batched.store.by_evaluator() == loop.store.by_evaluator()

@@ -1,22 +1,25 @@
 import csv
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from siotrust.authn import AccessRequest
-from siotrust.sim import ScenarioConfig, SimulationEngine
+from siotrust.sim import ScenarioConfig, SimulationEngine, run_scenario
 from siotrust.social import RelationType
 from siotrust.metrics import CHUNK_LINES
 from siotrust.trust import (
+    AssessmentTable,
     Opinion,
     OpinionStore,
     TrustAssessment,
     assess,
-    assess_array,
     exchange_recommendations,
     overall_trust,
+    overall_trust_array,
     weights_from_relation,
     write_trust_trace_csv,
 )
@@ -221,11 +224,22 @@ class TestAssess:
         )
         assert abs(item.trust - 0.59) < 1e-12
         path = tmp_path / "trace.csv"
-        write_trust_trace_csv([item], path)
+        write_table(table_of([item]), path)
         header, row = list(csv.reader(path.read_text().splitlines()))
         assert header == ["time", "evaluator", "subject", "relation", "D", "S", "R", "T"]
         assert row[:4] == ["30.0", "m0", "d5", "clor"]
         assert [float(cell) for cell in row[4:]] == [0.4, 0.6, 0.8, item.trust]
+
+
+def table_of(items):
+    table = AssessmentTable()
+    for item in items:
+        table.append(*item)
+    return table
+
+
+def write_table(table, path):
+    write_trust_trace_csv(table, path, table.trust_text())
 
 
 def reference_trust_csv(assessments, path):
@@ -268,7 +282,9 @@ class TestTrustTraceCsv:
     @given(items=st.lists(rows, max_size=40))
     def test_bytes_equal_the_csv_writer(self, items, tmp_path_factory):
         out = tmp_path_factory.mktemp("trace")
-        write_trust_trace_csv(items, out / "got.csv")
+        table = table_of(items)
+        assert list(table) == items
+        write_table(table, out / "got.csv")
         reference_trust_csv(items, out / "want.csv")
         assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
@@ -277,7 +293,7 @@ class TestTrustTraceCsv:
             TrustAssessment(t, "m", "s", RelationType.SOR, d, d, d, d)
             for t, d in ((0.0, 0.0), (-0.0, -0.0), (0.0, 0.0), (-0.0, 5e-324))
         ]
-        write_trust_trace_csv(items, tmp_path / "trace.csv")
+        write_table(table_of(items), tmp_path / "trace.csv")
         lines = (tmp_path / "trace.csv").read_text().splitlines()[1:]
         assert lines == [
             "0.0,m,s,sor,0.0,0.0,0.0,0.0",
@@ -296,7 +312,7 @@ class TestTrustTraceCsv:
             )
             for k in range(2 * CHUNK_LINES + 1)
         ]
-        write_trust_trace_csv((item for item in items), tmp_path / "got.csv")
+        write_table(table_of(item for item in items), tmp_path / "got.csv")
         reference_trust_csv(items, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -304,12 +320,58 @@ class TestTrustTraceCsv:
     def test_a_field_that_needs_quoting_raises(self, bad_id, tmp_path):
         item = TrustAssessment(1.0, bad_id, "s", RelationType.SOR, 0.5, 0.5, 0.5, 0.5)
         with pytest.raises(ValueError, match="comma, quote or line break"):
-            write_trust_trace_csv([item], tmp_path / "trace.csv")
+            write_table(table_of([item]), tmp_path / "trace.csv")
+
+
+class _Reprs(dict):
+    """repr memo of the chunked writer the columnar one replaced; zero is never stored."""
+
+    def __missing__(self, value):
+        text = repr(value)
+        if value:
+            self[value] = text
+        return text
+
+
+def previous_trust_csv(assessments, path):
+    """The chunked row writer the columnar one replaced, T formatted on its own."""
+    times, directs, similarities = _Reprs(), _Reprs(), _Reprs()
+    rows = iter(assessments)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write("time,evaluator,subject,relation,D,S,R,T\n")
+        while chunk := list(itertools.islice(rows, CHUNK_LINES)):
+            handle.write("".join(
+                f"{times[time]},{evaluator},{subject},{relation.value},"
+                f"{directs[d]},{similarities[s]},{r!r},{t!r}\n"
+                for time, evaluator, subject, relation, d, s, r, t, _ in chunk
+            ))
+
+
+class TestSharedTrustText:
+    @pytest.mark.parametrize(
+        "overrides", [{"node_count": 40}, {"node_count": 30, "tick": 1, "duration": 120, "identity_source": "fabricated"}]
+    )
+    def test_a_run_writes_what_the_previous_writer_wrote(self, overrides, tmp_path):
+        result = run_scenario(ScenarioConfig.from_mapping(overrides))
+        text = result.assessments.trust_text()
+        assert text.tolist() == [repr(item.trust) for item in result.assessments]
+        write_trust_trace_csv(result.assessments, tmp_path / "got.csv", text)
+        previous_trust_csv(result.assessments, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @given(items=st.lists(rows, max_size=40))
+    def test_any_rows_write_what_the_previous_writer_wrote(self, items, tmp_path_factory):
+        out = tmp_path_factory.mktemp("shared")
+        write_table(table_of(items), out / "got.csv")
+        previous_trust_csv(items, out / "want.csv")
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
 
 # -- dense store and the vectorised epoch reads ------------------------------
 
 IDS = [f"v{i}" for i in range(12)]
+MANY_IDS = [f"w{i}" for i in range(40)]  # more than the store's first 16 rows and columns
+many_ids = st.sampled_from(MANY_IDS)
 RECEIVERS = IDS[:4]
 outcomes = st.sampled_from(["positive", "negative"])
 
@@ -407,6 +469,40 @@ class TestDenseStore:
             for subject in IDS:
                 assert batched.get(evaluator, subject) == single.get(evaluator, subject)
 
+    @given(
+        base_rate=st.floats(0.0, 1.0),
+        batches=st.lists(
+            st.tuples(st.lists(st.tuples(many_ids, many_ids, st.booleans()), max_size=60), st.integers(1, 12)),
+            max_size=5,
+        ),
+    )
+    def test_a_batched_write_equals_sequential_writes(self, base_rate, batches):
+        batched, single = OpinionStore(base_rate), OpinionStore(base_rate)
+        for batch, units in batches:
+            evaluators, subjects, positive = ([item[k] for item in batch] for k in range(3))
+            batched.record_experiences(evaluators, subjects, np.array(positive, dtype=bool), units)
+            for evaluator, subject, good in batch:
+                single.record_experience(evaluator, subject, "positive" if good else "negative", units)
+            # rows and columns in first-sight order, as the sequential loop assigns them
+            assert list(batched.evaluators.items()) == list(single.evaluators.items())
+            assert list(batched.subjects.items()) == list(single.subjects.items())
+            for got, want in zip(batched.expected_values(), single.expected_values()):
+                assert got.tolist() == want.tolist()
+        assert len(batched) == len(single)
+        for evaluator in MANY_IDS:
+            for subject in MANY_IDS:
+                got = batched.get(evaluator, subject)
+                assert got == single.get(evaluator, subject)
+                if got is not None:
+                    assert type(got.positive) is int and type(got.negative) is int
+                    assert repr(batched.direct_trust(evaluator, subject)) == repr(got.expected_value())
+
+    def test_a_batch_of_no_units_is_refused(self):
+        store = OpinionStore(base_rate=0.5)
+        with pytest.raises(ValueError, match="positive"):
+            store.record_experiences(["e"], ["s"], np.array([False]), 0)
+        assert store.evaluators == {} and len(store) == 0
+
     def test_zero_units_write_nothing(self):
         store = OpinionStore(base_rate=0.5)
         store.record_experience("e", "s", "positive")
@@ -432,19 +528,26 @@ components = st.floats(-0.25, 1.25) | st.just(math.nan)
 
 
 class TestAssessArray:
+    """Monitoring's path: blend arrays with overall_trust_array, append them as columns."""
+
     @pytest.mark.parametrize("relation", list(RelationType))
     @given(rows=st.lists(st.tuples(components, components, components), max_size=8))
     def test_matches_scalar_assess_and_its_error(self, relation, rows):
-        direct, similarity, recommended = ([row[i] for row in rows] for i in range(3))
+        direct, similarity, recommended = (np.array([row[i] for row in rows], dtype=np.float64) for i in range(3))
         subjects = [f"s{k}" for k in range(len(rows))]
         try:
             expected = [assess(9.0, "m", s, relation, d, si, r, "internal") for s, (d, si, r) in zip(subjects, rows)]
         except ValueError as exc:
             with pytest.raises(ValueError) as caught:
-                assess_array(9.0, "m", subjects, relation, direct, similarity, recommended, "internal")
+                overall_trust_array(direct, similarity, recommended, relation)
             assert str(caught.value) == str(exc)
             return
-        got = assess_array(9.0, "m", subjects, relation, direct, similarity, recommended, "internal")
+        trust = overall_trust_array(direct, similarity, recommended, relation)
+        table = AssessmentTable()
+        codes = np.array([table.symbols.code(s) for s in subjects], dtype=np.intc)
+        table.extend(9.0, "m", codes, relation, direct, similarity, recommended, trust, "internal")
+        got = list(table)
         assert got == expected
+        assert [repr(item) for item in got] == [repr(item) for item in expected]
         for item in got:
             assert all(type(v) is float for v in (item.direct, item.similarity, item.recommended, item.trust))
