@@ -159,7 +159,7 @@ def _run_one(config: ScenarioConfig, out_dir: Path) -> RunResult:
     write_decision_csv(result.decisions, out_dir / names["decisions"])
     trust_text = assessments.trust_text()  # each T formatted once, for both files
     write_trust_trace_csv(assessments, out_dir / names["trust"], trust_text)
-    write_esr_csv(assessments.trust, trust_text, assessments.split_rows(), out_dir / names["esr"])
+    write_esr_csv(assessments, out_dir / names["esr"], trust_text)
     write_communities_csv(result.communities, out_dir / names["communities"])
     write_attack_csv(result.attempts, out_dir / names["attacks"])
     return result

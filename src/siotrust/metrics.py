@@ -22,6 +22,15 @@ class AdjudicatedRequest(Protocol):
     granted: bool
 
 
+class TrustColumns(Protocol):
+    """What the ESR writer reads of a `trust.AssessmentTable`."""
+
+    @property
+    def trust(self) -> np.ndarray: ...
+
+    def split_rows(self) -> Mapping[str, np.ndarray]: ...
+
+
 @dataclass
 class ConfusionCounters:
     """Incremental confusion counts over adjudicated requests.
@@ -232,21 +241,21 @@ def join_columns(columns: Sequence[np.ndarray | str], rows: int) -> str:
     return "".join(grid.ravel().tolist())
 
 
-def write_esr_csv(
-    trust: np.ndarray, trust_text: np.ndarray, split_rows: Mapping[str, np.ndarray], path: str | Path
-) -> None:
+def write_esr_csv(assessments: TrustColumns, path: str | Path, trust_text: np.ndarray) -> None:
     """ESR curves per split (internal/external); empty splits emit no rows.
 
-    `trust` holds the T column, `trust_text` its reprs (an object array, the
-    same text the trust trace prints), and `split_rows` the rows of each
-    split. A split's points are its values in the order of a stable argsort,
-    which is the order `sorted` gives, 0.0 and -0.0 tied in row order. Each
+    `assessments` is a run's `trust.AssessmentTable`; `trust_text` is its
+    T column's text (`AssessmentTable.trust_text`), which the trust trace
+    shares. A split's points are its values in the order of a stable
+    argsort, which is the order `sorted` gives, 0.0 and -0.0 tied in row
+    order. Each
     point carries `esr_cdf`'s fraction: ties are found with `!=`, and a run
     of ties carries `(index of its last element + 1) / n`, computed as one
     float64 division, which is the division Python does on the two ints.
     Rows are written `CHUNK_LINES` at a time, each fraction formatted once
     per chunk, the same bytes `csv.writer` would write.
     """
+    trust, split_rows = assessments.trust, assessments.split_rows()
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("split,trust,cum_fraction\n")
         for split in sorted(split_rows):

@@ -62,6 +62,9 @@ _TEMPLATES = (
     "duplicate-scan identity={} presenters={} penalty={:d}",
     "pos device={} x={:.6f} y={:.6f}",
 )
+
+# The largest integer an event field holds: fields are C ints (array "i").
+INT_FIELD_MAX = 2**31 - 1
 _KIND_CODES = {template.split(" ", 1)[0]: code for code, template in enumerate(_TEMPLATES)}
 
 
@@ -100,8 +103,8 @@ class EventLog:
     determinism tests compare.
     """
 
-    def __init__(self, symbols: Symbols | None = None) -> None:
-        self.symbols = Symbols() if symbols is None else symbols
+    def __init__(self) -> None:
+        self.symbols = Symbols()
         self._kinds = array("B")
         self._times = array("i")
         self._fields = array("i")

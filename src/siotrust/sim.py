@@ -57,7 +57,7 @@ from .community import (
 )
 from .dataset import FriendshipGraph, load_friendship_edges, sample_subgraph, synthetic_small_world
 from .metrics import ConfusionCounters, MetricsReport
-from .record import EventLog
+from .record import INT_FIELD_MAX, EventLog
 from .social import (
     ConfigError,
     Context,
@@ -157,8 +157,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} out of range: {value}")
-        if self.duplicate_request_penalty < 0 or self.duplicate_epoch_penalty < 0:
-            raise ConfigError("duplicate penalties must be non-negative")
+        for name in ("duplicate_request_penalty", "duplicate_epoch_penalty"):
+            value = getattr(self, name)
+            if not 0 <= value <= INT_FIELD_MAX:
+                raise ConfigError(f"{name} out of range [0, {INT_FIELD_MAX}]: {value}")
         if self.shared_interest_count < 1:
             raise ConfigError(f"shared interest count must be positive: {self.shared_interest_count}")
         self.context()  # unknown kind or bad override fails here

@@ -119,21 +119,17 @@ class OpinionStore:
             raise ValueError(f"unknown outcome: {outcome!r}")
         if units < 0:
             raise ValueError(f"experience units must be non-negative: {units}")
-        if units == 0:
-            return
-        row = self.evaluators.setdefault(evaluator, len(self.evaluators))
-        column = self.subjects.setdefault(subject, len(self.subjects))
-        self._reserve()
-        self._counts[int(outcome == "positive"), row, column] += units
+        if units:
+            self.record_experiences([evaluator], [subject], [outcome == "positive"], units)
 
     def record_experiences(
         self, evaluators: Sequence[str], subjects: Sequence[str], positive: np.ndarray, units: int = 1
     ) -> None:
         """`units` experiences per (evaluator, subject, positive?) triple, as one write.
 
-        Equal to calling `record_experience` on each triple in order, for a
-        positive number of units: new rows and columns are assigned in
-        first-sight order along the batch.
+        Equal to booking each triple in order, for a positive number of
+        units: new rows and columns are assigned in first-sight order along
+        the batch. `record_experience` is the batch of one.
         """
         if units < 1:
             raise ValueError(f"batched experience units must be positive: {units}")

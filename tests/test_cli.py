@@ -206,6 +206,7 @@ class TestBadInput:
             {"seed": True},
             {"shared_interest_count": 2.5},
             {"duplicate_request_penalty": 1.5},
+            {"duplicate_epoch_penalty": 3000000000},
             {"node_count": 50.5},
             {"pool_size": 2.5},
             {"friends_path": 3},

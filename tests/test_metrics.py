@@ -145,10 +145,23 @@ def write_splits(split_values, path):
     # ...but within a split they keep their given order, which ties depend on
     order = {split: iter(values) for split, values in split_values.items()}
     labelled = [(split, next(order[split])) for split, _ in labelled]
-    trust = np.array([value for _, value in labelled], dtype=np.float64)
-    rows = {split: np.array([k for k, (s, _) in enumerate(labelled) if s == split], dtype=np.intp)
-            for split in split_values}
-    write_esr_csv(trust, float_texts(trust), rows, path)
+    table = Column(
+        np.array([value for _, value in labelled], dtype=np.float64),
+        {split: np.array([k for k, (s, _) in enumerate(labelled) if s == split], dtype=np.intp)
+         for split in split_values},
+    )
+    write_esr_csv(table, path, float_texts(table.trust))
+
+
+@dataclass(frozen=True)
+class Column:
+    """What write_esr_csv reads of an AssessmentTable, with any split names."""
+
+    trust: np.ndarray
+    rows: dict
+
+    def split_rows(self):
+        return self.rows
 
 
 def reference_cdf(values):

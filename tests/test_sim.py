@@ -76,6 +76,8 @@ class TestScenarioConfig:
             {"shared_interest_count": 2.5},
             {"duplicate_request_penalty": 1.5},
             {"duplicate_epoch_penalty": False},
+            {"duplicate_epoch_penalty": 2**31},  # an event field holds a C int
+            {"duplicate_request_penalty": 3_000_000_000},
             {"pool_size": 2.5},
             {"deny_streak_limit": 3.0},
             {"forged_set_size": np.int64(2)},

@@ -478,21 +478,29 @@ class TestDenseStore:
     )
     def test_a_batched_write_equals_sequential_writes(self, base_rate, batches):
         batched, single = OpinionStore(base_rate), OpinionStore(base_rate)
+        # the sparse store the dense one replaced: one Opinion per pair, axes by setdefault
+        opinions, rows, columns = {}, {}, {}
         for batch, units in batches:
             evaluators, subjects, positive = ([item[k] for item in batch] for k in range(3))
             batched.record_experiences(evaluators, subjects, np.array(positive, dtype=bool), units)
             for evaluator, subject, good in batch:
-                single.record_experience(evaluator, subject, "positive" if good else "negative", units)
+                outcome = "positive" if good else "negative"
+                single.record_experience(evaluator, subject, outcome, units)
+                rows.setdefault(evaluator, len(rows))
+                columns.setdefault(subject, len(columns))
+                opinion = opinions.setdefault((evaluator, subject), Opinion(base_rate=base_rate))
+                for _ in range(units):
+                    opinion.record(outcome)
             # rows and columns in first-sight order, as the sequential loop assigns them
-            assert list(batched.evaluators.items()) == list(single.evaluators.items())
-            assert list(batched.subjects.items()) == list(single.subjects.items())
+            assert list(batched.evaluators.items()) == list(single.evaluators.items()) == list(rows.items())
+            assert list(batched.subjects.items()) == list(single.subjects.items()) == list(columns.items())
             for got, want in zip(batched.expected_values(), single.expected_values()):
                 assert got.tolist() == want.tolist()
         assert len(batched) == len(single)
         for evaluator in MANY_IDS:
             for subject in MANY_IDS:
                 got = batched.get(evaluator, subject)
-                assert got == single.get(evaluator, subject)
+                assert got == single.get(evaluator, subject) == opinions.get((evaluator, subject))
                 if got is not None:
                     assert type(got.positive) is int and type(got.negative) is int
                     assert repr(batched.direct_trust(evaluator, subject)) == repr(got.expected_value())
