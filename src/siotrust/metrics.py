@@ -248,12 +248,11 @@ def write_esr_csv(assessments: TrustColumns, path: str | Path, trust_text: np.nd
     T column's text (`AssessmentTable.trust_text`), which the trust trace
     shares. A split's points are its values in the order of a stable
     argsort, which is the order `sorted` gives, 0.0 and -0.0 tied in row
-    order. Each
-    point carries `esr_cdf`'s fraction: ties are found with `!=`, and a run
-    of ties carries `(index of its last element + 1) / n`, computed as one
-    float64 division, which is the division Python does on the two ints.
-    Rows are written `CHUNK_LINES` at a time, each fraction formatted once
-    per chunk, the same bytes `csv.writer` would write.
+    order. Each point carries `esr_cdf`'s fraction: ties are found with
+    `!=`, and a run of ties carries `(index of its last element + 1) / n`,
+    computed as one float64 division, which is the division Python does on
+    the two ints. Rows are written `CHUNK_LINES` at a time, each fraction
+    formatted once per chunk, the same bytes `csv.writer` would write.
     """
     trust, split_rows = assessments.trust, assessments.split_rows()
     with open(path, "w", encoding="utf-8", newline="") as handle:
