@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Sequence
@@ -166,7 +167,14 @@ def _run_one(config: ScenarioConfig, out_dir: Path) -> RunResult:
 
 
 def run_batch(base: ScenarioConfig, seeds: Sequence[int], out_dir: Path) -> list[RunResult]:
-    """Run every seed (concurrently), then write the aggregate files."""
+    """Run every seed (concurrently), then write the aggregate files.
+
+    A seed listed twice is refused before anything is written: its two runs
+    would write the same files at once, and metrics.csv would count it twice.
+    """
+    repeated = sorted(seed for seed, count in Counter(seeds).items() if count > 1)
+    if repeated:
+        raise ConfigError(f"seed list repeats seed(s) {', '.join(map(str, repeated))}: {list(seeds)}")
     out_dir.mkdir(parents=True, exist_ok=True)
     configs = [base.with_seed(seed) for seed in seeds]
     workers = min(len(configs), os.cpu_count() or 1)

@@ -16,6 +16,12 @@ Time advances in fixed ticks. Each tick runs the same pipeline:
   3. service interactions between members in radius
   4. random-waypoint movement
 
+Proximity is computed on device indices, never as an n x n matrix. The
+interactions take the squared distance of every pair i < j as one vector
+of n(n-1)/2 floats; the attackers take one block of rows, attackers by all
+devices; a nearest-manager lookup takes rows against the managers. Each
+entry is the same `dx*dx + dy*dy` a full matrix would hold.
+
 Managers join their own network at t=0 without adjudication; admitted
 identities stay members. Epoch monitoring produces trust assessments, not
 verdicts, so a granted device is never retroactively expelled and the
@@ -24,7 +30,7 @@ false-positive story of a run depends only on request adjudication.
 Determinism contract: a config and a seed fix every byte of the event log.
 All randomness flows from two seeded generators (a numpy PCG64 stream for
 geometry and experience outcomes, a python Random for attacker forging),
-iteration is always over sorted ids or fixed index arrays, and times are
+iteration is always over sorted ids or index arrays in id order, and times are
 computed as step * tick rather than accumulated. So are epochs: epoch k
 runs at the first tick whose time reaches k * epoch_interval (within 1e-9),
 every epoch due at that tick.
@@ -70,8 +76,10 @@ from .social import (
     context_for,
 )
 from .trust import (
+    NO_RECOMMENDATIONS,
     AssessmentTable,
     OpinionStore,
+    Recommendations,
     assess,  # noqa: F401  the engine assesses in arrays; perfbench counts scalar calls here
     exchange_recommendations,
     overall_trust_array,
@@ -325,11 +333,11 @@ class SimulationEngine:
         self.log = EventLog()
         self.assessments = AssessmentTable(self.log.symbols)
         self.registry = DeviceRegistry()
-        self.store = OpinionStore(self.context.base_rate)
+        self.store = OpinionStore(self.context.base_rate, self.log.symbols)
         self.similarity = _StaticSimilarity(config.weights())
         self.communities: list[Community] = []
         self._community_of: dict[str, Community] = {}
-        self.rec_cache: dict[tuple[str, str], float] = {}
+        self.rec_cache: Recommendations = NO_RECOMMENDATIONS
         self.attempts: list[AttackAttempt] = []
 
         self._build_world()
@@ -345,6 +353,7 @@ class SimulationEngine:
         )
         self._relations: dict[tuple[str, str], RelationType] = {}
         self._last_request: dict[str, float] = {}
+        self._roster_size = -1  # len(gate.members) when the legitimate presentations were taken
 
     # -- world construction ---------------------------------------------------
 
@@ -400,13 +409,13 @@ class SimulationEngine:
         }
 
         self.ids: list[str] = sorted(legit_ids + self.attacker_ids)
-        self.index = {device_id: i for i, device_id in enumerate(self.ids)}
         n = len(self.ids)
         attacker_set = set(self.attacker_ids)
         self.attacker_mask = np.array([i in attacker_set for i in self.ids])
         self.legit_mask = ~self.attacker_mask
         self.manager_mask = np.array([i in manager_ids for i in self.ids])
         self.manager_indices = np.nonzero(self.manager_mask)[0]
+        self.attacker_indices = np.nonzero(self.attacker_mask)[0]  # attacker_ids order: ids are sorted
         self.legit_ids = legit_ids
         self._legit_id_set = set(legit_ids)
 
@@ -414,11 +423,12 @@ class SimulationEngine:
         highs = np.array([cfg.area_width, cfg.area_height])
         self.positions = self.rng.uniform(lows, highs, size=(n, 2))
         self.targets = self.rng.uniform(lows, highs, size=(n, 2))
-        self.devices = [self.registry.device(i) for i in self.ids]  # by index
+        self.devices = np.empty(n, dtype=object)  # by index; an object array, so it takes index arrays
+        self.devices[:] = [self.registry.device(i) for i in self.ids]
         self.speeds = np.array([d.speed for d in self.devices])
         self._area_low = lows
         self._area_high = highs
-        self.last_interaction = np.full((n, n), -math.inf)
+        self.last_interaction = np.full(n * (n - 1) // 2, -math.inf)  # by pair, as `_pairs` orders them
 
     def _friendship_graph(self, size: int) -> FriendshipGraph:
         if self.cfg.friends_path is not None:
@@ -467,18 +477,18 @@ class SimulationEngine:
             self.gate.bootstrap_member(manager.id, manager.id)
             self.log.append(0.0, "bootstrap", manager.id)
 
+        self._pending = [(i, self.devices[i]) for i in self._subordinates.tolist()]
         steps = int(round(cfg.duration / cfg.tick))
         epoch = 1  # the next epoch's number; see the module docstring
         for step in range(steps):
             now = step * cfg.tick
-            # epoch tasks never move a device, so one matrix serves the tick
-            sq_dist = self._squared_distances()
+            # only `_move` moves a device: every phase before it sees one set of positions
             while now + 1e-9 >= epoch * cfg.epoch_interval:
-                self._epoch(now, sq_dist)
+                self._epoch(now)
                 epoch += 1
-            self._legit_requests(now, sq_dist)
-            self._attacker_requests(now, sq_dist)
-            self._interactions(now, sq_dist)
+            self._legit_requests(now)
+            self._attacker_requests(now)
+            self._interactions(now, self._squared_distances())
             self._move()
 
         counters = ConfusionCounters.from_requests(self.gate.decisions)
@@ -492,62 +502,95 @@ class SimulationEngine:
             counters=counters,
         )
 
+    # -- distances ---------------------------------------------------------------
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j) of every pair i < j in row-major order: the upper triangle, built at the first tick."""
+        return np.triu_indices(len(self.ids), k=1)
+
     def _squared_distances(self) -> np.ndarray:
+        """The squared distance of every pair in `_pairs`, one vector.
+
+        Entry k is `dx*dx + dy*dy` with `dx = x[i] - x[j]`, the entry (i, j)
+        of the full matrix, bit for bit.
+        """
+        ii, jj = self._pairs
+        delta = self.positions.take(ii, axis=0) - self.positions.take(jj, axis=0)
+        dx = delta[:, 0]
+        dy = delta[:, 1]
+        return dx * dx + dy * dy
+
+    def _block(self, rows: np.ndarray, columns: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Squared distances from each device in `rows` to each in `columns`.
+
+        Entry for entry what `_squared_distances` gives the pair: the
+        difference only changes sign when the two swap, and squares the same.
+        """
         x = self.positions[:, 0]
         y = self.positions[:, 1]
-        dx = x[:, None] - x[None, :]
-        dy = y[:, None] - y[None, :]
+        dx = x[rows, None] - x[None, columns]
+        dy = y[rows, None] - y[None, columns]
         return dx * dx + dy * dy
+
+    def _nearest_managers(self, devices: np.ndarray) -> np.ndarray:
+        """The index of each device's nearest manager; equal distances go to the first id."""
+        return self.manager_indices[np.argmin(self._block(devices, self.manager_indices), axis=1)]
+
+    def _attacker_ranges(self) -> list[tuple[list[Device], list[Device]]]:
+        """Per attacker, in `attacker_ids` order: (legitimate devices in radius, the managers among them).
+
+        Both nearest first, ties by id, from one block of attacker rows and
+        one sort on (attacker, distance, index). An attacker is never
+        legitimate, so it is never in its own range.
+        """
+        block = self._block(self.attacker_indices)
+        rows, columns = np.nonzero(self.legit_mask & (block <= self.cfg.interaction_radius**2))
+        order = np.lexsort((columns, block[rows, columns], rows))
+        rows, columns = rows[order], columns[order]
+        manages = self.manager_mask[columns]
+        attackers = np.arange(len(self.attacker_indices) + 1)
+        victims = self.devices[columns].tolist()
+        managers = self.devices[columns[manages]].tolist()
+        v = np.searchsorted(rows, attackers).tolist()
+        m = np.searchsorted(rows[manages], attackers).tolist()
+        return [(victims[v[k] : v[k + 1]], managers[m[k] : m[k + 1]]) for k in attackers[:-1].tolist()]
 
     # -- request phases -------------------------------------------------------
 
-    def _nearest_manager(self, device_index: int, sq_dist: np.ndarray) -> Device:
-        row = sq_dist[device_index, self.manager_indices]
-        own = self.manager_indices[int(np.argmin(row))]
-        return self.registry.device(self.ids[own])
+    @cached_property
+    def _subordinates(self) -> np.ndarray:
+        """Indices of the legitimate devices that are not managers, in id order."""
+        return np.flatnonzero(self.legit_mask & ~self.manager_mask)
 
-    def _in_range(self, device_index: int, sq_dist: np.ndarray) -> np.ndarray:
-        """Indices of the legitimate devices within interaction radius, nearest first.
+    def _legit_requests(self, now: float) -> None:
+        """Requests from the subordinates not on the roster, each at most once per retry interval.
 
-        Ties in distance go by id. `self.ids` is sorted, so index order is id
-        order, and a stable sort of the ascending hits by distance gives
-        exactly the `(distance, id)` order.
+        The pending list only shrinks: an identity never leaves the roster,
+        and the only identity a request in this loop admits is its own.
         """
-        row = sq_dist[device_index]
-        radius_sq = self.cfg.interaction_radius**2
-        hits = np.nonzero(self.legit_mask & (row <= radius_sq))[0]
-        hits = hits[hits != device_index]
-        return hits[row[hits].argsort(kind="stable")]
-
-    def _legit_requests(self, now: float, sq_dist: np.ndarray) -> None:
         cfg = self.cfg
-        for device_id in self.legit_ids:
-            device = self.registry.device(device_id)
-            if device.is_manager or self.gate.is_member(device_id):
-                continue
-            last = self._last_request.get(device_id, -math.inf)
+        members = self.gate.members
+        self._pending = [(i, device) for i, device in self._pending if device.id not in members]
+        for index, device in self._pending:
+            last = self._last_request.get(device.id, -math.inf)
             if now - last < cfg.request_retry_interval:
                 continue
-            manager = self._nearest_manager(self.index[device_id], sq_dist)
+            manager = self.devices[self._nearest_managers(np.array([index]))[0]]
             request = AccessRequest(
                 time=now,
-                identity=device_id,
-                presenter=device_id,
+                identity=device.id,
+                presenter=device.id,
                 friends=frozenset(device.friends),
                 interests=frozenset(device.interests),
                 target_manager=manager.id,
             )
             self._adjudicate(request)
-            self._last_request[device_id] = now
+            self._last_request[device.id] = now
 
-    def _attacker_requests(self, now: float, sq_dist: np.ndarray) -> None:
+    def _attacker_requests(self, now: float) -> None:
         cfg = self.cfg
-        for attacker_id in self.attacker_ids:
-            engine = self.engines[attacker_id]
-            device_index = self.index[attacker_id]
-            in_range = self._in_range(device_index, sq_dist)
-            victims = [self.devices[i] for i in in_range.tolist()]
-            managers = [self.devices[i] for i in in_range[self.manager_mask[in_range]].tolist()]
+        for (attacker_id, engine), (victims, managers) in zip(self.engines.items(), self._attacker_ranges()):
             engine.observe(victims)
             picked = engine.attempt(now, managers, victims)
             self._drain_acquisitions(engine, now)
@@ -627,49 +670,50 @@ class SimulationEngine:
 
         A legitimate device is a member under its own id; an attacker device
         is one while it presents an identity the roster holds under it.
-        Attacker device ids are never identity ids.
+        Attacker device ids are never identity ids. The roster only grows,
+        so the legitimate part is retaken only when its size changes.
         """
         members = self.gate.members
-        codes = np.where([i in members for i in self.ids], self._codes, -1)
-        for attacker_id, engine in self.engines.items():
+        if len(members) != self._roster_size:
+            self._roster_size = len(members)
+            self._legit_presentation = np.where([i in members for i in self.ids], self._codes, -1)
+        codes = self._legit_presentation.copy()
+        for index, engine in zip(self.attacker_indices.tolist(), self.engines.values()):
             presented = engine.presented
             holders = members.get(presented.id, ()) if presented is not None else ()
-            codes[self.index[attacker_id]] = self.log.symbols.code(presented.id) if attacker_id in holders else -1
+            codes[index] = self.log.symbols.code(presented.id) if engine.device.id in holders else -1
         return codes
 
     def _interactions(self, now: float, sq_dist: np.ndarray) -> None:
         """Service experiences between members in radius, each pair once per period.
 
-        Pairs i < j in row-major order, found among the pairs in radius and
-        then filtered by membership and due time: the same pairs, in the
-        same order, as filtering the upper triangle of the whole matrix.
-        The tick's experiences, i's of j then j's of i for each pair, go to
-        the opinion store in one batched write and to the log in one extend.
+        `sq_dist` is the pair vector of `_squared_distances`. Pairs i < j in
+        row-major order, found among the pairs in radius and then filtered
+        by membership and due time: the same pairs, in the same order, as
+        filtering the upper triangle of the whole matrix. The tick's
+        experiences, i's of j then j's of i for each pair, go to the opinion
+        store as id-table codes in one batched write and to the log in one
+        extend.
         """
         cfg = self.cfg
         identity_codes = self._member_presentation()
         member = identity_codes >= 0
-        ii, jj = np.nonzero(sq_dist <= cfg.interaction_radius**2)
-        upper = ii < jj
-        ii, jj = ii[upper], jj[upper]
-        due = now - self.last_interaction[ii, jj] >= cfg.interaction_period
-        keep = member[ii] & member[jj] & due
-        ii, jj = ii[keep], jj[keep]
+        near = np.flatnonzero(sq_dist <= cfg.interaction_radius**2)
+        ii, jj = self._pairs[0][near], self._pairs[1][near]
+        keep = member[ii] & member[jj] & (now - self.last_interaction[near] >= cfg.interaction_period)
+        near, ii, jj = near[keep], ii[keep], jj[keep]
         if len(ii) == 0:
             return
         draws = self.rng.random((len(ii), 2)).ravel()
-        self.last_interaction[ii, jj] = now
+        self.last_interaction[near] = now
         # two experiences per pair, in log order: i's of j (draw 0), j's of i (draw 1)
         evaluators = np.column_stack([ii, jj]).ravel()
         subjects = np.column_stack([jj, ii]).ravel()
         positive = _interaction_outcomes(
             draws, self.attacker_mask[subjects], cfg.p_positive_legit, cfg.p_negative_attacker
         )
-        names = self.log.symbols.names
         evaluator_codes, subject_codes = self._codes[evaluators], identity_codes[subjects]
-        self.store.record_experiences(
-            [names[c] for c in evaluator_codes.tolist()], [names[c] for c in subject_codes.tolist()], positive
-        )
+        self.store.record_coded(evaluator_codes, subject_codes, positive)
         self.log.extend(now, "exp", evaluator_codes, subject_codes, self._outcomes[positive.view(np.uint8)])
 
     def _move(self) -> None:
@@ -689,10 +733,10 @@ class SimulationEngine:
 
     # -- epoch tasks --------------------------------------------------------------
 
-    def _epoch(self, now: float, sq_dist: np.ndarray) -> None:
+    def _epoch(self, now: float) -> None:
         self._form_communities(now)
         self._duplicate_scan(now)
-        self._rebuild_recommendations(sq_dist)
+        self._rebuild_recommendations()
         self._monitor_members(now)
         self._snapshot_positions(now)
 
@@ -737,7 +781,7 @@ class SimulationEngine:
         for identity_id, presenters in duplicated:
             self.log.append(now, "duplicate-scan", identity_id, "|".join(sorted(presenters)), penalty)
 
-    def _rebuild_recommendations(self, sq_dist: np.ndarray) -> None:
+    def _rebuild_recommendations(self) -> None:
         """Periodic opinion exchange.
 
         Managers broadcast their own opinions to every other manager;
@@ -756,12 +800,11 @@ class SimulationEngine:
         """
         relation = self.cfg.relation
         routes = list(self._manager_routes)
-        for device_id in self.legit_ids:
-            if self.registry.device(device_id).is_manager:
-                continue
-            nearest = self._nearest_manager(self.index[device_id], sq_dist)
-            if self._relation(nearest.id, device_id) is relation:
-                routes.append((device_id, [nearest.id]))
+        ids = self.ids
+        nearest = self._nearest_managers(self._subordinates)
+        for device, manager in zip(self._subordinates.tolist(), nearest.tolist()):
+            if self._relation(ids[manager], ids[device]) is relation:
+                routes.append((ids[device], [ids[manager]]))
         self.rec_cache = exchange_recommendations(self.store, routes)
 
     @cached_property
@@ -780,13 +823,16 @@ class SimulationEngine:
         the ESR split. Membership itself is not revisited. Each manager's
         D, S and R are taken over the sorted members at once, blended as
         arrays and appended to the assessment columns: D for all managers
-        comes from one read of the opinion store, and S is computed once
-        per community, since it does not depend on the manager.
+        comes from one read of the opinion store, S is computed once per
+        community, since it does not depend on the manager, and R is one
+        read of the manager's row of the exchange, by store column.
         """
         base = self.store.base_rate
+        code = self.log.symbols.code
         managers = self.registry.managers()
         members = sorted(self.gate.members)
-        codes = np.array([self.log.symbols.code(s) for s in members], dtype=np.intc)
+        codes = np.array([code(s) for s in members], dtype=np.intc)
+        columns = np.array([self.store.subjects.get(s, -1) for s in members], dtype=np.intp)
         direct = self.store.direct_trust_matrix([m.id for m in managers], members)
         similarity: dict[int, np.ndarray] = {}  # community id -> S over all members
         for manager, direct_row in zip(managers, direct):
@@ -796,9 +842,9 @@ class SimulationEngine:
                     self.similarity.community_mean(self._profile_of(s), community, self.registry)
                     for s in members
                 ])
-            others = np.array([k for k, s in enumerate(members) if s != manager.id], dtype=np.intp)
+            others = np.flatnonzero(codes != code(manager.id))
             d, s = direct_row[others], similarity[community.id][others]
-            r = np.array([self.rec_cache.get((manager.id, members[k]), base) for k in others.tolist()])
+            r = self.rec_cache.received(manager.id, columns[others], base)
             t = overall_trust_array(d, s, r, self.cfg.relation)
             self.assessments.extend(now, manager.id, codes[others], self.cfg.relation, d, s, r, t, "internal")
 

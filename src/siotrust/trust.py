@@ -22,6 +22,7 @@ alpha = beta = (1 - gamma) / 2, so the three weights sum to one.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -88,18 +89,24 @@ class OpinionStore:
     recommendation exchange keeps its sums bit-equal with two more rules,
     fixed sender order and no matrix product (see `exchange_recommendations`).
     Counts leave the store as Python ints, so every float computed from
-    them is a Python float.
+    them is a Python float. Writes name ids as strings or as codes of the
+    store's id table (`record.Symbols`; the engine passes the run's own, so
+    its interactions book the codes they already hold); either way a code
+    maps to its row and column through one array per axis.
 
     The store carries the run's context base rate, which fills the uncertain
     mass of every expected value it computes.
     """
 
-    def __init__(self, base_rate: float) -> None:
+    def __init__(self, base_rate: float, symbols: Symbols | None = None) -> None:
         if not 0.0 <= base_rate <= 1.0:
             raise ValueError(f"base rate out of range: {base_rate}")
         self.base_rate = base_rate
-        self.evaluators: dict[str, int] = {}  # id -> row
-        self.subjects: dict[str, int] = {}  # id -> column, in column order
+        self.symbols = Symbols() if symbols is None else symbols
+        self._rows = _Axis()
+        self._columns = _Axis()
+        self.evaluators = self._rows.ids  # id -> row
+        self.subjects = self._columns.ids  # id -> column, in column order
         self._counts = np.zeros((2, 16, 16), dtype=np.int64)  # [negative, positive][row, column]
 
     def get(self, evaluator: str, subject: str) -> Opinion | None:
@@ -131,10 +138,23 @@ class OpinionStore:
         units: new rows and columns are assigned in first-sight order along
         the batch. `record_experience` is the batch of one.
         """
+        code = self.symbols.code
+        self.record_coded([code(e) for e in evaluators], [code(s) for s in subjects], positive, units)
+
+    def record_coded(
+        self, evaluators: Sequence[int] | np.ndarray, subjects: Sequence[int] | np.ndarray, positive: np.ndarray,
+        units: int = 1,
+    ) -> None:
+        """`record_experiences` with evaluators and subjects as codes of the store's id table.
+
+        Every write books through here, so rows and columns are assigned in
+        the same first-sight order whichever way the ids came.
+        """
         if units < 1:
             raise ValueError(f"batched experience units must be positive: {units}")
-        rows = _positions(self.evaluators, evaluators)
-        columns = _positions(self.subjects, subjects)
+        names = self.symbols.names
+        rows = self._rows.positions(evaluators, names)
+        columns = self._columns.positions(subjects, names)
         self._reserve()
         np.add.at(self._counts, (np.asarray(positive, dtype=np.intp), rows, columns), units)
 
@@ -203,17 +223,30 @@ class OpinionStore:
         return int(np.count_nonzero(positive + negative))
 
 
-def _positions(axis: dict[str, int], ids: Sequence[str]) -> np.ndarray:
-    """Each id's index on a store axis, assigning new ids in first-sight order."""
-    found = list(map(axis.get, ids))
-    if None in found:
-        found = [axis.setdefault(i, len(axis)) for i in ids]
-    return np.array(found, dtype=np.intp)
+class _Axis:
+    """One store axis: each id's index, assigned in first-sight order, by id and by id-table code."""
+
+    def __init__(self) -> None:
+        self.ids: dict[str, int] = {}
+        self._by_code = np.full(16, -1, dtype=np.intp)  # code -> index, -1 while unassigned
+
+    def positions(self, codes: Sequence[int] | np.ndarray, names: list[str]) -> np.ndarray:
+        """Each code's index, assigning new ids in first-sight order along `codes`."""
+        codes = np.asarray(codes, dtype=np.intp)
+        if len(self._by_code) < len(names):
+            grown = np.full(2 * len(names), -1, dtype=np.intp)
+            grown[: len(self._by_code)] = self._by_code
+            self._by_code = grown
+        found = self._by_code[codes]
+        if (found < 0).any():
+            for code in codes[found < 0].tolist():
+                if self._by_code[code] < 0:
+                    self._by_code[code] = self.ids.setdefault(names[code], len(self.ids))
+            found = self._by_code[codes]
+        return found
 
 
-def exchange_recommendations(
-    store: OpinionStore, routes: Sequence[tuple[str, Sequence[str]]]
-) -> dict[tuple[str, str], float]:
+def exchange_recommendations(store: OpinionStore, routes: Sequence[tuple[str, Sequence[str]]]) -> Recommendations:
     """(receiver, subject) -> mean expected value the receiver was sent.
 
     `routes` lists (sender, distinct receivers) in sender order. Each sender
@@ -245,13 +278,55 @@ def exchange_recommendations(
         into = [slot[r] for r in targets]
         sums[into] += sent[row]
         counts[into] += held[row]
-    rows, cols = np.nonzero(counts)
-    means = (sums[rows, cols] / counts[rows, cols]).tolist()
-    subjects = list(store.subjects)
-    return {
-        (receivers[r], subjects[c]): mean
-        for r, c, mean in zip(rows.tolist(), cols.tolist(), means)
-    }
+    return Recommendations(receivers, store.subjects, sums / np.maximum(counts, 1), counts > 0)
+
+
+class Recommendations(Mapping):
+    """What an exchange delivered, read-only: (receiver, subject) -> mean.
+
+    Kept as the receiver x subject-column arrays the exchange computed, not
+    as one entry per key. A key is present when the receiver was sent at
+    least one opinion about the subject; keys iterate row-major, receivers
+    sorted and subjects in store column order. `subjects` is the store's
+    own id -> column table, so a subject the store first meets after the
+    exchange is absent, as it was from the exchange.
+    """
+
+    def __init__(self, receivers: list[str], subjects: dict[str, int], means: np.ndarray, held: np.ndarray) -> None:
+        self._receivers = receivers
+        self._slot = {receiver: k for k, receiver in enumerate(receivers)}
+        self._subjects = subjects
+        self._width = held.shape[1]
+        # one more column, never held, which an absent subject indexes as -1
+        self._means = np.pad(means, ((0, 0), (0, 1)))
+        self._held = np.pad(held, ((0, 0), (0, 1)))
+
+    def __getitem__(self, key: tuple[str, str]) -> float:
+        receiver, subject = key
+        row, column = self._slot.get(receiver), self._subjects.get(subject, -1)
+        if row is None or not 0 <= column < self._width or not self._held[row, column]:
+            raise KeyError(key)
+        return self._means[row, column].item()
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        subjects = list(self._subjects)
+        rows, columns = np.nonzero(self._held)
+        return ((self._receivers[r], subjects[c]) for r, c in zip(rows.tolist(), columns.tolist()))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._held))
+
+    def received(self, receiver: str, columns: np.ndarray, default: float) -> np.ndarray:
+        """The receiver's mean for each store column (-1: none), `default` where it received none."""
+        row = self._slot.get(receiver)
+        if row is None:
+            return np.full(len(columns), default)
+        columns = np.where(columns < self._width, columns, -1)
+        return np.where(self._held[row, columns], self._means[row, columns], default)
+
+
+# what every receiver holds before the first exchange; read-only, so one serves every run
+NO_RECOMMENDATIONS = Recommendations([], {}, np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
 
 
 def weights_from_relation(relation: RelationType) -> tuple[float, float, float]:

@@ -134,6 +134,17 @@ class TestReplay:
         err = capsys.readouterr().err
         assert err.startswith("error: manifest") and named in err
 
+    @pytest.mark.parametrize("seeds,named", [([1, 1], "1"), ([3, 1, 3, 2, 1], "1, 3")])
+    def test_replay_refuses_a_repeated_seed(self, tmp_path, capsys, seeds, named):
+        # two runs of one seed would write the same six files at once
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"format": "siotrust-manifest/1", "config": SMALL, "seeds": seeds}))
+        out = tmp_path / "o"
+        assert main(["--from-manifest", str(manifest), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: seed list repeats seed(s) {named}:")
+        assert not out.exists()
+
 
 class TestBadInput:
     def test_invalid_json_config(self, tmp_path, capsys):

@@ -469,6 +469,15 @@ class TestParkContext:
 # -- tick phases against the loops they replaced -------------------------------
 
 
+def reference_matrix(positions):
+    """The n x n squared-distance matrix the tick computed before it worked on pairs."""
+    x = positions[:, 0]
+    y = positions[:, 1]
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    return dx * dx + dy * dy
+
+
 def reference_in_range(engine, device_index, sq_dist, mask):
     """The scalar ordering: hits under `mask` other than the device, by (distance, id)."""
     row = sq_dist[device_index]
@@ -478,22 +487,72 @@ def reference_in_range(engine, device_index, sq_dist, mask):
     return [engine.registry.device(engine.ids[i]) for i in ordered]
 
 
+@pytest.fixture(scope="module")
+def world():
+    """A 30-node engine whose positions each example overwrites."""
+    return SimulationEngine(ScenarioConfig(**SMALL))
+
+
+# coordinates on a lattice whose distances tie often and land on the 15 m
+# radius exactly (9-12-15, 0-15), just inside it (224.9) and just outside
+# it (225.1), mixed with any coordinate in the field
+coordinates = st.sampled_from([0.0, 3.0, 4.0, 9.0, 12.0, 15.0, math.sqrt(224.9), math.sqrt(225.1)]) | st.floats(0.0, 100.0)
+layouts = st.lists(st.tuples(coordinates, coordinates), min_size=30, max_size=30).map(np.array)
+
+
+class TestPairKernel:
+    @given(positions=layouts)
+    def test_pairs_equal_the_upper_triangle_of_the_matrix(self, world, positions):
+        world.positions = positions
+        matrix = reference_matrix(positions)
+        n = len(world.ids)
+        got = world._squared_distances()
+        ii, jj = world._pairs
+        assert list(zip(ii.tolist(), jj.tolist())) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert got.tolist() == matrix[ii, jj].tolist()
+        # the in-radius pairs, in the row-major order the matrix gave them
+        radius_sq = world.cfg.interaction_radius**2
+        near = np.flatnonzero(got <= radius_sq)
+        want_i, want_j = np.nonzero(np.triu(matrix <= radius_sq, k=1))
+        assert (ii[near].tolist(), jj[near].tolist()) == (want_i.tolist(), want_j.tolist())
+        # the row blocks hold the same entries, and the nearest manager is the row's first minimum
+        assert world._block(np.arange(n)).tolist() == matrix.tolist()
+        managers = world.manager_indices
+        nearest = world._nearest_managers(np.arange(n)).tolist()
+        assert nearest == [managers[int(np.argmin(matrix[i, managers]))] for i in range(n)]
+
+    def test_the_radius_itself_is_in_range(self):
+        # d001, d002 and d003 sit at 225.0, 225.1 and 224.9 from d000; every
+        # other device is 20 m from its neighbours, far off
+        engine = SimulationEngine(ScenarioConfig(**SMALL))
+        k = np.arange(30)
+        engine.positions = np.column_stack([100.0 + 20.0 * (k % 6), 20.0 * (k // 6)])
+        d000, d001, d002, d003 = (engine.ids.index(f"d00{i}") for i in range(4))
+        engine.positions[[d000, d001, d002, d003]] = [
+            (0.0, 0.0), (9.0, 12.0), (0.0, -math.sqrt(225.1)), (-math.sqrt(224.9), 0.0)
+        ]
+        assert reference_matrix(engine.positions)[d000, d001] == 225.0
+        for device_id in engine.legit_ids:
+            engine.gate.bootstrap_member(device_id, device_id)
+        engine._interactions(0.0, engine._squared_distances())
+        ii, jj = engine._pairs
+        met = np.flatnonzero(engine.last_interaction == 0.0)
+        assert list(zip(ii[met].tolist(), jj[met].tolist())) == [(d000, d001), (d000, d003)]
+
+
 class TestInRange:
-    # few distinct distances, so ties are common; 225.0 is the radius itself
-    @given(distances=st.lists(st.sampled_from([0.0, 1.0, 4.0, 224.9, 225.0, 225.1]), min_size=30, max_size=30),
-           device_index=st.integers(0, 29))
-    def test_order_equals_the_distance_id_sort(self, small_run, distances, device_index):
-        engine, _ = small_run
-        sq_dist = np.zeros((30, 30))
-        sq_dist[device_index] = distances
-        in_range = engine._in_range(device_index, sq_dist)
-        got = [engine.devices[i] for i in in_range.tolist()]
-        assert got == reference_in_range(engine, device_index, sq_dist, engine.legit_mask)
-        # the attacker phase takes managers in range from the manager mask:
-        # the victims that manage, in the same order
-        managers = [engine.devices[i] for i in in_range[engine.manager_mask[in_range]].tolist()]
-        assert managers == [d for d in got if d.is_manager]
-        assert managers == reference_in_range(engine, device_index, sq_dist, engine.manager_mask)
+    @given(positions=layouts)
+    def test_order_equals_the_distance_id_sort(self, world, positions):
+        world.positions = positions
+        matrix = reference_matrix(positions)
+        ranges = world._attacker_ranges()
+        assert len(ranges) == len(world.attacker_ids)
+        for attacker_id, (victims, managers) in zip(world.attacker_ids, ranges):
+            index = world.ids.index(attacker_id)
+            assert victims == reference_in_range(world, index, matrix, world.legit_mask)
+            # the victims that manage, in the same order
+            assert managers == [d for d in victims if d.is_manager]
+            assert managers == reference_in_range(world, index, matrix, world.manager_mask)
 
 
 def scalar_outcome(draw, subject_is_attacker, p_positive_legit, p_negative_attacker):
@@ -531,7 +590,16 @@ class TestInteractionOutcomes:
 
 
 class ScalarInteractions(SimulationEngine):
-    """The engine with the per-pair interaction loop the batched one replaced."""
+    """The engine with the per-pair interaction loop over the n x n matrix that the batched one replaced.
+
+    It ignores the pair vector it is handed: it builds its own matrix from
+    the positions and keeps its own n x n `last_matrix`.
+    """
+
+    def __init__(self, config):
+        super().__init__(config)
+        n = len(self.ids)
+        self.last_matrix = np.full((n, n), -math.inf)
 
     def _scalar_member_presentation(self):
         n = len(self.ids)
@@ -559,15 +627,16 @@ class ScalarInteractions(SimulationEngine):
         member, identity_of = self._scalar_member_presentation()
         if not member.any():
             return
-        due = now - self.last_interaction >= cfg.interaction_period
-        eligible = (sq_dist <= cfg.interaction_radius**2) & member[:, None] & member[None, :] & due
+        matrix = reference_matrix(self.positions)
+        due = now - self.last_matrix >= cfg.interaction_period
+        eligible = (matrix <= cfg.interaction_radius**2) & member[:, None] & member[None, :] & due
         ii, jj = np.nonzero(np.triu(eligible, k=1))
         if len(ii) == 0:
             return
         draws = self.rng.random((len(ii), 2))
         for k in range(len(ii)):
             i, j = int(ii[k]), int(jj[k])
-            self.last_interaction[i, j] = now
+            self.last_matrix[i, j] = now
             self._experience(now, self.ids[i], identity_of[j], self.attacker_mask[j], draws[k, 0])
             self._experience(now, self.ids[j], identity_of[i], self.attacker_mask[i], draws[k, 1])
 
@@ -589,8 +658,31 @@ def test_batched_interactions_equal_the_per_pair_loop(overrides):
     scalar = ScalarInteractions(config)
     assert batched.run().log.text() == scalar.run().log.text()
     assert " exp " in scalar.log.text()
-    assert np.array_equal(batched.last_interaction, scalar.last_interaction)
+    upper = np.triu_indices(len(scalar.ids), k=1)
+    assert np.array_equal(batched.last_interaction, scalar.last_matrix[upper])
+    # code-keyed writes assign rows and columns in the order the string writes did
+    assert list(batched.store.evaluators.items()) == list(scalar.store.evaluators.items())
+    assert list(batched.store.subjects.items()) == list(scalar.store.subjects.items())
     assert batched.store.by_evaluator() == scalar.store.by_evaluator()
+
+
+def test_member_presentation_follows_the_roster():
+    # in the pinned scenarios every legitimate device joins at t=0 or never,
+    # so the roster is grown here by hand between two reads
+    engine = SimulationEngine(ScenarioConfig(**SMALL))
+    names = engine.log.symbols.names
+
+    def presented():
+        return [names[c] if c >= 0 else None for c in engine._member_presentation().tolist()]
+
+    assert presented() == [None] * 30
+    engine.gate.bootstrap_member("d010", "d010")
+    engine.gate.bootstrap_member("d003", "adv01")  # an identity on the roster makes its device a member
+    expected = [i if i in ("d003", "d010") else None for i in engine.ids]
+    assert presented() == expected
+    attacker = engine.engines["adv01"]
+    attacker.presented = attacker.steal_identity(engine.registry.device("d003"))
+    assert presented() == [("d003" if i == "adv01" else p) for i, p in zip(engine.ids, expected)]
 
 
 def observe_every_time(self, devices_in_radius):

@@ -11,6 +11,7 @@ from siotrust.authn import AccessRequest
 from siotrust.sim import ScenarioConfig, SimulationEngine, run_scenario
 from siotrust.social import RelationType
 from siotrust.metrics import CHUNK_LINES
+from siotrust.record import Symbols
 from siotrust.trust import (
     AssessmentTable,
     Opinion,
@@ -177,7 +178,7 @@ class TestRecommendation:
         engine.store.record_experience("d001", "x", "positive")
         engine.store.record_experience("d002", "x", "negative")
         engine.store.record_experience("adv00", "x", "negative")  # attackers never send
-        engine._rebuild_recommendations(engine._squared_distances())
+        engine._rebuild_recommendations()
         assert engine.rec_cache[("d000", "x")] == Opinion(1, 0, base).expected_value()
         assert ("d001", "x") not in engine.rec_cache
         assert ("d002", "x") not in engine.rec_cache
@@ -193,7 +194,7 @@ class TestRecommendation:
         # under the por filter no legitimate pair qualifies as a sender
         engine = small_engine(relation=RelationType.POR, context_kind="park")
         engine.store.record_experience("d001", "d010", "positive")
-        engine._rebuild_recommendations(engine._squared_distances())
+        engine._rebuild_recommendations()
         assert engine.rec_cache == {}
         subject = engine.registry.device("d010")
         request = AccessRequest(0.0, "d010", "d010", frozenset(subject.friends), frozenset(subject.interests), "d000")
@@ -530,6 +531,64 @@ class TestDenseStore:
 
     def test_empty_exchange(self):
         assert exchange_recommendations(OpinionStore(0.5), [("a", ["b"])]) == {}
+
+    @given(base_rate=st.floats(0.0, 1.0), plan=epochs(), late=st.sampled_from(IDS))
+    def test_recommendations_read_as_the_dict_they_replaced(self, base_rate, plan, late):
+        store = OpinionStore(base_rate)
+        for writes, routes in plan:
+            for evaluator, subject, outcome, times in writes:
+                store.record_experience(evaluator, subject, outcome, times)
+            got = exchange_recommendations(store, routes)
+            # the dict the exchange returned before: one entry per received key, row-major
+            receivers = sorted({r for _, targets in routes for r in targets})
+            subjects = list(store.subjects)
+            opinions = {(e, s): op for e in store.evaluators for s in subjects if (op := store.get(e, s))}
+            reference = reference_exchange(opinions, routes)
+            assert list(got) == sorted(reference, key=lambda key: (receivers.index(key[0]), subjects.index(key[1])))
+            assert len(got) == len(reference) and (got == {}) == (reference == {})
+            # two columns the store assigns after the exchange
+            lates = [f"late-{late}", f"later-{late}"]
+            store.record_experiences(["late-evaluator"] * 2, lates, np.array([True, False]))
+            columns = np.array([store.subjects.get(s, -1) for s in IDS + lates])
+            for receiver in RECEIVERS + ["nobody"]:
+                for subject in IDS + lates + ["never"]:
+                    key = (receiver, subject)
+                    assert (key in got) == (key in reference)
+                    assert got.get(key, -1.0) == reference.get(key, -1.0)
+                row = got.received(receiver, columns, base_rate).tolist()
+                assert row == [reference.get((receiver, s), base_rate) for s in IDS + lates]
+
+    @given(
+        base_rate=st.floats(0.0, 1.0),
+        batches=st.lists(
+            st.tuples(st.lists(st.tuples(many_ids, many_ids, st.booleans()), max_size=30), st.booleans()),
+            max_size=6,
+        ),
+        known=st.permutations(MANY_IDS),
+    )
+    def test_coded_writes_equal_string_writes(self, base_rate, batches, known):
+        # the id table already holds ids in an order of its own, so codes and
+        # store positions differ; some batches go by string through the same table
+        symbols = Symbols()
+        for name in known[:20]:
+            symbols.code(name)
+        coded, named = OpinionStore(base_rate, symbols), OpinionStore(base_rate)
+        for batch, by_code in batches:
+            evaluators, subjects, positive = ([item[k] for item in batch] for k in range(3))
+            positive = np.array(positive, dtype=bool)
+            if by_code:
+                codes = [np.array([symbols.code(i) for i in ids], dtype=np.intp) for ids in (evaluators, subjects)]
+                coded.record_coded(*codes, positive)
+            else:
+                coded.record_experiences(evaluators, subjects, positive)
+            named.record_experiences(evaluators, subjects, positive)
+            assert list(coded.evaluators.items()) == list(named.evaluators.items())
+            assert list(coded.subjects.items()) == list(named.subjects.items())
+            for got, want in zip(coded.expected_values(), named.expected_values()):
+                assert got.tolist() == want.tolist()
+        for evaluator in MANY_IDS:
+            for subject in MANY_IDS:
+                assert coded.get(evaluator, subject) == named.get(evaluator, subject)
 
 
 components = st.floats(-0.25, 1.25) | st.just(math.nan)
