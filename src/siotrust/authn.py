@@ -47,14 +47,7 @@ class AccessRequest:
     time: float
     identity: str
     presenter: str
-    friends: frozenset[str]
-    interests: frozenset[str]
     target_manager: str
-
-    @property
-    def id(self) -> str:
-        # lets a request act as a SocialProfile for similarity purposes
-        return self.identity
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,10 @@ class Symbols:
     """The id table and the time table of one run.
 
     `names` holds each id once, in first-use order, and so do labels such
-    as an outcome or a split; rows store the index `code` returns. `times`
+    as an outcome or a split; rows store the index `code` returns. It is
+    the run's only id-to-integer map: the engine codes its devices first,
+    so a device's index is its code, and the opinion store and the
+    recommendation exchange index their arrays by code. `times`
     holds the run's time objects in order. A time gets a new entry whenever
     another object arrives, even an equal one: 0.0 and -0.0, or 30 and
     30.0, are equal times with different text. The engine passes one time
@@ -41,6 +44,10 @@ class Symbols:
             found = self._codes[name] = len(self.names)
             self.names.append(name)
         return found
+
+    def find(self, name: str) -> int:
+        """The name's code, or -1 if the table does not hold it; never adds an entry."""
+        return self._codes.get(name, -1)
 
     def time(self, time: float) -> int:
         if not self.times or time is not self.times[-1]:

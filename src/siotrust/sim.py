@@ -39,6 +39,7 @@ every epoch due at that tick.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -137,6 +138,10 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if f.type == "int" and (type(value) is bool or not isinstance(value, int)):
                 raise ConfigError(f"{f.name} must be an integer: {value!r}")
+            if f.type.startswith("float") and value is not None and (
+                type(value) is bool or not isinstance(value, numbers.Real) or not math.isfinite(value)
+            ):
+                raise ConfigError(f"{f.name} must be a finite number: {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative: {self.seed}")
         if self.friends_path is not None and not isinstance(self.friends_path, str):
@@ -342,7 +347,8 @@ class SimulationEngine:
 
         self._build_world()
         code = self.log.symbols.code
-        self._codes = np.array([code(device_id) for device_id in self.ids], dtype=np.intc)  # by index
+        for device_id in self.ids:  # the table is empty: each device's index becomes its code
+            code(device_id)
         self._outcomes = np.array([code("negative"), code("positive")], dtype=np.intc)
 
         self.gate = AccessGate(
@@ -453,16 +459,16 @@ class SimulationEngine:
             self._relations[key] = found
         return found
 
-    def _request_similarity(self, request: AccessRequest, manager_id: str) -> float:
+    def _request_similarity(self, profile: SocialProfile, manager_id: str) -> float:
         """A request's S: the presented profile against the manager's community.
 
         Before the first epoch a manager has no community yet, and S is the
-        base rate, as vacuous D and R are. The request itself is the profile.
+        base rate, as vacuous D and R are.
         """
         community = self._community_of.get(manager_id)
         if community is None:
             return self.store.base_rate
-        return self.similarity.community_mean(request, community, self.registry)
+        return self.similarity.community_mean(profile, community, self.registry)
 
     def _profile_of(self, identity_id: str) -> SocialProfile:
         if identity_id in self._legit_id_set:
@@ -577,15 +583,7 @@ class SimulationEngine:
             if now - last < cfg.request_retry_interval:
                 continue
             manager = self.devices[self._nearest_managers(np.array([index]))[0]]
-            request = AccessRequest(
-                time=now,
-                identity=device.id,
-                presenter=device.id,
-                friends=frozenset(device.friends),
-                interests=frozenset(device.interests),
-                target_manager=manager.id,
-            )
-            self._adjudicate(request)
+            self._adjudicate(AccessRequest(now, device.id, device.id, manager.id), device)
             self._last_request[device.id] = now
 
     def _attacker_requests(self, now: float) -> None:
@@ -607,15 +605,7 @@ class SimulationEngine:
                 self.log.append(
                     now, "duplicate", identity.id, attacker_id, target.id, cfg.duplicate_request_penalty
                 )
-            request = AccessRequest(
-                time=now,
-                identity=identity.id,
-                presenter=attacker_id,
-                friends=frozenset(identity.friends),
-                interests=frozenset(identity.interests),
-                target_manager=target.id,
-            )
-            decision = self._adjudicate(request)
+            decision = self._adjudicate(AccessRequest(now, identity.id, attacker_id, target.id), identity)
             self.attempts.append(
                 AttackAttempt(
                     time=now,
@@ -629,14 +619,19 @@ class SimulationEngine:
             engine.notify(decision.verdict is Verdict.GRANT, now, victims)
             self._drain_acquisitions(engine, now)
 
-    def _adjudicate(self, request: AccessRequest):
-        """Gather D, S and R (R as in monitoring), let the gate decide, log and admit."""
+    def _adjudicate(self, request: AccessRequest, profile: SocialProfile):
+        """Gather D, S and R (R as in monitoring), let the gate decide, log and admit.
+
+        `profile` is what the request presents, a legitimate device or an
+        attacker's identity; S is taken from its sets.
+        """
         manager, subject = request.target_manager, request.identity
+        find = self.log.symbols.find
         decision = self.gate.evaluate(
             request,
             direct=self.store.direct_trust(manager, subject),
-            similarity=self._request_similarity(request, manager),
-            recommended=self.rec_cache.get((manager, subject), self.store.base_rate),
+            similarity=self._request_similarity(profile, manager),
+            recommended=self.rec_cache.received(find(manager), [find(subject)], self.store.base_rate)[0].item(),
         )
         self.assessments.append(*decision.assessment)
         kind = "attacker" if self.gate.decisions[-1].attacker else "legit"
@@ -676,7 +671,7 @@ class SimulationEngine:
         members = self.gate.members
         if len(members) != self._roster_size:
             self._roster_size = len(members)
-            self._legit_presentation = np.where([i in members for i in self.ids], self._codes, -1)
+            self._legit_presentation = np.where([i in members for i in self.ids], np.arange(len(self.ids)), -1)
         codes = self._legit_presentation.copy()
         for index, engine in zip(self.attacker_indices.tolist(), self.engines.values()):
             presented = engine.presented
@@ -712,9 +707,9 @@ class SimulationEngine:
         positive = _interaction_outcomes(
             draws, self.attacker_mask[subjects], cfg.p_positive_legit, cfg.p_negative_attacker
         )
-        evaluator_codes, subject_codes = self._codes[evaluators], identity_codes[subjects]
-        self.store.record_coded(evaluator_codes, subject_codes, positive)
-        self.log.extend(now, "exp", evaluator_codes, subject_codes, self._outcomes[positive.view(np.uint8)])
+        subject_codes = identity_codes[subjects]  # a device index is its own code
+        self.store.record_coded(evaluators, subject_codes, positive)
+        self.log.extend(now, "exp", evaluators, subject_codes, self._outcomes[positive.view(np.uint8)])
 
     def _move(self) -> None:
         tick = self.cfg.tick
@@ -769,12 +764,13 @@ class SimulationEngine:
         not met yet.
         """
         penalty = self.cfg.duplicate_epoch_penalty
-        managers = [m.id for m in self.registry.managers()]
+        managers = self.manager_indices
         duplicated = [(i, held) for i, held in sorted(self.gate.members.items()) if len(held) > 1]
-        if penalty and duplicated:  # zero units write nothing, not even a row or a column
-            self.store.record_experiences(
-                managers * len(duplicated),
-                [identity_id for identity_id, _ in duplicated for _ in managers],
+        if penalty and duplicated:  # zero units write nothing
+            code = self.log.symbols.code
+            self.store.record_coded(
+                np.tile(managers, len(duplicated)),
+                np.repeat([code(identity_id) for identity_id, _ in duplicated], len(managers)),
                 np.zeros(len(managers) * len(duplicated), dtype=bool),
                 penalty,
             )
@@ -804,16 +800,16 @@ class SimulationEngine:
         nearest = self._nearest_managers(self._subordinates)
         for device, manager in zip(self._subordinates.tolist(), nearest.tolist()):
             if self._relation(ids[manager], ids[device]) is relation:
-                routes.append((ids[device], [ids[manager]]))
+                routes.append((device, [manager]))
         self.rec_cache = exchange_recommendations(self.store, routes)
 
     @cached_property
-    def _manager_routes(self) -> list[tuple[str, list[str]]]:
-        """(manager, managers it broadcasts to): static, so built at the first epoch only."""
-        manager_ids = [m.id for m in self.registry.managers()]
+    def _manager_routes(self) -> list[tuple[int, list[int]]]:
+        """(manager, managers it broadcasts to), as indices: static, so built at the first epoch only."""
+        ids, managers = self.ids, self.manager_indices.tolist()
         return [
-            (sender, [r for r in manager_ids if r != sender and self._relation(r, sender) is self.cfg.relation])
-            for sender in manager_ids
+            (s, [r for r in managers if r != s and self._relation(ids[r], ids[s]) is self.cfg.relation])
+            for s in managers
         ]
 
     def _monitor_members(self, now: float) -> None:
@@ -825,31 +821,31 @@ class SimulationEngine:
         arrays and appended to the assessment columns: D for all managers
         comes from one read of the opinion store, S is computed once per
         community, since it does not depend on the manager, and R is one
-        read of the manager's row of the exchange, by store column.
+        read of the manager's row of the exchange. Members and managers go
+        by id-table code; a manager's index is its code.
         """
         base = self.store.base_rate
         code = self.log.symbols.code
-        managers = self.registry.managers()
         members = sorted(self.gate.members)
         codes = np.array([code(s) for s in members], dtype=np.intc)
-        columns = np.array([self.store.subjects.get(s, -1) for s in members], dtype=np.intp)
-        direct = self.store.direct_trust_matrix([m.id for m in managers], members)
+        direct = self.store.direct_trust_matrix(self.manager_indices, codes)
         similarity: dict[int, np.ndarray] = {}  # community id -> S over all members
-        for manager, direct_row in zip(managers, direct):
+        for evaluator, direct_row in zip(self.manager_indices.tolist(), direct):
+            manager = self.devices[evaluator]
             community = self._community_of[manager.id]
             if community.id not in similarity:
                 similarity[community.id] = np.array([
                     self.similarity.community_mean(self._profile_of(s), community, self.registry)
                     for s in members
                 ])
-            others = np.flatnonzero(codes != code(manager.id))
+            others = np.flatnonzero(codes != evaluator)
             d, s = direct_row[others], similarity[community.id][others]
-            r = self.rec_cache.received(manager.id, columns[others], base)
+            r = self.rec_cache.received(evaluator, codes[others], base)
             t = overall_trust_array(d, s, r, self.cfg.relation)
             self.assessments.extend(now, manager.id, codes[others], self.cfg.relation, d, s, r, t, "internal")
 
     def _snapshot_positions(self, now: float) -> None:
-        self.log.extend(now, "pos", self._codes, self.positions[:, 0], self.positions[:, 1])
+        self.log.extend(now, "pos", np.arange(len(self.ids)), self.positions[:, 0], self.positions[:, 1])
 
 
 def _interaction_outcomes(

@@ -22,7 +22,6 @@ alpha = beta = (1 - gamma) / 2, so the three weights sum to one.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -76,23 +75,23 @@ class Opinion:
 class OpinionStore:
     """Evidence counts keyed by (evaluator device id, subject identity id).
 
-    Dense layout: every evaluator owns one row and every subject one column,
-    both assigned on first sight (fabricated identities keep arriving during
-    a run, so neither axis is fixed). The counts are one int64 array,
-    negative and positive by row and column, whose capacity doubles when an
-    axis outgrows it; so a batch of experiences is one `np.add.at`, and a
-    read of the whole store is a view. An entry is held, i.e. an opinion
-    exists, once it has any evidence; every write adds some, so held is
-    `positive + negative > 0` and a zero entry reads exactly like an absent
-    one. Vectorised expected values use `Opinion`'s own formula,
-    `pos/mass + a*(2/mass)`, so they are bit-equal to the scalar API. The
-    recommendation exchange keeps its sums bit-equal with two more rules,
-    fixed sender order and no matrix product (see `exchange_recommendations`).
-    Counts leave the store as Python ints, so every float computed from
-    them is a Python float. Writes name ids as strings or as codes of the
-    store's id table (`record.Symbols`; the engine passes the run's own, so
-    its interactions book the codes they already hold); either way a code
-    maps to its row and column through one array per axis.
+    Dense layout, addressed by the codes of the store's id table
+    (`record.Symbols`; the engine passes the run's own): the counts are one
+    int64 array indexed `[negative/positive, evaluator code, subject code]`.
+    Its used extent grows to cover the highest code written on each axis,
+    and its capacity at least doubles when that extent outgrows it; so a
+    batch of experiences is one `np.add.at`, and a read of the whole store
+    is a view. Reads take -1 (an id the table does not hold) or a code
+    beyond the extent as an id with no evidence.
+    An entry is held, i.e. an opinion exists, once it has any evidence;
+    every write adds some, so held is `positive + negative > 0` and a zero
+    entry reads exactly like an absent one. Vectorised expected values use
+    `Opinion`'s own formula, `pos/mass + a*(2/mass)`, so they are bit-equal
+    to the scalar API. The recommendation exchange keeps its sums bit-equal
+    with two more rules, fixed sender order and no matrix product (see
+    `exchange_recommendations`). Counts leave the store as Python ints, so
+    every float computed from them is a Python float. A read by name never
+    adds an id to the table.
 
     The store carries the run's context base rate, which fills the uncertain
     mass of every expected value it computes.
@@ -103,17 +102,14 @@ class OpinionStore:
             raise ValueError(f"base rate out of range: {base_rate}")
         self.base_rate = base_rate
         self.symbols = Symbols() if symbols is None else symbols
-        self._rows = _Axis()
-        self._columns = _Axis()
-        self.evaluators = self._rows.ids  # id -> row
-        self.subjects = self._columns.ids  # id -> column, in column order
-        self._counts = np.zeros((2, 16, 16), dtype=np.int64)  # [negative, positive][row, column]
+        self._extent = (0, 0)  # evaluator and subject codes below these have been written
+        self._counts = np.zeros((2, 16, 16), dtype=np.int64)  # [negative, positive][evaluator, subject]
 
     def get(self, evaluator: str, subject: str) -> Opinion | None:
         """A copy of the held opinion, or None when there is no evidence."""
-        row = self.evaluators.get(evaluator)
-        column = self.subjects.get(subject)
-        if row is None or column is None:
+        row, column = self.symbols.find(evaluator), self.symbols.find(subject)
+        rows, columns = self._extent
+        if not (0 <= row < rows and 0 <= column < columns):
             return None
         negative, positive = self._counts[:, row, column].tolist()
         if positive == 0 and negative == 0:
@@ -127,50 +123,24 @@ class OpinionStore:
         if units < 0:
             raise ValueError(f"experience units must be non-negative: {units}")
         if units:
-            self.record_experiences([evaluator], [subject], [outcome == "positive"], units)
-
-    def record_experiences(
-        self, evaluators: Sequence[str], subjects: Sequence[str], positive: np.ndarray, units: int = 1
-    ) -> None:
-        """`units` experiences per (evaluator, subject, positive?) triple, as one write.
-
-        Equal to booking each triple in order, for a positive number of
-        units: new rows and columns are assigned in first-sight order along
-        the batch. `record_experience` is the batch of one.
-        """
-        code = self.symbols.code
-        self.record_coded([code(e) for e in evaluators], [code(s) for s in subjects], positive, units)
+            code = self.symbols.code
+            self.record_coded([code(evaluator)], [code(subject)], [outcome == "positive"], units)
 
     def record_coded(
         self, evaluators: Sequence[int] | np.ndarray, subjects: Sequence[int] | np.ndarray, positive: np.ndarray,
         units: int = 1,
     ) -> None:
-        """`record_experiences` with evaluators and subjects as codes of the store's id table.
-
-        Every write books through here, so rows and columns are assigned in
-        the same first-sight order whichever way the ids came.
-        """
+        """`units` experiences per (evaluator code, subject code, positive?) triple, as one write."""
         if units < 1:
             raise ValueError(f"batched experience units must be positive: {units}")
-        names = self.symbols.names
-        rows = self._rows.positions(evaluators, names)
-        columns = self._columns.positions(subjects, names)
-        self._reserve()
-        np.add.at(self._counts, (np.asarray(positive, dtype=np.intp), rows, columns), units)
-
-    def _reserve(self) -> None:
-        """Grow the counts, doubling, until every assigned row and column fits."""
-        _, rows, columns = self._counts.shape
-        if len(self.evaluators) <= rows and len(self.subjects) <= columns:
-            return
-        while rows < len(self.evaluators):
-            rows *= 2
-        while columns < len(self.subjects):
-            columns *= 2
-        grown = np.zeros((2, rows, columns), dtype=np.int64)
-        _, held_rows, held_columns = self._counts.shape
-        grown[:, :held_rows, :held_columns] = self._counts
-        self._counts = grown
+        codes = [np.asarray(axis, dtype=np.intp) for axis in (evaluators, subjects)]
+        self._extent = tuple(max(used, int(axis.max(initial=-1)) + 1) for used, axis in zip(self._extent, codes))
+        capacity = self._counts.shape[1:]
+        if any(used > have for used, have in zip(self._extent, capacity)):
+            grown = np.zeros((2, *(max(used, 2 * have) for used, have in zip(self._extent, capacity))), dtype=np.int64)
+            grown[:, : capacity[0], : capacity[1]] = self._counts
+            self._counts = grown
+        np.add.at(self._counts, (np.asarray(positive, dtype=np.intp), *codes), units)
 
     def direct_trust(self, evaluator: str, subject: str) -> float:
         """Expected value of the evaluator's own opinion; vacuous -> base rate."""
@@ -180,8 +150,9 @@ class OpinionStore:
         return opinion.expected_value()
 
     def _evidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """(positive, negative) counts as int64 views, evaluator rows x subject columns."""
-        negative, positive = self._counts[:, : len(self.evaluators), : len(self.subjects)]
+        """(positive, negative) counts as int64 views, evaluator codes x subject codes."""
+        rows, columns = self._extent
+        negative, positive = self._counts[:, :rows, :columns]
         return positive, negative
 
     def expected_values(self) -> tuple[np.ndarray, np.ndarray]:
@@ -195,27 +166,24 @@ class OpinionStore:
         mass = positive + negative + 2
         return positive / mass + self.base_rate * (2 / mass), mass > 2
 
-    def direct_trust_matrix(self, evaluators: Sequence[str], subjects: Sequence[str]) -> np.ndarray:
-        """direct_trust for every (evaluator, subject) pair, as one float matrix."""
+    def direct_trust_matrix(self, evaluators: np.ndarray, subjects: np.ndarray) -> np.ndarray:
+        """direct_trust for every (evaluator code, subject code) pair, as one float matrix."""
         expected, held = self.expected_values()
-        # one extra vacuous row and column, which unknown ids index as -1
+        rows, columns = held.shape
+        # one extra vacuous row and column, which -1 and codes beyond the extent index
         trust = np.pad(np.where(held, expected, self.base_rate), (0, 1), constant_values=self.base_rate)
-        rows = [self.evaluators.get(e, -1) for e in evaluators]
-        columns = [self.subjects.get(s, -1) for s in subjects]
-        return trust[np.ix_(rows, columns)]
+        return trust[np.ix_(np.minimum(evaluators, rows), np.minimum(subjects, columns))]
 
     def by_evaluator(self) -> dict[str, dict[str, Opinion]]:
         """Every held opinion as a copy, grouped by evaluator, both levels sorted."""
-        subjects = sorted(self.subjects.items())
-        positives, negatives = (counts.tolist() for counts in self._evidence())
+        names = self.symbols.names
+        positive, negative = self._evidence()
+        cells = zip(*(codes.tolist() for codes in np.nonzero(positive + negative)))
         grouped: dict[str, dict[str, Opinion]] = {}
-        for evaluator, row in sorted(self.evaluators.items()):
-            positive, negative = positives[row], negatives[row]
-            grouped[evaluator] = {
-                subject: Opinion(positive[column], negative[column], self.base_rate)
-                for subject, column in subjects
-                if positive[column] or negative[column]
-            }
+        for evaluator, subject, row, column in sorted((names[r], names[c], r, c) for r, c in cells):
+            grouped.setdefault(evaluator, {})[subject] = Opinion(
+                positive[row, column].item(), negative[row, column].item(), self.base_rate
+            )
         return grouped
 
     def __len__(self) -> int:
@@ -223,36 +191,14 @@ class OpinionStore:
         return int(np.count_nonzero(positive + negative))
 
 
-class _Axis:
-    """One store axis: each id's index, assigned in first-sight order, by id and by id-table code."""
+def exchange_recommendations(store: OpinionStore, routes: Sequence[tuple[int, Sequence[int]]]) -> Recommendations:
+    """The mean expected value each receiver was sent about each subject.
 
-    def __init__(self) -> None:
-        self.ids: dict[str, int] = {}
-        self._by_code = np.full(16, -1, dtype=np.intp)  # code -> index, -1 while unassigned
-
-    def positions(self, codes: Sequence[int] | np.ndarray, names: list[str]) -> np.ndarray:
-        """Each code's index, assigning new ids in first-sight order along `codes`."""
-        codes = np.asarray(codes, dtype=np.intp)
-        if len(self._by_code) < len(names):
-            grown = np.full(2 * len(names), -1, dtype=np.intp)
-            grown[: len(self._by_code)] = self._by_code
-            self._by_code = grown
-        found = self._by_code[codes]
-        if (found < 0).any():
-            for code in codes[found < 0].tolist():
-                if self._by_code[code] < 0:
-                    self._by_code[code] = self.ids.setdefault(names[code], len(self.ids))
-            found = self._by_code[codes]
-        return found
-
-
-def exchange_recommendations(store: OpinionStore, routes: Sequence[tuple[str, Sequence[str]]]) -> Recommendations:
-    """(receiver, subject) -> mean expected value the receiver was sent.
-
-    `routes` lists (sender, distinct receivers) in sender order. Each sender
-    forwards every opinion it holds to each of its receivers; a receiver's
-    value for a subject is the plain mean over the senders that hold one.
-    Only pairs that received something appear in the result.
+    `routes` lists (sender, distinct receivers) as id-table codes, in sender
+    order. Each sender forwards every opinion it holds to each of its
+    receivers; a receiver's value for a subject is the plain mean over the
+    senders that hold one. The result is indexed by receiver code x subject
+    code and holds only the pairs that received something.
 
     Vectorised over subjects, and bit-equal to summing per key in sender
     order, by three rules:
@@ -267,66 +213,41 @@ def exchange_recommendations(store: OpinionStore, routes: Sequence[tuple[str, Se
     """
     expected, held = store.expected_values()
     sent = np.where(held, expected, 0.0)
-    receivers = sorted({r for _, targets in routes for r in targets})
-    slot = {receiver: k for k, receiver in enumerate(receivers)}
-    sums = np.zeros((len(receivers), len(store.subjects)))
+    receivers = 1 + max((r for _, targets in routes for r in targets), default=-1)
+    sums = np.zeros((receivers, held.shape[1]))
     counts = np.zeros(sums.shape, dtype=np.int64)
     for sender, targets in routes:
-        row = store.evaluators.get(sender)
-        if row is None:
-            continue
-        into = [slot[r] for r in targets]
-        sums[into] += sent[row]
-        counts[into] += held[row]
-    return Recommendations(receivers, store.subjects, sums / np.maximum(counts, 1), counts > 0)
+        if sender < len(sent):  # a sender beyond the store's rows holds nothing
+            sums[targets] += sent[sender]
+            counts[targets] += held[sender]
+    return Recommendations(sums / np.maximum(counts, 1), counts > 0)
 
 
-class Recommendations(Mapping):
-    """What an exchange delivered, read-only: (receiver, subject) -> mean.
+class Recommendations:
+    """What an exchange delivered, read-only: receiver code x subject code -> mean.
 
-    Kept as the receiver x subject-column arrays the exchange computed, not
-    as one entry per key. A key is present when the receiver was sent at
-    least one opinion about the subject; keys iterate row-major, receivers
-    sorted and subjects in store column order. `subjects` is the store's
-    own id -> column table, so a subject the store first meets after the
-    exchange is absent, as it was from the exchange.
+    A mean is held when the receiver was sent at least one opinion about
+    the subject. A code of -1 or beyond the arrays, such as a subject first
+    coded after the exchange, holds none, as it held none in the exchange.
     """
 
-    def __init__(self, receivers: list[str], subjects: dict[str, int], means: np.ndarray, held: np.ndarray) -> None:
-        self._receivers = receivers
-        self._slot = {receiver: k for k, receiver in enumerate(receivers)}
-        self._subjects = subjects
-        self._width = held.shape[1]
-        # one more column, never held, which an absent subject indexes as -1
-        self._means = np.pad(means, ((0, 0), (0, 1)))
-        self._held = np.pad(held, ((0, 0), (0, 1)))
-
-    def __getitem__(self, key: tuple[str, str]) -> float:
-        receiver, subject = key
-        row, column = self._slot.get(receiver), self._subjects.get(subject, -1)
-        if row is None or not 0 <= column < self._width or not self._held[row, column]:
-            raise KeyError(key)
-        return self._means[row, column].item()
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        subjects = list(self._subjects)
-        rows, columns = np.nonzero(self._held)
-        return ((self._receivers[r], subjects[c]) for r, c in zip(rows.tolist(), columns.tolist()))
+    def __init__(self, means: np.ndarray, held: np.ndarray) -> None:
+        # one more row and column, never held, which -1 and codes beyond the arrays index
+        self._means = np.pad(means, (0, 1))
+        self._held = np.pad(held, (0, 1))
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._held))
 
-    def received(self, receiver: str, columns: np.ndarray, default: float) -> np.ndarray:
-        """The receiver's mean for each store column (-1: none), `default` where it received none."""
-        row = self._slot.get(receiver)
-        if row is None:
-            return np.full(len(columns), default)
-        columns = np.where(columns < self._width, columns, -1)
-        return np.where(self._held[row, columns], self._means[row, columns], default)
+    def received(self, receiver: int, subjects: Sequence[int] | np.ndarray, default: float) -> np.ndarray:
+        """The receiver's mean about each subject code, `default` where it received none."""
+        rows, columns = self._held.shape
+        row, subjects = min(receiver, rows - 1), np.minimum(subjects, columns - 1)
+        return np.where(self._held[row, subjects], self._means[row, subjects], default)
 
 
 # what every receiver holds before the first exchange; read-only, so one serves every run
-NO_RECOMMENDATIONS = Recommendations([], {}, np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
+NO_RECOMMENDATIONS = Recommendations(np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
 
 
 def weights_from_relation(relation: RelationType) -> tuple[float, float, float]:

@@ -30,15 +30,8 @@ def build_world():
     return registry
 
 
-def request(identity, manager="m0", time=0.0, presenter=None, friends=(), interests=("i",)):
-    return AccessRequest(
-        time=time,
-        identity=identity,
-        presenter=presenter or identity,
-        friends=frozenset(friends),
-        interests=frozenset(interests),
-        target_manager=manager,
-    )
+def request(identity, manager="m0", time=0.0, presenter=None):
+    return AccessRequest(time=time, identity=identity, presenter=presenter or identity, target_manager=manager)
 
 
 def make_gate(**kw):
@@ -100,21 +93,26 @@ class TestEvaluate:
 def gate_similarity_samples(overrides):
     """Run a scenario and record every gate evaluation.
 
-    Returns the engine and one (request, S the engine handed the gate, the
-    manager's community at that moment or None, R handed over, the
-    manager's received recommendation or None) sample per evaluation.
+    Returns the engine and one (request, the presented profile, S the
+    engine handed the gate, the manager's community at that moment or None,
+    R handed over, the manager's received recommendation or None) sample
+    per evaluation.
     """
     engine = SimulationEngine(ScenarioConfig.from_mapping({**overrides, "seed": 1}))
-    evaluate = engine.gate.evaluate
+    adjudicate, find = engine._adjudicate, engine.log.symbols.find
     samples = []
 
-    def recording(presented, direct, similarity, recommended):
-        key = (presented.target_manager, presented.identity)
+    def recording(presented, profile):
         community = engine._community_of.get(presented.target_manager)
-        samples.append((presented, similarity, community, recommended, engine.rec_cache.get(key)))
-        return evaluate(presented, direct, similarity, recommended)
+        subject = [find(presented.identity)]
+        cached = engine.rec_cache.received(find(presented.target_manager), subject, -1.0)[0].item()
+        decision = adjudicate(presented, profile)
+        assessment = decision.assessment
+        samples.append((presented, profile, assessment.similarity, community, assessment.recommended,
+                        None if cached < 0.0 else cached))
+        return decision
 
-    engine.gate.evaluate = recording
+    engine._adjudicate = recording
     engine.run()
     return engine, samples
 
@@ -140,7 +138,7 @@ class TestSimilarityHook:
 
     def test_no_community_yet_falls_back_to_base_rate(self, gate_runs):
         for engine, samples in gate_runs:
-            early = [(r, s) for r, s, community, _, _ in samples if community is None]
+            early = [(r, s) for r, _, s, community, _, _ in samples if community is None]
             assert early
             for presented, similarity in early:
                 assert presented.time < engine.cfg.epoch_interval
@@ -151,11 +149,12 @@ class TestSimilarityHook:
         # legitimate, stolen and fabricated presentations alike.
         for engine, samples in gate_runs:
             roster = {d.id: d for d in engine.registry.devices()}
-            late = [(r, s, c) for r, s, c, _, _ in samples if c is not None]
-            assert any(r.presenter in engine.attacker_ids for r, _, _ in late)
-            for presented, similarity, community in late:
+            late = [(r, p, s, c) for r, p, s, c, _, _ in samples if c is not None]
+            assert any(r.presenter in engine.attacker_ids for r, _, _, _ in late)
+            for presented, profile, similarity, community in late:
                 assert presented.time >= engine.cfg.epoch_interval
-                reference = community_similarity(presented, community, roster, engine.cfg.weights())
+                assert profile.id == presented.identity
+                reference = community_similarity(profile, community, roster, engine.cfg.weights())
                 assert similarity == reference
 
 
@@ -166,7 +165,7 @@ class TestRecommenderHook:
         decision = make_gate().evaluate(request("s0"), 1.0, 1.0, 0.25)
         assert decision.assessment.recommended == 0.25
         for _, samples in gate_runs:
-            received = [(r, cached) for _, _, _, r, cached in samples if cached is not None]
+            received = [(r, cached) for _, _, _, _, r, cached in samples if cached is not None]
             assert received
             for recommended, cached in received:
                 # the exchange builds its floats on read: the same float, bit for bit
@@ -174,7 +173,7 @@ class TestRecommenderHook:
 
     def test_cache_miss_falls_back_to_base_rate(self, gate_runs):
         for engine, samples in gate_runs:
-            missed = [r for _, _, _, r, cached in samples if cached is None]
+            missed = [r for _, _, _, _, r, cached in samples if cached is None]
             assert missed
             for recommended in missed:
                 assert recommended == engine.store.base_rate

@@ -232,6 +232,22 @@ class TestBadInput:
         assert err.startswith("error: ") and name in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_duration_flag(self, tmp_path, capsys, value):
+        assert main(["--nodes", "20", f"--duration={value}", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: duration must be a finite number")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("bad", ['"speed": NaN', '"interaction_radius": Infinity', '"speed": true'])
+    def test_non_finite_or_bool_float_config_values(self, tmp_path, capsys, bad):
+        path = tmp_path / "bad.json"
+        path.write_text("{" + bad + "}")  # JSON text as Python's json module writes NaN and Infinity
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        name = bad.split('"')[1]
+        assert capsys.readouterr().err.startswith(f"error: {name} must be a finite number")
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_flag(self, tmp_path, config_path, capsys):
         assert main(["--config", config_path, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: seed must be non-negative")

@@ -94,4 +94,29 @@ def test_por_config_leaves_the_recommendation_cache_empty():
     overrides, _ = GOLDEN["por-40"]
     engine = SimulationEngine(ScenarioConfig.from_mapping({**overrides, "seed": 1}))
     engine.run()
-    assert engine.rec_cache == {}
+    assert len(engine.rec_cache) == 0
+
+
+# What the benchmark reads as `sim.rec_entries` (summed over epochs) and
+# `trust.store_entries`: the received (manager, subject) pairs after each
+# exchange, and the held opinions at the end of the run.
+SIZES = {
+    "default-40": ([281] + [288] * 18, 1392),
+    "fabricated-multi-40": ([332] + [352] * 18, 1707),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZES))
+def test_exchange_and_store_sizes_match_their_pins(name):
+    overrides, _ = GOLDEN[name]
+    engine = SimulationEngine(ScenarioConfig.from_mapping({**overrides, "seed": 1}))
+    received = []
+    rebuild = engine._rebuild_recommendations
+
+    def recording():
+        rebuild()
+        received.append(len(engine.rec_cache))
+
+    engine._rebuild_recommendations = recording
+    engine.run()
+    assert (received, len(engine.store)) == SIZES[name]

@@ -90,6 +90,28 @@ class TestScenarioConfig:
             with pytest.raises(ConfigError, match=name):
                 build()
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"speed": math.nan},
+            {"duration": math.nan},
+            {"duration": math.inf},
+            {"interaction_radius": math.inf},
+            {"area_width": math.inf},
+            {"epoch_interval": math.inf},
+            {"speed": True},
+            {"attempt_interval": True},
+            {"idle_fraction": False},
+            {"base_rate": math.nan},
+            {"base_rate": True},
+        ],
+    )
+    def test_non_finite_and_bool_float_fields_rejected(self, kw):
+        (name,) = kw
+        for build in (lambda: ScenarioConfig(**kw), lambda: ScenarioConfig.from_mapping(kw)):
+            with pytest.raises(ConfigError, match=name):
+                build()
+
     def test_float_fields_keep_an_integer_as_it_is(self):
         cfg = ScenarioConfig.from_mapping({"tick": 1, "duration": 120, "speed": 2})
         assert (type(cfg.tick), type(cfg.duration), type(cfg.speed)) == (int, int, int)
@@ -374,9 +396,13 @@ class TestRunSemantics:
 
     def test_recommendations_live_at_managers_only(self, small_run):
         engine, _ = small_run
-        assert engine.rec_cache
+        assert len(engine.rec_cache)
         manager_ids = {d.id for d in engine.registry.managers()}
-        assert {receiver for receiver, _ in engine.rec_cache} <= manager_ids
+        names = engine.log.symbols.names
+        everyone = np.arange(len(names))
+        received = [(engine.rec_cache.received(c, everyone, -1.0) >= 0).any() for c in everyone.tolist()]
+        receivers = {names[c] for c in np.flatnonzero(received).tolist()}
+        assert receivers and receivers <= manager_ids
 
     def test_esr_split_labels(self, small_run):
         _, result = small_run
@@ -660,10 +686,20 @@ def test_batched_interactions_equal_the_per_pair_loop(overrides):
     assert " exp " in scalar.log.text()
     upper = np.triu_indices(len(scalar.ids), k=1)
     assert np.array_equal(batched.last_interaction, scalar.last_matrix[upper])
-    # code-keyed writes assign rows and columns in the order the string writes did
-    assert list(batched.store.evaluators.items()) == list(scalar.store.evaluators.items())
-    assert list(batched.store.subjects.items()) == list(scalar.store.subjects.items())
+    # one id table coded in the same order, so code-keyed writes land where the string writes did
+    assert batched.log.symbols.names == scalar.log.symbols.names
+    for got, want in zip(batched.store.expected_values(), scalar.store.expected_values()):
+        assert got.tolist() == want.tolist()
     assert batched.store.by_evaluator() == scalar.store.by_evaluator()
+
+
+@pytest.mark.parametrize("node_count", [30, 200])
+def test_a_device_index_is_its_id_table_code(node_count):
+    engine = SimulationEngine(ScenarioConfig(node_count=node_count, duration=60.0))
+    find = engine.log.symbols.find
+    assert [find(i) for i in engine.ids] == list(range(node_count))
+    engine.run()  # later entries never move a device's code
+    assert [find(i) for i in engine.ids] == list(range(node_count))
 
 
 def test_member_presentation_follows_the_roster():
@@ -777,6 +813,7 @@ def test_batched_duplicate_penalties_equal_the_loop(penalty):
     text = batched.run().log.text()
     assert text == loop.run().log.text()
     assert " duplicate-scan " in text
-    assert list(batched.store.subjects) == list(loop.store.subjects)
-    assert list(batched.store.evaluators) == list(loop.store.evaluators)
+    assert batched.log.symbols.names == loop.log.symbols.names
+    for got, want in zip(batched.store.expected_values(), loop.store.expected_values()):
+        assert got.tolist() == want.tolist()
     assert batched.store.by_evaluator() == loop.store.by_evaluator()

@@ -82,7 +82,7 @@ class TestOpinionStore:
     def test_vacuous_direct_trust_does_not_create_state(self):
         store = OpinionStore(base_rate=0.7)
         assert store.direct_trust("e", "s") == 0.7
-        assert len(store) == 0
+        assert len(store) == 0 and store.symbols.names == []
 
     def test_record_then_read(self):
         store = OpinionStore(base_rate=0.5)
@@ -163,6 +163,21 @@ class TestOverallTrust:
             overall_trust(0.5, 0.5, bad, RelationType.CLOR)
 
 
+def coded(symbols, routes):
+    """Routes given by id, as the id-table codes the exchange takes."""
+    return [(symbols.code(sender), [symbols.code(r) for r in receivers]) for sender, receivers in routes]
+
+
+def as_dict(recommendations, symbols):
+    """(receiver, subject) -> mean by id, read through `received`: the dict the exchange once returned."""
+    everyone = np.arange(len(symbols.names))
+    out = {}
+    for receiver, name in enumerate(symbols.names):
+        row = recommendations.received(receiver, everyone, -1.0).tolist()
+        out.update({(name, symbols.names[s]): mean for s, mean in enumerate(row) if mean >= 0.0})
+    return out
+
+
 def small_engine(**overrides):
     """A 30-node world before its first epoch: every legitimate pair is CLOR."""
     return SimulationEngine(ScenarioConfig(node_count=30, duration=60.0, seed=5, **overrides))
@@ -179,36 +194,36 @@ class TestRecommendation:
         engine.store.record_experience("d002", "x", "negative")
         engine.store.record_experience("adv00", "x", "negative")  # attackers never send
         engine._rebuild_recommendations()
-        assert engine.rec_cache[("d000", "x")] == Opinion(1, 0, base).expected_value()
-        assert ("d001", "x") not in engine.rec_cache
-        assert ("d002", "x") not in engine.rec_cache
+        received = as_dict(engine.rec_cache, engine.log.symbols)
+        assert received[("d000", "x")] == Opinion(1, 0, base).expected_value()
+        assert ("d001", "x") not in received
+        assert ("d002", "x") not in received
 
     def test_holders_without_opinions_do_not_dilute(self):
         store = OpinionStore(base_rate=0.5)
         store.record_experience("r1", "other", "positive")  # r1 holds nothing about s
         store.record_experience("r2", "s", "positive")
-        received = exchange_recommendations(store, [("r1", ["m"]), ("r2", ["m"])])
-        assert received[("m", "s")] == Opinion(1, 0, 0.5).expected_value()
+        received = exchange_recommendations(store, coded(store.symbols, [("r1", ["m"]), ("r2", ["m"])]))
+        assert as_dict(received, store.symbols)[("m", "s")] == Opinion(1, 0, 0.5).expected_value()
 
     def test_no_recommenders_falls_back_to_base_rate(self):
         # under the por filter no legitimate pair qualifies as a sender
         engine = small_engine(relation=RelationType.POR, context_kind="park")
         engine.store.record_experience("d001", "d010", "positive")
         engine._rebuild_recommendations()
-        assert engine.rec_cache == {}
-        subject = engine.registry.device("d010")
-        request = AccessRequest(0.0, "d010", "d010", frozenset(subject.friends), frozenset(subject.interests), "d000")
-        assert engine._adjudicate(request).assessment.recommended == 0.2
+        assert len(engine.rec_cache) == 0
+        request = AccessRequest(0.0, "d010", "d010", "d000")
+        assert engine._adjudicate(request, engine.registry.device("d010")).assessment.recommended == 0.2
 
     def test_aggregate_expected_fallback(self):
         store = OpinionStore(base_rate=0.4)
         store.record_experience("r1", "s", "positive")
         store.record_experience("r2", "s", "negative")
-        received = exchange_recommendations(store, [("r1", ["m"]), ("r2", ["m"])])
+        received = exchange_recommendations(store, coded(store.symbols, [("r1", ["m"]), ("r2", ["m"])]))
         expected = (Opinion(1, 0, 0.4).expected_value() + Opinion(0, 1, 0.4).expected_value()) / 2
-        assert received == {("m", "s"): expected}
+        assert as_dict(received, store.symbols) == {("m", "s"): expected}
         # a receiver nobody sent to has no entry; the gate reads that as the base rate
-        assert exchange_recommendations(store, [("r1", [])]) == {}
+        assert len(exchange_recommendations(store, coded(store.symbols, [("r1", [])]))) == 0
 
 
 class TestAssess:
@@ -424,7 +439,7 @@ class TestDenseStore:
                 for _ in range(times):
                     store.record_experience(evaluator, subject, outcome)
                     op.record(outcome)
-            got = exchange_recommendations(store, routes)
+            got = as_dict(exchange_recommendations(store, coded(store.symbols, routes)), store.symbols)
             expected = reference_exchange(opinions, routes)
             assert got.keys() == expected.keys()
             for key, value in got.items():
@@ -446,7 +461,8 @@ class TestDenseStore:
             e: {s: opinions[e, s] for s in sorted(IDS) if (e, s) in opinions}
             for e in sorted({e for e, _ in opinions})
         }
-        matrix = store.direct_trust_matrix(IDS, IDS)
+        codes = [store.symbols.find(i) for i in IDS]  # -1 for an id never written
+        matrix = store.direct_trust_matrix(codes, codes)
         for i, evaluator in enumerate(IDS):
             for j, subject in enumerate(IDS):
                 op = opinions.get((evaluator, subject))
@@ -462,7 +478,8 @@ class TestDenseStore:
                 batched.record_experience(evaluator, subject, outcome, times)
                 for _ in range(times):
                     single.record_experience(evaluator, subject, outcome)
-        assert (batched.evaluators, batched.subjects) == (single.evaluators, single.subjects)
+        # the same writes in the same order code the same ids
+        assert batched.symbols.names == single.symbols.names
         assert len(batched) == len(single)
         for got, want in zip(batched.expected_values(), single.expected_values()):
             assert got.tolist() == want.tolist()
@@ -478,23 +495,22 @@ class TestDenseStore:
         ),
     )
     def test_a_batched_write_equals_sequential_writes(self, base_rate, batches):
-        batched, single = OpinionStore(base_rate), OpinionStore(base_rate)
-        # the sparse store the dense one replaced: one Opinion per pair, axes by setdefault
-        opinions, rows, columns = {}, {}, {}
+        # one id table for both stores, as the engine shares the run's
+        symbols = Symbols()
+        batched, single = OpinionStore(base_rate, symbols), OpinionStore(base_rate, symbols)
+        # the sparse store the dense one replaced: one Opinion per pair
+        opinions = {}
         for batch, units in batches:
             evaluators, subjects, positive = ([item[k] for item in batch] for k in range(3))
-            batched.record_experiences(evaluators, subjects, np.array(positive, dtype=bool), units)
+            codes = ([symbols.code(i) for i in ids] for ids in (evaluators, subjects))
+            batched.record_coded(*codes, np.array(positive, dtype=bool), units)
             for evaluator, subject, good in batch:
                 outcome = "positive" if good else "negative"
                 single.record_experience(evaluator, subject, outcome, units)
-                rows.setdefault(evaluator, len(rows))
-                columns.setdefault(subject, len(columns))
                 opinion = opinions.setdefault((evaluator, subject), Opinion(base_rate=base_rate))
                 for _ in range(units):
                     opinion.record(outcome)
-            # rows and columns in first-sight order, as the sequential loop assigns them
-            assert list(batched.evaluators.items()) == list(single.evaluators.items()) == list(rows.items())
-            assert list(batched.subjects.items()) == list(single.subjects.items()) == list(columns.items())
+            # both stores index by code, so their arrays agree cell for cell
             for got, want in zip(batched.expected_values(), single.expected_values()):
                 assert got.tolist() == want.tolist()
         assert len(batched) == len(single)
@@ -509,15 +525,16 @@ class TestDenseStore:
     def test_a_batch_of_no_units_is_refused(self):
         store = OpinionStore(base_rate=0.5)
         with pytest.raises(ValueError, match="positive"):
-            store.record_experiences(["e"], ["s"], np.array([False]), 0)
-        assert store.evaluators == {} and len(store) == 0
+            store.record_coded([0], [1], np.array([False]), 0)
+        assert store.expected_values()[1].shape == (0, 0) and len(store) == 0
 
     def test_zero_units_write_nothing(self):
         store = OpinionStore(base_rate=0.5)
         store.record_experience("e", "s", "positive")
         store.record_experience("new", "s", "negative", 0)
         store.record_experience("e", "fresh", "negative", 0)
-        assert store.evaluators == {"e": 0} and store.subjects == {"s": 0}
+        # no id coded, and the store's extent still ends at the one written pair
+        assert store.symbols.names == ["e", "s"] and store.expected_values()[1].shape == (1, 2)
         assert store.get("e", "s") == Opinion(1, 0, 0.5) and len(store) == 1
         with pytest.raises(ValueError, match="non-negative"):
             store.record_experience("e", "s", "negative", -1)
@@ -530,33 +547,32 @@ class TestDenseStore:
         assert len(store) == 0 and store.get("e", "s") is None
 
     def test_empty_exchange(self):
-        assert exchange_recommendations(OpinionStore(0.5), [("a", ["b"])]) == {}
+        assert len(exchange_recommendations(OpinionStore(0.5), [(0, [1])])) == 0
 
     @given(base_rate=st.floats(0.0, 1.0), plan=epochs(), late=st.sampled_from(IDS))
     def test_recommendations_read_as_the_dict_they_replaced(self, base_rate, plan, late):
         store = OpinionStore(base_rate)
+        find = store.symbols.find
         for writes, routes in plan:
             for evaluator, subject, outcome, times in writes:
                 store.record_experience(evaluator, subject, outcome, times)
-            got = exchange_recommendations(store, routes)
-            # the dict the exchange returned before: one entry per received key, row-major
-            receivers = sorted({r for _, targets in routes for r in targets})
-            subjects = list(store.subjects)
-            opinions = {(e, s): op for e in store.evaluators for s in subjects if (op := store.get(e, s))}
+            got = exchange_recommendations(store, coded(store.symbols, routes))
+            # the dict the exchange returned before: one entry per received key
+            opinions = {(e, s): op for e, held in store.by_evaluator().items() for s, op in held.items()}
             reference = reference_exchange(opinions, routes)
-            assert list(got) == sorted(reference, key=lambda key: (receivers.index(key[0]), subjects.index(key[1])))
-            assert len(got) == len(reference) and (got == {}) == (reference == {})
-            # two columns the store assigns after the exchange
+            assert len(got) == len(reference)
+            # two subjects the id table first codes after the exchange, and one it never does
             lates = [f"late-{late}", f"later-{late}"]
-            store.record_experiences(["late-evaluator"] * 2, lates, np.array([True, False]))
-            columns = np.array([store.subjects.get(s, -1) for s in IDS + lates])
+            store.record_experience("late-evaluator", lates[0], "positive")
+            store.record_experience("late-evaluator", lates[1], "negative")
+            subjects = IDS + lates + ["never"]
+            codes = [find(s) for s in subjects]
             for receiver in RECEIVERS + ["nobody"]:
-                for subject in IDS + lates + ["never"]:
-                    key = (receiver, subject)
-                    assert (key in got) == (key in reference)
-                    assert got.get(key, -1.0) == reference.get(key, -1.0)
-                row = got.received(receiver, columns, base_rate).tolist()
-                assert row == [reference.get((receiver, s), base_rate) for s in IDS + lates]
+                row = got.received(find(receiver), codes, base_rate).tolist()
+                assert row == [reference.get((receiver, s), base_rate) for s in subjects]
+                assert all(type(value) is float for value in row)
+                missed = got.received(find(receiver), codes, -1.0).tolist()
+                assert missed == [reference.get((receiver, s), -1.0) for s in subjects]
 
     @given(
         base_rate=st.floats(0.0, 1.0),
@@ -574,21 +590,42 @@ class TestDenseStore:
             symbols.code(name)
         coded, named = OpinionStore(base_rate, symbols), OpinionStore(base_rate)
         for batch, by_code in batches:
-            evaluators, subjects, positive = ([item[k] for item in batch] for k in range(3))
-            positive = np.array(positive, dtype=bool)
             if by_code:
+                evaluators, subjects, positive = ([item[k] for item in batch] for k in range(3))
                 codes = [np.array([symbols.code(i) for i in ids], dtype=np.intp) for ids in (evaluators, subjects)]
-                coded.record_coded(*codes, positive)
-            else:
-                coded.record_experiences(evaluators, subjects, positive)
-            named.record_experiences(evaluators, subjects, positive)
-            assert list(coded.evaluators.items()) == list(named.evaluators.items())
-            assert list(coded.subjects.items()) == list(named.subjects.items())
-            for got, want in zip(coded.expected_values(), named.expected_values()):
-                assert got.tolist() == want.tolist()
+                coded.record_coded(*codes, np.array(positive, dtype=bool))
+            for evaluator, subject, good in batch:
+                outcome = "positive" if good else "negative"
+                if not by_code:
+                    coded.record_experience(evaluator, subject, outcome)
+                named.record_experience(evaluator, subject, outcome)
+            # the two tables code the ids differently: compare by id
+            assert coded.by_evaluator() == named.by_evaluator()
         for evaluator in MANY_IDS:
             for subject in MANY_IDS:
                 assert coded.get(evaluator, subject) == named.get(evaluator, subject)
+
+    @given(base_rate=st.floats(0.0, 1.0), plan=epochs())
+    def test_reads_by_code_equal_reads_by_name(self, base_rate, plan):
+        store = OpinionStore(base_rate)
+        for writes, _ in plan:
+            for evaluator, subject, outcome, times in writes:
+                store.record_experience(evaluator, subject, outcome, times)
+        names = list(store.symbols.names)
+        expected, held = store.expected_values()
+        ids = IDS + ["never"]
+        codes = [store.symbols.find(i) for i in ids]
+        matrix = store.direct_trust_matrix(codes, codes)
+        for i, evaluator in enumerate(ids):
+            for j, subject in enumerate(ids):
+                op = store.get(evaluator, subject)
+                assert repr(matrix[i, j].item()) == repr(store.direct_trust(evaluator, subject))
+                if op is not None:
+                    assert held[codes[i], codes[j]] and expected[codes[i], codes[j]] == op.expected_value()
+        assert int(held.sum()) == len(store)
+        # reads by name add nothing to the id table
+        store.by_evaluator()
+        assert store.symbols.names == names
 
 
 components = st.floats(-0.25, 1.25) | st.just(math.nan)
