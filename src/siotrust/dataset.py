@@ -11,9 +11,6 @@ import logging
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
-
-import networkx as nx
 
 log = logging.getLogger(__name__)
 
@@ -34,12 +31,6 @@ class FriendshipGraph:
 
     def neighbors(self, node: str) -> set[str]:
         return self.adjacency[node]
-
-    def add_edge(self, a: str, b: str) -> None:
-        if a == b:
-            raise ValueError(f"self-loop: {a!r}")
-        self.adjacency.setdefault(a, set()).add(b)
-        self.adjacency.setdefault(b, set()).add(a)
 
 
 def load_friendship_edges(path: str | Path) -> FriendshipGraph:
@@ -116,18 +107,46 @@ def sample_subgraph(graph: FriendshipGraph, size: int, seed: int) -> FriendshipG
 
 
 def synthetic_small_world(size: int, seed: int, degree: int = 6, rewire: float = 0.1) -> FriendshipGraph:
-    """Seeded Watts-Strogatz-style fallback when no edge file is available."""
+    """Seeded Watts-Strogatz small world, the fallback when no edge file is given.
+
+    Nodes are `n0`..`n{size-1}`, zero-padded to one width. Each joins its
+    `k` nearest ring neighbours, `k` being `degree` capped at `size - 1` and
+    made even, at least 2. Then every ring edge (u, u+j), j in the outer loop
+    and u in the inner one, is rewired with probability `rewire` to (u, w)
+    for a uniform w that is neither u nor a neighbour of u; a node already
+    tied to all others keeps its edge. The draws on `random.Random(seed)`,
+    and so the graph, are those of networkx 3.6.1's
+    `watts_strogatz_graph(size, k, rewire, seed=seed)`.
+    """
     if size <= 0:
         raise ValueError(f"graph size must be positive: {size}")
     k = min(degree, max(2, size - 1))
-    if k % 2:
-        k -= 1
-    generated = nx.watts_strogatz_graph(size, max(k, 2), rewire, seed=seed)
-    graph = FriendshipGraph()
+    k = max(k - k % 2, 2)
+    if k > size:
+        raise ValueError(f"graph size {size} is below the ring degree {k}")
     width = len(str(size - 1))
-    label = {i: f"n{i:0{width}d}" for i in generated.nodes}
-    for i in generated.nodes:
-        graph.adjacency.setdefault(label[i], set())
-    for a, b in generated.edges:
-        graph.add_edge(label[a], label[b])
+    nodes = [f"n{i:0{width}d}" for i in range(size)]
+    if k == size:  # the complete graph: nothing to rewire, nothing drawn
+        return FriendshipGraph({node: set(nodes) - {node} for node in nodes})
+    graph = FriendshipGraph({node: set() for node in nodes})
+    adjacency = graph.adjacency
+    # the ring edges (u, u+j), j outer and u inner: the order the rewiring draws in
+    ring = [(u, v) for j in range(1, k // 2 + 1) for u, v in zip(nodes, nodes[j:] + nodes[:j])]
+    for u, v in ring:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    rng = random.Random(seed)
+    for u, v in ring:
+        if rng.random() < rewire:
+            neighbours = adjacency[u]
+            w = rng.choice(nodes)
+            while w == u or w in neighbours:
+                w = rng.choice(nodes)
+                if len(neighbours) >= size - 1:
+                    break  # u is tied to every other node: keep (u, v)
+            else:
+                neighbours.remove(v)
+                adjacency[v].remove(u)
+                neighbours.add(w)
+                adjacency[w].add(u)
     return graph

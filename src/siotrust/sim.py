@@ -165,6 +165,11 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value <= 0:
                 raise ConfigError(f"{name} must be positive: {value}")
+        # a tick's index is a C int in the record, and a run does every epoch it spans
+        for name, unit in (("tick", "ticks"), ("epoch_interval", "epochs")):
+            count = self.duration / getattr(self, name)
+            if count >= INT_FIELD_MAX + 0.5:
+                raise ConfigError(f"duration / {name} gives {count:.3g} {unit}, above {INT_FIELD_MAX}")
         for name in ("p_positive_legit", "p_negative_attacker", "similarity_threshold",
                      "trust_threshold"):
             value = getattr(self, name)

@@ -217,7 +217,13 @@ def exchange_recommendations(store: OpinionStore, routes: Sequence[tuple[int, Se
     sums = np.zeros((receivers, held.shape[1]))
     counts = np.zeros(sums.shape, dtype=np.int64)
     for sender, targets in routes:
-        if sender < len(sent):  # a sender beyond the store's rows holds nothing
+        if sender >= len(sent):  # a sender beyond the store's rows holds nothing
+            continue
+        if len(targets) == 1:  # a subordinate's route: one row, basic indexing adds in place
+            (target,) = targets
+            sums[target] += sent[sender]
+            counts[target] += held[sender]
+        else:
             sums[targets] += sent[sender]
             counts[targets] += held[sender]
     return Recommendations(sums / np.maximum(counts, 1), counts > 0)

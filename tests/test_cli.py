@@ -248,6 +248,11 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith(f"error: {name} must be a finite number")
         assert not (tmp_path / "o").exists()
 
+    def test_run_too_long_to_record_flag(self, tmp_path, capsys):
+        assert main(["--nodes", "20", "--duration", "1e300", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: duration / tick gives 1e+300 ticks")
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_flag(self, tmp_path, config_path, capsys):
         assert main(["--config", config_path, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: seed must be non-negative")

@@ -1,14 +1,23 @@
+import hashlib
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import siotrust
 from siotrust.dataset import (
     load_friendship_edges,
     sample_subgraph,
     synthetic_small_world,
 )
+
+try:
+    import networkx
+except ImportError:  # the reference is optional; the fingerprint pins hold without it
+    networkx = None
 
 BRIGHTKITE = Path(os.environ.get("SIOTRUST_BRIGHTKITE", "data/brightkite_edges.txt"))
 
@@ -107,6 +116,58 @@ class TestSyntheticSmallWorld:
         graph = synthetic_small_world(25, seed=2)
         for node, neighbors in graph.adjacency.items():
             assert node not in neighbors
+
+    @pytest.mark.parametrize(
+        "size, seed, digest",
+        [
+            (40, 3, "e4820f55ea9444c409eb4e9bb0d9d182f1f3e7fb981e3e8976cc3e160847fed4"),
+            (180, 123, "fbdb192697da7bd3d338f1e783220fdbe59c0020914495f86fc620f307a05090"),
+            # every node is tied to the 6 others: each rewiring draw ends in the degree break
+            (7, 1, "adae19a128c680707d9715a0cfdf754ece4b8605bb191a4314db70aaed968083"),
+        ],
+    )
+    def test_fingerprint_pins(self, size, seed, digest):
+        assert fingerprint(synthetic_small_world(size, seed, degree=6).adjacency) == digest
+
+    def test_size_one_is_refused(self):
+        with pytest.raises(ValueError):
+            synthetic_small_world(1, seed=0)
+
+    @pytest.mark.skipif(
+        networkx is None or networkx.__version__ != "3.6.1",
+        reason="the draw-for-draw reference is networkx 3.6.1",
+    )
+    @pytest.mark.parametrize("degree", [2, 3, 4, 6, 7])
+    def test_equals_networkx_watts_strogatz(self, degree):
+        for size in [*range(2, 61), 180]:
+            for rewire in (0.0, 0.1, 0.5, 1.0):
+                for seed in range(5):
+                    got = synthetic_small_world(size, seed, degree, rewire).adjacency
+                    assert got == networkx_world(size, seed, degree, rewire), (size, seed, rewire)
+
+    def test_the_cli_does_not_import_networkx(self):
+        code = "import sys, siotrust.cli; sys.exit('networkx' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(siotrust.__file__).parents[1])}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def fingerprint(adjacency):
+    """SHA-256 of the sorted edge list, one `a b` line per edge with a < b."""
+    edges = sorted((a, b) for a, neighbors in adjacency.items() for b in neighbors if a < b)
+    return hashlib.sha256("".join(f"{a} {b}\n" for a, b in edges).encode()).hexdigest()
+
+
+def networkx_world(size, seed, degree, rewire):
+    """The world as networkx builds it: its generator, relabelled `n0`..`n{size-1}`."""
+    k = min(degree, max(2, size - 1))
+    k = max(k - k % 2, 2)
+    generated = networkx.watts_strogatz_graph(size, k, rewire, seed=seed)
+    width = len(str(size - 1))
+    adjacency = {f"n{i:0{width}d}": set() for i in generated.nodes}
+    for a, b in generated.edges:
+        adjacency[f"n{a:0{width}d}"].add(f"n{b:0{width}d}")
+        adjacency[f"n{b:0{width}d}"].add(f"n{a:0{width}d}")
+    return adjacency
 
 
 @pytest.mark.skipif(not BRIGHTKITE.exists(), reason="published friendship file not present")

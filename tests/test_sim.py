@@ -91,6 +91,18 @@ class TestScenarioConfig:
                 build()
 
     @pytest.mark.parametrize(
+        "kw, named",
+        [
+            ({"duration": 1e300}, "duration / tick"),
+            ({"tick": 1e-12}, "duration / tick"),  # 6e14 ticks
+            ({"epoch_interval": 1e-300}, "duration / epoch_interval"),  # every epoch at t=0, forever
+        ],
+    )
+    def test_runs_too_long_to_record_rejected(self, kw, named):
+        with pytest.raises(ConfigError, match=named):
+            ScenarioConfig(**kw)
+
+    @pytest.mark.parametrize(
         "kw",
         [
             {"speed": math.nan},

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from siotrust.authn import AccessRequest
 from siotrust.sim import ScenarioConfig, SimulationEngine, run_scenario
@@ -418,18 +418,29 @@ def epochs(draw):
     for k in range(draw(st.integers(1, 4))):
         pool = st.sampled_from(IDS[: 3 * k + 3])
         writes = draw(st.lists(st.tuples(pool, pool, outcomes, st.integers(1, 40)), max_size=20))
-        routes = draw(
-            st.lists(
-                st.tuples(st.sampled_from(IDS), st.lists(st.sampled_from(RECEIVERS), unique=True)),
-                max_size=12,
-            )
+        receivers = st.one_of(
+            st.sampled_from(RECEIVERS).map(lambda r: [r]),  # a subordinate's route to its manager
+            st.lists(st.sampled_from(RECEIVERS), unique=True),  # a manager's broadcast, maybe to none
         )
+        routes = draw(st.lists(st.tuples(st.sampled_from(IDS), receivers), max_size=12))
         out.append((writes, routes))
     return out
 
 
 class TestDenseStore:
     @given(base_rate=st.floats(0.0, 1.0), plan=epochs())
+    @example(  # one-receiver and many-receiver senders interleaved, sharing receivers
+        base_rate=0.3,
+        plan=[
+            (
+                [("v0", "v5", "positive", 7), ("v1", "v5", "negative", 3), ("v2", "v5", "positive", 11),
+                 ("v4", "v6", "negative", 5), ("v0", "v6", "positive", 2), ("v2", "v7", "negative", 9)],
+                [("v0", ["v1", "v2", "v3"]), ("v4", ["v1"]), ("v1", ["v0", "v2"]), ("v2", ["v1"]),
+                 ("v5", ["v3"]), ("v4", ["v3", "v1"])],
+            ),
+            ([("v8", "v5", "positive", 4)], [("v8", ["v2"]), ("v2", ["v0", "v1", "v3"]), ("v0", ["v2"])]),
+        ],
+    )
     def test_exchange_is_bit_equal_to_the_sequential_sum(self, base_rate, plan):
         store = OpinionStore(base_rate)
         opinions = {}
