@@ -46,7 +46,7 @@ from .metrics import (
     write_esr_csv,
     write_metrics_csv,
 )
-from .sim import EventLog, RunResult, ScenarioConfig, SimulationEngine, run_scenario
+from .sim import EventLog, RunResult, ScenarioConfig, SeedSummary, SimulationEngine, run_scenario
 from .social import (
     ConfigError,
     Context,
@@ -100,6 +100,7 @@ __all__ = [
     "RoutingError",
     "RunResult",
     "ScenarioConfig",
+    "SeedSummary",
     "SimilarityWeights",
     "SimulationEngine",
     "TrustAssessment",

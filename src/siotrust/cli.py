@@ -3,8 +3,10 @@
 Resolves a scenario from defaults, an optional JSON config file, and
 command-line flags (in that order of precedence), expands the seed list,
 runs every seed, and writes one set of output files per seed plus an
-aggregate metrics table and a manifest. Re-running from the manifest
-reproduces the event logs byte for byte.
+aggregate metrics table and a manifest. A seed streams its event log and
+trust trace while it runs, and writes each of its files under a `.partial`
+name that becomes the final one only once all of them are written.
+Re-running from the manifest reproduces the event logs byte for byte.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from .authn import write_decision_csv
 from .community import write_communities_csv
 from .adversary import write_attack_csv
 from .metrics import write_esr_csv, write_metrics_csv
-from .sim import RunResult, ScenarioConfig, run_scenario
+from .sim import ScenarioConfig, SeedSummary, SimulationEngine
 from .social import ConfigError
-from .trust import write_trust_trace_csv
+from .trust import write_trust_trace_csv  # noqa: F401  the trace streams from the run; perfbench spans this name
 
 MANIFEST_FORMAT = "siotrust-manifest/1"
 
@@ -152,22 +154,29 @@ def _output_names(seed: int) -> dict[str, str]:
     }
 
 
-def _run_one(config: ScenarioConfig, out_dir: Path) -> RunResult:
-    result = run_scenario(config)
-    names = _output_names(config.seed)
-    assessments = result.assessments
-    result.log.write(out_dir / names["events"])
-    write_decision_csv(result.decisions, out_dir / names["decisions"])
-    trust_text = assessments.trust_text()  # each T formatted once, for both files
-    write_trust_trace_csv(assessments, out_dir / names["trust"], trust_text)
-    write_esr_csv(assessments, out_dir / names["esr"], trust_text)
-    write_communities_csv(result.communities, out_dir / names["communities"])
-    write_attack_csv(result.attempts, out_dir / names["attacks"])
-    return result
+def _run_one(config: ScenarioConfig, out_dir: Path) -> SeedSummary:
+    """Run one seed and write its six files; a seed that raises leaves only `.partial` files."""
+    finals = {key: out_dir / name for key, name in _output_names(config.seed).items()}
+    partial = {key: path.with_name(path.name + ".partial") for key, path in finals.items()}
+    with open(partial["events"], "w", encoding="utf-8", newline="") as events, open(
+        partial["trust"], "w", encoding="utf-8", newline=""
+    ) as trust:
+        result = SimulationEngine(config, events, trust).run()
+    write_decision_csv(result.decisions, partial["decisions"])
+    write_esr_csv(result.assessments, partial["esr"])
+    write_communities_csv(result.communities, partial["communities"])
+    write_attack_csv(result.attempts, partial["attacks"])
+    for key, path in partial.items():
+        os.replace(path, finals[key])
+    return result.summary()
 
 
-def run_batch(base: ScenarioConfig, seeds: Sequence[int], out_dir: Path) -> list[RunResult]:
+def run_batch(base: ScenarioConfig, seeds: Sequence[int], out_dir: Path) -> list[SeedSummary]:
     """Run every seed (concurrently), then write the aggregate files.
+
+    Returns one summary per seed, in seed-list order. A seed that raises
+    propagates its error once the other seeds have finished, and no
+    aggregate file is written.
 
     A seed listed twice is refused before anything is written: its two runs
     would write the same files at once, and metrics.csv would count it twice.
@@ -180,11 +189,11 @@ def run_batch(base: ScenarioConfig, seeds: Sequence[int], out_dir: Path) -> list
     workers = min(len(configs), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda cfg: _run_one(cfg, out_dir), configs))
+            summaries = list(pool.map(lambda cfg: _run_one(cfg, out_dir), configs))
     else:
-        results = [_run_one(cfg, out_dir) for cfg in configs]
+        summaries = [_run_one(cfg, out_dir) for cfg in configs]
 
-    write_metrics_csv((r.metrics_report() for r in results), out_dir / "metrics.csv")
+    write_metrics_csv((s.metrics_report() for s in summaries), out_dir / "metrics.csv")
     manifest = {
         "format": MANIFEST_FORMAT,
         "config": base.to_mapping(),
@@ -195,7 +204,7 @@ def run_batch(base: ScenarioConfig, seeds: Sequence[int], out_dir: Path) -> list
     with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return results
+    return summaries
 
 
 def _fmt(value: float | None) -> str:
@@ -208,7 +217,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         base, seeds = resolve(args)
         out_dir = Path(args.out) if args.out else Path("siotrust-out")
-        results = run_batch(base, seeds, out_dir)
+        summaries = run_batch(base, seeds, out_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -216,12 +225,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    for result in results:
-        report = result.metrics_report()
+    for summary in summaries:
+        report = summary.metrics_report()
         print(
-            f"seed {result.config.seed}: {report.scenario} {report.context} "
+            f"seed {report.seed}: {report.scenario} {report.context} "
             f"DR={_fmt(report.dr)} ACC={_fmt(report.acc)} FN={_fmt(report.fn)} "
-            f"FP={_fmt(report.fp)} decisions={len(result.decisions)}"
+            f"FP={_fmt(report.fp)} decisions={summary.decisions}"
         )
     print(f"wrote {out_dir}/metrics.csv and manifest.json for {len(seeds)} seed(s)")
     return 0

@@ -241,18 +241,18 @@ def join_columns(columns: Sequence[np.ndarray | str], rows: int) -> str:
     return "".join(grid.ravel().tolist())
 
 
-def write_esr_csv(assessments: TrustColumns, path: str | Path, trust_text: np.ndarray) -> None:
+def write_esr_csv(assessments: TrustColumns, path: str | Path) -> None:
     """ESR curves per split (internal/external); empty splits emit no rows.
 
-    `assessments` is a run's `trust.AssessmentTable`; `trust_text` is its
-    T column's text (`AssessmentTable.trust_text`), which the trust trace
-    shares. A split's points are its values in the order of a stable
-    argsort, which is the order `sorted` gives, 0.0 and -0.0 tied in row
-    order. Each point carries `esr_cdf`'s fraction: ties are found with
-    `!=`, and a run of ties carries `(index of its last element + 1) / n`,
-    computed as one float64 division, which is the division Python does on
-    the two ints. Rows are written `CHUNK_LINES` at a time, each fraction
-    formatted once per chunk, the same bytes `csv.writer` would write.
+    `assessments` is a run's `trust.AssessmentTable`, which keeps its T and
+    split columns also when it streamed the trust trace. A split's points
+    are its values in the order of a stable argsort, which is the order
+    `sorted` gives, 0.0 and -0.0 tied in row order. Each point carries
+    `esr_cdf`'s fraction: ties are found with `!=`, and a run of ties
+    carries `(index of its last element + 1) / n`, computed as one float64
+    division, which is the division Python does on the two ints. Rows are
+    written `CHUNK_LINES` at a time, each T and each fraction formatted once
+    per chunk, the same bytes `csv.writer` would write.
     """
     trust, split_rows = assessments.trust, assessments.split_rows()
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -262,12 +262,11 @@ def write_esr_csv(assessments: TrustColumns, path: str | Path, trust_text: np.nd
             n = len(rows)
             if n == 0:
                 continue
-            rows = rows[np.argsort(trust[rows], kind="stable")]
-            ordered = trust[rows]
+            ordered = trust[rows[np.argsort(trust[rows], kind="stable")]]
             ends = np.append(np.flatnonzero(ordered[1:] != ordered[:-1]), n - 1)
             fractions = np.repeat((ends + 1) / n, np.diff(ends, prepend=-1))
             for start in range(0, n, CHUNK_LINES):
                 chunk = slice(start, min(start + CHUNK_LINES, n))
                 lines = chunk.stop - start
-                columns = [f"{split},", trust_text[rows[chunk]], ",", float_texts(fractions[chunk], "\n")]
+                columns = [f"{split},", float_texts(ordered[chunk], ","), float_texts(fractions[chunk], "\n")]
                 handle.write(check_unquoted(join_columns(columns, lines), lines, 3))

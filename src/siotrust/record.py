@@ -3,7 +3,9 @@
 A run keeps its record as columns of small integers and floats, and formats
 text only when a file is written. Events and trust assessments (see
 `trust.AssessmentTable`) name ids through one id table and times through
-one time table, so neither holds a Python object per row.
+one time table, so neither holds a Python object per row. Given an open
+file, a record part streams instead: it writes its rows a chunk at a time
+as the run makes them and drops them (see `Spool`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from array import array
 from pathlib import Path
 from string import Formatter
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -96,27 +98,127 @@ _LAYOUTS = [_parse(template) for template in _TEMPLATES]
 _ARITY = np.array([len(formats) for _, formats in _LAYOUTS], dtype=np.intp)
 
 
-class EventLog:
+class NameTexts:
+    """`name + suffix` for each entry of the id table, formatted once as the table grows."""
+
+    def __init__(self, names: list[str], suffix: str = "") -> None:
+        self._names = names
+        self._suffix = suffix
+        self._texts = np.empty(0, dtype=object)
+        self._count = 0  # entries formatted so far
+
+    def of(self, codes: np.ndarray) -> np.ndarray:
+        """The text of each code, an object array."""
+        count = len(self._names)
+        if count > self._count:
+            if count > len(self._texts):
+                grown = np.empty(2 * count, dtype=object)
+                grown[: self._count] = self._texts[: self._count]
+                self._texts = grown
+            self._texts[self._count : count] = [name + self._suffix for name in self._names[self._count : count]]
+            self._count = count
+        return self._texts[codes]
+
+
+class TimeTexts:
+    """`template.format(time)` for the times rows refer to, each formatted once.
+
+    Rows hold time-table indices in nondecreasing order, since a time only
+    ever joins the end of the table (`Symbols.time`). So a time's text is
+    needed by one stretch of rows, and only the last text is kept for the
+    next call, whose first rows may share it: memory does not grow with
+    the number of ticks.
+    """
+
+    def __init__(self, times: list[float], template: str) -> None:
+        self._times = times
+        self._template = template
+        self._last: tuple[int, str] = (-1, "")
+
+    def of(self, indices: np.ndarray) -> np.ndarray:
+        """The text of each row's time, an object array; `indices` is not empty."""
+        edges = np.flatnonzero(np.diff(indices)) + 1  # where a new time starts
+        used = indices[np.r_[0, edges]].tolist()
+        known, text = self._last
+        texts = [text if k == known else self._template.format(self._times[k]) for k in used]
+        self._last = (used[-1], texts[-1])
+        return np.repeat(np.array(texts, dtype=object), np.diff(np.r_[0, edges, len(indices)]))
+
+
+class Spool:
+    """Rows pending as columns, kept whole or streamed to an open file.
+
+    Without a sink, every row stays for the readers of the whole record.
+    With one (an open text file, which the caller closes), `flush` formats
+    the pending rows a chunk at a time (`_chunks`), writes them and drops
+    them, and `spill` flushes once `CHUNK_LINES` rows are pending; a reader
+    of the whole record then raises instead of returning part of the run.
+    A subclass keeps its pending columns in the attributes `_drop` resets.
+    """
+
+    def __init__(self, sink: TextIO | None) -> None:
+        self._sink = sink
+        self._written = 0  # rows written to the sink and dropped
+        self._drop()
+
+    def _drop(self) -> None:
+        raise NotImplementedError
+
+    def _pending(self) -> int:
+        raise NotImplementedError
+
+    def _chunks(self) -> Iterator[str]:
+        """The pending rows' text, `CHUNK_LINES` rows at a time."""
+        raise NotImplementedError
+
+    def flush(self) -> None:
+        """Write the pending rows to the sink and drop them; without a sink, keep them."""
+        if self._sink is None or not self._pending():
+            return
+        for chunk in self._chunks():
+            self._sink.write(chunk)
+        self._written += self._pending()
+        self._drop()
+
+    def spill(self) -> None:
+        """`flush` once `CHUNK_LINES` rows are pending."""
+        if self._pending() >= CHUNK_LINES:
+            self.flush()
+
+    def _require_whole(self) -> None:
+        if self._sink is not None:
+            raise ValueError(f"this {type(self).__name__} streams to a file and holds only unwritten rows")
+
+
+class EventLog(Spool):
     """Append-only run log with nondecreasing timestamps, kept as columns.
 
     An event is a kind code, a time-table index, and its fields in its
     template's order: ids and labels as id-table codes, integers as
     themselves, floats as indices into a float column. So an `exp` event,
     95 % of a run's events, is three small integers beside its kind and
-    time. Nothing is formatted until `text()` or `write()`. They format
-    each run of same-kind events as columns: the `t=<repr> ` prefix once
-    per time, each float once, ids and constant text by reference. Two runs
-    agree iff their texts agree byte for byte, which is exactly what the
-    determinism tests compare.
+    time. Nothing is formatted until `text()`, `write()` or, for a log
+    given a `sink`, `flush()`. They format each run of same-kind events as
+    columns: the `t=<repr> ` prefix once per time, each float once, ids and
+    constant text by reference. Two runs agree iff their texts agree byte
+    for byte, which is exactly what the determinism tests compare.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, sink: TextIO | None = None) -> None:
         self.symbols = Symbols()
+        self._last_time = -math.inf
+        self._names = NameTexts(self.symbols.names)
+        self._prefixes = TimeTexts(self.symbols.times, "t={!r} ")
+        super().__init__(sink)
+
+    def _drop(self) -> None:
         self._kinds = array("B")
         self._times = array("i")
         self._fields = array("i")
-        self._values = array("d")
-        self._last_time = -math.inf
+        self._values = array("d")  # float fields; a pending event's field holds its index here
+
+    def _pending(self) -> int:
+        return len(self._kinds)
 
     def _stamp(self, time: float) -> int:
         if time is not self._last_time:
@@ -168,7 +270,6 @@ class EventLog:
         self._fields.frombytes(np.column_stack(encoded).astype(np.intc).tobytes())
 
     def _chunks(self) -> Iterator[str]:
-        """The log's text, `CHUNK_LINES` lines at a time."""
         count = len(self._kinds)
         if count == 0:
             return
@@ -176,42 +277,45 @@ class EventLog:
         times = np.frombuffer(self._times, dtype=np.intc)
         fields = np.frombuffer(self._fields, dtype=np.intc)
         values = np.frombuffer(self._values, dtype=np.float64)
-        names = np.array(self.symbols.names, dtype=object)
-        prefixes = np.array([f"t={time!r} " for time in self.symbols.times], dtype=object)
         arity = _ARITY[kinds]
         offsets = np.cumsum(arity) - arity  # where each event's fields start
         for start in range(0, count, CHUNK_LINES):
             stop = min(start + CHUNK_LINES, count)
+            prefixes = self._prefixes.of(times[start:stop])
             edges = [start, *(np.flatnonzero(np.diff(kinds[start:stop])) + start + 1).tolist(), stop]
             text = []
             for lo, hi in zip(edges, edges[1:]):
                 literals, formats = _LAYOUTS[kinds[lo]]
                 first = offsets[lo]
                 block = fields[first : first + len(formats) * (hi - lo)].reshape(hi - lo, len(formats))
-                columns = [prefixes[times[lo:hi]]]
+                columns = [prefixes[lo - start : hi - start]]
                 for literal, form, column in zip(literals, formats, block.T):
-                    columns += [literal, _field_text(form, column, names, values)]
+                    columns += [literal, _field_text(form, column, self._names, values)]
                 columns.append(literals[-1])
                 text.append(join_columns(columns, hi - lo))
             yield "".join(text)
 
     def text(self) -> str:
+        """The whole log; a log that streams to a file raises."""
+        self._require_whole()
         return "".join(self._chunks())
 
     def write(self, path: str | Path) -> None:
         """The log as `text()` gives it, written `CHUNK_LINES` lines at a time."""
+        self._require_whole()
         with open(path, "w", encoding="utf-8", newline="") as handle:
             for chunk in self._chunks():
                 handle.write(chunk)
 
     def __len__(self) -> int:
-        return len(self._kinds)
+        """Every event appended, written to the sink or not."""
+        return self._written + len(self._kinds)
 
 
-def _field_text(form: str, column: np.ndarray, names: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _field_text(form: str, column: np.ndarray, names: NameTexts, values: np.ndarray) -> np.ndarray:
     """One field of a run of events as text, an object array."""
     if form == "s":
-        return names[column]
+        return names.of(column)
     if form == "d":
         texts = map(str, column.tolist())
     elif form == "r":

@@ -43,7 +43,7 @@ import numbers
 import random
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import Any, Mapping
+from typing import Any, Mapping, TextIO
 
 import numpy as np
 
@@ -307,6 +307,9 @@ class RunResult:
     one id table and one time table, and hold no Python object per event
     or per assessment (see `record.EventLog` and `trust.AssessmentTable`).
     Iterating `assessments` builds its `TrustAssessment` rows on demand.
+    A run that streamed its log and trust trace to files keeps only what
+    those two files do not hold: its event count, and T and the split of
+    each assessment.
     """
 
     config: ScenarioConfig
@@ -322,6 +325,22 @@ class RunResult:
         trust = self.assessments.trust
         return {split: trust[rows].tolist() for split, rows in self.assessments.split_rows().items()}
 
+    def summary(self) -> "SeedSummary":
+        """What a batch keeps of this run once its files are written."""
+        return SeedSummary(self.config, self.counters, len(self.decisions))
+
+    def metrics_report(self) -> MetricsReport:
+        return self.summary().metrics_report()
+
+
+@dataclass(frozen=True)
+class SeedSummary:
+    """A run's config, confusion counters and decision count: what `cli.run_batch` returns per seed."""
+
+    config: ScenarioConfig
+    counters: ConfusionCounters
+    decisions: int
+
     def metrics_report(self) -> MetricsReport:
         return MetricsReport(
             scenario=self.config.scenario_label,
@@ -333,15 +352,21 @@ class RunResult:
 
 
 class SimulationEngine:
-    """Builds a world from a config and runs it to completion."""
+    """Builds a world from a config and runs it to completion.
 
-    def __init__(self, config: ScenarioConfig) -> None:
+    Given open text files `events` and `trust`, the run streams its event
+    log and its trust trace to them, a chunk at a time between ticks, and
+    keeps no row of either once written (see `record.Spool`); the caller
+    closes the files. Without them the run keeps its whole record.
+    """
+
+    def __init__(self, config: ScenarioConfig, events: TextIO | None = None, trust: TextIO | None = None) -> None:
         self.cfg = config
         self.context = config.context()
         self.rng = np.random.Generator(np.random.PCG64(config.seed))
         self.pyrng = random.Random(config.seed)
-        self.log = EventLog()
-        self.assessments = AssessmentTable(self.log.symbols)
+        self.log = EventLog(events)
+        self.assessments = AssessmentTable(self.log.symbols, trust)
         self.registry = DeviceRegistry()
         self.store = OpinionStore(self.context.base_rate, self.log.symbols)
         self.similarity = _StaticSimilarity(config.weights())
@@ -501,6 +526,10 @@ class SimulationEngine:
             self._attacker_requests(now)
             self._interactions(now, self._squared_distances())
             self._move()
+            self.log.spill()
+            self.assessments.spill()
+        self.log.flush()
+        self.assessments.flush()
 
         counters = ConfusionCounters.from_requests(self.gate.decisions)
         return RunResult(

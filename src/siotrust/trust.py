@@ -25,12 +25,12 @@ from array import array
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Iterator, Literal, NamedTuple, Sequence
+from typing import Iterator, Literal, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .metrics import CHUNK_LINES, check_unquoted, float_texts, join_columns
-from .record import Symbols
+from .record import NameTexts, Spool, Symbols, TimeTexts
 from .social import RelationType
 
 Outcome = Literal["positive", "negative"]
@@ -340,7 +340,10 @@ _SPLITS = ("internal", "external")
 _RELATIONS = tuple(RelationType)
 
 
-class AssessmentTable:
+TRUST_HEADER = "time,evaluator,subject,relation,D,S,R,T\n"
+
+
+class AssessmentTable(Spool):
     """Every trust assessment of a run, as columns.
 
     A row is a time-table index, the evaluator and subject as id-table
@@ -351,16 +354,32 @@ class AssessmentTable:
     equal the ones the assessments were made as. Building them costs about
     0.6 µs and 220 bytes a row while held; the writers and
     `RunResult.esr_splits` read the columns instead.
+
+    Given a `sink`, the table writes the trust trace to it as the run goes
+    (see `record.Spool`): the header at once, then each flushed row, and
+    keeps of a written row only T and the split, 9 bytes, which the ESR
+    needs.
     """
 
-    def __init__(self, symbols: Symbols | None = None) -> None:
+    def __init__(self, symbols: Symbols | None = None, sink: TextIO | None = None) -> None:
         self.symbols = Symbols() if symbols is None else symbols
+        self._trust = array("d")  # every row's T and split, written or not
+        self._split = array("B")
+        self._names = NameTexts(self.symbols.names, ",")
+        self._times = TimeTexts(self.symbols.times, "{!r},")
+        super().__init__(sink)
+        if sink is not None:
+            sink.write(TRUST_HEADER)
+
+    def _drop(self) -> None:
         self._time = array("i")
         self._evaluator = array("i")
         self._subject = array("i")
         self._relation = array("B")
-        self._split = array("B")
-        self._components = tuple(array("d") for _ in range(4))  # D, S, R, T
+        self._components = tuple(array("d") for _ in range(3))  # D, S, R
+
+    def _pending(self) -> int:
+        return len(self._time)
 
     def append(
         self,
@@ -380,8 +399,9 @@ class AssessmentTable:
         self._subject.append(self.symbols.code(subject))
         self._relation.append(_RELATIONS.index(relation))
         self._split.append(_SPLITS.index(split))
-        for column, value in zip(self._components, (direct, similarity, recommended, trust)):
+        for column, value in zip(self._components, (direct, similarity, recommended)):
             column.append(value)
+        self._trust.append(trust)
 
     def extend(
         self,
@@ -402,13 +422,16 @@ class AssessmentTable:
         self._subject.frombytes(np.asarray(subjects, dtype=np.intc).tobytes())
         self._relation.frombytes(bytes([_RELATIONS.index(relation)]) * count)
         self._split.frombytes(bytes([_SPLITS.index(split)]) * count)
-        for column, values in zip(self._components, (direct, similarity, recommended, trust)):
+        for column, values in zip((*self._components, self._trust), (direct, similarity, recommended, trust)):
             column.frombytes(np.asarray(values, dtype=np.float64).tobytes())
 
     def __len__(self) -> int:
-        return len(self._time)
+        """Every row appended, written to the sink or not."""
+        return len(self._trust)
 
     def __iter__(self) -> Iterator[TrustAssessment]:
+        """The rows as `TrustAssessment`s; a table that streams to a file raises."""
+        self._require_whole()
         names, times = self.symbols.names, self.symbols.times
         columns = zip(
             map(times.__getitem__, self._time),
@@ -416,6 +439,7 @@ class AssessmentTable:
             map(names.__getitem__, self._subject),
             map(_RELATIONS.__getitem__, self._relation),
             *self._components,
+            self._trust,
             map(_SPLITS.__getitem__, self._split),
         )
         return map(partial(tuple.__new__, TrustAssessment), columns)
@@ -423,52 +447,55 @@ class AssessmentTable:
     @property
     def trust(self) -> np.ndarray:
         """The T column, a float64 copy."""
-        return np.array(self._components[3], dtype=np.float64)
-
-    def trust_text(self) -> np.ndarray:
-        """The repr of every T, in row order: the text both the trust trace and the ESR print."""
-        return float_texts(self.trust)
+        return np.array(self._trust, dtype=np.float64)
 
     def split_rows(self) -> dict[str, np.ndarray]:
         """The row indices of each split, every split listed."""
         codes = np.frombuffer(self._split, dtype=np.uint8)
         return {split: np.flatnonzero(codes == k) for k, split in enumerate(_SPLITS)}
 
+    def _chunks(self) -> Iterator[str]:
+        """The pending rows as trust-trace lines: time, ids, relation, then D, S, R, T by repr.
 
-def write_trust_trace_csv(assessments: AssessmentTable, path: str | Path, trust_text: np.ndarray) -> None:
-    """One CSV row per assessment: time, ids, relation, then D, S, R, T by repr.
-
-    `trust_text` is the T column's text (`AssessmentTable.trust_text`), which
-    the ESR writer shares. Rows are assembled from text columns and written
-    `CHUNK_LINES` at a time, the same bytes `csv.writer` writes: no field
-    needs quoting (`check_unquoted` raises if one would). Times and ids are
-    formatted once per table entry; D, S and R once per distinct value in
-    a chunk, which for D and S is a few hundred values over 10^5 rows.
-    """
-    count = len(assessments)
-    symbols = assessments.symbols
-    names = np.array([name + "," for name in symbols.names], dtype=object)
-    times = np.array([f"{time!r}," for time in symbols.times], dtype=object)
-    relations = np.array([relation.value + "," for relation in _RELATIONS], dtype=object)
-    time = np.frombuffer(assessments._time, dtype=np.intc)
-    evaluator = np.frombuffer(assessments._evaluator, dtype=np.intc)
-    subject = np.frombuffer(assessments._subject, dtype=np.intc)
-    relation = np.frombuffer(assessments._relation, dtype=np.uint8)
-    direct, similarity, recommended, _ = (np.frombuffer(c, dtype=np.float64) for c in assessments._components)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("time,evaluator,subject,relation,D,S,R,T\n")
+        Rows are assembled from text columns, the same bytes `csv.writer`
+        writes: no field needs quoting (`check_unquoted` raises if one
+        would). Times and ids are formatted once per table entry; D, S, R
+        and T once per distinct value in a chunk, which for D and S is a few
+        hundred values over 10^5 rows.
+        """
+        count = len(self._time)
+        if count == 0:
+            return
+        relations = np.array([relation.value + "," for relation in _RELATIONS], dtype=object)
+        time = np.frombuffer(self._time, dtype=np.intc)
+        evaluator = np.frombuffer(self._evaluator, dtype=np.intc)
+        subject = np.frombuffer(self._subject, dtype=np.intc)
+        relation = np.frombuffer(self._relation, dtype=np.uint8)
+        direct, similarity, recommended = (np.frombuffer(c, dtype=np.float64) for c in self._components)
+        trust = np.frombuffer(self._trust, dtype=np.float64)[self._written :]
         for start in range(0, count, CHUNK_LINES):
             rows = slice(start, min(start + CHUNK_LINES, count))
             columns = [
-                times[time[rows]],
-                names[evaluator[rows]],
-                names[subject[rows]],
+                self._times.of(time[rows]),
+                self._names.of(evaluator[rows]),
+                self._names.of(subject[rows]),
                 relations[relation[rows]],
                 float_texts(direct[rows], ","),
                 float_texts(similarity[rows], ","),
                 float_texts(recommended[rows], ","),
-                trust_text[rows],
-                "\n",
+                float_texts(trust[rows], "\n"),
             ]
             lines = rows.stop - rows.start
-            handle.write(check_unquoted(join_columns(columns, lines), lines, 8))
+            yield check_unquoted(join_columns(columns, lines), lines, 8)
+
+
+def write_trust_trace_csv(assessments: AssessmentTable, path: str | Path) -> None:
+    """One CSV row per assessment, `CHUNK_LINES` at a time (see `AssessmentTable._chunks`).
+
+    A table that streamed its trace to a file raises.
+    """
+    assessments._require_whole()
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(TRUST_HEADER)
+        for chunk in assessments._chunks():
+            handle.write(chunk)

@@ -1,9 +1,12 @@
+import collections
 import csv
 import json
+import os
 
 import pytest
 
-from siotrust.cli import main
+from siotrust import ScenarioConfig, SimulationEngine, record, trust
+from siotrust.cli import main, run_batch
 
 SMALL = {"node_count": 30, "duration": 60.0}
 
@@ -78,6 +81,52 @@ class TestSeedExpansion:
         code = main(["--config", config_path, "--seeds", "0", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestFailedSeed:
+    """A seed that raises leaves its files under `.partial` names only; the others finish."""
+
+    @staticmethod
+    def fail_mid_run(monkeypatch, seed):
+        move = SimulationEngine._move
+        moves = collections.Counter()
+
+        def failing(engine):
+            moves[engine.cfg.seed] += 1
+            if engine.cfg.seed == seed and moves[seed] == 40:
+                raise RuntimeError(f"seed {seed} broke")
+            move(engine)
+
+        monkeypatch.setattr(SimulationEngine, "_move", failing)
+
+    def test_a_single_seed(self, tmp_path, monkeypatch):
+        run_batch(ScenarioConfig(**SMALL), [5], tmp_path / "clean")
+        for module in (record, trust):
+            monkeypatch.setattr(module, "CHUNK_LINES", 100)  # flush often enough to see the run's start
+        self.fail_mid_run(monkeypatch, 5)
+        out = tmp_path / "failed"
+        with pytest.raises(RuntimeError, match="seed 5 broke"):
+            run_batch(ScenarioConfig(**SMALL), [5], out)
+        assert {p.name for p in out.iterdir()} == {"events-s5.log.partial", "trust-s5.csv.partial"}
+        for partial, final in (("events-s5.log.partial", "events-s5.log"), ("trust-s5.csv.partial", "trust-s5.csv")):
+            written, whole = (out / partial).read_bytes(), (tmp_path / "clean" / final).read_bytes()
+            assert 1000 < len(written) < len(whole) and whole.startswith(written), partial
+
+    def test_one_seed_of_a_pooled_batch(self, tmp_path, monkeypatch):
+        base = ScenarioConfig(**SMALL)
+        run_batch(base, [6], tmp_path / "alone")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two seeds on the thread pool
+        self.fail_mid_run(monkeypatch, 5)
+        out = tmp_path / "pooled"
+        with pytest.raises(RuntimeError, match="seed 5 broke"):
+            run_batch(base, [5, 6], out)
+        names = {p.name for p in out.iterdir()}
+        assert {name for name in names if "-s5." in name} == {"events-s5.log.partial", "trust-s5.csv.partial"}
+        complete = {name for name in names if "-s6." in name}
+        assert len(complete) == 6 and not any(name.endswith(".partial") for name in complete)
+        for name in complete:
+            assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
+        assert "metrics.csv" not in names and "manifest.json" not in names
 
 
 class TestPrecedence:

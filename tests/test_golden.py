@@ -18,7 +18,9 @@ import hashlib
 
 import pytest
 
-from siotrust import ScenarioConfig, SimulationEngine, cli
+from siotrust import ScenarioConfig, SimulationEngine, cli, metrics, record, run_scenario, trust
+from siotrust.metrics import CHUNK_LINES, write_esr_csv
+from siotrust.trust import write_trust_trace_csv
 
 GOLDEN = {
     "default-40": (
@@ -86,8 +88,33 @@ def test_outputs_match_pinned_hashes(name, tmp_path):
 
 def test_fabricated_config_mints_identities(tmp_path):
     overrides, _ = GOLDEN["fabricated-multi-40"]
-    result = cli.run_batch(ScenarioConfig.from_mapping(overrides), [1], tmp_path)[0]
-    assert any(" fabricate attacker=" in line for line in result.log.text().splitlines())
+    cli.run_batch(ScenarioConfig.from_mapping(overrides), [1], tmp_path)
+    assert any(" fabricate attacker=" in line for line in (tmp_path / "events-s1.log").read_text().splitlines())
+
+
+@pytest.mark.parametrize("lines", [1, 7, CHUNK_LINES])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_flush_boundaries_do_not_change_bytes(name, lines, tmp_path, monkeypatch):
+    """The streamed files equal the in-memory record's writers, whatever the flush size.
+
+    Size 1 flushes every tick and formats one row per chunk, so a run of
+    one event kind, the `t=30` and `t=30.0` prefixes of an integer tick and
+    the 0.0 and -0.0 of T all meet chunk and flush boundaries.
+    """
+    config = ScenarioConfig.from_mapping({**GOLDEN[name][0], "seed": 1})
+    result = run_scenario(config)
+    want = tmp_path / "want"
+    want.mkdir()
+    result.log.write(want / "events-s1.log")
+    write_trust_trace_csv(result.assessments, want / "trust-s1.csv")
+    write_esr_csv(result.assessments, want / "esr-s1.csv")
+    for module in (metrics, record, trust):
+        monkeypatch.setattr(module, "CHUNK_LINES", lines)
+    got = tmp_path / "got"
+    got.mkdir()
+    cli._run_one(config, got)
+    for path in want.iterdir():
+        assert (got / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_por_config_leaves_the_recommendation_cache_empty():

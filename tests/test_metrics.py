@@ -150,7 +150,7 @@ def write_splits(split_values, path):
         {split: np.array([k for k, (s, _) in enumerate(labelled) if s == split], dtype=np.intp)
          for split in split_values},
     )
-    write_esr_csv(table, path, float_texts(table.trust))
+    write_esr_csv(table, path)
 
 
 @dataclass(frozen=True)

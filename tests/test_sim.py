@@ -1,4 +1,6 @@
+import collections
 import gc
+import io
 import math
 import tracemalloc
 import weakref
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from siotrust import record
 from siotrust.adversary import AttackBehavior, AttackerEngine
 from siotrust.metrics import CHUNK_LINES, ConfusionCounters
 from siotrust.sim import (
@@ -18,6 +21,7 @@ from siotrust.sim import (
     run_scenario,
 )
 from siotrust.social import ConfigError, IdentitySource, RelationType
+from siotrust.trust import write_trust_trace_csv
 
 SMALL = dict(node_count=30, duration=60.0, seed=5)
 
@@ -202,6 +206,29 @@ class TestEventLog:
         prefixes = [line.split()[0] for line in log.text().splitlines()]
         assert prefixes == ["t=0.0", "t=-0.0", "t=0.0", "t=30", "t=30.0", "t=30"]
 
+    def test_a_streamed_log_formats_each_time_and_id_once(self, monkeypatch):
+        monkeypatch.setattr(record, "CHUNK_LINES", 3)
+        CountedTime.formatted.clear()
+        sink = io.StringIO()
+        log = EventLog(sink)
+        expected = []
+        for k in range(20):
+            now = CountedTime(k / 2)
+            for j in range(k % 4):  # 0-3 events a tick, flushed every third
+                log.append(now, "bootstrap", f"d{j}")
+                expected.append(f"t={k / 2!r} bootstrap manager=d{j}\n")
+                log.spill()
+        log.flush()
+        assert sink.getvalue() == "".join(expected)
+        assert len(log) == len(expected)
+        assert set(CountedTime.formatted.values()) == {1}
+        assert len(CountedTime.formatted) == sum(1 for k in range(20) if k % 4)
+        names = record.NameTexts(log.symbols.names, ",")
+        first = names.of(np.array([0, 1, 2]))
+        log.symbols.code("d9")
+        again = names.of(np.array([2, 3]))
+        assert again.tolist() == ["d2,", "d9,"] and again[0] is first[2]
+
     def test_first_line_at_zero_is_unchanged(self, small_run):
         _, result = small_run
         assert result.log.text().splitlines()[0] == "t=0.0 bootstrap manager=d000"
@@ -216,6 +243,16 @@ class TestEventLog:
         assert (tmp_path / "events.log").read_text() == log.text()
         EventLog().write(tmp_path / "empty.log")
         assert (tmp_path / "empty.log").read_bytes() == b""
+
+
+class CountedTime(float):
+    """A time that counts how often its text is formatted, by object."""
+
+    formatted = collections.Counter()
+
+    def __repr__(self):
+        CountedTime.formatted[id(self)] += 1
+        return float.__repr__(self)
 
 
 # the f-strings the engine formatted each event with when the log held lines
@@ -265,6 +302,11 @@ class LineLog:
 
     def text(self):
         return "".join(line + "\n" for line in self.lines)
+
+    def spill(self):
+        """Nothing: the reference keeps every line, as a log without a sink does."""
+
+    flush = spill
 
 
 @pytest.mark.parametrize(
@@ -802,6 +844,65 @@ class TestRecordFootprint:
         assert len(long_run.log) > 1.5 * len(short_run.log)
         assert len(long_run.assessments) > 1.5 * len(short_run.assessments)
         assert long == short
+
+
+class TestStreamedRecordFootprint:
+    """A run given open files writes its log and trust trace as it goes and keeps no row of either."""
+
+    @staticmethod
+    def streamed(duration, out):
+        config = ScenarioConfig(node_count=40, seed=1, duration=duration)
+        with open(out / "events.log", "w", encoding="utf-8", newline="") as events, open(
+            out / "trust.csv", "w", encoding="utf-8", newline=""
+        ) as trust:
+            return SimulationEngine(config, events, trust).run()
+
+    def test_keeps_no_event_row_and_only_t_and_the_split(self, tmp_path):
+        result = self.streamed(600.0, tmp_path)
+        log, table = result.log, result.assessments
+        assert [len(column) for column in (log._kinds, log._times, log._fields, log._values)] == [0] * 4
+        pending = (table._time, table._evaluator, table._subject, table._relation, *table._components)
+        assert [len(column) for column in pending] == [0] * 7
+        assert len(table._trust) == len(table._split) == len(table) > 0
+        # the lengths still count every row, as perfbench's sim.events reads them
+        assert len(log) == len((tmp_path / "events.log").read_text().splitlines()) > 0
+        assert len(table) == len((tmp_path / "trust.csv").read_text().splitlines()) - 1
+
+    def test_bytes_grow_with_assessments_and_ticks_not_events(self, tmp_path):
+        self.streamed(60.0, tmp_path)  # first-use caches outside the run
+        grown = []
+        for duration in (300.0, 1200.0):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = self.streamed(duration, tmp_path)
+                # one dataclass per request, not part of the record
+                result.decisions.clear()
+                result.attempts.clear()
+                gc.collect()
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            grown.append((retained, len(result.log), len(result.assessments), len(result.log.symbols.times)))
+            del result
+        (short, events, assessments, times), (long, more_events, more_assessments, more_times) = grown
+        assert more_events - events > 2 * (more_assessments - assessments)
+        # 9 bytes of T and split per assessment plus the arrays' headroom, and
+        # the time table's float and list slot per tick; nothing per event
+        assert long - short <= 12 * (more_assessments - assessments) + 40 * (more_times - times)
+
+    def test_readers_of_the_whole_record_raise(self, tmp_path):
+        result = self.streamed(60.0, tmp_path)
+        with pytest.raises(ValueError, match="streams to a file"):
+            result.log.text()
+        with pytest.raises(ValueError, match="streams to a file"):
+            result.log.write(tmp_path / "again.log")
+        with pytest.raises(ValueError, match="streams to a file"):
+            iter(result.assessments)
+        with pytest.raises(ValueError, match="streams to a file"):
+            write_trust_trace_csv(result.assessments, tmp_path / "again.csv")
+        assert not (tmp_path / "again.log").exists() and not (tmp_path / "again.csv").exists()
 
 
 class LoopDuplicateScan(SimulationEngine):

@@ -255,7 +255,7 @@ def table_of(items):
 
 
 def write_table(table, path):
-    write_trust_trace_csv(table, path, table.trust_text())
+    write_trust_trace_csv(table, path)
 
 
 def reference_trust_csv(assessments, path):
@@ -369,9 +369,7 @@ class TestSharedTrustText:
     )
     def test_a_run_writes_what_the_previous_writer_wrote(self, overrides, tmp_path):
         result = run_scenario(ScenarioConfig.from_mapping(overrides))
-        text = result.assessments.trust_text()
-        assert text.tolist() == [repr(item.trust) for item in result.assessments]
-        write_trust_trace_csv(result.assessments, tmp_path / "got.csv", text)
+        write_trust_trace_csv(result.assessments, tmp_path / "got.csv")
         previous_trust_csv(result.assessments, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
