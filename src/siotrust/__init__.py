@@ -23,8 +23,6 @@ from .community import (
     SimilarityWeights,
     community_similarity,
     form_communities,
-    friendship_similarity,
-    interest_similarity,
     jaccard,
     pairwise_similarity,
     write_communities_csv,
@@ -115,8 +113,6 @@ __all__ = [
     "false_negative_rate",
     "false_positive_rate",
     "form_communities",
-    "friendship_similarity",
-    "interest_similarity",
     "jaccard",
     "load_friendship_edges",
     "overall_trust",

@@ -155,8 +155,10 @@ def _output_names(seed: int) -> dict[str, str]:
 
 
 def _run_one(config: ScenarioConfig, out_dir: Path) -> SeedSummary:
-    """Run one seed and write its six files; a seed that raises leaves only `.partial` files."""
+    """Remove an earlier run's six files, then run one seed and write its own; a raise leaves only `.partial` files."""
     finals = {key: out_dir / name for key, name in _output_names(config.seed).items()}
+    for path in finals.values():
+        path.unlink(missing_ok=True)
     partial = {key: path.with_name(path.name + ".partial") for key, path in finals.items()}
     with open(partial["events"], "w", encoding="utf-8", newline="") as events, open(
         partial["trust"], "w", encoding="utf-8", newline=""
@@ -176,7 +178,7 @@ def run_batch(base: ScenarioConfig, seeds: Sequence[int], out_dir: Path) -> list
 
     Returns one summary per seed, in seed-list order. A seed that raises
     propagates its error once the other seeds have finished, and no
-    aggregate file is written.
+    aggregate file is written; an earlier run's are removed up front.
 
     A seed listed twice is refused before anything is written: its two runs
     would write the same files at once, and metrics.csv would count it twice.
@@ -185,6 +187,8 @@ def run_batch(base: ScenarioConfig, seeds: Sequence[int], out_dir: Path) -> list
     if repeated:
         raise ConfigError(f"seed list repeats seed(s) {', '.join(map(str, repeated))}: {list(seeds)}")
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("metrics.csv", "manifest.json"):
+        (out_dir / name).unlink(missing_ok=True)
     configs = [base.with_seed(seed) for seed in seeds]
     workers = min(len(configs), os.cpu_count() or 1)
     if workers > 1:

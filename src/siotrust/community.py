@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Collection, Iterable, Mapping, Protocol, Sequence
+
+import numpy as np
 
 from .social import ConfigError, Context, Device
 
@@ -29,14 +31,6 @@ def jaccard(a: set[str] | frozenset[str], b: set[str] | frozenset[str]) -> float
     if not a and not b:
         return 0.0
     return len(a & b) / len(a | b)
-
-
-def friendship_similarity(i: SocialProfile, j: SocialProfile) -> float:
-    return jaccard(i.friends, j.friends)
-
-
-def interest_similarity(i: SocialProfile, j: SocialProfile) -> float:
-    return jaccard(i.interests, j.interests)
 
 
 @dataclass(frozen=True)
@@ -60,9 +54,40 @@ DEFAULT_WEIGHTS = SimilarityWeights()
 def pairwise_similarity(
     i: SocialProfile, j: SocialProfile, weights: SimilarityWeights = DEFAULT_WEIGHTS
 ) -> float:
-    return weights.friend_weight * friendship_similarity(i, j) + (
-        weights.interest_weight * interest_similarity(i, j)
+    return weights.friend_weight * jaccard(i.friends, j.friends) + (
+        weights.interest_weight * jaccard(i.interests, j.interests)
     )
+
+
+def similarity_matrix(rows: Sequence[SocialProfile], columns: Sequence[SocialProfile],
+                      weights: SimilarityWeights = DEFAULT_WEIGHTS) -> np.ndarray:
+    """`pairwise_similarity` of each row profile against each column profile, bit for bit.
+
+    |A&B| counts one per shared element, exactly (no float matrix product);
+    |A|B| is |A| + |B| - |A&B|. The division and `fw*F + iw*I` are the same.
+    """
+    return weights.friend_weight * _jaccard_matrix([r.friends for r in rows], [c.friends for c in columns]) + (
+        weights.interest_weight * _jaccard_matrix([r.interests for r in rows], [c.interests for c in columns])
+    )
+
+
+def _jaccard_matrix(rows: Sequence[Collection[str]], columns: Sequence[Collection[str]]) -> np.ndarray:
+    shared = np.zeros((len(rows), len(columns)), dtype=np.int64)
+    in_columns = _holders(columns)
+    for element, in_rows in _holders(rows).items():
+        if element in in_columns:  # an element no column holds is shared with none
+            shared[np.ix_(in_rows, in_columns[element])] += 1
+    union = np.array([len(s) for s in rows], dtype=np.int64)[:, None] + [len(s) for s in columns] - shared
+    return np.divide(shared, union, out=np.zeros(shared.shape), where=union > 0)
+
+
+def _holders(sets: Sequence[Collection[str]]) -> dict[str, list[int]]:
+    """Element -> the indices of the sets that hold it."""
+    found: dict[str, list[int]] = {}
+    for index, held in enumerate(sets):
+        for element in held:
+            found.setdefault(element, []).append(index)
+    return found
 
 
 @dataclass(frozen=True)
@@ -88,29 +113,21 @@ def form_communities(
     singletons). Output order is deterministic: members sorted, communities
     numbered by their smallest member id.
     """
-    by_id = {d.id: d for d in devices}
-
-    def similarity_of(pair: tuple[str, str]) -> float:
-        return pairwise_similarity(by_id[pair[0]], by_id[pair[1]], weights)
-
-    return partition_by_similarity(list(by_id), similarity_of, context, threshold)
+    ordered = sorted({d.id: d for d in devices}.values(), key=lambda d: d.id)
+    matrix = similarity_matrix(ordered, ordered, weights)
+    return partition_by_similarity([d.id for d in ordered], matrix, context, threshold)
 
 
-def partition_by_similarity(
-    ids: Sequence[str],
-    similarity_of: Callable[[tuple[str, str]], float],
-    context: Context,
-    threshold: float,
-) -> list[Community]:
+def partition_by_similarity(ids: Sequence[str], matrix: np.ndarray, context: Context,
+                            threshold: float) -> list[Community]:
     """Connected components of the strict-threshold similarity graph.
 
-    `similarity_of((i, j))` is called once per id pair, with i < j. Shared
-    by form_communities and the simulation engine, which caches the static
-    pairwise similarities once per run. Components are found by union-find
-    over indices into the sorted ids.
+    `ids` are sorted and `matrix[a, b]` is the similarity of `ids[a]` and
+    `ids[b]`. Shared by form_communities and the simulation engine, which
+    builds its matrix once per run. Union-find over indices into the ids
+    joins the pairs of the upper triangle above the threshold, row-major.
     """
-    ordered = sorted(ids)
-    parent = list(range(len(ordered)))
+    parent = list(range(len(ids)))
 
     def root(k: int) -> int:
         while parent[k] != k:
@@ -118,14 +135,12 @@ def partition_by_similarity(
             k = parent[k]
         return k
 
-    for a in range(len(ordered)):
-        for b in range(a + 1, len(ordered)):
-            if similarity_of((ordered[a], ordered[b])) > threshold:
-                parent[root(b)] = root(a)
+    for a, b in zip(*(axis.tolist() for axis in np.nonzero(np.triu(matrix > threshold, 1)))):
+        parent[root(b)] = root(a)
     # visiting ids in sorted order opens each component at its smallest
     # member and fills it in sorted order, which is the numbering we want
     components: dict[int, list[str]] = {}
-    for k, device_id in enumerate(ordered):
+    for k, device_id in enumerate(ids):
         components.setdefault(root(k), []).append(device_id)
     return [
         Community(

@@ -58,9 +58,9 @@ from .authn import AccessGate, AccessRequest, DecisionRecord, Verdict
 from .community import (
     Community,
     SimilarityWeights,
-    SocialProfile,
-    pairwise_similarity,
+    pairwise_similarity,  # noqa: F401  S comes from similarity_matrix; perfbench counts this name
     partition_by_similarity,
+    similarity_matrix,
 )
 from .dataset import FriendshipGraph, load_friendship_edges, sample_subgraph, synthetic_small_world
 from .metrics import ConfusionCounters, MetricsReport
@@ -258,45 +258,48 @@ class ScenarioConfig:
 
 
 class _StaticSimilarity:
-    """Caches over presented profiles, keyed by identity id.
+    """S by identity id, from rows of one similarity matrix.
 
     An id always presents the same sets: legitimate profiles are fixed at
     build time, a stolen identity copies its victim's sets verbatim, and
-    fabricated ids are unique with sets frozen when forged. With
-    `pairwise_similarity` exactly symmetric, pairwise similarities and
-    per-community means are safe to memoize for the whole run, and equal
-    `community_similarity` bit for bit.
+    fabricated ids are unique with sets frozen when forged. So the matrix of
+    the legitimate devices, built at the first epoch, holds the row of each
+    legitimate or stolen id, and any other id gets its row when first seen.
+    A mean is a Python `sum` over a row, so it equals `community_similarity`.
     """
 
-    def __init__(self, weights: SimilarityWeights) -> None:
+    def __init__(self, weights: SimilarityWeights, registry: DeviceRegistry, legit_ids: list[str]) -> None:
         self.weights = weights
-        self._pairs: dict[tuple[str, str], float] = {}
+        self.registry = registry
+        self.legit = [registry.device(i) for i in legit_ids]  # sorted by id: the matrix's rows and columns
+        self._index = {device_id: k for k, device_id in enumerate(legit_ids)}
+        self._rows: dict[str, np.ndarray] = {}  # id outside the legitimate devices -> its row
         self._means: dict[tuple[str, int], float] = {}
 
-    def pair(self, a: SocialProfile, b: SocialProfile) -> float:
-        key = (a.id, b.id) if a.id <= b.id else (b.id, a.id)
-        found = self._pairs.get(key)
-        if found is None:
-            found = pairwise_similarity(a, b, self.weights)
-            self._pairs[key] = found
-        return found
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return similarity_matrix(self.legit, self.legit, self.weights)
 
-    def community_mean(
-        self, subject: SocialProfile, community: Community, registry: DeviceRegistry
-    ) -> float:
+    def pair(self, a: str, b: str) -> float:  # nothing in a run calls this; perfbench counts its calls
+        return self.matrix[self._index[a], self._index[b]].item()
+
+    def row(self, identity_id: str) -> np.ndarray:
+        if identity_id in self._index:
+            return self.matrix[self._index[identity_id]]
+        if identity_id not in self._rows:
+            presented = self.registry.presentations(identity_id)[0]
+            self._rows[identity_id] = similarity_matrix([presented], self.legit, self.weights)[0]
+        return self._rows[identity_id]
+
+    def community_mean(self, identity_id: str, community: Community) -> float:
         """Same convention as community_similarity: self excluded, alone is 0."""
-        key = (subject.id, community.id)
+        key = (identity_id, community.id)
         found = self._means.get(key)
-        if found is not None:
-            return found
-        others = [m for m in community.members if m != subject.id]
-        if not others:
-            value = 0.0
-        else:
-            total = sum(self.pair(subject, registry.device(m)) for m in others)
-            value = total / len(others)
-        self._means[key] = value
-        return value
+        if found is None:
+            others = [self._index[m] for m in community.members if m != identity_id]
+            found = sum(self.row(identity_id)[others].tolist()) / len(others) if others else 0.0
+            self._means[key] = found
+        return found
 
 
 @dataclass
@@ -369,13 +372,13 @@ class SimulationEngine:
         self.assessments = AssessmentTable(self.log.symbols, trust)
         self.registry = DeviceRegistry()
         self.store = OpinionStore(self.context.base_rate, self.log.symbols)
-        self.similarity = _StaticSimilarity(config.weights())
         self.communities: list[Community] = []
         self._community_of: dict[str, Community] = {}
         self.rec_cache: Recommendations = NO_RECOMMENDATIONS
         self.attempts: list[AttackAttempt] = []
 
         self._build_world()
+        self.similarity = _StaticSimilarity(config.weights(), self.registry, self.legit_ids)
         code = self.log.symbols.code
         for device_id in self.ids:  # the table is empty: each device's index becomes its code
             code(device_id)
@@ -453,7 +456,6 @@ class SimulationEngine:
         self.manager_indices = np.nonzero(self.manager_mask)[0]
         self.attacker_indices = np.nonzero(self.attacker_mask)[0]  # attacker_ids order: ids are sorted
         self.legit_ids = legit_ids
-        self._legit_id_set = set(legit_ids)
 
         lows = np.zeros(2)
         highs = np.array([cfg.area_width, cfg.area_height])
@@ -489,8 +491,8 @@ class SimulationEngine:
             self._relations[key] = found
         return found
 
-    def _request_similarity(self, profile: SocialProfile, manager_id: str) -> float:
-        """A request's S: the presented profile against the manager's community.
+    def _request_similarity(self, identity_id: str, manager_id: str) -> float:
+        """A request's S: the presented identity against the manager's community.
 
         Before the first epoch a manager has no community yet, and S is the
         base rate, as vacuous D and R are.
@@ -498,12 +500,7 @@ class SimulationEngine:
         community = self._community_of.get(manager_id)
         if community is None:
             return self.store.base_rate
-        return self.similarity.community_mean(profile, community, self.registry)
-
-    def _profile_of(self, identity_id: str) -> SocialProfile:
-        if identity_id in self._legit_id_set:
-            return self.registry.device(identity_id)
-        return self.registry.presentations(identity_id)[0]
+        return self.similarity.community_mean(identity_id, community)
 
     # -- run loop -----------------------------------------------------------------
 
@@ -617,7 +614,7 @@ class SimulationEngine:
             if now - last < cfg.request_retry_interval:
                 continue
             manager = self.devices[self._nearest_managers(np.array([index]))[0]]
-            self._adjudicate(AccessRequest(now, device.id, device.id, manager.id), device)
+            self._adjudicate(AccessRequest(now, device.id, device.id, manager.id))
             self._last_request[device.id] = now
 
     def _attacker_requests(self, now: float) -> None:
@@ -639,7 +636,7 @@ class SimulationEngine:
                 self.log.append(
                     now, "duplicate", identity.id, attacker_id, target.id, cfg.duplicate_request_penalty
                 )
-            decision = self._adjudicate(AccessRequest(now, identity.id, attacker_id, target.id), identity)
+            decision = self._adjudicate(AccessRequest(now, identity.id, attacker_id, target.id))
             self.attempts.append(
                 AttackAttempt(
                     time=now,
@@ -653,18 +650,14 @@ class SimulationEngine:
             engine.notify(decision.verdict is Verdict.GRANT, now, victims)
             self._drain_acquisitions(engine, now)
 
-    def _adjudicate(self, request: AccessRequest, profile: SocialProfile):
-        """Gather D, S and R (R as in monitoring), let the gate decide, log and admit.
-
-        `profile` is what the request presents, a legitimate device or an
-        attacker's identity; S is taken from its sets.
-        """
+    def _adjudicate(self, request: AccessRequest):
+        """Gather D, S and R (R as in monitoring), let the gate decide, log and admit."""
         manager, subject = request.target_manager, request.identity
         find = self.log.symbols.find
         decision = self.gate.evaluate(
             request,
             direct=self.store.direct_trust(manager, subject),
-            similarity=self._request_similarity(profile, manager),
+            similarity=self._request_similarity(subject, manager),
             recommended=self.rec_cache.received(find(manager), [find(subject)], self.store.base_rate)[0].item(),
         )
         self.assessments.append(*decision.assessment)
@@ -776,15 +769,9 @@ class SimulationEngine:
         still withheld until the first epoch: before it, managers have no
         community and similarity falls back to the base rate.
         """
-
-        def similarity_of(pair: tuple[str, str]) -> float:
-            return self.similarity.pair(
-                self.registry.device(pair[0]), self.registry.device(pair[1])
-            )
-
         if not self.communities:
             self.communities = partition_by_similarity(
-                self.legit_ids, similarity_of, self.context, self.cfg.similarity_threshold
+                self.legit_ids, self.similarity.matrix, self.context, self.cfg.similarity_threshold
             )
             self._community_of = {m: c for c in self.communities for m in c.members}
         for community in self.communities:
@@ -868,10 +855,7 @@ class SimulationEngine:
             manager = self.devices[evaluator]
             community = self._community_of[manager.id]
             if community.id not in similarity:
-                similarity[community.id] = np.array([
-                    self.similarity.community_mean(self._profile_of(s), community, self.registry)
-                    for s in members
-                ])
+                similarity[community.id] = np.array([self.similarity.community_mean(s, community) for s in members])
             others = np.flatnonzero(codes != evaluator)
             d, s = direct_row[others], similarity[community.id][others]
             r = self.rec_cache.received(evaluator, codes[others], base)

@@ -79,7 +79,7 @@ class OpinionStore:
     (`record.Symbols`; the engine passes the run's own): the counts are one
     int64 array indexed `[negative/positive, evaluator code, subject code]`.
     Its used extent grows to cover the highest code written on each axis,
-    and its capacity at least doubles when that extent outgrows it; so a
+    and an axis's capacity at least doubles when that extent outgrows it; so a
     batch of experiences is one `np.add.at`, and a read of the whole store
     is a view. Reads take -1 (an id the table does not hold) or a code
     beyond the extent as an id with no evidence.
@@ -137,7 +137,8 @@ class OpinionStore:
         self._extent = tuple(max(used, int(axis.max(initial=-1)) + 1) for used, axis in zip(self._extent, codes))
         capacity = self._counts.shape[1:]
         if any(used > have for used, have in zip(self._extent, capacity)):
-            grown = np.zeros((2, *(max(used, 2 * have) for used, have in zip(self._extent, capacity))), dtype=np.int64)
+            grown = np.zeros((2, *(have if used <= have else max(used, 2 * have)
+                                   for used, have in zip(self._extent, capacity))), dtype=np.int64)
             grown[:, : capacity[0], : capacity[1]] = self._counts
             self._counts = grown
         np.add.at(self._counts, (np.asarray(positive, dtype=np.intp), *codes), units)

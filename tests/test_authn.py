@@ -102,11 +102,14 @@ def gate_similarity_samples(overrides):
     adjudicate, find = engine._adjudicate, engine.log.symbols.find
     samples = []
 
-    def recording(presented, profile):
+    def recording(presented):
+        # what the request presents: the attacker's current identity, or the device itself
+        attacker = engine.engines.get(presented.presenter)
+        profile = engine.registry.device(presented.presenter) if attacker is None else attacker.presented
         community = engine._community_of.get(presented.target_manager)
         subject = [find(presented.identity)]
         cached = engine.rec_cache.received(find(presented.target_manager), subject, -1.0)[0].item()
-        decision = adjudicate(presented, profile)
+        decision = adjudicate(presented)
         assessment = decision.assessment
         samples.append((presented, profile, assessment.similarity, community, assessment.recommended,
                         None if cached < 0.0 else cached))
@@ -119,10 +122,11 @@ def gate_similarity_samples(overrides):
 
 @pytest.fixture(scope="module")
 def gate_runs():
-    """A stolen and a fabricated 40-node run, as pinned in test_golden."""
+    """A stolen and two fabricated 40-node runs, one of them forging sets of three, as pinned in test_golden."""
     return [
         gate_similarity_samples({"node_count": 40}),
         gate_similarity_samples({"node_count": 40, "identity_source": "fabricated", "behavior": "multi"}),
+        gate_similarity_samples({"node_count": 40, "identity_source": "fabricated", "forged_set_size": 3}),
     ]
 
 

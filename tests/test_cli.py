@@ -128,6 +128,22 @@ class TestFailedSeed:
             assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
         assert "metrics.csv" not in names and "manifest.json" not in names
 
+    def test_a_failed_batch_leaves_no_earlier_batch_file_under_a_final_name(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        run_batch(ScenarioConfig(node_count=20, duration=60.0), [1, 2], out)
+        self.fail_mid_run(monkeypatch, 1)
+        with pytest.raises(RuntimeError, match="seed 1 broke"):
+            run_batch(ScenarioConfig(node_count=24, duration=60.0), [1, 2], out)
+        names = {p.name for p in out.iterdir()}
+        assert {name for name in names if "-s1." in name} == {"events-s1.log.partial", "trust-s1.csv.partial"}
+        assert "metrics.csv" not in names and "manifest.json" not in names
+        monkeypatch.undo()
+        run_batch(ScenarioConfig(node_count=24, duration=60.0), [2], tmp_path / "alone")
+        complete = {name for name in names if "-s2." in name}
+        assert len(complete) == 6
+        for name in complete:
+            assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
+
 
 class TestPrecedence:
     def test_flags_override_the_config_file(self, tmp_path, config_path):

@@ -1,8 +1,9 @@
 import csv
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from siotrust.community import (
     Community,
@@ -11,6 +12,7 @@ from siotrust.community import (
     form_communities,
     jaccard,
     pairwise_similarity,
+    similarity_matrix,
     write_communities_csv,
 )
 from siotrust.social import ConfigError, Device, DeviceClass, context_for
@@ -76,6 +78,36 @@ def test_pairwise_similarity_symmetric(fa, ia, fb, ib):
     b = make("b", friends=fb, interests=ib)
     assert pairwise_similarity(a, b) == pairwise_similarity(b, a)
     assert 0.0 <= pairwise_similarity(a, b) <= 1.0
+
+
+# elements x, y and z are held by row profiles only, never by a column
+row_tokens = st.sets(st.sampled_from("abcdefghxyz"), max_size=6)
+some_weights = st.sampled_from([SimilarityWeights(), SimilarityWeights(0.9, 0.1), SimilarityWeights(0.3, 0.7),
+                                SimilarityWeights(1.0, 0.0)])
+
+
+def bits(rows):
+    return [[value.hex() for value in row] for row in rows]
+
+
+class TestSimilarityMatrix:
+    @given(
+        rows=st.lists(st.tuples(row_tokens, row_tokens), max_size=6),
+        columns=st.lists(st.tuples(tokens, tokens), max_size=6),
+        weights=some_weights,
+    )
+    @example(  # empty, equal and disjoint sets, and elements only a row holds
+        rows=[(set(), set()), ({"a", "b"}, {"c"}), ({"x"}, {"y", "a"}), ({"z"}, set())],
+        columns=[(set(), set()), ({"a", "b"}, {"c"}), ({"g"}, {"h"})],
+        weights=SimilarityWeights(0.9, 0.1),
+    )
+    def test_equals_pairwise_similarity_bit_for_bit(self, rows, columns, weights):
+        row_profiles = [make(f"r{k}", *sets) for k, sets in enumerate(rows)]
+        column_profiles = [make(f"c{k}", *sets) for k, sets in enumerate(columns)]
+        got = similarity_matrix(row_profiles, column_profiles, weights)
+        assert got.shape == (len(rows), len(columns)) and got.dtype == np.float64
+        want = [[pairwise_similarity(r, c, weights) for c in column_profiles] for r in row_profiles]
+        assert bits(got.tolist()) == bits(want)
 
 
 def brute_force_partition(devices, threshold):

@@ -6,9 +6,11 @@ under a second) and every per-seed file plus `metrics.csv` must hash to the
 value pinned here. A change that alters outputs on purpose re-pins these and
 says why.
 
-The four configs cover the default stolen/churn scenario, fabricated
+The five configs cover the default stolen/churn scenario, fabricated
 identities under the multi schedule (the opinion store and recommendation
-cache grow along the identity axis), the `por` relation filter, under
+cache grow along the identity axis), fabricated identities that present
+forged friend and interest sets of three (so their S is taken against
+sets no legitimate device holds), the `por` relation filter, under
 which no sender qualifies and the recommendation cache stays empty, and an
 integer `tick`: its times stay ints, so the log and the trust trace print
 `t=30`, not `t=30.0`, while the bootstrap lines keep `t=0.0`.
@@ -45,6 +47,18 @@ GOLDEN = {
             "events-s1.log": "923427221720c292c9cbd9b590149a69e60d56cf8fa3441a88c982d52c68c24b",
             "metrics.csv": "0d939f02e356127004aaf0fcef4bcd8552af49fbda99c37f46607792926a698a",
             "trust-s1.csv": "79c8e567f5598fee0ee7cc4c6c2febdc9986ce2ead61cdfea5ceb8e251cc8300",
+        },
+    ),
+    "fabricated-forged-40": (
+        {"node_count": 40, "identity_source": "fabricated", "forged_set_size": 3},
+        {
+            "attacks-s1.csv": "a511aff0088584ff80fd127b5d7e3be19cc06207596a1100e9f738923f8b7ddf",
+            "communities-s1.csv": "bb346db0b31f82c0391b7725c5f26b7b91327285546173f5e5efc1c623055173",
+            "decisions-s1.csv": "5b1b852572d797cf8d72aaf8a337edd13c1359a836b6e84723988dd1982d1cfb",
+            "esr-s1.csv": "7f5e438af3531c8e8ae1fd7c96acae03ff2ed217a16f1a07b657b637a6347c83",
+            "events-s1.log": "4e0bfe8088d834a15aa0c6f953cd425d01982f4590560cb6c5c4843815937d84",
+            "metrics.csv": "f0ef13fa064d582a54b5e9842c119dc5e39611dbadad518052a280d6c4c953fc",
+            "trust-s1.csv": "9122078bd7531488cc31f4b44a45c2144ee559fc02d2f657743dee84bd68b695",
         },
     ),
     "por-40": (

@@ -12,15 +12,25 @@ from hypothesis import given, strategies as st
 from siotrust import record
 from siotrust.adversary import AttackBehavior, AttackerEngine
 from siotrust.metrics import CHUNK_LINES, ConfusionCounters
+from siotrust.community import Community, SimilarityWeights, community_similarity, pairwise_similarity
 from siotrust.sim import (
     SHARED_HOME,
     EventLog,
     ScenarioConfig,
     SimulationEngine,
     _interaction_outcomes,
+    _StaticSimilarity,
     run_scenario,
 )
-from siotrust.social import ConfigError, IdentitySource, RelationType
+from siotrust.social import (
+    ConfigError,
+    Device,
+    DeviceClass,
+    DeviceRegistry,
+    Identity,
+    IdentitySource,
+    RelationType,
+)
 from siotrust.trust import write_trust_trace_csv
 
 SMALL = dict(node_count=30, duration=60.0, seed=5)
@@ -930,3 +940,58 @@ def test_batched_duplicate_penalties_equal_the_loop(penalty):
     for got, want in zip(batched.store.expected_values(), loop.store.expected_values()):
         assert got.tolist() == want.tolist()
     assert batched.store.by_evaluator() == loop.store.by_evaluator()
+
+
+# friends among the legitimate ids and beyond them; interests partly shared
+LEGIT_IDS = [f"d{k}" for k in range(6)]
+friend_sets = st.sets(st.sampled_from(LEGIT_IDS + ["adv0", "elsewhere"]), max_size=4)
+interest_sets = st.sets(st.sampled_from(["p", "q", "r", "only-forged"]), max_size=3)
+
+
+class TestStaticSimilarity:
+    """The engine's S by identity id equals `community_similarity` of the presented sets, bit for bit."""
+
+    @given(
+        legit=st.lists(st.tuples(friend_sets, interest_sets), min_size=1, max_size=6),
+        forged=st.tuples(friend_sets, interest_sets),
+        victim=st.integers(0, 5),
+        members=st.sets(st.integers(0, 5), min_size=1),
+        weights=st.sampled_from([SimilarityWeights(), SimilarityWeights(0.9, 0.1), SimilarityWeights(0.2, 0.8)]),
+    )
+    def test_means_equal_community_similarity(self, legit, forged, victim, members, weights):
+        registry = DeviceRegistry()
+        for device_id, (friends, interests) in zip(LEGIT_IDS, legit):
+            registry.register(Device(device_id, DeviceClass.SUBORDINATE, friends=friends, interests=interests))
+        ids = LEGIT_IDS[: len(legit)]
+        roster = {i: registry.device(i) for i in ids}
+        victim_device = registry.device(ids[victim % len(ids)])
+        stolen = Identity(victim_device.id, set(victim_device.friends), set(victim_device.interests),
+                          IdentitySource.STOLEN)
+        fabricated = Identity("fab-adv0-0", set(forged[0]), set(forged[1]), IdentitySource.FABRICATED)
+        for identity in (stolen, fabricated):
+            registry.add_identity(identity)
+        community = Community(0, tuple(ids[k] for k in sorted({k % len(ids) for k in members})), "residence", 0.5)
+        similarity = _StaticSimilarity(weights, registry, ids)
+        presented = [*roster.values(), stolen, fabricated]
+        for _ in range(2):  # the second pass reads the memo
+            for profile in presented:
+                want = community_similarity(profile, community, roster, weights)
+                assert similarity.community_mean(profile.id, community).hex() == want.hex()
+
+    def test_a_singleton_and_an_outsider(self):
+        registry = DeviceRegistry()
+        for device_id, friends in (("d0", {"d1"}), ("d1", {"d0"}), ("d2", {"d0", "d1"})):
+            registry.register(Device(device_id, DeviceClass.SUBORDINATE, friends=friends, interests={"p"}))
+        roster = {d.id: d for d in registry.devices()}
+        similarity = _StaticSimilarity(SimilarityWeights(), registry, sorted(roster))
+        alone = Community(0, ("d2",), "residence", 0.5)
+        pair = Community(1, ("d0", "d1"), "residence", 0.5)
+        assert similarity.community_mean("d2", alone) == 0.0
+        assert similarity.community_mean("d0", alone) == community_similarity(roster["d0"], alone, roster) > 0.0
+        assert similarity.community_mean("d2", pair) == community_similarity(roster["d2"], pair, roster)
+        assert similarity.pair("d0", "d2") == pairwise_similarity(roster["d0"], roster["d2"])
+
+    def test_the_matrix_waits_for_the_first_epoch(self):
+        engine = SimulationEngine(ScenarioConfig(node_count=30, duration=20.0, seed=5))
+        engine.run()  # shorter than one epoch interval
+        assert "matrix" not in engine.similarity.__dict__

@@ -213,7 +213,7 @@ class TestRecommendation:
         engine._rebuild_recommendations()
         assert len(engine.rec_cache) == 0
         request = AccessRequest(0.0, "d010", "d010", "d000")
-        assert engine._adjudicate(request, engine.registry.device("d010")).assessment.recommended == 0.2
+        assert engine._adjudicate(request).assessment.recommended == 0.2
 
     def test_aggregate_expected_fallback(self):
         store = OpinionStore(base_rate=0.4)
@@ -530,6 +530,42 @@ class TestDenseStore:
                 if got is not None:
                     assert type(got.positive) is int and type(got.negative) is int
                     assert repr(batched.direct_trust(evaluator, subject)) == repr(got.expected_value())
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @given(
+        batches=st.lists(
+            st.tuples(st.lists(st.tuples(st.integers(0, 199), st.integers(0, 7), st.booleans()), max_size=40),
+                      st.integers(1, 5)),
+            max_size=6,
+        ),
+    )
+    def test_growth_on_one_axis_reads_as_a_store_that_never_grows(self, axis, batches):
+        # axis 0 takes evaluator codes up to 199 and subject codes below 8, axis 1 the reverse
+        symbols = Symbols()
+        for k in range(200):
+            symbols.code(f"v{k}")
+        grown, roomy = OpinionStore(0.4, symbols), OpinionStore(0.4, symbols)
+        roomy._counts = np.zeros((2, 256, 256), dtype=np.int64)  # room for every code written here
+        for batch, units in batches:
+            if not batch:
+                continue
+            wide, narrow, positive = (np.array([item[k] for item in batch]) for k in range(3))
+            codes = (wide, narrow) if axis == 0 else (narrow, wide)
+            for store in (grown, roomy):
+                store.record_coded(*codes, positive, units)
+            capacity = grown._counts.shape[1:]
+            assert capacity[1 - axis] == 16  # the narrow axis never outgrew its first capacity
+            assert capacity[axis] >= grown._extent[axis]
+            for got, want in zip(grown.expected_values(), roomy.expected_values()):
+                assert got.tolist() == want.tolist()
+        assert len(grown) == len(roomy)
+        everything = np.arange(-1, 210)  # -1 and codes beyond the extent read as no evidence
+        assert grown.direct_trust_matrix(everything, everything).tolist() == (
+            roomy.direct_trust_matrix(everything, everything).tolist()
+        )
+        names = [f"v{k}" for k in range(0, 200, 7)]
+        for evaluator, subject in itertools.product(names, names):
+            assert grown.get(evaluator, subject) == roomy.get(evaluator, subject)
 
     def test_a_batch_of_no_units_is_refused(self):
         store = OpinionStore(base_rate=0.5)
