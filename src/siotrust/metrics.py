@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence, TextIO
 
 import numpy as np
 
@@ -25,10 +25,9 @@ class AdjudicatedRequest(Protocol):
 class TrustColumns(Protocol):
     """What the ESR writer reads of a `trust.AssessmentTable`."""
 
-    @property
-    def trust(self) -> np.ndarray: ...
+    splits: Sequence[str]
 
-    def split_rows(self) -> Mapping[str, np.ndarray]: ...
+    def split_trust(self, split: str) -> np.ndarray: ...
 
 
 @dataclass
@@ -245,28 +244,28 @@ def write_esr_csv(assessments: TrustColumns, path: str | Path) -> None:
     """ESR curves per split (internal/external); empty splits emit no rows.
 
     `assessments` is a run's `trust.AssessmentTable`, which keeps its T and
-    split columns also when it streamed the trust trace. A split's points
-    are its values in the order of a stable argsort, which is the order
-    `sorted` gives, 0.0 and -0.0 tied in row order. Each point carries
-    `esr_cdf`'s fraction: ties are found with `!=`, and a run of ties
-    carries `(index of its last element + 1) / n`, computed as one float64
-    division, which is the division Python does on the two ints. Rows are
-    written `CHUNK_LINES` at a time, each T and each fraction formatted once
-    per chunk, the same bytes `csv.writer` would write.
+    split columns also when it streamed the trust trace. Splits are written
+    one at a time, so only one split's T is held. A split's points are its
+    values stably sorted in place, which is the order `sorted` gives, 0.0
+    and -0.0 tied in row order. Each point carries `esr_cdf`'s fraction,
+    the count of values at or below it over n: T is never NaN, so
+    `searchsorted(side="right")` finds the end of its run of ties as `!=`
+    does. Rows are written `CHUNK_LINES` at a time, each T and each
+    fraction formatted once per chunk, the same bytes `csv.writer` would
+    write.
     """
-    trust, split_rows = assessments.trust, assessments.split_rows()
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("split,trust,cum_fraction\n")
-        for split in sorted(split_rows):
-            rows = np.asarray(split_rows[split], dtype=np.intp)
-            n = len(rows)
-            if n == 0:
-                continue
-            ordered = trust[rows[np.argsort(trust[rows], kind="stable")]]
-            ends = np.append(np.flatnonzero(ordered[1:] != ordered[:-1]), n - 1)
-            fractions = np.repeat((ends + 1) / n, np.diff(ends, prepend=-1))
-            for start in range(0, n, CHUNK_LINES):
-                chunk = slice(start, min(start + CHUNK_LINES, n))
-                lines = chunk.stop - start
-                columns = [f"{split},", float_texts(ordered[chunk], ","), float_texts(fractions[chunk], "\n")]
-                handle.write(check_unquoted(join_columns(columns, lines), lines, 3))
+        for split in sorted(assessments.splits):
+            _write_curve(handle, split, assessments.split_trust(split))
+
+
+def _write_curve(handle: TextIO, split: str, ordered: np.ndarray) -> None:
+    """One split's ESR rows; sorts `ordered` in place, and it is freed on return."""
+    ordered.sort(kind="stable")
+    n = len(ordered)
+    for start in range(0, n, CHUNK_LINES):
+        chunk = ordered[start:start + CHUNK_LINES]
+        fractions = np.searchsorted(ordered, chunk, side="right") / n
+        columns = [f"{split},", float_texts(chunk, ","), float_texts(fractions, "\n")]
+        handle.write(check_unquoted(join_columns(columns, len(chunk)), len(chunk), 3))

@@ -57,10 +57,10 @@ from .adversary import (
 from .authn import AccessGate, AccessRequest, DecisionRecord, Verdict
 from .community import (
     Community,
+    SimilarityColumns,
     SimilarityWeights,
-    pairwise_similarity,  # noqa: F401  S comes from similarity_matrix; perfbench counts this name
+    pairwise_similarity,  # noqa: F401  S comes from SimilarityColumns; perfbench counts this name
     partition_by_similarity,
-    similarity_matrix,
 )
 from .dataset import FriendshipGraph, load_friendship_edges, sample_subgraph, synthetic_small_world
 from .metrics import ConfusionCounters, MetricsReport
@@ -275,10 +275,15 @@ class _StaticSimilarity:
         self._index = {device_id: k for k, device_id in enumerate(legit_ids)}
         self._rows: dict[str, np.ndarray] = {}  # id outside the legitimate devices -> its row
         self._means: dict[tuple[str, int], float] = {}
+        self._members: dict[int, np.ndarray] = {}  # community id -> its members' matrix indices
+
+    @cached_property
+    def _columns(self) -> SimilarityColumns:
+        return SimilarityColumns(self.legit, self.weights)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return similarity_matrix(self.legit, self.legit, self.weights)
+        return self._columns.rows(self.legit)
 
     def pair(self, a: str, b: str) -> float:  # nothing in a run calls this; perfbench counts its calls
         return self.matrix[self._index[a], self._index[b]].item()
@@ -288,7 +293,7 @@ class _StaticSimilarity:
             return self.matrix[self._index[identity_id]]
         if identity_id not in self._rows:
             presented = self.registry.presentations(identity_id)[0]
-            self._rows[identity_id] = similarity_matrix([presented], self.legit, self.weights)[0]
+            self._rows[identity_id] = self._columns.rows([presented])[0]
         return self._rows[identity_id]
 
     def community_mean(self, identity_id: str, community: Community) -> float:
@@ -296,8 +301,14 @@ class _StaticSimilarity:
         key = (identity_id, community.id)
         found = self._means.get(key)
         if found is None:
-            others = [self._index[m] for m in community.members if m != identity_id]
-            found = sum(self.row(identity_id)[others].tolist()) / len(others) if others else 0.0
+            if identity_id in self._index:  # a legitimate id, which may be a member
+                others = [self._index[m] for m in community.members if m != identity_id]
+            else:  # no member: every member counts, the same indices for every such id
+                others = self._members.get(community.id)
+                if others is None:
+                    others = self._members[community.id] = np.array(
+                        [self._index[m] for m in community.members], dtype=np.intp)
+            found = sum(self.row(identity_id)[others].tolist()) / len(others) if len(others) else 0.0
             self._means[key] = found
         return found
 
@@ -325,8 +336,7 @@ class RunResult:
 
     def esr_splits(self) -> dict[str, list[float]]:
         """Trust samples for the empirical success-rate CDFs, by split, in row order."""
-        trust = self.assessments.trust
-        return {split: trust[rows].tolist() for split, rows in self.assessments.split_rows().items()}
+        return {split: self.assessments.split_trust(split).tolist() for split in self.assessments.splits}
 
     def summary(self) -> "SeedSummary":
         """What a batch keeps of this run once its files are written."""

@@ -445,15 +445,12 @@ class AssessmentTable(Spool):
         )
         return map(partial(tuple.__new__, TrustAssessment), columns)
 
-    @property
-    def trust(self) -> np.ndarray:
-        """The T column, a float64 copy."""
-        return np.array(self._trust, dtype=np.float64)
+    splits = _SPLITS
 
-    def split_rows(self) -> dict[str, np.ndarray]:
-        """The row indices of each split, every split listed."""
-        codes = np.frombuffer(self._split, dtype=np.uint8)
-        return {split: np.flatnonzero(codes == k) for k, split in enumerate(_SPLITS)}
+    def split_trust(self, split: str) -> np.ndarray:
+        """One split's T in row order, a fresh float64 array picked by one mask over the split codes."""
+        mask = np.frombuffer(self._split, dtype=np.uint8) == _SPLITS.index(split)
+        return np.frombuffer(self._trust, dtype=np.float64)[mask]
 
     def _chunks(self) -> Iterator[str]:
         """The pending rows as trust-trace lines: time, ids, relation, then D, S, R, T by repr.

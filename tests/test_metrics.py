@@ -1,5 +1,6 @@
 import csv
 import random
+import tracemalloc
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -20,6 +21,8 @@ from siotrust.metrics import (
     write_esr_csv,
     write_metrics_csv,
 )
+from siotrust.social import RelationType
+from siotrust.trust import AssessmentTable
 
 
 @dataclass(frozen=True)
@@ -139,29 +142,22 @@ class TestEsrCdf:
 
 
 def write_splits(split_values, path):
-    """write_esr_csv over one T column holding every split's values, splits interleaved."""
-    labelled = [(split, value) for split, values in split_values.items() for value in values]
-    random.Random(len(labelled)).shuffle(labelled)  # rows of a split need not be adjacent
-    # ...but within a split they keep their given order, which ties depend on
-    order = {split: iter(values) for split, values in split_values.items()}
-    labelled = [(split, next(order[split])) for split, _ in labelled]
-    table = Column(
-        np.array([value for _, value in labelled], dtype=np.float64),
-        {split: np.array([k for k, (s, _) in enumerate(labelled) if s == split], dtype=np.intp)
-         for split in split_values},
-    )
-    write_esr_csv(table, path)
+    """write_esr_csv over splits given as lists, each split's T in the given row order."""
+    write_esr_csv(Column({split: np.array(values, dtype=np.float64) for split, values in split_values.items()}), path)
 
 
 @dataclass(frozen=True)
 class Column:
     """What write_esr_csv reads of an AssessmentTable, with any split names."""
 
-    trust: np.ndarray
-    rows: dict
+    values: dict
 
-    def split_rows(self):
-        return self.rows
+    @property
+    def splits(self):
+        return tuple(self.values)
+
+    def split_trust(self, split):
+        return self.values[split].copy()  # fresh, as the table's is: the writer sorts it in place
 
 
 def reference_cdf(values):
@@ -251,13 +247,37 @@ class TestEsrAgainstTheCdfWriter:
         assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
     def test_zero_ties_keep_row_order_across_chunks(self, tmp_path):
-        # 0.0 and -0.0 tie; a stable argsort keeps their row order, as sorted does
+        # 0.0 and -0.0 tie; a stable sort keeps their row order, as sorted does
         values = [-0.0, 0.0, 0.5, 0.0, -0.0, 1e-05, 0.5] * (CHUNK_LINES // 3)
         write_splits({"external": values}, tmp_path / "got.csv")
         esr_cdf_csv({"external": values}, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         head = (tmp_path / "got.csv").read_text().splitlines()[1:5]
         assert [line.split(",")[1] for line in head] == ["-0.0", "0.0", "0.0", "-0.0"]
+
+
+class TestEsrWriterMemory:
+    def test_holds_one_split_of_t_and_chunks_not_copies_of_the_column(self, tmp_path):
+        rng = np.random.default_rng(3)
+        table = AssessmentTable()
+        for k in range(200):
+            count = 1000
+            trust = np.where(rng.random(count) < 0.5, rng.choice([0.0, -0.0, 0.25, 1.0], count), rng.random(count))
+            table.extend(float(k), "d0", np.arange(count), RelationType.SOR, trust, trust, trust, trust,
+                         "internal" if k % 2 else "external")
+        rows = len(table)
+        write_esr_csv(table, tmp_path / "warm.csv")  # first-use caches outside the measurement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_esr_csv(table, tmp_path / "esr.csv")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "esr.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+        # one split's T (8 bytes a row), its mask and chunk-sized arrays; the
+        # writer this replaced held five to six arrays as long as the column
+        assert peak < 2 * 8 * rows, peak / rows
 
 
 class TestFloatTexts:

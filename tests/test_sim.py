@@ -468,13 +468,23 @@ class TestRunSemantics:
         receivers = {names[c] for c in np.flatnonzero(received).tolist()}
         assert receivers and receivers <= manager_ids
 
-    def test_esr_split_labels(self, small_run):
+    def test_esr_split_labels(self, small_run, tmp_path):
         _, result = small_run
         splits = result.esr_splits()
         assert set(splits) == {"internal", "external"}
         assert splits["internal"] and splits["external"]
         flat = splits["internal"] + splits["external"]
         assert len(flat) == len(result.assessments)
+        # each split's T in row order, bit for bit
+        hexed = {split: list(map(float.hex, values)) for split, values in splits.items()}
+        for split in splits:
+            assert hexed[split] == [a.trust.hex() for a in result.assessments if a.split == split]
+        # a streamed run keeps only T and the split, and returns the same lists
+        with open(tmp_path / "events.log", "w", encoding="utf-8", newline="") as events, open(
+            tmp_path / "trust.csv", "w", encoding="utf-8", newline=""
+        ) as trust:
+            streamed = SimulationEngine(ScenarioConfig(**SMALL), events, trust).run()
+        assert {split: list(map(float.hex, values)) for split, values in streamed.esr_splits().items()} == hexed
 
     def test_metrics_report_carries_the_scenario(self, small_run):
         _, result = small_run

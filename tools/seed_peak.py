@@ -1,0 +1,59 @@
+"""Peak RSS of one streamed CLI seed, and what writing its ESR file adds to it.
+
+    PYTHONPATH=src python3 tools/seed_peak.py --nodes 1000 --seed 123 --out seed-peak-out
+
+Runs `siotrust.cli.run_batch` on one seed of the default scenario, resized
+to `--nodes`, in this process, and prints one JSON object: the process's
+peak RSS (`ru_maxrss`) just before the ESR file is written and at the end,
+both in MB, and the wall time. `ru_maxrss` never falls, so run each
+measurement in a fresh process. The seed writes its files under `--out`
+(about 850 MB at 1000 nodes) and they are left there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import time
+from pathlib import Path
+
+from siotrust import cli
+from siotrust.sim import ScenarioConfig
+
+
+def peak_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--nodes", type=int, default=1000)
+    parser.add_argument("--seed", type=int, default=123)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+
+    before_esr = []
+    write_esr_csv = cli.write_esr_csv
+
+    def measured(assessments, path):
+        before_esr.append(peak_mb())
+        write_esr_csv(assessments, path)
+
+    cli.write_esr_csv = measured
+    start = time.perf_counter()
+    cli.run_batch(ScenarioConfig(node_count=args.nodes), [args.seed], args.out)
+    wall = time.perf_counter() - start
+    end = peak_mb()
+    print(json.dumps({
+        "nodes": args.nodes,
+        "seed": args.seed,
+        "peak_rss_before_esr_mb": round(before_esr[0], 1),
+        "peak_rss_mb": round(end, 1),
+        "esr_adds_mb": round(end - before_esr[0], 1),
+        "wall_s": round(wall, 2),
+    }))
+
+
+if __name__ == "__main__":
+    main()
