@@ -61,42 +61,23 @@ def pairwise_similarity(
 
 def similarity_matrix(rows: Sequence[SocialProfile], columns: Sequence[SocialProfile],
                       weights: SimilarityWeights = DEFAULT_WEIGHTS) -> np.ndarray:
-    """`pairwise_similarity` of each row profile against each column profile, bit for bit."""
-    return SimilarityColumns(columns, weights).rows(rows)
-
-
-class SimilarityColumns:
-    """The column side of `similarity_matrix`, indexed once; rows are counted against it.
+    """`pairwise_similarity` of each row profile against each column profile, bit for bit.
 
     |A&B| counts one per shared element, exactly (no float matrix product);
-    |A|B| is |A| + |B| - |A&B|. The division and `fw*F + iw*I` are the same
-    as `pairwise_similarity`'s.
+    |A|B| is |A| + |B| - |A&B|. The division and `fw*F + iw*I` are the same.
     """
-
-    def __init__(self, columns: Sequence[SocialProfile], weights: SimilarityWeights = DEFAULT_WEIGHTS) -> None:
-        self.weights = weights
-        self._friends = _column_index([c.friends for c in columns])
-        self._interests = _column_index([c.interests for c in columns])
-
-    def rows(self, rows: Sequence[SocialProfile]) -> np.ndarray:
-        """The similarity of each row profile against every column, one row each."""
-        return self.weights.friend_weight * _jaccard_rows([r.friends for r in rows], *self._friends) + (
-            self.weights.interest_weight * _jaccard_rows([r.interests for r in rows], *self._interests)
-        )
+    return weights.friend_weight * _jaccard_matrix([r.friends for r in rows], [c.friends for c in columns]) + (
+        weights.interest_weight * _jaccard_matrix([r.interests for r in rows], [c.interests for c in columns])
+    )
 
 
-def _column_index(columns: Sequence[Collection[str]]) -> tuple[dict[str, list[int]], np.ndarray]:
-    """Element -> the indices of the columns that hold it, and each column's size."""
-    return _holders(columns), np.array([len(s) for s in columns], dtype=np.int64)
-
-
-def _jaccard_rows(rows: Sequence[Collection[str]], in_columns: dict[str, list[int]],
-                  column_sizes: np.ndarray) -> np.ndarray:
-    shared = np.zeros((len(rows), len(column_sizes)), dtype=np.int64)
+def _jaccard_matrix(rows: Sequence[Collection[str]], columns: Sequence[Collection[str]]) -> np.ndarray:
+    shared = np.zeros((len(rows), len(columns)), dtype=np.int64)
+    in_columns = _holders(columns)
     for element, in_rows in _holders(rows).items():
         if element in in_columns:  # an element no column holds is shared with none
             shared[np.ix_(in_rows, in_columns[element])] += 1
-    union = np.array([len(s) for s in rows], dtype=np.int64)[:, None] + column_sizes - shared
+    union = np.array([len(s) for s in rows], dtype=np.int64)[:, None] + [len(s) for s in columns] - shared
     return np.divide(shared, union, out=np.zeros(shared.shape), where=union > 0)
 
 

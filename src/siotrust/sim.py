@@ -57,10 +57,10 @@ from .adversary import (
 from .authn import AccessGate, AccessRequest, DecisionRecord, Verdict
 from .community import (
     Community,
-    SimilarityColumns,
     SimilarityWeights,
-    pairwise_similarity,  # noqa: F401  S comes from SimilarityColumns; perfbench counts this name
+    pairwise_similarity,  # noqa: F401  S comes from similarity_matrix; perfbench counts this name
     partition_by_similarity,
+    similarity_matrix,
 )
 from .dataset import FriendshipGraph, load_friendship_edges, sample_subgraph, synthetic_small_world
 from .metrics import ConfusionCounters, MetricsReport
@@ -275,15 +275,10 @@ class _StaticSimilarity:
         self._index = {device_id: k for k, device_id in enumerate(legit_ids)}
         self._rows: dict[str, np.ndarray] = {}  # id outside the legitimate devices -> its row
         self._means: dict[tuple[str, int], float] = {}
-        self._members: dict[int, np.ndarray] = {}  # community id -> its members' matrix indices
-
-    @cached_property
-    def _columns(self) -> SimilarityColumns:
-        return SimilarityColumns(self.legit, self.weights)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return self._columns.rows(self.legit)
+        return similarity_matrix(self.legit, self.legit, self.weights)
 
     def pair(self, a: str, b: str) -> float:  # nothing in a run calls this; perfbench counts its calls
         return self.matrix[self._index[a], self._index[b]].item()
@@ -293,7 +288,7 @@ class _StaticSimilarity:
             return self.matrix[self._index[identity_id]]
         if identity_id not in self._rows:
             presented = self.registry.presentations(identity_id)[0]
-            self._rows[identity_id] = self._columns.rows([presented])[0]
+            self._rows[identity_id] = similarity_matrix([presented], self.legit, self.weights)[0]
         return self._rows[identity_id]
 
     def community_mean(self, identity_id: str, community: Community) -> float:
@@ -301,14 +296,8 @@ class _StaticSimilarity:
         key = (identity_id, community.id)
         found = self._means.get(key)
         if found is None:
-            if identity_id in self._index:  # a legitimate id, which may be a member
-                others = [self._index[m] for m in community.members if m != identity_id]
-            else:  # no member: every member counts, the same indices for every such id
-                others = self._members.get(community.id)
-                if others is None:
-                    others = self._members[community.id] = np.array(
-                        [self._index[m] for m in community.members], dtype=np.intp)
-            found = sum(self.row(identity_id)[others].tolist()) / len(others) if len(others) else 0.0
+            others = [self._index[m] for m in community.members if m != identity_id]
+            found = sum(self.row(identity_id)[others].tolist()) / len(others) if others else 0.0
             self._means[key] = found
         return found
 

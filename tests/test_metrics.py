@@ -255,6 +255,38 @@ class TestEsrAgainstTheCdfWriter:
         head = (tmp_path / "got.csv").read_text().splitlines()[1:5]
         assert [line.split(",")[1] for line in head] == ["-0.0", "0.0", "0.0", "-0.0"]
 
+    @given(rows=st.lists(st.tuples(awkward, st.sampled_from(AssessmentTable.splits)), max_size=120))
+    def test_an_interleaved_table_equals_its_splits(self, rows, tmp_path_factory):
+        out = tmp_path_factory.mktemp("esr")
+        write_esr_csv(interleaved_table(rows), out / "got.csv")
+        esr_cdf_csv(split_lists(rows), out / "want.csv")
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+    def test_an_interleaved_table_keeps_zero_ties_across_chunks(self, tmp_path):
+        rng = random.Random(11)
+        rows = [(rng.choice([0.0, -0.0, 0.0, -0.0, 0.5, rng.random()]), rng.choice(AssessmentTable.splits))
+                for _ in range(4 * CHUNK_LINES + 7)]
+        write_esr_csv(interleaved_table(rows), tmp_path / "got.csv")
+        esr_cdf_csv(split_lists(rows), tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        lines = (tmp_path / "got.csv").read_text().splitlines()[1:]
+        for split in AssessmentTable.splits:  # each split's first chunk edge falls inside its run of zeros
+            edge = [line.split(",")[1] for line in lines if line.startswith(split + ",")][CHUNK_LINES - 1:CHUNK_LINES + 1]
+            assert set(edge) <= {"0.0", "-0.0"}, edge
+
+
+def interleaved_table(rows):
+    """An AssessmentTable of (T, split) rows in the given order, the splits mixed in one column."""
+    table = AssessmentTable()
+    for k, (trust, split) in enumerate(rows):
+        table.append(float(k), "d0", f"d{k % 7 + 1}", RelationType.SOR, trust, trust, trust, trust, split)
+    return table
+
+
+def split_lists(rows):
+    """Each split's T values in row order."""
+    return {split: [trust for trust, s in rows if s == split] for split in AssessmentTable.splits}
+
 
 class TestEsrWriterMemory:
     def test_holds_one_split_of_t_and_chunks_not_copies_of_the_column(self, tmp_path):
