@@ -11,7 +11,6 @@ from .authn import (
     AccessDecision,
     AccessGate,
     AccessRequest,
-    Admission,
     AdmissionError,
     DecisionRecord,
     RoutingError,
@@ -73,7 +72,6 @@ __all__ = [
     "AccessDecision",
     "AccessGate",
     "AccessRequest",
-    "Admission",
     "AdmissionError",
     "AttackAttempt",
     "AttackBehavior",

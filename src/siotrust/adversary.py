@@ -74,14 +74,6 @@ class AttackAttempt:
     target_manager: str
 
 
-@dataclass(frozen=True)
-class AcquisitionEvent:
-    time: float
-    kind: str  # theft | fabrication
-    identity: str
-    victim: str | None = None
-
-
 class AttackerEngine:
     """Drives one attacker device according to its profile."""
 
@@ -100,7 +92,6 @@ class AttackerEngine:
         self.presented: Identity | None = None
         self.observed_devices: set[str] = set()
         self.observed_interests: set[str] = set()
-        self.events: list[AcquisitionEvent] = []
         self._stolen: dict[str, Identity] = {}
         self._fab_counter = 0
         self._active_index = 0
@@ -122,7 +113,7 @@ class AttackerEngine:
                 self.observed_devices.add(dev.id)
                 self.observed_interests.update(dev.interests)
 
-    def steal_identity(self, victim: Device, now: float = 0.0) -> Identity:
+    def steal_identity(self, victim: Device) -> Identity:
         """Copy a victim's presented profile under the victim's identity id.
 
         The caller guarantees the victim is within eavesdrop radius at theft
@@ -140,16 +131,15 @@ class AttackerEngine:
         self.registry.add_identity(identity)
         self._stolen[victim.id] = identity
         self.pool.append(identity)
-        self.events.append(AcquisitionEvent(now, "theft", identity.id, victim.id))
         return identity
 
-    def fabricate_identity(self, now: float = 0.0, size: int | None = None) -> Identity:
+    def fabricate_identity(self) -> Identity:
         """Mint a fresh identity with forged attribute sets.
 
         Forged friends and interests are random subsets of what the attacker
         has observed so far; the subset size is configurable and may be zero.
         """
-        k = self.profile.forged_set_size if size is None else size
+        k = self.profile.forged_set_size
         while True:
             candidate = f"fab-{self.device.id}-{self._fab_counter}"
             self._fab_counter += 1
@@ -165,7 +155,6 @@ class AttackerEngine:
         )
         self.registry.add_identity(identity)
         self.pool.append(identity)
-        self.events.append(AcquisitionEvent(now, "fabrication", identity.id))
         return identity
 
     def _forge(self, observed: set[str], k: int) -> set[str]:
@@ -174,14 +163,14 @@ class AttackerEngine:
         ordered = sorted(observed)
         return set(self.rng.sample(ordered, min(k, len(ordered))))
 
-    def _acquire(self, now: float, victims: Sequence[Device]) -> Identity | None:
+    def _acquire(self, victims: Sequence[Device]) -> Identity | None:
         """Fresh identity from the configured source, if one is obtainable."""
         if self.profile.identity_source is IdentitySource.STOLEN:
             for victim in victims:
                 if victim.id not in self._stolen:
-                    return self.steal_identity(victim, now)
+                    return self.steal_identity(victim)
             return None
-        return self.fabricate_identity(now)
+        return self.fabricate_identity()
 
     # -- request scheduling ---------------------------------------------------
 
@@ -205,17 +194,15 @@ class AttackerEngine:
         self, now: float, managers: Sequence[Device], victims: Sequence[Device]
     ) -> tuple[Identity, Device] | None:
         if not self.pool:
-            fresh = self._acquire(now, victims)
-            if fresh is None:
+            if self._acquire(victims) is None:
                 return None
             self._active_index = len(self.pool) - 1
-            self.presented = fresh
         active = self.pool[self._active_index]
         self.presented = active
         if now - self._last_attempt < self.profile.attempt_interval:
             return None
         if self._attempted >= self._manager_ids:
-            active = self._rotate(now, victims)
+            active = self._rotate(victims)
             self.presented = active
         candidates = [m for m in managers if m.id not in self._attempted]
         if not candidates:
@@ -234,7 +221,7 @@ class AttackerEngine:
         self, now: float, managers: Sequence[Device], victims: Sequence[Device]
     ) -> tuple[Identity, Device] | None:
         if len(self.pool) < self.profile.pool_size:
-            self._acquire(now, victims)  # grow the pool opportunistically
+            self._acquire(victims)  # grow the pool opportunistically
         if not self.pool:
             return None
         if now - self._last_attempt < self.profile.attempt_interval:
@@ -248,10 +235,9 @@ class AttackerEngine:
         self._last_attempt = now
         return identity, managers[0]
 
-    def _rotate(self, now: float, victims: Sequence[Device]) -> Identity:
+    def _rotate(self, victims: Sequence[Device]) -> Identity:
         """Swap the churn identity: prefer a fresh one, else cycle the pool."""
-        fresh = self._acquire(now, victims)
-        if fresh is not None:
+        if self._acquire(victims) is not None:
             self._active_index = len(self.pool) - 1
         else:
             self._active_index = (self._active_index + 1) % len(self.pool)
@@ -259,7 +245,7 @@ class AttackerEngine:
         self._deny_streak = 0
         return self.pool[self._active_index]
 
-    def notify(self, granted: bool, now: float, victims: Sequence[Device] = ()) -> None:
+    def notify(self, granted: bool, victims: Sequence[Device] = ()) -> None:
         """Feed the verdict back; churn rotates after a deny streak."""
         if self.profile.behavior is not AttackBehavior.CHURN:
             return
@@ -268,7 +254,7 @@ class AttackerEngine:
             return
         self._deny_streak += 1
         if self._deny_streak >= self.profile.deny_streak_limit:
-            self.presented = self._rotate(now, victims)
+            self.presented = self._rotate(victims)
 
 
 def write_attack_csv(attempts: Iterable[AttackAttempt], path: str | Path) -> None:

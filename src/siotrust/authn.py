@@ -53,7 +53,6 @@ class AccessRequest:
 @dataclass(frozen=True)
 class AccessDecision:
     verdict: Verdict
-    trust: float
     assessment: TrustAssessment
 
 
@@ -75,21 +74,6 @@ class DecisionRecord:
     @property
     def true_device_kind(self) -> str:
         return "attacker" if self.attacker else "legitimate"
-
-
-@dataclass(frozen=True)
-class Admission:
-    """Result of admitting an identity; conflicts list prior presenters."""
-
-    identity: str
-    manager: str
-    presenter: str
-    time: float
-    conflicting_presenters: tuple[str, ...] = ()
-
-    @property
-    def conflict(self) -> bool:
-        return bool(self.conflicting_presenters)
 
 
 class AccessGate:
@@ -161,29 +145,24 @@ class AccessGate:
                 trust=assessment.trust,
             )
         )
-        return AccessDecision(verdict=verdict, trust=assessment.trust, assessment=assessment)
+        return AccessDecision(verdict=verdict, assessment=assessment)
 
     # -- admission ----------------------------------------------------------
 
-    def admit(self, identity: str, manager: str, presenter: str, time: float) -> Admission:
-        """Turn a grant into membership.
+    def admit(self, identity: str, manager: str, presenter: str) -> tuple[str, ...]:
+        """Turn a grant into membership; return the identity's earlier presenters, sorted.
 
         Admission without a logged grant for (identity, manager) is a
-        contract violation. Admitting an identity already held by a
-        different device reports the conflict for the caller to score.
+        contract violation. A non-empty result is an identity conflict:
+        the identity is already held by a different device, and the
+        caller scores it.
         """
         if (identity, manager) not in self._grants:
             raise AdmissionError(f"no grant on record for {identity!r} at {manager!r}")
         holders = self.members.setdefault(identity, set())
         conflicts = tuple(sorted(h for h in holders if h != presenter))
         holders.add(presenter)
-        return Admission(
-            identity=identity,
-            manager=manager,
-            presenter=presenter,
-            time=time,
-            conflicting_presenters=conflicts,
-        )
+        return conflicts
 
 
 def write_decision_csv(records: Iterable[DecisionRecord], path: str | Path) -> None:

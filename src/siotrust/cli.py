@@ -93,6 +93,8 @@ def _load_json(path: str) -> dict[str, Any]:
         raise ConfigError(f"cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path!r} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path!r} is not UTF-8 text: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ConfigError(f"{path!r} must hold a JSON object")
     return loaded

@@ -97,9 +97,6 @@ class Community:
     context_kind: str
     similarity_threshold: float
 
-    def __contains__(self, device_id: str) -> bool:
-        return device_id in self.members
-
 
 def form_communities(
     devices: Sequence[Device],

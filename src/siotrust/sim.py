@@ -47,13 +47,7 @@ from typing import Any, Mapping, TextIO
 
 import numpy as np
 
-from .adversary import (
-    AcquisitionEvent,
-    AttackAttempt,
-    AttackBehavior,
-    AttackerEngine,
-    AttackerProfile,
-)
+from .adversary import AttackAttempt, AttackBehavior, AttackerEngine, AttackerProfile
 from .authn import AccessGate, AccessRequest, DecisionRecord, Verdict
 from .community import (
     Community,
@@ -389,7 +383,6 @@ class SimulationEngine:
             trust_threshold=config.trust_threshold,
             attacker_devices=frozenset(self.attacker_ids),
         )
-        self._relations: dict[tuple[str, str], RelationType] = {}
         self._last_request: dict[str, float] = {}
         self._roster_size = -1  # len(gate.members) when the legitimate presentations were taken
 
@@ -481,14 +474,6 @@ class SimulationEngine:
         return synthetic_small_world(size, self.cfg.seed)
 
     # -- static lookups ---------------------------------------------------------
-
-    def _relation(self, a: str, b: str) -> RelationType:
-        key = (a, b) if a <= b else (b, a)
-        found = self._relations.get(key)
-        if found is None:
-            found = classify_relation(self.registry.device(key[0]), self.registry.device(key[1]))
-            self._relations[key] = found
-        return found
 
     def _request_similarity(self, identity_id: str, manager_id: str) -> float:
         """A request's S: the presented identity against the manager's community.
@@ -620,8 +605,9 @@ class SimulationEngine:
         cfg = self.cfg
         for (attacker_id, engine), (victims, managers) in zip(self.engines.items(), self._attacker_ranges()):
             engine.observe(victims)
+            held = len(engine.pool)
             picked = engine.attempt(now, managers, victims)
-            self._drain_acquisitions(engine, now)
+            self._log_acquisitions(engine, held, now)
             if picked is None:
                 continue
             identity, target = picked
@@ -646,8 +632,9 @@ class SimulationEngine:
                     target_manager=target.id,
                 )
             )
-            engine.notify(decision.verdict is Verdict.GRANT, now, victims)
-            self._drain_acquisitions(engine, now)
+            held = len(engine.pool)
+            engine.notify(decision.verdict is Verdict.GRANT, victims)
+            self._log_acquisitions(engine, held, now)
 
     def _adjudicate(self, request: AccessRequest):
         """Gather D, S and R (R as in monitoring), let the gate decide, log and admit."""
@@ -664,25 +651,28 @@ class SimulationEngine:
         verdict = "grant" if decision.verdict is Verdict.GRANT else "deny"
         self.log.append(
             request.time, "decision", request.target_manager, request.identity, request.presenter,
-            kind, verdict, decision.trust, decision.assessment.split,
+            kind, verdict, decision.assessment.trust, decision.assessment.split,
         )
         if decision.verdict is Verdict.GRANT:
-            admission = self.gate.admit(
-                request.identity, request.target_manager, request.presenter, request.time
-            )
-            conflicts = "|".join(admission.conflicting_presenters) or "-"
+            conflicts = self.gate.admit(request.identity, request.target_manager, request.presenter)
             self.log.append(
-                request.time, "admit", admission.identity, admission.manager, admission.presenter, conflicts
+                request.time, "admit", request.identity, request.target_manager, request.presenter,
+                "|".join(conflicts) or "-",
             )
         return decision
 
-    def _drain_acquisitions(self, engine: AttackerEngine, now: float) -> None:
-        while engine.events:
-            event: AcquisitionEvent = engine.events.pop(0)
-            if event.kind == "theft":
-                self.log.append(now, "theft", engine.device.id, event.identity, event.victim)
+    def _log_acquisitions(self, engine: AttackerEngine, held: int, now: float) -> None:
+        """Log the identities `engine` acquired since its pool held `held`.
+
+        The pool only grows, by one identity per acquisition, so these are
+        the pool's entries from `held` on. A stolen identity's id is its
+        victim's id.
+        """
+        for identity in engine.pool[held:]:
+            if identity.source is IdentitySource.STOLEN:
+                self.log.append(now, "theft", engine.device.id, identity.id, identity.id)
             else:
-                self.log.append(now, "fabricate", engine.device.id, event.identity)
+                self.log.append(now, "fabricate", engine.device.id, identity.id)
 
     # -- interactions and movement ----------------------------------------------
 
@@ -816,19 +806,19 @@ class SimulationEngine:
         """
         relation = self.cfg.relation
         routes = list(self._manager_routes)
-        ids = self.ids
+        devices = self.devices
         nearest = self._nearest_managers(self._subordinates)
         for device, manager in zip(self._subordinates.tolist(), nearest.tolist()):
-            if self._relation(ids[manager], ids[device]) is relation:
+            if classify_relation(devices[manager], devices[device]) is relation:
                 routes.append((device, [manager]))
         self.rec_cache = exchange_recommendations(self.store, routes)
 
     @cached_property
     def _manager_routes(self) -> list[tuple[int, list[int]]]:
         """(manager, managers it broadcasts to), as indices: static, so built at the first epoch only."""
-        ids, managers = self.ids, self.manager_indices.tolist()
+        devices, managers = self.devices, self.manager_indices.tolist()
         return [
-            (s, [r for r in managers if r != s and self._relation(ids[r], ids[s]) is self.cfg.relation])
+            (s, [r for r in managers if r != s and classify_relation(devices[r], devices[s]) is self.cfg.relation])
             for s in managers
         ]
 

@@ -195,9 +195,6 @@ class DeviceRegistry:
     def device(self, device_id: str) -> Device:
         return self._devices[device_id]
 
-    def __contains__(self, device_id: str) -> bool:
-        return device_id in self._devices
-
     def devices(self) -> list[Device]:
         return [self._devices[k] for k in sorted(self._devices)]
 

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from siotrust.adversary import (
-    AcquisitionEvent,
     AttackAttempt,
     AttackBehavior,
     AttackerEngine,
@@ -75,12 +74,12 @@ class TestTheft:
     def test_steal_copies_the_presented_profile(self):
         registry, _, victims, attacker = build_world()
         engine = make_engine(registry, attacker)
-        stolen = engine.steal_identity(victims[0], now=4.0)
+        stolen = engine.steal_identity(victims[0])
         assert stolen.id == "v0"
         assert stolen.source is IdentitySource.STOLEN
         assert stolen.friends == victims[0].friends
         assert stolen.friends is not victims[0].friends
-        assert engine.events == [AcquisitionEvent(4.0, "theft", "v0", "v0")]
+        assert engine.pool == [stolen]
 
     def test_steal_is_idempotent_per_victim(self):
         registry, _, victims, attacker = build_world()
@@ -89,7 +88,6 @@ class TestTheft:
         second = engine.steal_identity(victims[0])
         assert first is second
         assert len(engine.pool) == 1
-        assert len(engine.events) == 1
 
     def test_registry_sees_the_duplicate(self):
         registry, _, victims, attacker = build_world()
@@ -195,7 +193,7 @@ class TestChurnSchedule:
         engine.attempt(0.0, managers, victims)
         assert engine.presented.id == "v0"
         for _ in range(3):
-            engine.notify(False, 0.0, victims)
+            engine.notify(False, victims)
         assert engine.presented.id == "v1"
         # the slate reset lets it revisit the first manager
         identity, target = engine.attempt(10.0, managers, victims)
@@ -205,17 +203,17 @@ class TestChurnSchedule:
         registry, managers, victims, attacker = build_world()
         engine = make_engine(registry, attacker, deny_streak_limit=2)
         engine.attempt(0.0, managers, victims)
-        engine.notify(False, 0.0, victims)
-        engine.notify(True, 0.0, victims)
-        engine.notify(False, 0.0, victims)
+        engine.notify(False, victims)
+        engine.notify(True, victims)
+        engine.notify(False, victims)
         assert engine.presented.id == "v0"
 
     def test_cycles_pool_when_no_victims_left(self):
         registry, managers, victims, attacker = build_world(victim_count=2)
         engine = make_engine(registry, attacker, deny_streak_limit=1)
         engine.attempt(0.0, managers, victims)
-        engine.notify(False, 0.0, victims)  # steals v1
-        engine.notify(False, 0.0, victims)  # nothing fresh, cycles back
+        engine.notify(False, victims)  # steals v1
+        engine.notify(False, victims)  # nothing fresh, cycles back
         assert engine.presented.id == "v0"
         assert len(engine.pool) == 2
 
@@ -270,7 +268,7 @@ class TestMultiSchedule:
         )
         engine.attempt(0.0, managers, victims)
         before = engine.presented
-        engine.notify(False, 0.0, victims)
+        engine.notify(False, victims)
         assert engine.presented is before
 
 

@@ -46,17 +46,17 @@ def vacuous(gate, presented, base_rate=1.0):
 class TestEvaluate:
     def test_vacuous_world_scores_the_base_rate(self):
         decision = vacuous(make_gate(), request("s0"), base_rate=0.4)
-        assert decision.trust == pytest.approx(0.4, abs=1e-12)
+        assert decision.assessment.trust == pytest.approx(0.4, abs=1e-12)
         assert decision.verdict is Verdict.DENY
 
     def test_high_base_rate_grants(self):
         decision = vacuous(make_gate(), request("s0"), base_rate=1.0)
-        assert decision.trust == 1.0
+        assert decision.assessment.trust == 1.0
         assert decision.verdict is Verdict.GRANT
 
     def test_threshold_is_strictly_greater(self):
         decision = vacuous(make_gate(), request("s0"), base_rate=0.6)
-        assert decision.trust == pytest.approx(0.6)
+        assert decision.assessment.trust == pytest.approx(0.6)
         assert decision.verdict is Verdict.DENY
 
     def test_only_managers_adjudicate(self):
@@ -69,7 +69,7 @@ class TestEvaluate:
         direct = Opinion(30, 0, 0.5).expected_value()
         decision = gate.evaluate(request("s0"), direct, 0.5, 0.5)
         # D = 30/32 + 0.5 * 2/32, S and R vacuous at 0.5
-        assert decision.trust == pytest.approx(0.35 * 0.96875 + 0.65 * 0.5)
+        assert decision.assessment.trust == pytest.approx(0.35 * 0.96875 + 0.65 * 0.5)
         assert decision.verdict is Verdict.GRANT
 
     def test_split_follows_membership(self):
@@ -138,7 +138,7 @@ class TestSimilarityHook:
         decision = make_gate().evaluate(presented, 1.0, 0.25, 1.0)
         assert decision.assessment.evaluator == "m1"
         assert decision.assessment.similarity == 0.25
-        assert decision.trust == pytest.approx(0.35 + 0.35 * 0.25 + 0.3)
+        assert decision.assessment.trust == pytest.approx(0.35 + 0.35 * 0.25 + 0.3)
 
     def test_no_community_yet_falls_back_to_base_rate(self, gate_runs):
         for engine, samples in gate_runs:
@@ -187,24 +187,21 @@ class TestMembership:
     def test_admit_requires_a_grant(self):
         gate = make_gate()
         with pytest.raises(AdmissionError):
-            gate.admit("s0", "m0", "s0", 0.0)
+            gate.admit("s0", "m0", "s0")
 
     def test_grant_then_admit(self):
         gate = make_gate()
         vacuous(gate, request("s0"))
-        admission = gate.admit("s0", "m0", "s0", 0.0)
-        assert not admission.conflict
+        assert gate.admit("s0", "m0", "s0") == ()
         assert gate.is_member("s0")
         assert gate.member_presenters("s0") == {"s0"}
 
     def test_second_presenter_is_a_conflict(self):
         gate = make_gate()
         vacuous(gate, request("s0"))
-        gate.admit("s0", "m0", "s0", 0.0)
+        gate.admit("s0", "m0", "s0")
         vacuous(gate, request("s0", presenter="intruder", time=5.0))
-        admission = gate.admit("s0", "m0", "intruder", 5.0)
-        assert admission.conflict
-        assert admission.conflicting_presenters == ("s0",)
+        assert gate.admit("s0", "m0", "intruder") == ("s0",)
         assert gate.member_presenters("s0") == {"s0", "intruder"}
 
 

@@ -218,6 +218,14 @@ class TestBadInput:
         assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--config", "--from-manifest"])
+    def test_non_utf8_json_file(self, tmp_path, capsys, flag):
+        path = tmp_path / "utf16.json"
+        path.write_bytes("{}".encode("utf-16"))  # starts with the bytes ff fe
+        assert main([flag, str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not UTF-8" in err
+
     def test_config_must_hold_an_object(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

@@ -172,7 +172,7 @@ class TestFormCommunities:
     def test_context_kind_recorded(self):
         (only,) = form_communities([make("a")], context_for("gym"))
         assert only.context_kind == "gym"
-        assert "a" in only
+        assert only.members == ("a",)
 
 
 class TestCommunitySimilarity:

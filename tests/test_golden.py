@@ -6,14 +6,15 @@ under a second) and every per-seed file plus `metrics.csv` must hash to the
 value pinned here. A change that alters outputs on purpose re-pins these and
 says why.
 
-The five configs cover the default stolen/churn scenario, fabricated
-identities under the multi schedule (the opinion store and recommendation
-cache grow along the identity axis), fabricated identities that present
-forged friend and interest sets of three (so their S is taken against
-sets no legitimate device holds), the `por` relation filter, under
-which no sender qualifies and the recommendation cache stays empty, and an
-integer `tick`: its times stay ints, so the log and the trust trace print
-`t=30`, not `t=30.0`, while the bootstrap lines keep `t=0.0`.
+The six configs cover the default stolen/churn scenario, stolen identities
+under the multi schedule (an attacker steals on every tick until its pool
+is full), fabricated identities under the multi schedule (the opinion store
+and recommendation cache grow along the identity axis), fabricated
+identities that present forged friend and interest sets of three (so their
+S is taken against sets no legitimate device holds), the `por` relation
+filter, under which no sender qualifies and the recommendation cache stays
+empty, and an integer `tick`: its times stay ints, so the log and the trust
+trace print `t=30`, not `t=30.0`, while the bootstrap lines keep `t=0.0`.
 """
 
 import hashlib
@@ -59,6 +60,18 @@ GOLDEN = {
             "events-s1.log": "4e0bfe8088d834a15aa0c6f953cd425d01982f4590560cb6c5c4843815937d84",
             "metrics.csv": "f0ef13fa064d582a54b5e9842c119dc5e39611dbadad518052a280d6c4c953fc",
             "trust-s1.csv": "9122078bd7531488cc31f4b44a45c2144ee559fc02d2f657743dee84bd68b695",
+        },
+    ),
+    "stolen-multi-40": (
+        {"node_count": 40, "behavior": "multi"},
+        {
+            "attacks-s1.csv": "592c4c90f7aa050e8563ea0134ae34dee219203bfdf9f78ac860e4dd63500898",
+            "communities-s1.csv": "bb346db0b31f82c0391b7725c5f26b7b91327285546173f5e5efc1c623055173",
+            "decisions-s1.csv": "93c61ef947b02ed25d332d193e5654b7db4ca2492a3d3f3630d9f44ec03200c9",
+            "esr-s1.csv": "e71d2bba81130411ff9c61b110ced05ffb27a773f9cfefd39396ea55b332c360",
+            "events-s1.log": "60e6874c49a3cd457da2415955053f77d9301b55430e1e8723540b9c10b398d0",
+            "metrics.csv": "38eeecbbd7ef79a5bb02f56e907420da1a7e8afd68199e48517ad73462c86cd9",
+            "trust-s1.csv": "c303c6f58586f5436ac9e5edae20a4775e108fc97e30eb89725edd85c3cf9518",
         },
     ),
     "por-40": (

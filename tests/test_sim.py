@@ -795,6 +795,27 @@ def test_member_presentation_follows_the_roster():
     assert presented() == [("d003" if i == "adv01" else p) for i, p in zip(engine.ids, expected)]
 
 
+@pytest.mark.parametrize("source", [IdentitySource.STOLEN, IdentitySource.FABRICATED])
+@pytest.mark.parametrize("behavior", [AttackBehavior.CHURN, AttackBehavior.MULTI])
+def test_acquisition_lines_name_each_attackers_pool(behavior, source):
+    # a deny streak of one makes `notify` rotate, and so acquire, after most denials
+    forged = 3 if source is IdentitySource.FABRICATED else 0
+    config = ScenarioConfig(node_count=40, duration=300.0, seed=3, behavior=behavior, identity_source=source,
+                            forged_set_size=forged, deny_streak_limit=1)
+    engine = SimulationEngine(config)
+    result = engine.run()
+    logged = {attacker_id: [] for attacker_id in engine.attacker_ids}
+    for line in result.log.text().splitlines():
+        _, kind, *pairs = line.split(" ")
+        if kind in ("theft", "fabricate"):
+            values = dict(pair.split("=", 1) for pair in pairs)
+            assert kind == ("theft" if source is IdentitySource.STOLEN else "fabricate")
+            assert values.get("victim", values["identity"]) == values["identity"]
+            logged[values["attacker"]].append(values["identity"])
+    assert logged == {attacker_id: [i.id for i in e.pool] for attacker_id, e in engine.engines.items()}
+    assert sum(map(len, logged.values())) > len(logged)
+
+
 def observe_every_time(self, devices_in_radius):
     """The observe loop before already observed devices were skipped."""
     for dev in devices_in_radius:
