@@ -6,7 +6,7 @@ seeded attack scenarios over an abstract proximity world and reports
 detection metrics and trust distributions.
 """
 
-from .adversary import AttackAttempt, AttackBehavior, AttackerEngine, AttackerProfile
+from .adversary import AttackBehavior, AttackerEngine, AttackerProfile
 from .authn import (
     AccessDecision,
     AccessGate,
@@ -73,7 +73,6 @@ __all__ = [
     "AccessGate",
     "AccessRequest",
     "AdmissionError",
-    "AttackAttempt",
     "AttackBehavior",
     "AttackerEngine",
     "AttackerProfile",

@@ -24,6 +24,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .authn import DecisionRecord
 from .social import ConfigError, Device, DeviceRegistry, Identity, IdentitySource
 
 
@@ -62,18 +63,6 @@ class AttackerProfile:
             raise ConfigError(f"forged set size must be non-negative: {self.forged_set_size}")
 
 
-@dataclass(frozen=True)
-class AttackAttempt:
-    """One emitted attacker request, as logged to the attack trace."""
-
-    time: float
-    attacker_device: str
-    identity: str
-    source: IdentitySource
-    behavior: AttackBehavior
-    target_manager: str
-
-
 class AttackerEngine:
     """Drives one attacker device according to its profile."""
 
@@ -92,7 +81,7 @@ class AttackerEngine:
         self.presented: Identity | None = None
         self.observed_devices: set[str] = set()
         self.observed_interests: set[str] = set()
-        self._stolen: dict[str, Identity] = {}
+        self._stolen: set[str] = set()  # victim ids
         self._fab_counter = 0
         self._active_index = 0
         self._round_robin = 0
@@ -117,19 +106,15 @@ class AttackerEngine:
         """Copy a victim's presented profile under the victim's identity id.
 
         The caller guarantees the victim is within eavesdrop radius at theft
-        time. Stealing the same victim twice returns the one pool entry.
+        time, and that the victim was not stolen before.
         """
-        already = self._stolen.get(victim.id)
-        if already is not None:
-            return already
         identity = Identity(
             id=victim.id,
             friends=set(victim.friends),
             interests=set(victim.interests),
             source=IdentitySource.STOLEN,
         )
-        self.registry.add_identity(identity)
-        self._stolen[victim.id] = identity
+        self._stolen.add(victim.id)
         self.pool.append(identity)
         return identity
 
@@ -138,22 +123,17 @@ class AttackerEngine:
 
         Forged friends and interests are random subsets of what the attacker
         has observed so far; the subset size is configurable and may be zero.
+        The id `fab-<device id>-<n>` is unique: device ids are unique, and
+        the engine names every legitimate device `d…`.
         """
         k = self.profile.forged_set_size
-        while True:
-            candidate = f"fab-{self.device.id}-{self._fab_counter}"
-            self._fab_counter += 1
-            if not self.registry.has_identity(candidate):
-                break
-        friends = self._forge(self.observed_devices, k)
-        interests = self._forge(self.observed_interests, k)
         identity = Identity(
-            id=candidate,
-            friends=friends,
-            interests=interests,
+            id=f"fab-{self.device.id}-{self._fab_counter}",
+            friends=self._forge(self.observed_devices, k),
+            interests=self._forge(self.observed_interests, k),
             source=IdentitySource.FABRICATED,
         )
-        self.registry.add_identity(identity)
+        self._fab_counter += 1
         self.pool.append(identity)
         return identity
 
@@ -257,20 +237,17 @@ class AttackerEngine:
             self.presented = self._rotate(victims)
 
 
-def write_attack_csv(attempts: Iterable[AttackAttempt], path: str | Path) -> None:
+def write_attack_csv(decisions: Iterable[DecisionRecord], profile: AttackerProfile, path: str | Path) -> None:
+    """The attack trace: one row per decision on an attacker device's request.
+
+    Every attacker runs `profile`, so each row's source and schedule are its.
+    """
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ["time", "attacker_device", "identity", "source", "behavior", "target_manager"]
         )
-        for a in attempts:
-            writer.writerow(
-                [
-                    repr(a.time),
-                    a.attacker_device,
-                    a.identity,
-                    a.source.value,
-                    a.behavior.value,
-                    a.target_manager,
-                ]
-            )
+        source, behavior = profile.identity_source.value, profile.behavior.value
+        for d in decisions:
+            if d.attacker:
+                writer.writerow([repr(d.time), d.presenter, d.identity, source, behavior, d.manager])

@@ -58,7 +58,7 @@ class AccessDecision:
 
 @dataclass(frozen=True)
 class DecisionRecord:
-    """One adjudication, as logged to the decision CSV."""
+    """One adjudication, as logged to the decision CSV; `presenter` is the requesting device."""
 
     time: float
     manager: str
@@ -66,6 +66,7 @@ class DecisionRecord:
     attacker: bool
     verdict: Verdict
     trust: float
+    presenter: str = ""
 
     @property
     def granted(self) -> bool:
@@ -108,9 +109,6 @@ class AccessGate:
     def is_member(self, identity: str) -> bool:
         return identity in self.members
 
-    def member_presenters(self, identity: str) -> set[str]:
-        return set(self.members.get(identity, ()))
-
     def bootstrap_member(self, identity: str, presenter: str) -> None:
         """Seed a member without a grant (manager mesh at scenario start)."""
         self.members.setdefault(identity, set()).add(presenter)
@@ -143,6 +141,7 @@ class AccessGate:
                 attacker=request.presenter in self.attacker_devices,
                 verdict=verdict,
                 trust=assessment.trust,
+                presenter=request.presenter,
             )
         )
         return AccessDecision(verdict=verdict, assessment=assessment)

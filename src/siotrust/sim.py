@@ -47,7 +47,7 @@ from typing import Any, Mapping, TextIO
 
 import numpy as np
 
-from .adversary import AttackAttempt, AttackBehavior, AttackerEngine, AttackerProfile
+from .adversary import AttackBehavior, AttackerEngine, AttackerProfile
 from .authn import AccessGate, AccessRequest, DecisionRecord, Verdict
 from .community import (
     Community,
@@ -65,6 +65,7 @@ from .social import (
     Device,
     DeviceClass,
     DeviceRegistry,
+    Identity,
     IdentitySource,
     RelationType,
     classify_relation,
@@ -81,6 +82,9 @@ from .trust import (
 )
 
 SHARED_HOME = "home-0"
+
+# ScenarioConfig's enum fields: `from_mapping` turns a string into its member, the config takes nothing else
+_ENUM_FIELDS = (("relation", RelationType), ("behavior", AttackBehavior), ("identity_source", IdentitySource))
 
 
 @dataclass(frozen=True)
@@ -136,6 +140,9 @@ class ScenarioConfig:
                 type(value) is bool or not isinstance(value, numbers.Real) or not math.isfinite(value)
             ):
                 raise ConfigError(f"{f.name} must be a finite number: {value!r}")
+        for name, enum in _ENUM_FIELDS:
+            if not isinstance(getattr(self, name), enum):
+                raise ConfigError(f"{name} must be a {enum.__name__}: {getattr(self, name)!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative: {self.seed}")
         if self.friends_path is not None and not isinstance(self.friends_path, str):
@@ -235,12 +242,9 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown scenario parameter: {name!r}")
             kwargs[name] = raw
         try:
-            if "relation" in kwargs and not isinstance(kwargs["relation"], RelationType):
-                kwargs["relation"] = RelationType(str(kwargs["relation"]))
-            if "behavior" in kwargs and not isinstance(kwargs["behavior"], AttackBehavior):
-                kwargs["behavior"] = AttackBehavior(str(kwargs["behavior"]))
-            if "identity_source" in kwargs and not isinstance(kwargs["identity_source"], IdentitySource):
-                kwargs["identity_source"] = IdentitySource(str(kwargs["identity_source"]))
+            for name, enum in _ENUM_FIELDS:
+                if name in kwargs and not isinstance(kwargs[name], enum):
+                    kwargs[name] = enum(str(kwargs[name]))
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
@@ -258,16 +262,18 @@ class _StaticSimilarity:
     build time, a stolen identity copies its victim's sets verbatim, and
     fabricated ids are unique with sets frozen when forged. So the matrix of
     the legitimate devices, built at the first epoch, holds the row of each
-    legitimate or stolen id, and any other id gets its row when first seen.
+    legitimate or stolen id. A fabricated id gets its row when first seen,
+    from the identity its attacker pooled, which the engine puts in
+    `fabricated` when it logs the fabrication.
     A mean is a Python `sum` over a row, so it equals `community_similarity`.
     """
 
-    def __init__(self, weights: SimilarityWeights, registry: DeviceRegistry, legit_ids: list[str]) -> None:
+    def __init__(self, weights: SimilarityWeights, legit: list[Device]) -> None:
         self.weights = weights
-        self.registry = registry
-        self.legit = [registry.device(i) for i in legit_ids]  # sorted by id: the matrix's rows and columns
-        self._index = {device_id: k for k, device_id in enumerate(legit_ids)}
-        self._rows: dict[str, np.ndarray] = {}  # id outside the legitimate devices -> its row
+        self.legit = legit  # sorted by id: the matrix's rows and columns
+        self._index = {device.id: k for k, device in enumerate(legit)}
+        self.fabricated: dict[str, Identity] = {}
+        self._rows: dict[str, np.ndarray] = {}  # fabricated id -> its row
         self._means: dict[tuple[str, int], float] = {}
 
     @cached_property
@@ -281,8 +287,7 @@ class _StaticSimilarity:
         if identity_id in self._index:
             return self.matrix[self._index[identity_id]]
         if identity_id not in self._rows:
-            presented = self.registry.presentations(identity_id)[0]
-            self._rows[identity_id] = similarity_matrix([presented], self.legit, self.weights)[0]
+            self._rows[identity_id] = similarity_matrix([self.fabricated[identity_id]], self.legit, self.weights)[0]
         return self._rows[identity_id]
 
     def community_mean(self, identity_id: str, community: Community) -> float:
@@ -314,7 +319,6 @@ class RunResult:
     decisions: list[DecisionRecord]
     assessments: AssessmentTable
     communities: list[Community]
-    attempts: list[AttackAttempt]
     counters: ConfusionCounters
 
     def esr_splits(self) -> dict[str, list[float]]:
@@ -368,10 +372,9 @@ class SimulationEngine:
         self.communities: list[Community] = []
         self._community_of: dict[str, Community] = {}
         self.rec_cache: Recommendations = NO_RECOMMENDATIONS
-        self.attempts: list[AttackAttempt] = []
 
         self._build_world()
-        self.similarity = _StaticSimilarity(config.weights(), self.registry, self.legit_ids)
+        self.similarity = _StaticSimilarity(config.weights(), [self.registry.device(i) for i in self.legit_ids])
         code = self.log.symbols.code
         for device_id in self.ids:  # the table is empty: each device's index becomes its code
             code(device_id)
@@ -421,7 +424,7 @@ class SimulationEngine:
         awidth = max(2, len(str(max(cfg.attacker_count - 1, 0))))
         self.attacker_ids = [f"adv{i:0{awidth}d}" for i in range(cfg.attacker_count)]
         for attacker_id in self.attacker_ids:
-            self.registry.register_bare(
+            self.registry.register(
                 Device(
                     id=attacker_id,
                     device_class=DeviceClass.SUBORDINATE,
@@ -519,7 +522,6 @@ class SimulationEngine:
             decisions=self.gate.decisions,
             assessments=self.assessments,
             communities=self.communities,
-            attempts=self.attempts,
             counters=counters,
         )
 
@@ -611,9 +613,8 @@ class SimulationEngine:
             if picked is None:
                 continue
             identity, target = picked
-            if self.gate.is_member(identity.id) and attacker_id not in self.gate.member_presenters(
-                identity.id
-            ):
+            holders = self.gate.members.get(identity.id, ())
+            if holders and attacker_id not in holders:
                 # Presented identity is already on the roster under another
                 # device; the manager books hard negative evidence before
                 # adjudicating.
@@ -622,16 +623,6 @@ class SimulationEngine:
                     now, "duplicate", identity.id, attacker_id, target.id, cfg.duplicate_request_penalty
                 )
             decision = self._adjudicate(AccessRequest(now, identity.id, attacker_id, target.id))
-            self.attempts.append(
-                AttackAttempt(
-                    time=now,
-                    attacker_device=attacker_id,
-                    identity=identity.id,
-                    source=identity.source,
-                    behavior=cfg.behavior,
-                    target_manager=target.id,
-                )
-            )
             held = len(engine.pool)
             engine.notify(decision.verdict is Verdict.GRANT, victims)
             self._log_acquisitions(engine, held, now)
@@ -666,12 +657,14 @@ class SimulationEngine:
 
         The pool only grows, by one identity per acquisition, so these are
         the pool's entries from `held` on. A stolen identity's id is its
-        victim's id.
+        victim's id; a fabricated one goes to `similarity`, which takes its
+        S row from it. Both happen before the identity is first presented.
         """
         for identity in engine.pool[held:]:
             if identity.source is IdentitySource.STOLEN:
                 self.log.append(now, "theft", engine.device.id, identity.id, identity.id)
             else:
+                self.similarity.fabricated[identity.id] = identity
                 self.log.append(now, "fabricate", engine.device.id, identity.id)
 
     # -- interactions and movement ----------------------------------------------

@@ -2,9 +2,10 @@
 
 Devices carry the static social profile (friend list, interest tags, owner,
 manufacturer batch, home place, work group) that relation classification and
-similarity work from. Identities are what devices present on the network;
-for legitimate devices the two coincide, attackers may present stolen or
-fabricated identities instead.
+similarity work from. The registry holds devices only. A legitimate device
+presents its own id and profile; an attacker presents a stolen or fabricated
+`Identity` it acquired, and its `AttackerEngine`'s pool is the one record of
+those identities.
 """
 
 from __future__ import annotations
@@ -150,10 +151,7 @@ def classify_relation(i: Device, j: Device) -> RelationType:
 
 
 class DeviceRegistry:
-    """Roster of devices plus every identity presentable on the network.
-
-    Identity ids are unique at creation; the one sanctioned exception is a
-    stolen identity, which duplicates its victim's id by design.
+    """Roster of devices, by unique id.
 
     The sorted manager tuple is built on first use and dropped whenever a
     device is added.
@@ -161,36 +159,13 @@ class DeviceRegistry:
 
     def __init__(self) -> None:
         self._devices: dict[str, Device] = {}
-        self._identities: dict[str, list[Identity]] = {}
         self._managers: tuple[Device, ...] | None = None
 
-    def register(self, device: Device) -> Identity:
-        """Add a device and mint its own legitimate identity."""
+    def register(self, device: Device) -> None:
         if device.id in self._devices:
             raise ValueError(f"duplicate device id: {device.id!r}")
         self._devices[device.id] = device
         self._managers = None
-        identity = Identity(
-            id=device.id,
-            friends=set(device.friends),
-            interests=set(device.interests),
-            source=IdentitySource.LEGITIMATE,
-        )
-        self.add_identity(identity)
-        return identity
-
-    def register_bare(self, device: Device) -> None:
-        """Add a device without minting an identity (attacker hardware)."""
-        if device.id in self._devices:
-            raise ValueError(f"duplicate device id: {device.id!r}")
-        self._devices[device.id] = device
-        self._managers = None
-
-    def add_identity(self, identity: Identity) -> None:
-        existing = self._identities.get(identity.id)
-        if existing is not None and identity.source is not IdentitySource.STOLEN:
-            raise ValueError(f"identity id already taken: {identity.id!r}")
-        self._identities.setdefault(identity.id, []).append(identity)
 
     def device(self, device_id: str) -> Device:
         return self._devices[device_id]
@@ -202,10 +177,3 @@ class DeviceRegistry:
         if self._managers is None:
             self._managers = tuple(d for d in self.devices() if d.is_manager)
         return self._managers
-
-    def has_identity(self, identity_id: str) -> bool:
-        return identity_id in self._identities
-
-    def presentations(self, identity_id: str) -> list[Identity]:
-        """All presentations of an identity id (more than one only under theft)."""
-        return list(self._identities.get(identity_id, []))

@@ -4,12 +4,14 @@ import random
 import pytest
 
 from siotrust.adversary import (
-    AttackAttempt,
     AttackBehavior,
     AttackerEngine,
     AttackerProfile,
     write_attack_csv,
 )
+from siotrust.authn import DecisionRecord, Verdict
+from siotrust.cli import run_batch
+from siotrust.sim import ScenarioConfig, run_scenario
 from siotrust.social import (
     ConfigError,
     Device,
@@ -38,7 +40,7 @@ def build_world(manager_count=2, victim_count=3):
         registry.register(dev)
         victims.append(dev)
     attacker = Device(id="a0", device_class=DeviceClass.SUBORDINATE)
-    registry.register_bare(attacker)
+    registry.register(attacker)
     return registry, managers, victims, attacker
 
 
@@ -81,22 +83,6 @@ class TestTheft:
         assert stolen.friends is not victims[0].friends
         assert engine.pool == [stolen]
 
-    def test_steal_is_idempotent_per_victim(self):
-        registry, _, victims, attacker = build_world()
-        engine = make_engine(registry, attacker)
-        first = engine.steal_identity(victims[0])
-        second = engine.steal_identity(victims[0])
-        assert first is second
-        assert len(engine.pool) == 1
-
-    def test_registry_sees_the_duplicate(self):
-        registry, _, victims, attacker = build_world()
-        engine = make_engine(registry, attacker)
-        engine.steal_identity(victims[1])
-        sources = [ident.source for ident in registry.presentations("v1")]
-        assert sources == [IdentitySource.LEGITIMATE, IdentitySource.STOLEN]
-        assert len(registry.presentations("v0")) == 1
-
 
 class TestFabrication:
     def test_ids_count_up_per_attacker(self):
@@ -104,14 +90,6 @@ class TestFabrication:
         engine = make_engine(registry, attacker)
         ids = [engine.fabricate_identity().id for _ in range(3)]
         assert ids == ["fab-a0-0", "fab-a0-1", "fab-a0-2"]
-
-    def test_taken_ids_are_skipped(self):
-        registry, _, _, attacker = build_world()
-        registry.register(
-            Device(id="fab-a0-0", device_class=DeviceClass.SUBORDINATE, home="h")
-        )
-        engine = make_engine(registry, attacker)
-        assert engine.fabricate_identity().id == "fab-a0-1"
 
     def test_empty_forgery_without_observation(self):
         registry, _, _, attacker = build_world()
@@ -273,11 +251,39 @@ class TestMultiSchedule:
 
 
 def test_attack_csv(tmp_path):
-    attempts = [
-        AttackAttempt(10.0, "a0", "v3", IdentitySource.STOLEN, AttackBehavior.CHURN, "m1"),
+    decisions = [
+        DecisionRecord(10.0, "m1", "v3", True, Verdict.DENY, 0.4, presenter="a0"),
+        DecisionRecord(10.0, "m0", "v1", False, Verdict.GRANT, 0.7, presenter="v1"),
     ]
     path = tmp_path / "attacks.csv"
-    write_attack_csv(attempts, path)
+    write_attack_csv(decisions, AttackerProfile(), path)
     header, row = list(csv.reader(path.read_text().splitlines()))
     assert header == ["time", "attacker_device", "identity", "source", "behavior", "target_manager"]
     assert row == ["10.0", "a0", "v3", "stolen", "churn", "m1"]
+
+
+@pytest.mark.parametrize("behavior", ["churn", "multi"])
+@pytest.mark.parametrize("source", ["stolen", "fabricated"])
+def test_attack_csv_is_the_attacker_decisions(tmp_path, behavior, source):
+    config = ScenarioConfig.from_mapping({
+        "node_count": 30, "duration": 120.0, "behavior": behavior, "identity_source": source,
+        "deny_streak_limit": 1, "forged_set_size": 3 if source == "fabricated" else 0,
+    })
+    run_batch(config, [1], tmp_path)
+    decision_lines = [
+        dict(field.split("=", 1) for field in line.split()[2:])
+        | {"t": line.split()[0].removeprefix("t=")}
+        for line in (tmp_path / "events-s1.log").read_text().splitlines()
+        if line.split()[1] == "decision"
+    ]
+    with open(tmp_path / "attacks-s1.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+
+    attacker_lines = [d for d in decision_lines if d["kind"] == "attacker"]
+    assert rows
+    assert [(r["time"], r["attacker_device"], r["identity"], r["target_manager"]) for r in rows] == [
+        (d["t"], d["presenter"], d["identity"], d["manager"]) for d in attacker_lines
+    ]
+    assert {(r["source"], r["behavior"]) for r in rows} == {(source, behavior)}
+    decisions = run_scenario(config).decisions
+    assert [d.presenter for d in decisions] == [d["presenter"] for d in decision_lines]

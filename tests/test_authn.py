@@ -82,12 +82,13 @@ class TestEvaluate:
 
     def test_decision_log_records_attacker_flag(self):
         gate = make_gate(attacker_devices=frozenset({"adv"}))
-        gate.registry.register_bare(Device(id="adv", device_class=DeviceClass.SUBORDINATE))
+        gate.registry.register(Device(id="adv", device_class=DeviceClass.SUBORDINATE))
         vacuous(gate, request("s0"))
         vacuous(gate, request("s0", presenter="adv"))
         legit, attack = gate.decisions
         assert not legit.attacker and legit.true_device_kind == "legitimate"
         assert attack.attacker and attack.true_device_kind == "attacker"
+        assert (legit.presenter, attack.presenter) == ("s0", "adv")
 
 
 def gate_similarity_samples(overrides):
@@ -194,7 +195,7 @@ class TestMembership:
         vacuous(gate, request("s0"))
         assert gate.admit("s0", "m0", "s0") == ()
         assert gate.is_member("s0")
-        assert gate.member_presenters("s0") == {"s0"}
+        assert gate.members["s0"] == {"s0"}
 
     def test_second_presenter_is_a_conflict(self):
         gate = make_gate()
@@ -202,7 +203,7 @@ class TestMembership:
         gate.admit("s0", "m0", "s0")
         vacuous(gate, request("s0", presenter="intruder", time=5.0))
         assert gate.admit("s0", "m0", "intruder") == ("s0",)
-        assert gate.member_presenters("s0") == {"s0", "intruder"}
+        assert gate.members["s0"] == {"s0", "intruder"}
 
 
 def test_decision_csv(tmp_path):

@@ -170,6 +170,14 @@ class TestScenarioConfig:
             with pytest.raises(ConfigError):
                 ScenarioConfig.from_mapping(junk)
 
+    @pytest.mark.parametrize("kw", [{"behavior": "churn"}, {"relation": "clor"}, {"identity_source": "stolen"}])
+    def test_enum_fields_take_members_only(self, kw):
+        # a string would run the wrong schedule or fail mid-run; from_mapping is what converts it
+        (name,) = kw
+        with pytest.raises(ConfigError, match=name):
+            ScenarioConfig(**kw)
+        assert getattr(ScenarioConfig.from_mapping(kw), name).value == kw[name]
+
     def test_with_seed(self):
         cfg = ScenarioConfig(**SMALL)
         reseeded = cfg.with_seed(99)
@@ -412,7 +420,11 @@ class TestWorldBuild:
             device = engine.registry.device(attacker_id)
             assert device.home is None
             assert device.friends == set()
-            assert not engine.registry.has_identity(attacker_id)
+        # an attacker device presents only the identities it acquired, never its own id
+        attackers = set(engine.attacker_ids)
+        assert not attackers & {identity.id for e in engine.engines.values() for identity in e.pool}
+        assert not attackers & set(engine.gate.members)
+        assert not attackers & set(engine.similarity.fabricated)
 
 
 class TestDeterminism:
@@ -440,12 +452,14 @@ class TestRunSemantics:
             assert decision.trust == pytest.approx(1.0, abs=1e-12)
 
     def test_attackers_do_attack(self, small_run):
-        _, result = small_run
-        assert result.attempts
-        assert all(a.behavior is AttackBehavior.CHURN for a in result.attempts)
-        assert all(a.source is IdentitySource.STOLEN for a in result.attempts)
+        engine, result = small_run
         attacker_decisions = [d for d in result.decisions if d.attacker]
-        assert len(attacker_decisions) == len(result.attempts)
+        assert attacker_decisions
+        for decision in attacker_decisions:
+            pool = engine.engines[decision.presenter].pool
+            assert decision.identity in {identity.id for identity in pool}
+        assert {i.source for e in engine.engines.values() for i in e.pool} == {IdentitySource.STOLEN}
+        assert all(d.presenter == d.identity for d in result.decisions if not d.attacker)
 
     def test_counters_match_a_recount(self, small_run):
         _, result = small_run
@@ -710,8 +724,7 @@ class ScalarInteractions(SimulationEngine):
                 presented = self.engines[device_id].presented
                 if (
                     presented is not None
-                    and self.gate.is_member(presented.id)
-                    and device_id in self.gate.member_presenters(presented.id)
+                    and device_id in self.gate.members.get(presented.id, ())
                 ):
                     member[i] = True
                     identity_of[i] = presented.id
@@ -864,7 +877,7 @@ class TestRecordFootprint:
         finally:
             tracemalloc.stop()
         # 17 bytes of columns per event and 46 per assessment, plus the
-        # arrays' headroom and the decisions, attempts and communities
+        # arrays' headroom and the decisions and communities
         assert retained <= 32 * len(result.log) + 64 * len(result.assessments)
 
     def tracked_objects(self, duration):
@@ -872,10 +885,8 @@ class TestRecordFootprint:
         gc.collect()
         before = len(gc.get_objects())
         result = run_scenario(self.config(duration))
-        # decisions and attack attempts are one dataclass per request, not
-        # part of the columnar record
+        # decisions are one dataclass per request, not part of the columnar record
         result.decisions.clear()
-        result.attempts.clear()
         gc.collect()
         return len(gc.get_objects()) - before, result
 
@@ -920,7 +931,6 @@ class TestStreamedRecordFootprint:
                 result = self.streamed(duration, tmp_path)
                 # one dataclass per request, not part of the record
                 result.decisions.clear()
-                result.attempts.clear()
                 gc.collect()
                 retained = tracemalloc.get_traced_memory()[0] - before
             finally:
@@ -952,7 +962,7 @@ class LoopDuplicateScan(SimulationEngine):
     def _duplicate_scan(self, now):
         penalty = self.cfg.duplicate_epoch_penalty
         for identity_id in sorted(self.gate.members):
-            presenters = self.gate.member_presenters(identity_id)
+            presenters = self.gate.members[identity_id]
             if len(presenters) < 2:
                 continue
             for manager in self.registry.managers():
@@ -999,10 +1009,9 @@ class TestStaticSimilarity:
         stolen = Identity(victim_device.id, set(victim_device.friends), set(victim_device.interests),
                           IdentitySource.STOLEN)
         fabricated = Identity("fab-adv0-0", set(forged[0]), set(forged[1]), IdentitySource.FABRICATED)
-        for identity in (stolen, fabricated):
-            registry.add_identity(identity)
         community = Community(0, tuple(ids[k] for k in sorted({k % len(ids) for k in members})), "residence", 0.5)
-        similarity = _StaticSimilarity(weights, registry, ids)
+        similarity = _StaticSimilarity(weights, list(roster.values()))
+        similarity.fabricated[fabricated.id] = fabricated
         presented = [*roster.values(), stolen, fabricated]
         for _ in range(2):  # the second pass reads the memo
             for profile in presented:
@@ -1014,7 +1023,7 @@ class TestStaticSimilarity:
         for device_id, friends in (("d0", {"d1"}), ("d1", {"d0"}), ("d2", {"d0", "d1"})):
             registry.register(Device(device_id, DeviceClass.SUBORDINATE, friends=friends, interests={"p"}))
         roster = {d.id: d for d in registry.devices()}
-        similarity = _StaticSimilarity(SimilarityWeights(), registry, sorted(roster))
+        similarity = _StaticSimilarity(SimilarityWeights(), registry.devices())
         alone = Community(0, ("d2",), "residence", 0.5)
         pair = Community(1, ("d0", "d1"), "residence", 0.5)
         assert similarity.community_mean("d2", alone) == 0.0

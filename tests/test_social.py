@@ -6,8 +6,6 @@ from siotrust.social import (
     Device,
     DeviceClass,
     DeviceRegistry,
-    Identity,
-    IdentitySource,
     RelationType,
     classify_relation,
     context_for,
@@ -108,34 +106,11 @@ class TestDevice:
 
 
 class TestRegistry:
-    def test_register_mints_matching_identity(self):
-        reg = DeviceRegistry()
-        identity = reg.register(make("a", friends={"b"}, interests={"i"}))
-        assert identity.id == "a"
-        assert identity.source is IdentitySource.LEGITIMATE
-        assert identity.friends == {"b"}
-        assert reg.has_identity("a")
-
     def test_duplicate_device_rejected(self):
         reg = DeviceRegistry()
         reg.register(make("a"))
         with pytest.raises(ValueError, match="duplicate device"):
-            reg.register_bare(make("a"))
-
-    def test_stolen_identity_may_shadow_a_legit_one(self):
-        reg = DeviceRegistry()
-        reg.register(make("victim"))
-        reg.register_bare(make("thief"))
-        stolen = Identity(id="victim", source=IdentitySource.STOLEN)
-        reg.add_identity(stolen)
-        assert len(reg.presentations("victim")) == 2
-        assert reg.presentations("victim")[1] is stolen
-
-    def test_fabricated_identity_cannot_shadow(self):
-        reg = DeviceRegistry()
-        reg.register(make("victim"))
-        with pytest.raises(ValueError, match="already taken"):
-            reg.add_identity(Identity(id="victim", source=IdentitySource.FABRICATED))
+            reg.register(make("a"))
 
     def test_listings_sorted_and_split_by_class(self):
         reg = DeviceRegistry()
@@ -151,5 +126,5 @@ class TestRegistry:
         assert reg.managers() is first
         reg.register(Device(id="m1", device_class=DeviceClass.MANAGER))
         assert [d.id for d in reg.managers()] == ["m1", "m2"]
-        reg.register_bare(Device(id="m0", device_class=DeviceClass.MANAGER))
+        reg.register(Device(id="m0", device_class=DeviceClass.MANAGER))
         assert [d.id for d in reg.managers()] == ["m0", "m1", "m2"]
