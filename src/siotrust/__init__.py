@@ -49,7 +49,6 @@ from .social import (
     Context,
     Device,
     DeviceClass,
-    DeviceRegistry,
     Identity,
     IdentitySource,
     RelationType,
@@ -83,7 +82,6 @@ __all__ = [
     "DecisionRecord",
     "Device",
     "DeviceClass",
-    "DeviceRegistry",
     "EventLog",
     "FriendshipGraph",
     "Identity",

@@ -20,12 +20,11 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .authn import DecisionRecord
-from .social import ConfigError, Device, DeviceRegistry, Identity, IdentitySource
+from .social import ConfigError, Device, Identity, IdentitySource
 
 
 class AttackBehavior(Enum):
@@ -70,12 +69,12 @@ class AttackerEngine:
         self,
         device: Device,
         profile: AttackerProfile,
-        registry: DeviceRegistry,
+        managers: frozenset[str],
         rng: random.Random,
     ) -> None:
         self.device = device
         self.profile = profile
-        self.registry = registry
+        self.managers = managers  # every manager id of the network
         self.rng = rng
         self.pool: list[Identity] = []
         self.presented: Identity | None = None
@@ -181,7 +180,7 @@ class AttackerEngine:
         self.presented = active
         if now - self._last_attempt < self.profile.attempt_interval:
             return None
-        if self._attempted >= self._manager_ids:
+        if self._attempted >= self.managers:
             active = self._rotate(victims)
             self.presented = active
         candidates = [m for m in managers if m.id not in self._attempted]
@@ -191,11 +190,6 @@ class AttackerEngine:
         self._attempted.add(target.id)
         self._last_attempt = now
         return active, target
-
-    @cached_property
-    def _manager_ids(self) -> frozenset[str]:
-        """Every manager of the network, fixed once the scenario is built."""
-        return frozenset(m.id for m in self.registry.managers())
 
     def _multi_attempt(
         self, now: float, managers: Sequence[Device], victims: Sequence[Device]

@@ -19,12 +19,12 @@ from pathlib import Path
 from typing import Iterable
 
 from .community import community_similarity  # noqa: F401  the gate is handed S; perfbench times this name
-from .social import DeviceClass, DeviceRegistry, RelationType
+from .social import RelationType
 from .trust import TrustAssessment, assess
 
 
 class RoutingError(Exception):
-    """Request targeted a device that is not a manager."""
+    """Request targeted an id that is not a manager's."""
 
 
 class AdmissionError(Exception):
@@ -78,7 +78,7 @@ class DecisionRecord:
 
 
 class AccessGate:
-    """Admission control over one scenario's manager set.
+    """Admission control over one scenario's manager set, given as device ids.
 
     The gate decides and keeps the books: it blends the D, S and R it is
     handed as values, applies the threshold, logs the decision, and owns
@@ -88,14 +88,14 @@ class AccessGate:
 
     def __init__(
         self,
-        registry: DeviceRegistry,
+        managers: frozenset[str],
         relation_filter: RelationType,
         trust_threshold: float = 0.6,
         attacker_devices: frozenset[str] = frozenset(),
     ) -> None:
         if not 0.0 <= trust_threshold <= 1.0:
             raise ValueError(f"trust threshold out of range: {trust_threshold}")
-        self.registry = registry
+        self.managers = managers
         self.relation_filter = relation_filter
         self.trust_threshold = trust_threshold
         self.attacker_devices = attacker_devices
@@ -119,24 +119,24 @@ class AccessGate:
         self, request: AccessRequest, direct: float, similarity: float, recommended: float
     ) -> AccessDecision:
         """Adjudicate one request on the given D, S and R, and log the decision."""
-        manager = self.registry.device(request.target_manager)
-        if manager.device_class is not DeviceClass.MANAGER:
-            raise RoutingError(f"target {manager.id!r} is not a manager")
+        manager = request.target_manager
+        if manager not in self.managers:
+            raise RoutingError(f"target {manager!r} is not a manager")
 
         split = "internal" if self.is_member(request.identity) else "external"
         assessment = assess(
-            request.time, manager.id, request.identity, self.relation_filter,
+            request.time, manager, request.identity, self.relation_filter,
             direct, similarity, recommended, split,
         )
         if assessment.trust > self.trust_threshold:
             verdict = Verdict.GRANT
-            self._grants.add((request.identity, manager.id))
+            self._grants.add((request.identity, manager))
         else:
             verdict = Verdict.DENY
         self.decisions.append(
             DecisionRecord(
                 time=request.time,
-                manager=manager.id,
+                manager=manager,
                 identity=request.identity,
                 attacker=request.presenter in self.attacker_devices,
                 verdict=verdict,

@@ -95,7 +95,6 @@ class Community:
     id: int
     members: tuple[str, ...]  # sorted device ids
     context_kind: str
-    similarity_threshold: float
 
 
 def form_communities(
@@ -144,7 +143,6 @@ def partition_by_similarity(ids: Sequence[str], matrix: np.ndarray, context: Con
             id=index,
             members=tuple(members),
             context_kind=context.kind,
-            similarity_threshold=threshold,
         )
         for index, members in enumerate(components.values())
     ]

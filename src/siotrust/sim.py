@@ -64,7 +64,6 @@ from .social import (
     Context,
     Device,
     DeviceClass,
-    DeviceRegistry,
     Identity,
     IdentitySource,
     RelationType,
@@ -367,21 +366,20 @@ class SimulationEngine:
         self.pyrng = random.Random(config.seed)
         self.log = EventLog(events)
         self.assessments = AssessmentTable(self.log.symbols, trust)
-        self.registry = DeviceRegistry()
         self.store = OpinionStore(self.context.base_rate, self.log.symbols)
         self.communities: list[Community] = []
         self._community_of: dict[str, Community] = {}
         self.rec_cache: Recommendations = NO_RECOMMENDATIONS
 
         self._build_world()
-        self.similarity = _StaticSimilarity(config.weights(), [self.registry.device(i) for i in self.legit_ids])
+        self.similarity = _StaticSimilarity(config.weights(), self.devices[self.legit_mask].tolist())
         code = self.log.symbols.code
         for device_id in self.ids:  # the table is empty: each device's index becomes its code
             code(device_id)
         self._outcomes = np.array([code("negative"), code("positive")], dtype=np.intc)
 
         self.gate = AccessGate(
-            registry=self.registry,
+            managers=self.managers,
             relation_filter=config.relation,
             trust_threshold=config.trust_threshold,
             attacker_devices=frozenset(self.attacker_ids),
@@ -400,54 +398,40 @@ class SimulationEngine:
 
         interests = {f"int-{k}" for k in range(cfg.shared_interest_count)}
         legit_ids = sorted(name_of.values())
-        manager_ids = set(legit_ids[: cfg.manager_count])
-        for node in ranked:
-            device_id = name_of[node]
-            friends = {name_of[n] for n in graph.neighbors(node)}
-            self.registry.register(
-                Device(
-                    id=device_id,
-                    device_class=(
-                        DeviceClass.MANAGER
-                        if device_id in manager_ids
-                        else DeviceClass.SUBORDINATE
-                    ),
-                    friends=friends,
-                    interests=set(interests),
-                    owner=f"own-{device_id}",
-                    batch=f"bat-{device_id}",
-                    home=SHARED_HOME,
-                    speed=cfg.speed,
-                )
+        self.managers = frozenset(legit_ids[: cfg.manager_count])  # the gate and every attacker share it
+        devices = [
+            Device(
+                id=device_id,
+                device_class=DeviceClass.MANAGER if device_id in self.managers else DeviceClass.SUBORDINATE,
+                friends={name_of[n] for n in graph.neighbors(node)},
+                interests=set(interests),
+                owner=f"own-{device_id}",
+                batch=f"bat-{device_id}",
+                home=SHARED_HOME,
+                speed=cfg.speed,
             )
+            for node, device_id in name_of.items()
+        ]
 
         awidth = max(2, len(str(max(cfg.attacker_count - 1, 0))))
         self.attacker_ids = [f"adv{i:0{awidth}d}" for i in range(cfg.attacker_count)]
-        for attacker_id in self.attacker_ids:
-            self.registry.register(
-                Device(
-                    id=attacker_id,
-                    device_class=DeviceClass.SUBORDINATE,
-                    owner=f"own-{attacker_id}",
-                    batch=f"bat-{attacker_id}",
-                    speed=cfg.speed * cfg.attacker_speed_factor,
-                )
-            )
-
-        profile = cfg.attacker_profile()
-        self.engines = {
-            attacker_id: AttackerEngine(
-                self.registry.device(attacker_id), profile, self.registry, self.pyrng
+        devices.extend(
+            Device(
+                id=attacker_id,
+                device_class=DeviceClass.SUBORDINATE,
+                owner=f"own-{attacker_id}",
+                batch=f"bat-{attacker_id}",
+                speed=cfg.speed * cfg.attacker_speed_factor,
             )
             for attacker_id in self.attacker_ids
-        }
-
-        self.ids: list[str] = sorted(legit_ids + self.attacker_ids)
+        )
+        devices.sort(key=lambda d: d.id)
+        self.ids: list[str] = [d.id for d in devices]
         n = len(self.ids)
         attacker_set = set(self.attacker_ids)
         self.attacker_mask = np.array([i in attacker_set for i in self.ids])
         self.legit_mask = ~self.attacker_mask
-        self.manager_mask = np.array([i in manager_ids for i in self.ids])
+        self.manager_mask = np.array([i in self.managers for i in self.ids])
         self.manager_indices = np.nonzero(self.manager_mask)[0]
         self.attacker_indices = np.nonzero(self.attacker_mask)[0]  # attacker_ids order: ids are sorted
         self.legit_ids = legit_ids
@@ -456,9 +440,14 @@ class SimulationEngine:
         highs = np.array([cfg.area_width, cfg.area_height])
         self.positions = self.rng.uniform(lows, highs, size=(n, 2))
         self.targets = self.rng.uniform(lows, highs, size=(n, 2))
-        self.devices = np.empty(n, dtype=object)  # by index; an object array, so it takes index arrays
-        self.devices[:] = [self.registry.device(i) for i in self.ids]
-        self.speeds = np.array([d.speed for d in self.devices])
+        self.devices = np.empty(n, dtype=object)  # the one device table, by index; it takes index arrays
+        self.devices[:] = devices
+        self.speeds = np.array([d.speed for d in devices])
+        profile = cfg.attacker_profile()
+        self.engines = {
+            device.id: AttackerEngine(device, profile, self.managers, self.pyrng)
+            for device in self.devices[self.attacker_indices]
+        }
         self._area_low = lows
         self._area_high = highs
         self.last_interaction = np.full(n * (n - 1) // 2, -math.inf)  # by pair, as `_pairs` orders them
@@ -493,9 +482,9 @@ class SimulationEngine:
 
     def run(self) -> RunResult:
         cfg = self.cfg
-        for manager in self.registry.managers():
-            self.gate.bootstrap_member(manager.id, manager.id)
-            self.log.append(0.0, "bootstrap", manager.id)
+        for manager in sorted(self.managers):
+            self.gate.bootstrap_member(manager, manager)
+            self.log.append(0.0, "bootstrap", manager)
 
         self._pending = [(i, self.devices[i]) for i in self._subordinates.tolist()]
         steps = int(round(cfg.duration / cfg.tick))

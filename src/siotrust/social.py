@@ -2,10 +2,9 @@
 
 Devices carry the static social profile (friend list, interest tags, owner,
 manufacturer batch, home place, work group) that relation classification and
-similarity work from. The registry holds devices only. A legitimate device
-presents its own id and profile; an attacker presents a stolen or fabricated
-`Identity` it acquired, and its `AttackerEngine`'s pool is the one record of
-those identities.
+similarity work from. A legitimate device presents its own id and profile;
+an attacker presents a stolen or fabricated `Identity` it acquired, and its
+`AttackerEngine`'s pool is the one record of those identities.
 """
 
 from __future__ import annotations
@@ -114,10 +113,6 @@ class Device:
         self.friends.discard(self.id)  # a device is never its own friend
         self.interests = set(self.interests)
 
-    @property
-    def is_manager(self) -> bool:
-        return self.device_class is DeviceClass.MANAGER
-
 
 @dataclass
 class Identity:
@@ -149,31 +144,3 @@ def classify_relation(i: Device, j: Device) -> RelationType:
         return RelationType.CWOR
     return RelationType.SOR
 
-
-class DeviceRegistry:
-    """Roster of devices, by unique id.
-
-    The sorted manager tuple is built on first use and dropped whenever a
-    device is added.
-    """
-
-    def __init__(self) -> None:
-        self._devices: dict[str, Device] = {}
-        self._managers: tuple[Device, ...] | None = None
-
-    def register(self, device: Device) -> None:
-        if device.id in self._devices:
-            raise ValueError(f"duplicate device id: {device.id!r}")
-        self._devices[device.id] = device
-        self._managers = None
-
-    def device(self, device_id: str) -> Device:
-        return self._devices[device_id]
-
-    def devices(self) -> list[Device]:
-        return [self._devices[k] for k in sorted(self._devices)]
-
-    def managers(self) -> tuple[Device, ...]:
-        if self._managers is None:
-            self._managers = tuple(d for d in self.devices() if d.is_manager)
-        return self._managers

@@ -16,36 +16,28 @@ from siotrust.social import (
     ConfigError,
     Device,
     DeviceClass,
-    DeviceRegistry,
     IdentitySource,
 )
 
 
 def build_world(manager_count=2, victim_count=3):
-    registry = DeviceRegistry()
-    managers = []
-    for i in range(manager_count):
-        dev = Device(id=f"m{i}", device_class=DeviceClass.MANAGER, home="h")
-        registry.register(dev)
-        managers.append(dev)
-    victims = []
-    for i in range(victim_count):
-        dev = Device(
+    managers = [Device(id=f"m{i}", device_class=DeviceClass.MANAGER, home="h") for i in range(manager_count)]
+    victims = [
+        Device(
             id=f"v{i}",
             device_class=DeviceClass.SUBORDINATE,
             home="h",
             friends={f"v{(i + 1) % victim_count}"},
             interests={f"hobby-{i}"},
         )
-        registry.register(dev)
-        victims.append(dev)
+        for i in range(victim_count)
+    ]
     attacker = Device(id="a0", device_class=DeviceClass.SUBORDINATE)
-    registry.register(attacker)
-    return registry, managers, victims, attacker
+    return frozenset(m.id for m in managers), managers, victims, attacker
 
 
-def make_engine(registry, attacker, seed=7, **kw):
-    return AttackerEngine(attacker, AttackerProfile(**kw), registry, random.Random(seed))
+def make_engine(manager_ids, attacker, seed=7, **kw):
+    return AttackerEngine(attacker, AttackerProfile(**kw), manager_ids, random.Random(seed))
 
 
 class TestProfile:
@@ -74,8 +66,8 @@ class TestProfile:
 
 class TestTheft:
     def test_steal_copies_the_presented_profile(self):
-        registry, _, victims, attacker = build_world()
-        engine = make_engine(registry, attacker)
+        manager_ids, _, victims, attacker = build_world()
+        engine = make_engine(manager_ids, attacker)
         stolen = engine.steal_identity(victims[0])
         assert stolen.id == "v0"
         assert stolen.source is IdentitySource.STOLEN
@@ -86,22 +78,22 @@ class TestTheft:
 
 class TestFabrication:
     def test_ids_count_up_per_attacker(self):
-        registry, _, _, attacker = build_world()
-        engine = make_engine(registry, attacker)
+        manager_ids, _, _, attacker = build_world()
+        engine = make_engine(manager_ids, attacker)
         ids = [engine.fabricate_identity().id for _ in range(3)]
         assert ids == ["fab-a0-0", "fab-a0-1", "fab-a0-2"]
 
     def test_empty_forgery_without_observation(self):
-        registry, _, _, attacker = build_world()
-        engine = make_engine(registry, attacker, forged_set_size=3)
+        manager_ids, _, _, attacker = build_world()
+        engine = make_engine(manager_ids, attacker, forged_set_size=3)
         minted = engine.fabricate_identity()
         assert minted.friends == set()
         assert minted.interests == set()
         assert minted.source is IdentitySource.FABRICATED
 
     def test_forged_sets_come_from_observation(self):
-        registry, _, victims, attacker = build_world()
-        engine = make_engine(registry, attacker, forged_set_size=2)
+        manager_ids, _, victims, attacker = build_world()
+        engine = make_engine(manager_ids, attacker, forged_set_size=2)
         engine.observe(victims)
         minted = engine.fabricate_identity()
         assert len(minted.friends) == 2
@@ -112,16 +104,16 @@ class TestFabrication:
     def test_forgery_is_seed_stable(self):
         draws = []
         for _ in range(2):
-            registry, _, victims, attacker = build_world()
-            engine = make_engine(registry, attacker, seed=11, forged_set_size=2)
+            manager_ids, _, victims, attacker = build_world()
+            engine = make_engine(manager_ids, attacker, seed=11, forged_set_size=2)
             engine.observe(victims)
             minted = engine.fabricate_identity()
             draws.append((sorted(minted.friends), sorted(minted.interests)))
         assert draws[0] == draws[1]
 
     def test_zero_size_forges_nothing(self):
-        registry, _, victims, attacker = build_world()
-        engine = make_engine(registry, attacker, forged_set_size=0)
+        manager_ids, _, victims, attacker = build_world()
+        engine = make_engine(manager_ids, attacker, forged_set_size=0)
         engine.observe(victims)
         minted = engine.fabricate_identity()
         assert minted.friends == set() and minted.interests == set()
@@ -129,8 +121,8 @@ class TestFabrication:
 
 class TestChurnSchedule:
     def test_first_attempt_steals_nearest_victim(self):
-        registry, managers, victims, attacker = build_world()
-        engine = make_engine(registry, attacker)
+        manager_ids, managers, victims, attacker = build_world()
+        engine = make_engine(manager_ids, attacker)
         result = engine.attempt(0.0, managers, victims)
         assert result is not None
         identity, target = result
@@ -139,16 +131,16 @@ class TestChurnSchedule:
         assert engine.presented is identity
 
     def test_attempt_interval_throttles(self):
-        registry, managers, victims, attacker = build_world()
-        engine = make_engine(registry, attacker, attempt_interval=10.0)
+        manager_ids, managers, victims, attacker = build_world()
+        engine = make_engine(manager_ids, attacker, attempt_interval=10.0)
         assert engine.attempt(0.0, managers, victims) is not None
         assert engine.attempt(5.0, managers, victims) is None
         follow_up = engine.attempt(10.0, managers, victims)
         assert follow_up is not None
 
     def test_walks_untried_managers_with_one_identity(self):
-        registry, managers, victims, attacker = build_world(manager_count=3)
-        engine = make_engine(registry, attacker)
+        manager_ids, managers, victims, attacker = build_world(manager_count=3)
+        engine = make_engine(manager_ids, attacker)
         seen = []
         for t in (0.0, 10.0, 20.0):
             identity, target = engine.attempt(t, managers, victims)
@@ -156,8 +148,8 @@ class TestChurnSchedule:
         assert seen == [("v0", "m0"), ("v0", "m1"), ("v0", "m2")]
 
     def test_rotates_after_every_manager_tried(self):
-        registry, managers, victims, attacker = build_world(manager_count=2)
-        engine = make_engine(registry, attacker)
+        manager_ids, managers, victims, attacker = build_world(manager_count=2)
+        engine = make_engine(manager_ids, attacker)
         engine.attempt(0.0, managers, victims)
         engine.attempt(10.0, managers, victims)
         identity, target = engine.attempt(20.0, managers, victims)
@@ -166,8 +158,8 @@ class TestChurnSchedule:
         assert target.id == "m0"
 
     def test_deny_streak_swaps_the_identity(self):
-        registry, managers, victims, attacker = build_world()
-        engine = make_engine(registry, attacker, deny_streak_limit=3)
+        manager_ids, managers, victims, attacker = build_world()
+        engine = make_engine(manager_ids, attacker, deny_streak_limit=3)
         engine.attempt(0.0, managers, victims)
         assert engine.presented.id == "v0"
         for _ in range(3):
@@ -178,8 +170,8 @@ class TestChurnSchedule:
         assert (identity.id, target.id) == ("v1", "m0")
 
     def test_grant_clears_the_streak(self):
-        registry, managers, victims, attacker = build_world()
-        engine = make_engine(registry, attacker, deny_streak_limit=2)
+        manager_ids, managers, victims, attacker = build_world()
+        engine = make_engine(manager_ids, attacker, deny_streak_limit=2)
         engine.attempt(0.0, managers, victims)
         engine.notify(False, victims)
         engine.notify(True, victims)
@@ -187,8 +179,8 @@ class TestChurnSchedule:
         assert engine.presented.id == "v0"
 
     def test_cycles_pool_when_no_victims_left(self):
-        registry, managers, victims, attacker = build_world(victim_count=2)
-        engine = make_engine(registry, attacker, deny_streak_limit=1)
+        manager_ids, managers, victims, attacker = build_world(victim_count=2)
+        engine = make_engine(manager_ids, attacker, deny_streak_limit=1)
         engine.attempt(0.0, managers, victims)
         engine.notify(False, victims)  # steals v1
         engine.notify(False, victims)  # nothing fresh, cycles back
@@ -196,25 +188,25 @@ class TestChurnSchedule:
         assert len(engine.pool) == 2
 
     def test_nothing_to_present_yields_none(self):
-        registry, managers, _, attacker = build_world()
-        engine = make_engine(registry, attacker)
+        manager_ids, managers, _, attacker = build_world()
+        engine = make_engine(manager_ids, attacker)
         assert engine.attempt(0.0, managers, []) is None
 
 
 class TestMultiSchedule:
     def test_pool_grows_one_per_call(self):
-        registry, managers, victims, attacker = build_world(victim_count=3)
+        manager_ids, managers, victims, attacker = build_world(victim_count=3)
         engine = make_engine(
-            registry, attacker, behavior=AttackBehavior.MULTI, pool_size=3
+            manager_ids, attacker, behavior=AttackBehavior.MULTI, pool_size=3
         )
         for step, expected in enumerate([1, 2, 3, 3]):
             engine.attempt(float(step), managers, victims)
             assert len(engine.pool) == expected
 
     def test_round_robin_over_the_active_slice(self):
-        registry, managers, _, attacker = build_world()
+        manager_ids, managers, _, attacker = build_world()
         engine = make_engine(
-            registry,
+            manager_ids,
             attacker,
             behavior=AttackBehavior.MULTI,
             identity_source=IdentitySource.FABRICATED,
@@ -233,16 +225,16 @@ class TestMultiSchedule:
         assert presented == ["fab-a0-0", "fab-a0-1", "fab-a0-0", "fab-a0-1"]
 
     def test_throttle_and_empty_range(self):
-        registry, managers, victims, attacker = build_world()
-        engine = make_engine(registry, attacker, behavior=AttackBehavior.MULTI)
+        manager_ids, managers, victims, attacker = build_world()
+        engine = make_engine(manager_ids, attacker, behavior=AttackBehavior.MULTI)
         assert engine.attempt(0.0, managers, victims) is not None
         assert engine.attempt(4.0, managers, victims) is None
         assert engine.attempt(20.0, [], victims) is None
 
     def test_notify_is_inert(self):
-        registry, managers, victims, attacker = build_world()
+        manager_ids, managers, victims, attacker = build_world()
         engine = make_engine(
-            registry, attacker, behavior=AttackBehavior.MULTI, deny_streak_limit=1
+            manager_ids, attacker, behavior=AttackBehavior.MULTI, deny_streak_limit=1
         )
         engine.attempt(0.0, managers, victims)
         before = engine.presented

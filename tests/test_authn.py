@@ -12,22 +12,11 @@ from siotrust.authn import (
 )
 from siotrust.community import community_similarity
 from siotrust.sim import ScenarioConfig, SimulationEngine
-from siotrust.social import Device, DeviceClass, DeviceRegistry, RelationType
+from siotrust.social import RelationType
 from siotrust.trust import Opinion
 
 
-def build_world():
-    registry = DeviceRegistry()
-    registry.register(
-        Device(id="m0", device_class=DeviceClass.MANAGER, home="h", interests={"i"})
-    )
-    registry.register(
-        Device(id="m1", device_class=DeviceClass.MANAGER, home="h", interests={"i"})
-    )
-    registry.register(
-        Device(id="s0", device_class=DeviceClass.SUBORDINATE, home="h", interests={"i"})
-    )
-    return registry
+MANAGERS = frozenset({"m0", "m1"})  # "s0" is a subordinate
 
 
 def request(identity, manager="m0", time=0.0, presenter=None):
@@ -35,7 +24,7 @@ def request(identity, manager="m0", time=0.0, presenter=None):
 
 
 def make_gate(**kw):
-    return AccessGate(build_world(), RelationType.CLOR, **kw)
+    return AccessGate(MANAGERS, RelationType.CLOR, **kw)
 
 
 def vacuous(gate, presented, base_rate=1.0):
@@ -60,8 +49,11 @@ class TestEvaluate:
         assert decision.verdict is Verdict.DENY
 
     def test_only_managers_adjudicate(self):
-        with pytest.raises(RoutingError):
-            vacuous(make_gate(), request("s0", manager="s0"))
+        gate = make_gate()
+        for target in ("s0", "unknown"):
+            with pytest.raises(RoutingError):
+                vacuous(gate, request("s0", manager=target))
+        assert gate.decisions == []
 
     def test_direct_evidence_moves_the_verdict(self):
         gate = make_gate()
@@ -82,7 +74,6 @@ class TestEvaluate:
 
     def test_decision_log_records_attacker_flag(self):
         gate = make_gate(attacker_devices=frozenset({"adv"}))
-        gate.registry.register(Device(id="adv", device_class=DeviceClass.SUBORDINATE))
         vacuous(gate, request("s0"))
         vacuous(gate, request("s0", presenter="adv"))
         legit, attack = gate.decisions
@@ -106,7 +97,7 @@ def gate_similarity_samples(overrides):
     def recording(presented):
         # what the request presents: the attacker's current identity, or the device itself
         attacker = engine.engines.get(presented.presenter)
-        profile = engine.registry.device(presented.presenter) if attacker is None else attacker.presented
+        profile = engine.devices[engine.ids.index(presented.presenter)] if attacker is None else attacker.presented
         community = engine._community_of.get(presented.target_manager)
         subject = [find(presented.identity)]
         cached = engine.rec_cache.received(find(presented.target_manager), subject, -1.0)[0].item()
@@ -153,7 +144,7 @@ class TestSimilarityHook:
         # The engine's cached S equals the uncached reference exactly, for
         # legitimate, stolen and fabricated presentations alike.
         for engine, samples in gate_runs:
-            roster = {d.id: d for d in engine.registry.devices()}
+            roster = {d.id: d for d in engine.devices}
             late = [(r, p, s, c) for r, p, s, c, _, _ in samples if c is not None]
             assert any(r.presenter in engine.attacker_ids for r, _, _, _ in late)
             for presented, profile, similarity, community in late:

@@ -182,7 +182,7 @@ class TestCommunitySimilarity:
             "b": make("b", friends={"f1", "f2"}, interests={"p"}),
             "c": make("c", friends={"f1"}, interests={"p"}),
         }
-        self.community = Community(0, ("a", "b", "c"), "residence", 0.5)
+        self.community = Community(0, ("a", "b", "c"), "residence")
 
     def test_member_excludes_itself(self):
         value = community_similarity(self.members["a"], self.community, self.members)
@@ -201,17 +201,17 @@ class TestCommunitySimilarity:
         assert value == pytest.approx(expected)
 
     def test_alone_scores_zero(self):
-        lonely = Community(0, ("a",), "residence", 0.5)
+        lonely = Community(0, ("a",), "residence")
         assert community_similarity(self.members["a"], lonely, self.members) == 0.0
 
     def test_empty_community_is_an_error(self):
         with pytest.raises(ValueError):
-            community_similarity(self.members["a"], Community(0, (), "residence", 0.5), {})
+            community_similarity(self.members["a"], Community(0, (), "residence"), {})
 
 
 def test_communities_csv(tmp_path):
     path = tmp_path / "communities.csv"
-    write_communities_csv([Community(0, ("a", "b"), "park", 0.5)], path)
+    write_communities_csv([Community(0, ("a", "b"), "park")], path)
     rows = list(csv.reader(path.read_text().splitlines()))
     assert rows == [
         ["community_id", "device_id", "context_kind"],

@@ -26,7 +26,6 @@ from siotrust.social import (
     ConfigError,
     Device,
     DeviceClass,
-    DeviceRegistry,
     Identity,
     IdentitySource,
     RelationType,
@@ -404,20 +403,28 @@ class TestWorldBuild:
         assert len(engine.ids) == cfg.node_count
         assert engine.ids == sorted(engine.ids)
         assert engine.attacker_ids == ["adv00", "adv01", "adv02"]
-        managers = [d.id for d in engine.registry.managers()]
-        assert managers == ["d000", "d001", "d002", "d003", "d004", "d005"]
+        assert sorted(engine.managers) == ["d000", "d001", "d002", "d003", "d004", "d005"]
+
+    def test_one_roster(self, small_run):
+        engine, result = small_run
+        managers = engine.managers
+        assert managers == {engine.ids[i] for i in engine.manager_indices.tolist()}
+        assert managers == {d.id for d in engine.devices if d.device_class is DeviceClass.MANAGER}
+        assert engine.gate.managers is managers
+        assert engine.engines and all(e.managers is managers for e in engine.engines.values())
+        bootstrap = [l.split(" ")[2] for l in result.log.text().splitlines() if l.split(" ")[1] == "bootstrap"]
+        assert bootstrap == [f"manager={m}" for m in sorted(managers)]
+        assert all(engine.devices[i].id == device_id for i, device_id in enumerate(engine.ids))
 
     def test_legit_social_profiles(self, small_run):
         engine, _ = small_run
-        for device_id in engine.legit_ids:
-            device = engine.registry.device(device_id)
+        for device in engine.devices[engine.legit_mask]:
             assert device.home == SHARED_HOME
             assert len(device.interests) >= engine.cfg.shared_interest_count
 
     def test_attackers_are_blank_outsiders(self, small_run):
         engine, _ = small_run
-        for attacker_id in engine.attacker_ids:
-            device = engine.registry.device(attacker_id)
+        for device in engine.devices[engine.attacker_indices]:
             assert device.home is None
             assert device.friends == set()
         # an attacker device presents only the identities it acquired, never its own id
@@ -475,12 +482,11 @@ class TestRunSemantics:
     def test_recommendations_live_at_managers_only(self, small_run):
         engine, _ = small_run
         assert len(engine.rec_cache)
-        manager_ids = {d.id for d in engine.registry.managers()}
         names = engine.log.symbols.names
         everyone = np.arange(len(names))
         received = [(engine.rec_cache.received(c, everyone, -1.0) >= 0).any() for c in everyone.tolist()]
         receivers = {names[c] for c in np.flatnonzero(received).tolist()}
-        assert receivers and receivers <= manager_ids
+        assert receivers and receivers <= engine.managers
 
     def test_esr_split_labels(self, small_run, tmp_path):
         _, result = small_run
@@ -598,7 +604,7 @@ def reference_in_range(engine, device_index, sq_dist, mask):
     hits = np.nonzero(mask & (row <= engine.cfg.interaction_radius**2))[0]
     ordered = sorted(int(i) for i in hits if i != device_index)
     ordered.sort(key=lambda i: (row[i], engine.ids[i]))
-    return [engine.registry.device(engine.ids[i]) for i in ordered]
+    return [engine.devices[i] for i in ordered]
 
 
 @pytest.fixture(scope="module")
@@ -665,7 +671,7 @@ class TestInRange:
             index = world.ids.index(attacker_id)
             assert victims == reference_in_range(world, index, matrix, world.legit_mask)
             # the victims that manage, in the same order
-            assert managers == [d for d in victims if d.is_manager]
+            assert managers == [d for d in victims if d.device_class is DeviceClass.MANAGER]
             assert managers == reference_in_range(world, index, matrix, world.manager_mask)
 
 
@@ -804,7 +810,7 @@ def test_member_presentation_follows_the_roster():
     expected = [i if i in ("d003", "d010") else None for i in engine.ids]
     assert presented() == expected
     attacker = engine.engines["adv01"]
-    attacker.presented = attacker.steal_identity(engine.registry.device("d003"))
+    attacker.presented = attacker.steal_identity(engine.devices[engine.ids.index("d003")])
     assert presented() == [("d003" if i == "adv01" else p) for i, p in zip(engine.ids, expected)]
 
 
@@ -965,8 +971,8 @@ class LoopDuplicateScan(SimulationEngine):
             presenters = self.gate.members[identity_id]
             if len(presenters) < 2:
                 continue
-            for manager in self.registry.managers():
-                self.store.record_experience(manager.id, identity_id, "negative", penalty)
+            for manager in sorted(self.managers):
+                self.store.record_experience(manager, identity_id, "negative", penalty)
             self.log.append(now, "duplicate-scan", identity_id, "|".join(sorted(presenters)), penalty)
 
 
@@ -1000,32 +1006,30 @@ class TestStaticSimilarity:
         weights=st.sampled_from([SimilarityWeights(), SimilarityWeights(0.9, 0.1), SimilarityWeights(0.2, 0.8)]),
     )
     def test_means_equal_community_similarity(self, legit, forged, victim, members, weights):
-        registry = DeviceRegistry()
-        for device_id, (friends, interests) in zip(LEGIT_IDS, legit):
-            registry.register(Device(device_id, DeviceClass.SUBORDINATE, friends=friends, interests=interests))
-        ids = LEGIT_IDS[: len(legit)]
-        roster = {i: registry.device(i) for i in ids}
-        victim_device = registry.device(ids[victim % len(ids)])
+        devices = [Device(device_id, DeviceClass.SUBORDINATE, friends=friends, interests=interests)
+                   for device_id, (friends, interests) in zip(LEGIT_IDS, legit)]
+        ids = [d.id for d in devices]
+        roster = {d.id: d for d in devices}
+        victim_device = devices[victim % len(devices)]
         stolen = Identity(victim_device.id, set(victim_device.friends), set(victim_device.interests),
                           IdentitySource.STOLEN)
         fabricated = Identity("fab-adv0-0", set(forged[0]), set(forged[1]), IdentitySource.FABRICATED)
-        community = Community(0, tuple(ids[k] for k in sorted({k % len(ids) for k in members})), "residence", 0.5)
-        similarity = _StaticSimilarity(weights, list(roster.values()))
+        community = Community(0, tuple(ids[k] for k in sorted({k % len(ids) for k in members})), "residence")
+        similarity = _StaticSimilarity(weights, devices)
         similarity.fabricated[fabricated.id] = fabricated
-        presented = [*roster.values(), stolen, fabricated]
+        presented = [*devices, stolen, fabricated]
         for _ in range(2):  # the second pass reads the memo
             for profile in presented:
                 want = community_similarity(profile, community, roster, weights)
                 assert similarity.community_mean(profile.id, community).hex() == want.hex()
 
     def test_a_singleton_and_an_outsider(self):
-        registry = DeviceRegistry()
-        for device_id, friends in (("d0", {"d1"}), ("d1", {"d0"}), ("d2", {"d0", "d1"})):
-            registry.register(Device(device_id, DeviceClass.SUBORDINATE, friends=friends, interests={"p"}))
-        roster = {d.id: d for d in registry.devices()}
-        similarity = _StaticSimilarity(SimilarityWeights(), registry.devices())
-        alone = Community(0, ("d2",), "residence", 0.5)
-        pair = Community(1, ("d0", "d1"), "residence", 0.5)
+        devices = [Device(device_id, DeviceClass.SUBORDINATE, friends=friends, interests={"p"})
+                   for device_id, friends in (("d0", {"d1"}), ("d1", {"d0"}), ("d2", {"d0", "d1"}))]
+        roster = {d.id: d for d in devices}
+        similarity = _StaticSimilarity(SimilarityWeights(), devices)
+        alone = Community(0, ("d2",), "residence")
+        pair = Community(1, ("d0", "d1"), "residence")
         assert similarity.community_mean("d2", alone) == 0.0
         assert similarity.community_mean("d0", alone) == community_similarity(roster["d0"], alone, roster) > 0.0
         assert similarity.community_mean("d2", pair) == community_similarity(roster["d2"], pair, roster)

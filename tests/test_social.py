@@ -5,7 +5,6 @@ from siotrust.social import (
     Context,
     Device,
     DeviceClass,
-    DeviceRegistry,
     RelationType,
     classify_relation,
     context_for,
@@ -99,32 +98,3 @@ class TestDevice:
         device = make("a", friends=friends)
         friends.add("c")
         assert device.friends == {"b"}
-
-    def test_manager_flag(self):
-        assert Device(id="m", device_class=DeviceClass.MANAGER).is_manager
-        assert not make("s").is_manager
-
-
-class TestRegistry:
-    def test_duplicate_device_rejected(self):
-        reg = DeviceRegistry()
-        reg.register(make("a"))
-        with pytest.raises(ValueError, match="duplicate device"):
-            reg.register(make("a"))
-
-    def test_listings_sorted_and_split_by_class(self):
-        reg = DeviceRegistry()
-        reg.register(make("b"))
-        reg.register(Device(id="a", device_class=DeviceClass.MANAGER))
-        assert [d.id for d in reg.devices()] == ["a", "b"]
-        assert [d.id for d in reg.managers()] == ["a"]
-
-    def test_manager_listing_is_built_once_and_follows_new_devices(self):
-        reg = DeviceRegistry()
-        reg.register(Device(id="m2", device_class=DeviceClass.MANAGER))
-        first = reg.managers()
-        assert reg.managers() is first
-        reg.register(Device(id="m1", device_class=DeviceClass.MANAGER))
-        assert [d.id for d in reg.managers()] == ["m1", "m2"]
-        reg.register(Device(id="m0", device_class=DeviceClass.MANAGER))
-        assert [d.id for d in reg.managers()] == ["m0", "m1", "m2"]

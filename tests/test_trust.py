@@ -189,7 +189,7 @@ class TestRecommendation:
         base = engine.store.base_rate
         # d002 leaves the shared home, so it no longer relates to the other
         # managers by co-location and its opinions must not reach them
-        engine.registry.device("d002").home = None
+        engine.devices[engine.ids.index("d002")].home = None
         engine.store.record_experience("d001", "x", "positive")
         engine.store.record_experience("d002", "x", "negative")
         engine.store.record_experience("adv00", "x", "negative")  # attackers never send
