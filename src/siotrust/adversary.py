@@ -153,27 +153,22 @@ class AttackerEngine:
 
     # -- request scheduling ---------------------------------------------------
 
-    def attempt(
-        self,
-        now: float,
-        managers_in_range: Sequence[Device],
-        victims_in_range: Sequence[Device],
-    ) -> tuple[Identity, Device] | None:
+    def attempt(self, now: float, in_range: Sequence[Device]) -> tuple[Identity, Device] | None:
         """One scheduling step; returns the (identity, target) to request with.
 
-        `managers_in_range` and `victims_in_range` come sorted by proximity.
-        No managers in range, an empty pool with nothing to steal, or an
-        attempt interval still running all yield None.
+        `in_range` holds the devices in eavesdrop radius, nearest first. The
+        attacker observes them, steals from them and targets their nearest
+        manager (churn: the nearest not yet tried). No target, an empty pool
+        with nothing to steal, or a running attempt interval yield None.
         """
+        self.observe(in_range)
         if self.profile.behavior is AttackBehavior.CHURN:
-            return self._churn_attempt(now, managers_in_range, victims_in_range)
-        return self._multi_attempt(now, managers_in_range, victims_in_range)
+            return self._churn_attempt(now, in_range)
+        return self._multi_attempt(now, in_range)
 
-    def _churn_attempt(
-        self, now: float, managers: Sequence[Device], victims: Sequence[Device]
-    ) -> tuple[Identity, Device] | None:
+    def _churn_attempt(self, now: float, in_range: Sequence[Device]) -> tuple[Identity, Device] | None:
         if not self.pool:
-            if self._acquire(victims) is None:
+            if self._acquire(in_range) is None:
                 return None
             self._active_index = len(self.pool) - 1
         active = self.pool[self._active_index]
@@ -181,33 +176,31 @@ class AttackerEngine:
         if now - self._last_attempt < self.profile.attempt_interval:
             return None
         if self._attempted >= self.managers:
-            active = self._rotate(victims)
+            active = self._rotate(in_range)
             self.presented = active
-        candidates = [m for m in managers if m.id not in self._attempted]
-        if not candidates:
+        target = next((d for d in in_range if d.id in self.managers and d.id not in self._attempted), None)
+        if target is None:
             return None
-        target = candidates[0]
         self._attempted.add(target.id)
         self._last_attempt = now
         return active, target
 
-    def _multi_attempt(
-        self, now: float, managers: Sequence[Device], victims: Sequence[Device]
-    ) -> tuple[Identity, Device] | None:
+    def _multi_attempt(self, now: float, in_range: Sequence[Device]) -> tuple[Identity, Device] | None:
         if len(self.pool) < self.profile.pool_size:
-            self._acquire(victims)  # grow the pool opportunistically
+            self._acquire(in_range)  # grow the pool opportunistically
         if not self.pool:
             return None
         if now - self._last_attempt < self.profile.attempt_interval:
             return None
-        if not managers:
+        target = next((d for d in in_range if d.id in self.managers), None)
+        if target is None:
             return None
         active_count = max(1, math.floor(len(self.pool) * (1.0 - self.profile.idle_fraction)))
         identity = self.pool[self._round_robin % active_count]
         self._round_robin += 1
         self.presented = identity
         self._last_attempt = now
-        return identity, managers[0]
+        return identity, target
 
     def _rotate(self, victims: Sequence[Device]) -> Identity:
         """Swap the churn identity: prefer a fresh one, else cycle the pool."""

@@ -98,7 +98,7 @@ class AccessGate:
         self.managers = managers
         self.relation_filter = relation_filter
         self.trust_threshold = trust_threshold
-        self.attacker_devices = attacker_devices
+        self.attacker_devices = attacker_devices  # the engine's set; marks decisions, never reaches the verdict
         self._grants: set[tuple[str, str]] = set()
         # identity -> devices that hold membership under it
         self.members: dict[str, set[str]] = {}

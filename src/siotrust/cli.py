@@ -135,6 +135,8 @@ def resolve(args: argparse.Namespace) -> tuple[ScenarioConfig, list[int]]:
         value = getattr(args, flag)
         if value is not None:
             mapping[field_name] = value
+    if isinstance(mapping.get("friends_path"), str):  # so a replay from another directory reads the same file
+        mapping["friends_path"] = os.path.abspath(mapping["friends_path"])
     if args.seed is not None:
         mapping["seed"] = args.seed
     base = ScenarioConfig.from_mapping(mapping)
@@ -182,9 +184,12 @@ def run_batch(base: ScenarioConfig, seeds: Sequence[int], out_dir: Path) -> list
     propagates its error once the other seeds have finished, and no
     aggregate file is written; an earlier run's are removed up front.
 
-    A seed listed twice is refused before anything is written: its two runs
-    would write the same files at once, and metrics.csv would count it twice.
+    An empty seed list is refused before anything is written, since its
+    manifest could not be replayed; so is a repeated seed, whose two runs
+    would write the same files at once and be counted twice in metrics.csv.
     """
+    if not seeds:
+        raise ConfigError("seed list is empty")
     repeated = sorted(seed for seed, count in Counter(seeds).items() if count > 1)
     if repeated:
         raise ConfigError(f"seed list repeats seed(s) {', '.join(map(str, repeated))}: {list(seeds)}")

@@ -382,7 +382,7 @@ class SimulationEngine:
             managers=self.managers,
             relation_filter=config.relation,
             trust_threshold=config.trust_threshold,
-            attacker_devices=frozenset(self.attacker_ids),
+            attacker_devices=self.attackers,
         )
         self._last_request: dict[str, float] = {}
         self._roster_size = -1  # len(gate.members) when the legitimate presentations were taken
@@ -414,7 +414,7 @@ class SimulationEngine:
         ]
 
         awidth = max(2, len(str(max(cfg.attacker_count - 1, 0))))
-        self.attacker_ids = [f"adv{i:0{awidth}d}" for i in range(cfg.attacker_count)]
+        self.attackers = frozenset(f"adv{i:0{awidth}d}" for i in range(cfg.attacker_count))  # the gate shares it
         devices.extend(
             Device(
                 id=attacker_id,
@@ -423,17 +423,16 @@ class SimulationEngine:
                 batch=f"bat-{attacker_id}",
                 speed=cfg.speed * cfg.attacker_speed_factor,
             )
-            for attacker_id in self.attacker_ids
+            for attacker_id in self.attackers
         )
         devices.sort(key=lambda d: d.id)
         self.ids: list[str] = [d.id for d in devices]
         n = len(self.ids)
-        attacker_set = set(self.attacker_ids)
-        self.attacker_mask = np.array([i in attacker_set for i in self.ids])
+        self.attacker_mask = np.array([i in self.attackers for i in self.ids])
         self.legit_mask = ~self.attacker_mask
         self.manager_mask = np.array([i in self.managers for i in self.ids])
         self.manager_indices = np.nonzero(self.manager_mask)[0]
-        self.attacker_indices = np.nonzero(self.attacker_mask)[0]  # attacker_ids order: ids are sorted
+        self.attacker_indices = np.nonzero(self.attacker_mask)[0]
         self.legit_ids = legit_ids
 
         lows = np.zeros(2)
@@ -444,10 +443,9 @@ class SimulationEngine:
         self.devices[:] = devices
         self.speeds = np.array([d.speed for d in devices])
         profile = cfg.attacker_profile()
-        self.engines = {
-            device.id: AttackerEngine(device, profile, self.managers, self.pyrng)
-            for device in self.devices[self.attacker_indices]
-        }
+        self.engines = [  # in `attacker_indices` order
+            AttackerEngine(device, profile, self.managers, self.pyrng) for device in self.devices[self.attacker_indices]
+        ]
         self._area_low = lows
         self._area_high = highs
         self.last_interaction = np.full(n * (n - 1) // 2, -math.inf)  # by pair, as `_pairs` orders them
@@ -549,24 +547,19 @@ class SimulationEngine:
         """The index of each device's nearest manager; equal distances go to the first id."""
         return self.manager_indices[np.argmin(self._block(devices, self.manager_indices), axis=1)]
 
-    def _attacker_ranges(self) -> list[tuple[list[Device], list[Device]]]:
-        """Per attacker, in `attacker_ids` order: (legitimate devices in radius, the managers among them).
+    def _attacker_ranges(self) -> list[list[Device]]:
+        """Per attacker, in `attacker_indices` order: the legitimate devices in radius.
 
-        Both nearest first, ties by id, from one block of attacker rows and
-        one sort on (attacker, distance, index). An attacker is never
-        legitimate, so it is never in its own range.
+        Nearest first, ties by id, managers among them, from one block of
+        attacker rows and one sort on (attacker, distance, index). An
+        attacker is never legitimate, so never in its own range.
         """
         block = self._block(self.attacker_indices)
         rows, columns = np.nonzero(self.legit_mask & (block <= self.cfg.interaction_radius**2))
         order = np.lexsort((columns, block[rows, columns], rows))
-        rows, columns = rows[order], columns[order]
-        manages = self.manager_mask[columns]
-        attackers = np.arange(len(self.attacker_indices) + 1)
-        victims = self.devices[columns].tolist()
-        managers = self.devices[columns[manages]].tolist()
-        v = np.searchsorted(rows, attackers).tolist()
-        m = np.searchsorted(rows[manages], attackers).tolist()
-        return [(victims[v[k] : v[k + 1]], managers[m[k] : m[k + 1]]) for k in attackers[:-1].tolist()]
+        in_range = self.devices[columns[order]].tolist()
+        bounds = np.searchsorted(rows[order], np.arange(len(self.attacker_indices) + 1)).tolist()
+        return [in_range[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
     # -- request phases -------------------------------------------------------
 
@@ -594,14 +587,14 @@ class SimulationEngine:
 
     def _attacker_requests(self, now: float) -> None:
         cfg = self.cfg
-        for (attacker_id, engine), (victims, managers) in zip(self.engines.items(), self._attacker_ranges()):
-            engine.observe(victims)
+        for engine, in_range in zip(self.engines, self._attacker_ranges()):
             held = len(engine.pool)
-            picked = engine.attempt(now, managers, victims)
+            picked = engine.attempt(now, in_range)
             self._log_acquisitions(engine, held, now)
             if picked is None:
                 continue
             identity, target = picked
+            attacker_id = engine.device.id
             holders = self.gate.members.get(identity.id, ())
             if holders and attacker_id not in holders:
                 # Presented identity is already on the roster under another
@@ -613,7 +606,7 @@ class SimulationEngine:
                 )
             decision = self._adjudicate(AccessRequest(now, identity.id, attacker_id, target.id))
             held = len(engine.pool)
-            engine.notify(decision.verdict is Verdict.GRANT, victims)
+            engine.notify(decision.verdict is Verdict.GRANT, in_range)
             self._log_acquisitions(engine, held, now)
 
     def _adjudicate(self, request: AccessRequest):
@@ -671,7 +664,7 @@ class SimulationEngine:
             self._roster_size = len(members)
             self._legit_presentation = np.where([i in members for i in self.ids], np.arange(len(self.ids)), -1)
         codes = self._legit_presentation.copy()
-        for index, engine in zip(self.attacker_indices.tolist(), self.engines.values()):
+        for index, engine in zip(self.attacker_indices.tolist(), self.engines):
             presented = engine.presented
             holders = members.get(presented.id, ()) if presented is not None else ()
             codes[index] = self.log.symbols.code(presented.id) if engine.device.id in holders else -1

@@ -123,7 +123,7 @@ class TestChurnSchedule:
     def test_first_attempt_steals_nearest_victim(self):
         manager_ids, managers, victims, attacker = build_world()
         engine = make_engine(manager_ids, attacker)
-        result = engine.attempt(0.0, managers, victims)
+        result = engine.attempt(0.0, victims + managers)
         assert result is not None
         identity, target = result
         assert identity.id == "v0"
@@ -133,9 +133,9 @@ class TestChurnSchedule:
     def test_attempt_interval_throttles(self):
         manager_ids, managers, victims, attacker = build_world()
         engine = make_engine(manager_ids, attacker, attempt_interval=10.0)
-        assert engine.attempt(0.0, managers, victims) is not None
-        assert engine.attempt(5.0, managers, victims) is None
-        follow_up = engine.attempt(10.0, managers, victims)
+        assert engine.attempt(0.0, victims + managers) is not None
+        assert engine.attempt(5.0, victims + managers) is None
+        follow_up = engine.attempt(10.0, victims + managers)
         assert follow_up is not None
 
     def test_walks_untried_managers_with_one_identity(self):
@@ -143,16 +143,16 @@ class TestChurnSchedule:
         engine = make_engine(manager_ids, attacker)
         seen = []
         for t in (0.0, 10.0, 20.0):
-            identity, target = engine.attempt(t, managers, victims)
+            identity, target = engine.attempt(t, victims + managers)
             seen.append((identity.id, target.id))
         assert seen == [("v0", "m0"), ("v0", "m1"), ("v0", "m2")]
 
     def test_rotates_after_every_manager_tried(self):
         manager_ids, managers, victims, attacker = build_world(manager_count=2)
         engine = make_engine(manager_ids, attacker)
-        engine.attempt(0.0, managers, victims)
-        engine.attempt(10.0, managers, victims)
-        identity, target = engine.attempt(20.0, managers, victims)
+        engine.attempt(0.0, victims + managers)
+        engine.attempt(10.0, victims + managers)
+        identity, target = engine.attempt(20.0, victims + managers)
         # fresh victim, manager slate wiped
         assert identity.id == "v1"
         assert target.id == "m0"
@@ -160,19 +160,19 @@ class TestChurnSchedule:
     def test_deny_streak_swaps_the_identity(self):
         manager_ids, managers, victims, attacker = build_world()
         engine = make_engine(manager_ids, attacker, deny_streak_limit=3)
-        engine.attempt(0.0, managers, victims)
+        engine.attempt(0.0, victims + managers)
         assert engine.presented.id == "v0"
         for _ in range(3):
             engine.notify(False, victims)
         assert engine.presented.id == "v1"
         # the slate reset lets it revisit the first manager
-        identity, target = engine.attempt(10.0, managers, victims)
+        identity, target = engine.attempt(10.0, victims + managers)
         assert (identity.id, target.id) == ("v1", "m0")
 
     def test_grant_clears_the_streak(self):
         manager_ids, managers, victims, attacker = build_world()
         engine = make_engine(manager_ids, attacker, deny_streak_limit=2)
-        engine.attempt(0.0, managers, victims)
+        engine.attempt(0.0, victims + managers)
         engine.notify(False, victims)
         engine.notify(True, victims)
         engine.notify(False, victims)
@@ -181,16 +181,16 @@ class TestChurnSchedule:
     def test_cycles_pool_when_no_victims_left(self):
         manager_ids, managers, victims, attacker = build_world(victim_count=2)
         engine = make_engine(manager_ids, attacker, deny_streak_limit=1)
-        engine.attempt(0.0, managers, victims)
+        engine.attempt(0.0, victims + managers)
         engine.notify(False, victims)  # steals v1
         engine.notify(False, victims)  # nothing fresh, cycles back
         assert engine.presented.id == "v0"
         assert len(engine.pool) == 2
 
     def test_nothing_to_present_yields_none(self):
-        manager_ids, managers, _, attacker = build_world()
+        manager_ids, _, _, attacker = build_world()
         engine = make_engine(manager_ids, attacker)
-        assert engine.attempt(0.0, managers, []) is None
+        assert engine.attempt(0.0, []) is None
 
 
 class TestMultiSchedule:
@@ -200,7 +200,7 @@ class TestMultiSchedule:
             manager_ids, attacker, behavior=AttackBehavior.MULTI, pool_size=3
         )
         for step, expected in enumerate([1, 2, 3, 3]):
-            engine.attempt(float(step), managers, victims)
+            engine.attempt(float(step), victims + managers)
             assert len(engine.pool) == expected
 
     def test_round_robin_over_the_active_slice(self):
@@ -218,7 +218,7 @@ class TestMultiSchedule:
             engine.fabricate_identity()
         presented = []
         for t in (0.0, 10.0, 20.0, 30.0):
-            identity, target = engine.attempt(t, managers, [])
+            identity, target = engine.attempt(t, managers)
             presented.append(identity.id)
             assert target.id == "m0"  # always the nearest manager
         # floor(8 * 1/3) = 2 active identities, alternating
@@ -227,19 +227,41 @@ class TestMultiSchedule:
     def test_throttle_and_empty_range(self):
         manager_ids, managers, victims, attacker = build_world()
         engine = make_engine(manager_ids, attacker, behavior=AttackBehavior.MULTI)
-        assert engine.attempt(0.0, managers, victims) is not None
-        assert engine.attempt(4.0, managers, victims) is None
-        assert engine.attempt(20.0, [], victims) is None
+        assert engine.attempt(0.0, victims + managers) is not None
+        assert engine.attempt(4.0, victims + managers) is None
+        assert engine.attempt(20.0, victims) is None
 
     def test_notify_is_inert(self):
         manager_ids, managers, victims, attacker = build_world()
         engine = make_engine(
             manager_ids, attacker, behavior=AttackBehavior.MULTI, deny_streak_limit=1
         )
-        engine.attempt(0.0, managers, victims)
+        engine.attempt(0.0, victims + managers)
         before = engine.presented
         engine.notify(False, victims)
         assert engine.presented is before
+
+
+class TestInRange:
+    """An attempt is handed one list: the devices in radius, nearest first."""
+
+    def test_attempt_observes_the_devices_it_is_handed(self):
+        manager_ids, managers, victims, attacker = build_world()
+        engine = make_engine(manager_ids, attacker, identity_source=IdentitySource.FABRICATED)
+        engine.attempt(0.0, victims + managers)
+        assert engine.observed_devices == {d.id for d in victims + managers}
+        assert engine.observed_interests == {"hobby-0", "hobby-1", "hobby-2"}
+
+    @pytest.mark.parametrize("behavior", list(AttackBehavior))
+    def test_targets_the_nearest_device_in_the_manager_set(self, behavior):
+        # m0 is a manager-class device outside the engine's manager set, and v0 is nearest of all
+        manager_ids, managers, victims, attacker = build_world(manager_count=3)
+        m0, m1, m2 = managers
+        engine = make_engine(manager_ids - {"m0"}, attacker, behavior=behavior)
+        in_range = [victims[0], m0, victims[1], m2, m1]
+        targets = [engine.attempt(t, in_range)[1].id for t in (0.0, 10.0, 20.0)]
+        # churn walks the managers it has not tried, then starts over; multi keeps the nearest
+        assert targets == (["m2", "m1", "m2"] if behavior is AttackBehavior.CHURN else ["m2"] * 3)
 
 
 def test_attack_csv(tmp_path):

@@ -93,10 +93,11 @@ def gate_similarity_samples(overrides):
     engine = SimulationEngine(ScenarioConfig.from_mapping({**overrides, "seed": 1}))
     adjudicate, find = engine._adjudicate, engine.log.symbols.find
     samples = []
+    attackers = {e.device.id: e for e in engine.engines}
 
     def recording(presented):
         # what the request presents: the attacker's current identity, or the device itself
-        attacker = engine.engines.get(presented.presenter)
+        attacker = attackers.get(presented.presenter)
         profile = engine.devices[engine.ids.index(presented.presenter)] if attacker is None else attacker.presented
         community = engine._community_of.get(presented.target_manager)
         subject = [find(presented.identity)]
@@ -146,7 +147,7 @@ class TestSimilarityHook:
         for engine, samples in gate_runs:
             roster = {d.id: d for d in engine.devices}
             late = [(r, p, s, c) for r, p, s, c, _, _ in samples if c is not None]
-            assert any(r.presenter in engine.attacker_ids for r, _, _, _ in late)
+            assert any(r.presenter in engine.attackers for r, _, _, _ in late)
             for presented, profile, similarity, community in late:
                 assert presented.time >= engine.cfg.epoch_interval
                 assert profile.id == presented.identity

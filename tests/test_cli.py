@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from siotrust import ScenarioConfig, SimulationEngine, record, trust
+from siotrust import ConfigError, ScenarioConfig, SimulationEngine, record, trust
 from siotrust.cli import main, run_batch
 
 SMALL = {"node_count": 30, "duration": 60.0}
@@ -81,6 +81,13 @@ class TestSeedExpansion:
         code = main(["--config", config_path, "--seeds", "0", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_an_empty_seed_list_is_refused_before_any_write(self, tmp_path):
+        # its manifest would list no seeds, which `--from-manifest` refuses
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError, match="seed list is empty"):
+            run_batch(ScenarioConfig(**SMALL), [], out)
+        assert not out.exists()
 
 
 class TestFailedSeed:
@@ -167,6 +174,27 @@ class TestReplay:
         assert len(names) == 2 * 6 + 2  # six files per seed, metrics.csv, manifest.json
         for name in names:
             assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_replay_from_another_directory_reads_the_same_friends_file(self, tmp_path, monkeypatch, via):
+        run_dir, other = tmp_path / "run", tmp_path / "other"
+        for root, step in ((run_dir, 3), (other, 1)):  # the same relative path, two different graphs
+            (root / "data").mkdir(parents=True)
+            edges = "".join(f"{i} {(i + k) % 40}\n" for i in range(40) for k in range(1, step + 1))
+            (root / "data" / "edges.txt").write_text(edges)
+        config = {**SMALL, "friends_path": "data/edges.txt"} if via == "config" else SMALL
+        (run_dir / "small.json").write_text(json.dumps(config))
+        monkeypatch.chdir(run_dir)
+        flags = ["--friends", "data/edges.txt"] if via == "flag" else []
+        assert main(["--config", "small.json", *flags, "--out", "a"]) == 0
+        recorded = json.loads((run_dir / "a" / "manifest.json").read_text())["config"]["friends_path"]
+        assert os.path.isabs(recorded) and os.path.samefile(recorded, run_dir / "data" / "edges.txt")
+        monkeypatch.chdir(other)
+        assert main(["--from-manifest", "../run/a/manifest.json", "--out", "b"]) == 0
+        names = sorted(p.name for p in (run_dir / "a").iterdir())
+        assert names == sorted(p.name for p in (other / "b").iterdir())
+        for name in names:
+            assert (other / "b" / name).read_bytes() == (run_dir / "a" / name).read_bytes(), name
 
     def test_replay_refuses_extra_scenario_flags(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"

@@ -6,15 +6,18 @@ under a second) and every per-seed file plus `metrics.csv` must hash to the
 value pinned here. A change that alters outputs on purpose re-pins these and
 says why.
 
-The six configs cover the default stolen/churn scenario, stolen identities
+The seven configs cover the default stolen/churn scenario, stolen identities
 under the multi schedule (an attacker steals on every tick until its pool
 is full), fabricated identities under the multi schedule (the opinion store
 and recommendation cache grow along the identity axis), fabricated
 identities that present forged friend and interest sets of three (so their
-S is taken against sets no legitimate device holds), the `por` relation
-filter, under which no sender qualifies and the recommendation cache stays
-empty, and an integer `tick`: its times stay ints, so the log and the trust
-trace print `t=30`, not `t=30.0`, while the bootstrap lines keep `t=0.0`.
+S is taken against sets no legitimate device holds), under the churn and
+under the multi schedule (multi also fabricates on ticks when no attempt
+is due, so its forged sets read what it observed on those ticks), the
+`por` relation filter, under which no sender qualifies and the
+recommendation cache stays empty, and an integer `tick`: its times stay
+ints, so the log and the trust trace print `t=30`, not `t=30.0`, while
+the bootstrap lines keep `t=0.0`.
 """
 
 import hashlib
@@ -60,6 +63,18 @@ GOLDEN = {
             "events-s1.log": "4e0bfe8088d834a15aa0c6f953cd425d01982f4590560cb6c5c4843815937d84",
             "metrics.csv": "f0ef13fa064d582a54b5e9842c119dc5e39611dbadad518052a280d6c4c953fc",
             "trust-s1.csv": "9122078bd7531488cc31f4b44a45c2144ee559fc02d2f657743dee84bd68b695",
+        },
+    ),
+    "fabricated-multi-forged-40": (
+        {"node_count": 40, "identity_source": "fabricated", "behavior": "multi", "forged_set_size": 3},
+        {
+            "attacks-s1.csv": "f3f21ec7a8a745b2288d525962b6efb2a142dae1f97716f635df1d95c8288c3d",
+            "communities-s1.csv": "bb346db0b31f82c0391b7725c5f26b7b91327285546173f5e5efc1c623055173",
+            "decisions-s1.csv": "6ffbaac623353e4772542714aebafe1b49c172dd2523eac24cf808cc3e76b22f",
+            "esr-s1.csv": "64d1b8dd0192613f29399f87b0493bccad7af6ab3172cb21d3caf8677ff02c10",
+            "events-s1.log": "ae067155d2da468789c8a2758a43d86b96e05fb7eeae899114c37e57d5ea4b26",
+            "metrics.csv": "d0bc79ee165bbbaf9e9e247f7fc91e2f1517096e7c5c68e9bdab662f90e24f35",
+            "trust-s1.csv": "195996f5c56a016d0c5ef63540b5b21242283967f30d591be60740cbce4e4def",
         },
     ),
     "stolen-multi-40": (

@@ -402,7 +402,7 @@ class TestWorldBuild:
         cfg = engine.cfg
         assert len(engine.ids) == cfg.node_count
         assert engine.ids == sorted(engine.ids)
-        assert engine.attacker_ids == ["adv00", "adv01", "adv02"]
+        assert sorted(engine.attackers) == ["adv00", "adv01", "adv02"]
         assert sorted(engine.managers) == ["d000", "d001", "d002", "d003", "d004", "d005"]
 
     def test_one_roster(self, small_run):
@@ -411,10 +411,21 @@ class TestWorldBuild:
         assert managers == {engine.ids[i] for i in engine.manager_indices.tolist()}
         assert managers == {d.id for d in engine.devices if d.device_class is DeviceClass.MANAGER}
         assert engine.gate.managers is managers
-        assert engine.engines and all(e.managers is managers for e in engine.engines.values())
+        assert engine.engines and all(e.managers is managers for e in engine.engines)
         bootstrap = [l.split(" ")[2] for l in result.log.text().splitlines() if l.split(" ")[1] == "bootstrap"]
         assert bootstrap == [f"manager={m}" for m in sorted(managers)]
         assert all(engine.devices[i].id == device_id for i, device_id in enumerate(engine.ids))
+
+    def test_one_attacker_roster(self, small_run):
+        engine, _ = small_run
+        attackers = engine.attackers
+        assert isinstance(attackers, frozenset) and engine.gate.attacker_devices is attackers
+        assert engine.attacker_mask.tolist() == [i in attackers for i in engine.ids]
+        assert engine.attacker_indices.tolist() == np.flatnonzero(engine.attacker_mask).tolist()
+        # one engine per attacker device, in index order
+        by_index = [engine.ids[i] for i in engine.attacker_indices.tolist()]
+        assert by_index == [e.device.id for e in engine.engines] == sorted(attackers)
+        assert all(engine.devices[i] is e.device for i, e in zip(engine.attacker_indices.tolist(), engine.engines))
 
     def test_legit_social_profiles(self, small_run):
         engine, _ = small_run
@@ -428,8 +439,8 @@ class TestWorldBuild:
             assert device.home is None
             assert device.friends == set()
         # an attacker device presents only the identities it acquired, never its own id
-        attackers = set(engine.attacker_ids)
-        assert not attackers & {identity.id for e in engine.engines.values() for identity in e.pool}
+        attackers = engine.attackers
+        assert not attackers & {identity.id for e in engine.engines for identity in e.pool}
         assert not attackers & set(engine.gate.members)
         assert not attackers & set(engine.similarity.fabricated)
 
@@ -462,10 +473,10 @@ class TestRunSemantics:
         engine, result = small_run
         attacker_decisions = [d for d in result.decisions if d.attacker]
         assert attacker_decisions
+        pools = {e.device.id: e.pool for e in engine.engines}
         for decision in attacker_decisions:
-            pool = engine.engines[decision.presenter].pool
-            assert decision.identity in {identity.id for identity in pool}
-        assert {i.source for e in engine.engines.values() for i in e.pool} == {IdentitySource.STOLEN}
+            assert decision.identity in {identity.id for identity in pools[decision.presenter]}
+        assert {i.source for e in engine.engines for i in e.pool} == {IdentitySource.STOLEN}
         assert all(d.presenter == d.identity for d in result.decisions if not d.attacker)
 
     def test_counters_match_a_recount(self, small_run):
@@ -660,19 +671,64 @@ class TestPairKernel:
         assert list(zip(ii[met].tolist(), jj[met].tolist())) == [(d000, d001), (d000, d003)]
 
 
+def two_list_ranges(engine):
+    """The attacker ranges as two lists, before the managers were left to the attacker to pick out.
+
+    Per attacker: (legitimate devices in radius, the managers among them),
+    both nearest first, ties by id.
+    """
+    block = engine._block(engine.attacker_indices)
+    rows, columns = np.nonzero(engine.legit_mask & (block <= engine.cfg.interaction_radius**2))
+    order = np.lexsort((columns, block[rows, columns], rows))
+    rows, columns = rows[order], columns[order]
+    manages = engine.manager_mask[columns]
+    attackers = np.arange(len(engine.attacker_indices) + 1)
+    victims = engine.devices[columns].tolist()
+    managers = engine.devices[columns[manages]].tolist()
+    v = np.searchsorted(rows, attackers).tolist()
+    m = np.searchsorted(rows[manages], attackers).tolist()
+    return [(victims[v[k] : v[k + 1]], managers[m[k] : m[k + 1]]) for k in attackers[:-1].tolist()]
+
+
+def assert_one_list_equals_two(engine, ranges):
+    """Each in-range list is the reference's victims, and its managers are the reference's managers."""
+    reference = two_list_ranges(engine)
+    assert len(ranges) == len(reference) == len(engine.engines)
+    for in_range, (victims, managers), attacker in zip(ranges, reference, engine.engines):
+        assert in_range == victims
+        assert [d for d in in_range if d.id in attacker.managers] == managers
+
+
 class TestInRange:
     @given(positions=layouts)
     def test_order_equals_the_distance_id_sort(self, world, positions):
         world.positions = positions
         matrix = reference_matrix(positions)
         ranges = world._attacker_ranges()
-        assert len(ranges) == len(world.attacker_ids)
-        for attacker_id, (victims, managers) in zip(world.attacker_ids, ranges):
-            index = world.ids.index(attacker_id)
-            assert victims == reference_in_range(world, index, matrix, world.legit_mask)
-            # the victims that manage, in the same order
-            assert managers == [d for d in victims if d.device_class is DeviceClass.MANAGER]
+        assert_one_list_equals_two(world, ranges)
+        for index, in_range in zip(world.attacker_indices.tolist(), ranges):
+            assert in_range == reference_in_range(world, index, matrix, world.legit_mask)
+            managers = [d for d in in_range if d.id in world.managers]
             assert managers == reference_in_range(world, index, matrix, world.manager_mask)
+
+    @pytest.mark.parametrize("source", [IdentitySource.STOLEN, IdentitySource.FABRICATED])
+    @pytest.mark.parametrize("behavior", [AttackBehavior.CHURN, AttackBehavior.MULTI])
+    def test_every_tick_equals_the_two_list_reference(self, behavior, source):
+        config = ScenarioConfig(node_count=40, duration=300.0, seed=3, behavior=behavior, identity_source=source,
+                                forged_set_size=3, deny_streak_limit=1)
+        engine = SimulationEngine(config)
+        ranges = engine._attacker_ranges
+        managers_seen = []
+
+        def checked():
+            got = ranges()
+            assert_one_list_equals_two(engine, got)
+            managers_seen.append(sum(d.id in engine.managers for in_range in got for d in in_range))
+            return got
+
+        engine._attacker_ranges = checked
+        engine.run()
+        assert len(managers_seen) == 300 and any(managers_seen)
 
 
 def scalar_outcome(draw, subject_is_attacker, p_positive_legit, p_negative_attacker):
@@ -725,9 +781,10 @@ class ScalarInteractions(SimulationEngine):
         n = len(self.ids)
         member = np.zeros(n, dtype=bool)
         identity_of = [None] * n
+        attackers = {e.device.id: e for e in self.engines}
         for i, device_id in enumerate(self.ids):
             if self.attacker_mask[i]:
-                presented = self.engines[device_id].presented
+                presented = attackers[device_id].presented
                 if (
                     presented is not None
                     and device_id in self.gate.members.get(presented.id, ())
@@ -809,7 +866,7 @@ def test_member_presentation_follows_the_roster():
     engine.gate.bootstrap_member("d003", "adv01")  # an identity on the roster makes its device a member
     expected = [i if i in ("d003", "d010") else None for i in engine.ids]
     assert presented() == expected
-    attacker = engine.engines["adv01"]
+    attacker = next(e for e in engine.engines if e.device.id == "adv01")
     attacker.presented = attacker.steal_identity(engine.devices[engine.ids.index("d003")])
     assert presented() == [("d003" if i == "adv01" else p) for i, p in zip(engine.ids, expected)]
 
@@ -823,7 +880,7 @@ def test_acquisition_lines_name_each_attackers_pool(behavior, source):
                             forged_set_size=forged, deny_streak_limit=1)
     engine = SimulationEngine(config)
     result = engine.run()
-    logged = {attacker_id: [] for attacker_id in engine.attacker_ids}
+    logged = {attacker_id: [] for attacker_id in engine.attackers}
     for line in result.log.text().splitlines():
         _, kind, *pairs = line.split(" ")
         if kind in ("theft", "fabricate"):
@@ -831,7 +888,7 @@ def test_acquisition_lines_name_each_attackers_pool(behavior, source):
             assert kind == ("theft" if source is IdentitySource.STOLEN else "fabricate")
             assert values.get("victim", values["identity"]) == values["identity"]
             logged[values["attacker"]].append(values["identity"])
-    assert logged == {attacker_id: [i.id for i in e.pool] for attacker_id, e in engine.engines.items()}
+    assert logged == {e.device.id: [i.id for i in e.pool] for e in engine.engines}
     assert sum(map(len, logged.values())) > len(logged)
 
 
@@ -854,10 +911,10 @@ def test_observing_each_device_once_gathers_the_same_sets(monkeypatch):
     assert every.run().log.text() == skipped.log.text()
 
     def observations(engine):
-        return {a: (e.observed_devices, e.observed_interests) for a, e in engine.engines.items()}
+        return {e.device.id: (e.observed_devices, e.observed_interests) for e in engine.engines}
 
     def forged(engine):
-        return {i.id: (i.friends, i.interests) for e in engine.engines.values() for i in e.pool}
+        return {i.id: (i.friends, i.interests) for e in engine.engines for i in e.pool}
 
     assert observations(skipping) == observations(every)
     assert forged(skipping) == forged(every)
