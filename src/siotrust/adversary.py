@@ -80,8 +80,6 @@ class AttackerEngine:
         self.presented: Identity | None = None
         self.observed_devices: set[str] = set()
         self.observed_interests: set[str] = set()
-        self._stolen: set[str] = set()  # victim ids
-        self._fab_counter = 0
         self._active_index = 0
         self._round_robin = 0
         self._deny_streak = 0
@@ -113,7 +111,6 @@ class AttackerEngine:
             interests=set(victim.interests),
             source=IdentitySource.STOLEN,
         )
-        self._stolen.add(victim.id)
         self.pool.append(identity)
         return identity
 
@@ -122,17 +119,17 @@ class AttackerEngine:
 
         Forged friends and interests are random subsets of what the attacker
         has observed so far; the subset size is configurable and may be zero.
-        The id `fab-<device id>-<n>` is unique: device ids are unique, and
-        the engine names every legitimate device `d…`.
+        The id `fab-<device id>-<pool size>` is unique: the pool only grows,
+        device ids are unique, and the engine names every legitimate device
+        `d…`.
         """
         k = self.profile.forged_set_size
         identity = Identity(
-            id=f"fab-{self.device.id}-{self._fab_counter}",
+            id=f"fab-{self.device.id}-{len(self.pool)}",
             friends=self._forge(self.observed_devices, k),
             interests=self._forge(self.observed_interests, k),
             source=IdentitySource.FABRICATED,
         )
-        self._fab_counter += 1
         self.pool.append(identity)
         return identity
 
@@ -145,8 +142,9 @@ class AttackerEngine:
     def _acquire(self, victims: Sequence[Device]) -> Identity | None:
         """Fresh identity from the configured source, if one is obtainable."""
         if self.profile.identity_source is IdentitySource.STOLEN:
+            stolen = {identity.id for identity in self.pool}  # a stolen identity's id is its victim's
             for victim in victims:
-                if victim.id not in self._stolen:
+                if victim.id not in stolen:
                     return self.steal_identity(victim)
             return None
         return self.fabricate_identity()

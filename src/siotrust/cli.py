@@ -135,8 +135,6 @@ def resolve(args: argparse.Namespace) -> tuple[ScenarioConfig, list[int]]:
         value = getattr(args, flag)
         if value is not None:
             mapping[field_name] = value
-    if isinstance(mapping.get("friends_path"), str):  # so a replay from another directory reads the same file
-        mapping["friends_path"] = os.path.abspath(mapping["friends_path"])
     if args.seed is not None:
         mapping["seed"] = args.seed
     base = ScenarioConfig.from_mapping(mapping)

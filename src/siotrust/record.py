@@ -1,9 +1,9 @@
-"""The columnar run record: per-run id and time tables, and the event log.
+"""The columnar run record: the per-run id table, and the event log.
 
 A run keeps its record as columns of small integers and floats, and formats
 text only when a file is written. Events and trust assessments (see
-`trust.AssessmentTable`) name ids through one id table and times through
-one time table, so neither holds a Python object per row. Given an open
+`trust.AssessmentTable`) name ids through one id table and keep each row's
+time as a float64, so neither holds a Python object per row. Given an open
 file, a record part streams instead: it writes its rows a chunk at a time
 as the run makes them and drops them (see `Spool`).
 """
@@ -22,23 +22,18 @@ from .metrics import CHUNK_LINES, join_columns
 
 
 class Symbols:
-    """The id table and the time table of one run.
+    """The id table of one run.
 
     `names` holds each id once, in first-use order, and so do labels such
     as an outcome or a split; rows store the index `code` returns. It is
     the run's only id-to-integer map: the engine codes its devices first,
     so a device's index is its code, and the opinion store and the
-    recommendation exchange index their arrays by code. `times`
-    holds the run's time objects in order. A time gets a new entry whenever
-    another object arrives, even an equal one: 0.0 and -0.0, or 30 and
-    30.0, are equal times with different text. The engine passes one time
-    object for everything that happens in a tick, so a tick costs one entry.
+    recommendation exchange index their arrays by code.
     """
 
     def __init__(self) -> None:
         self.names: list[str] = []
         self._codes: dict[str, int] = {}
-        self.times: list[float] = []
 
     def code(self, name: str) -> int:
         found = self._codes.get(name)
@@ -50,11 +45,6 @@ class Symbols:
     def find(self, name: str) -> int:
         """The name's code, or -1 if the table does not hold it; never adds an entry."""
         return self._codes.get(name, -1)
-
-    def time(self, time: float) -> int:
-        if not self.times or time is not self.times[-1]:
-            self.times.append(time)
-        return len(self.times) - 1
 
 
 # One template per event kind, named by its first word. A bare {} is an id
@@ -120,29 +110,17 @@ class NameTexts:
         return self._texts[codes]
 
 
-class TimeTexts:
-    """`template.format(time)` for the times rows refer to, each formatted once.
+def time_texts(times: np.ndarray, template: str) -> np.ndarray:
+    """`template.format(time)` for each row's time, an object array; `times` is not empty.
 
-    Rows hold time-table indices in nondecreasing order, since a time only
-    ever joins the end of the table (`Symbols.time`). So a time's text is
-    needed by one stretch of rows, and only the last text is kept for the
-    next call, whose first rows may share it: memory does not grow with
-    the number of ticks.
+    Rows come in time order, a tick's rows together, so each run of equal
+    times is formatted once. Runs are found on the bit patterns, which keeps
+    0.0 and -0.0 apart: equal times, with different text.
     """
-
-    def __init__(self, times: list[float], template: str) -> None:
-        self._times = times
-        self._template = template
-        self._last: tuple[int, str] = (-1, "")
-
-    def of(self, indices: np.ndarray) -> np.ndarray:
-        """The text of each row's time, an object array; `indices` is not empty."""
-        edges = np.flatnonzero(np.diff(indices)) + 1  # where a new time starts
-        used = indices[np.r_[0, edges]].tolist()
-        known, text = self._last
-        texts = [text if k == known else self._template.format(self._times[k]) for k in used]
-        self._last = (used[-1], texts[-1])
-        return np.repeat(np.array(texts, dtype=object), np.diff(np.r_[0, edges, len(indices)]))
+    bits = times.view(np.int64)
+    edges = np.flatnonzero(bits[1:] != bits[:-1]) + 1  # where a new time starts
+    texts = [template.format(time) for time in times[np.r_[0, edges]].tolist()]
+    return np.repeat(np.array(texts, dtype=object), np.diff(np.r_[0, edges, len(times)]))
 
 
 class Spool:
@@ -193,39 +171,37 @@ class Spool:
 class EventLog(Spool):
     """Append-only run log with nondecreasing timestamps, kept as columns.
 
-    An event is a kind code, a time-table index, and its fields in its
+    An event is a kind code, a float64 time, and its fields in its
     template's order: ids and labels as id-table codes, integers as
     themselves, floats as indices into a float column. So an `exp` event,
     95 % of a run's events, is three small integers beside its kind and
     time. Nothing is formatted until `text()`, `write()` or, for a log
     given a `sink`, `flush()`. They format each run of same-kind events as
-    columns: the `t=<repr> ` prefix once per time, each float once, ids and
-    constant text by reference. Two runs agree iff their texts agree byte
-    for byte, which is exactly what the determinism tests compare.
+    columns: the `t=<repr> ` prefix once per run of equal times in a chunk,
+    each float once, ids and constant text by reference. Two runs agree iff
+    their texts agree byte for byte, which is exactly what the determinism
+    tests compare.
     """
 
     def __init__(self, sink: TextIO | None = None) -> None:
         self.symbols = Symbols()
         self._last_time = -math.inf
         self._names = NameTexts(self.symbols.names)
-        self._prefixes = TimeTexts(self.symbols.times, "t={!r} ")
         super().__init__(sink)
 
     def _drop(self) -> None:
         self._kinds = array("B")
-        self._times = array("i")
+        self._times = array("d")
         self._fields = array("i")
         self._values = array("d")  # float fields; a pending event's field holds its index here
 
     def _pending(self) -> int:
         return len(self._kinds)
 
-    def _stamp(self, time: float) -> int:
-        if time is not self._last_time:
-            if time < self._last_time:
-                raise ValueError(f"event log time went backwards: {time} after {self._last_time}")
-            self._last_time = time
-        return self.symbols.time(time)
+    def _stamp(self, time: float) -> None:
+        if time < self._last_time:
+            raise ValueError(f"event log time went backwards: {time} after {self._last_time}")
+        self._last_time = time
 
     def append(self, time: float, kind: str, *fields) -> None:
         """One event; ids and labels as strings, integers and floats as numbers."""
@@ -233,7 +209,8 @@ class EventLog(Spool):
         formats = _LAYOUTS[code][1]
         if len(fields) != len(formats):
             raise TypeError(f"a {kind} event has {len(formats)} fields, got {len(fields)}")
-        self._times.append(self._stamp(time))
+        self._stamp(time)
+        self._times.append(time)
         self._kinds.append(code)
         for form, value in zip(formats, fields):
             if form == "s":
@@ -257,7 +234,7 @@ class EventLog(Spool):
         count = len(columns[0])
         if count == 0:
             return
-        stamp = self._stamp(time)
+        self._stamp(time)
         encoded = []
         for form, column in zip(formats, columns):
             if form in ("s", "d"):
@@ -266,7 +243,7 @@ class EventLog(Spool):
                 encoded.append(np.arange(len(self._values), len(self._values) + count))
                 self._values.frombytes(np.asarray(column, dtype=np.float64).tobytes())
         self._kinds.frombytes(bytes([code]) * count)
-        self._times.frombytes(np.full(count, stamp, dtype=np.intc).tobytes())
+        self._times.frombytes(np.full(count, time, dtype=np.float64).tobytes())
         self._fields.frombytes(np.column_stack(encoded).astype(np.intc).tobytes())
 
     def _chunks(self) -> Iterator[str]:
@@ -274,14 +251,14 @@ class EventLog(Spool):
         if count == 0:
             return
         kinds = np.frombuffer(self._kinds, dtype=np.uint8)
-        times = np.frombuffer(self._times, dtype=np.intc)
+        times = np.frombuffer(self._times, dtype=np.float64)
         fields = np.frombuffer(self._fields, dtype=np.intc)
         values = np.frombuffer(self._values, dtype=np.float64)
         arity = _ARITY[kinds]
         offsets = np.cumsum(arity) - arity  # where each event's fields start
         for start in range(0, count, CHUNK_LINES):
             stop = min(start + CHUNK_LINES, count)
-            prefixes = self._prefixes.of(times[start:stop])
+            prefixes = time_texts(times[start:stop], "t={!r} ")
             edges = [start, *(np.flatnonzero(np.diff(kinds[start:stop])) + start + 1).tolist(), stop]
             text = []
             for lo, hi in zip(edges, edges[1:]):

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import random
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -135,17 +136,20 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if f.type == "int" and (type(value) is bool or not isinstance(value, int)):
                 raise ConfigError(f"{f.name} must be an integer: {value!r}")
-            if f.type.startswith("float") and value is not None and (
-                type(value) is bool or not isinstance(value, numbers.Real) or not math.isfinite(value)
-            ):
-                raise ConfigError(f"{f.name} must be a finite number: {value!r}")
+            if f.type.startswith("float") and value is not None:
+                if type(value) is bool or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                    raise ConfigError(f"{f.name} must be a finite number: {value!r}")
+                object.__setattr__(self, f.name, float(value))  # so 30 and 30.0 write the same bytes
         for name, enum in _ENUM_FIELDS:
             if not isinstance(getattr(self, name), enum):
                 raise ConfigError(f"{name} must be a {enum.__name__}: {getattr(self, name)!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative: {self.seed}")
-        if self.friends_path is not None and not isinstance(self.friends_path, str):
-            raise ConfigError(f"friends_path must be a path string: {self.friends_path!r}")
+        if self.friends_path is not None:
+            if not isinstance(self.friends_path, str):
+                raise ConfigError(f"friends_path must be a path string: {self.friends_path!r}")
+            # so a replay from another directory reads the same file
+            object.__setattr__(self, "friends_path", os.path.abspath(self.friends_path))
         if self.node_count < 2:
             raise ConfigError(f"need at least 2 nodes: {self.node_count}")
         if not 0.0 <= self.attacker_fraction < 1.0:
@@ -305,8 +309,9 @@ class RunResult:
     """Everything one run produced, in generation order.
 
     The log and the assessments are the columnar run record: they share
-    one id table and one time table, and hold no Python object per event
-    or per assessment (see `record.EventLog` and `trust.AssessmentTable`).
+    one id table, keep each row's time as a float64, and hold no Python
+    object per event or per assessment (see `record.EventLog` and
+    `trust.AssessmentTable`).
     Iterating `assessments` builds its `TrustAssessment` rows on demand.
     A run that streamed its log and trust trace to files keeps only what
     those two files do not hold: its event count, and T and the split of

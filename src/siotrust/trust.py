@@ -30,7 +30,7 @@ from typing import Iterator, Literal, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .metrics import CHUNK_LINES, check_unquoted, float_texts, join_columns
-from .record import NameTexts, Spool, Symbols, TimeTexts
+from .record import NameTexts, Spool, Symbols, time_texts
 from .social import RelationType
 
 Outcome = Literal["positive", "negative"]
@@ -347,9 +347,9 @@ TRUST_HEADER = "time,evaluator,subject,relation,D,S,R,T\n"
 class AssessmentTable(Spool):
     """Every trust assessment of a run, as columns.
 
-    A row is a time-table index, the evaluator and subject as id-table
-    codes (see `record.Symbols`), the relation and the split as one-byte
-    codes, and D, S, R and T as float64: 46 bytes, and no Python object.
+    A row is a float64 time, the evaluator and subject as id-table codes
+    (see `record.Symbols`), the relation and the split as one-byte codes,
+    and D, S, R and T as float64: 50 bytes, and no Python object.
     Iterating the table builds `TrustAssessment` rows on demand, each float
     read back as the same Python float it was stored from, so the rows
     equal the ones the assessments were made as. Building them costs about
@@ -367,13 +367,12 @@ class AssessmentTable(Spool):
         self._trust = array("d")  # every row's T and split, written or not
         self._split = array("B")
         self._names = NameTexts(self.symbols.names, ",")
-        self._times = TimeTexts(self.symbols.times, "{!r},")
         super().__init__(sink)
         if sink is not None:
             sink.write(TRUST_HEADER)
 
     def _drop(self) -> None:
-        self._time = array("i")
+        self._time = array("d")
         self._evaluator = array("i")
         self._subject = array("i")
         self._relation = array("B")
@@ -395,7 +394,7 @@ class AssessmentTable(Spool):
         split: str = "external",
     ) -> None:
         """One row, its fields in `TrustAssessment` order."""
-        self._time.append(self.symbols.time(time))
+        self._time.append(time)
         self._evaluator.append(self.symbols.code(evaluator))
         self._subject.append(self.symbols.code(subject))
         self._relation.append(_RELATIONS.index(relation))
@@ -418,7 +417,7 @@ class AssessmentTable(Spool):
     ) -> None:
         """One evaluator's rows at one time; subjects as id-table codes, the rest as arrays."""
         count = len(subjects)
-        self._time.frombytes(np.full(count, self.symbols.time(time), dtype=np.intc).tobytes())
+        self._time.frombytes(np.full(count, time, dtype=np.float64).tobytes())
         self._evaluator.frombytes(np.full(count, self.symbols.code(evaluator), dtype=np.intc).tobytes())
         self._subject.frombytes(np.asarray(subjects, dtype=np.intc).tobytes())
         self._relation.frombytes(bytes([_RELATIONS.index(relation)]) * count)
@@ -433,9 +432,9 @@ class AssessmentTable(Spool):
     def __iter__(self) -> Iterator[TrustAssessment]:
         """The rows as `TrustAssessment`s; a table that streams to a file raises."""
         self._require_whole()
-        names, times = self.symbols.names, self.symbols.times
+        names = self.symbols.names
         columns = zip(
-            map(times.__getitem__, self._time),
+            self._time,
             map(names.__getitem__, self._evaluator),
             map(names.__getitem__, self._subject),
             map(_RELATIONS.__getitem__, self._relation),
@@ -457,15 +456,15 @@ class AssessmentTable(Spool):
 
         Rows are assembled from text columns, the same bytes `csv.writer`
         writes: no field needs quoting (`check_unquoted` raises if one
-        would). Times and ids are formatted once per table entry; D, S, R
-        and T once per distinct value in a chunk, which for D and S is a few
-        hundred values over 10^5 rows.
+        would). Ids are formatted once per table entry, times once per run
+        of equal times in a chunk, and D, S, R and T once per distinct value
+        in a chunk, which for D and S is a few hundred values over 10^5 rows.
         """
         count = len(self._time)
         if count == 0:
             return
         relations = np.array([relation.value + "," for relation in _RELATIONS], dtype=object)
-        time = np.frombuffer(self._time, dtype=np.intc)
+        time = np.frombuffer(self._time, dtype=np.float64)
         evaluator = np.frombuffer(self._evaluator, dtype=np.intc)
         subject = np.frombuffer(self._subject, dtype=np.intc)
         relation = np.frombuffer(self._relation, dtype=np.uint8)
@@ -474,7 +473,7 @@ class AssessmentTable(Spool):
         for start in range(0, count, CHUNK_LINES):
             rows = slice(start, min(start + CHUNK_LINES, count))
             columns = [
-                self._times.of(time[rows]),
+                time_texts(time[rows], "{!r},"),
                 self._names.of(evaluator[rows]),
                 self._names.of(subject[rows]),
                 relations[relation[rows]],

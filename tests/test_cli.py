@@ -175,7 +175,7 @@ class TestReplay:
         for name in names:
             assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
-    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("via", ["flag", "config", "library"])
     def test_replay_from_another_directory_reads_the_same_friends_file(self, tmp_path, monkeypatch, via):
         run_dir, other = tmp_path / "run", tmp_path / "other"
         for root, step in ((run_dir, 3), (other, 1)):  # the same relative path, two different graphs
@@ -185,8 +185,11 @@ class TestReplay:
         config = {**SMALL, "friends_path": "data/edges.txt"} if via == "config" else SMALL
         (run_dir / "small.json").write_text(json.dumps(config))
         monkeypatch.chdir(run_dir)
-        flags = ["--friends", "data/edges.txt"] if via == "flag" else []
-        assert main(["--config", "small.json", *flags, "--out", "a"]) == 0
+        if via == "library":
+            run_batch(ScenarioConfig(**SMALL, friends_path="data/edges.txt"), [1], run_dir / "a")
+        else:
+            flags = ["--friends", "data/edges.txt"] if via == "flag" else []
+            assert main(["--config", "small.json", *flags, "--out", "a"]) == 0
         recorded = json.loads((run_dir / "a" / "manifest.json").read_text())["config"]["friends_path"]
         assert os.path.isabs(recorded) and os.path.samefile(recorded, run_dir / "data" / "edges.txt")
         monkeypatch.chdir(other)
@@ -195,6 +198,19 @@ class TestReplay:
         assert names == sorted(p.name for p in (other / "b").iterdir())
         for name in names:
             assert (other / "b" / name).read_bytes() == (run_dir / "a" / name).read_bytes(), name
+
+    def test_integer_and_float_twins_write_the_same_bytes(self, tmp_path):
+        twins = [
+            ScenarioConfig.from_mapping({"node_count": 30, "tick": tick, "duration": duration})
+            for tick, duration in ((1, 120), (1.0, 120.0))
+        ]
+        assert twins[0] == twins[1] and hash(twins[0]) == hash(twins[1])
+        for name, config in zip("ab", twins):
+            run_batch(config, [1, 2], tmp_path / name)
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert "manifest.json" in names and names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
     def test_replay_refuses_extra_scenario_flags(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"

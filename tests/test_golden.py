@@ -15,9 +15,9 @@ S is taken against sets no legitimate device holds), under the churn and
 under the multi schedule (multi also fabricates on ticks when no attempt
 is due, so its forged sets read what it observed on those ticks), the
 `por` relation filter, under which no sender qualifies and the
-recommendation cache stays empty, and an integer `tick`: its times stay
-ints, so the log and the trust trace print `t=30`, not `t=30.0`, while
-the bootstrap lines keep `t=0.0`.
+recommendation cache stays empty, and an integer `tick` and `duration`:
+the config stores them as floats, so the run writes the bytes of its
+float twin (`"tick": 1.0, "duration": 120.0`), `t=30.0` and not `t=30`.
 """
 
 import hashlib
@@ -104,13 +104,13 @@ GOLDEN = {
     "integer-tick-30": (
         {"node_count": 30, "tick": 1, "duration": 120},
         {
-            "attacks-s1.csv": "e543b0c6c0ee8d37d9f89a969659a653e551f26cca46314c77dd28c52fab42ff",
+            "attacks-s1.csv": "a4f09fd46d786317a6096c8c7bcfc6c18beb7f4be24f2997e1c7d34e5b16736f",
             "communities-s1.csv": "622add20fadf1b9036b4a9c447e0b66871e03dffdf1a3f75157b6213a4d7e344",
-            "decisions-s1.csv": "7c3196acfcbecc246b2e86ffae67581e5f96090547360238ef053f45e1ce0e02",
+            "decisions-s1.csv": "cab7ebe5dce4617b6e5e637d9b427ba06a524964f32b656aa970a2ec40659801",
             "esr-s1.csv": "67ea7ecd666675395b21bfb073925f8f0e59f0d92b708e8556524f18859af33f",
-            "events-s1.log": "8cc3e59585c109e800aaf150c015344279ee95125fc2791ca180706a83bdce4c",
+            "events-s1.log": "0c06e968aa9409a07dedab24c15964190c61461f59496efb5ae87d156b0d43e0",
             "metrics.csv": "327443ceeb3acb3eeddf2c81f9504a09b9bba1afb72737b075acc9636aa762d4",
-            "trust-s1.csv": "6e4cd481039b8355c98178ca6fedb998d7cfe2d84d2bd52496f510cc61582c2c",
+            "trust-s1.csv": "938cdad4cc50efb9d56ec2f9ab31b2859f9554b69858827a7cfe7e0fb31e3294",
         },
     ),
 }

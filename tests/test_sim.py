@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import gc
 import io
 import math
@@ -138,8 +139,13 @@ class TestScenarioConfig:
                 build()
 
     def test_float_fields_keep_an_integer_as_it_is(self):
-        cfg = ScenarioConfig.from_mapping({"tick": 1, "duration": 120, "speed": 2})
-        assert (type(cfg.tick), type(cfg.duration), type(cfg.speed)) == (int, int, int)
+        # kept as its float: 30 and 30.0 are one config and write the same bytes
+        cfg = ScenarioConfig.from_mapping({"tick": 1, "duration": 120, "speed": 2, "base_rate": 0})
+        assert [(type(v), v) for v in (cfg.tick, cfg.duration, cfg.speed, cfg.base_rate)] == [
+            (float, 1.0), (float, 120.0), (float, 2.0), (float, 0.0)
+        ]
+        assert all(type(getattr(cfg, f.name)) is float for f in dataclasses.fields(cfg) if f.type == "float")
+        assert ScenarioConfig(base_rate=None).base_rate is None
         assert ScenarioConfig(friends_path=None).friends_path is None
 
     def test_base_rate_override_feeds_the_context(self):
@@ -220,26 +226,36 @@ class TestEventLog:
         log = EventLog()
         for time in (0.0, -0.0, 0.0, 30, 30.0, 30):
             log.append(time, "bootstrap", "x")
+        log.extend(30, "pos", np.array([log.symbols.code("x")]), np.zeros(1), np.zeros(1))
         prefixes = [line.split()[0] for line in log.text().splitlines()]
-        assert prefixes == ["t=0.0", "t=-0.0", "t=0.0", "t=30", "t=30.0", "t=30"]
+        assert prefixes == ["t=0.0", "t=-0.0", "t=0.0", "t=30.0", "t=30.0", "t=30.0", "t=30.0"]
 
     def test_a_streamed_log_formats_each_time_and_id_once(self, monkeypatch):
-        monkeypatch.setattr(record, "CHUNK_LINES", 3)
-        CountedTime.formatted.clear()
+        monkeypatch.setattr(record, "CHUNK_LINES", 4)
+        formatted = collections.Counter()
+
+        class CountingTemplate(str):
+            def format(self, time):
+                formatted[time] += 1
+                return super().format(time)
+
+        time_texts = record.time_texts
+        monkeypatch.setattr(record, "time_texts", lambda times, template: time_texts(times, CountingTemplate(template)))
         sink = io.StringIO()
         log = EventLog(sink)
-        expected = []
+        expected, chunks = [], set()
         for k in range(20):
-            now = CountedTime(k / 2)
-            for j in range(k % 4):  # 0-3 events a tick, flushed every third
-                log.append(now, "bootstrap", f"d{j}")
+            for j in range(k % 4):  # 0-3 events a tick, flushed every fourth
+                log.append(k / 2, "bootstrap", f"d{j}")
                 expected.append(f"t={k / 2!r} bootstrap manager=d{j}\n")
+                chunks.add((k / 2, (len(expected) - 1) // 4))  # the chunks a time's events fall in
                 log.spill()
         log.flush()
         assert sink.getvalue() == "".join(expected)
         assert len(log) == len(expected)
-        assert set(CountedTime.formatted.values()) == {1}
-        assert len(CountedTime.formatted) == sum(1 for k in range(20) if k % 4)
+        # once per run of equal times in a chunk: a tick split across a flush is formatted in both chunks
+        assert formatted == collections.Counter(time for time, _ in chunks)
+        assert max(formatted.values()) == 2
         names = record.NameTexts(log.symbols.names, ",")
         first = names.of(np.array([0, 1, 2]))
         log.symbols.code("d9")
@@ -260,16 +276,6 @@ class TestEventLog:
         assert (tmp_path / "events.log").read_text() == log.text()
         EventLog().write(tmp_path / "empty.log")
         assert (tmp_path / "empty.log").read_bytes() == b""
-
-
-class CountedTime(float):
-    """A time that counts how often its text is formatted, by object."""
-
-    formatted = collections.Counter()
-
-    def __repr__(self):
-        CountedTime.formatted[id(self)] += 1
-        return float.__repr__(self)
 
 
 # the f-strings the engine formatted each event with when the log held lines
@@ -294,23 +300,20 @@ CODED_FIELDS = {"exp": (0, 1, 2), "pos": (0,)}
 class LineLog:
     """The line-per-append log the columnar one replaced, fed the same typed events.
 
-    Each line is formatted at append time with the old f-string, its
-    `t=<repr> ` prefix reused while the same time object comes back.
+    Each line is formatted at append time with the old f-string, behind a
+    `t=<repr> ` prefix of the time as a float.
     """
 
     def __init__(self, symbols):
         self.symbols = symbols
         self.lines = []
         self._last_time = -math.inf
-        self._prefix = ""
 
     def append(self, time, kind, *fields):
-        if time is not self._last_time:
-            if time < self._last_time:
-                raise ValueError(f"event log time went backwards: {time} after {self._last_time}")
-            self._last_time = time
-            self._prefix = f"t={time!r} "
-        self.lines.append(self._prefix + LINE_FORMATS[kind](*fields))
+        if time < self._last_time:
+            raise ValueError(f"event log time went backwards: {time} after {self._last_time}")
+        self._last_time = time
+        self.lines.append(f"t={float(time)!r} " + LINE_FORMATS[kind](*fields))
 
     def extend(self, time, kind, *columns):
         for fields in zip(*(np.asarray(c).tolist() for c in columns)):
@@ -345,8 +348,8 @@ def test_columnar_log_equals_the_line_log(overrides, tmp_path):
     assert len(columnar.log) == len(engine.log.lines)
     columnar.log.write(tmp_path / "events.log")
     assert (tmp_path / "events.log").read_bytes() == reference.encode("utf-8")
-    if type(config.tick) is int:
-        assert "\nt=30 community id=0 " in reference
+    if overrides.get("tick") == 1:
+        assert "\nt=30.0 community id=0 " in reference
 
 
 awkward_floats = st.sampled_from([0.0, -0.0, 1e-05, 5e-324, 0.1 + 0.2, 1.0, 99.9999995]) | st.floats(-1e3, 1e3)
@@ -998,13 +1001,12 @@ class TestStreamedRecordFootprint:
                 retained = tracemalloc.get_traced_memory()[0] - before
             finally:
                 tracemalloc.stop()
-            grown.append((retained, len(result.log), len(result.assessments), len(result.log.symbols.times)))
+            grown.append((retained, len(result.log), len(result.assessments)))
             del result
-        (short, events, assessments, times), (long, more_events, more_assessments, more_times) = grown
+        (short, events, assessments), (long, more_events, more_assessments) = grown
         assert more_events - events > 2 * (more_assessments - assessments)
-        # 9 bytes of T and split per assessment plus the arrays' headroom, and
-        # the time table's float and list slot per tick; nothing per event
-        assert long - short <= 12 * (more_assessments - assessments) + 40 * (more_times - times)
+        # 9 bytes of T and split per assessment plus the arrays' headroom; nothing per event or tick
+        assert long - short <= 12 * (more_assessments - assessments)
 
     def test_readers_of_the_whole_record_raise(self, tmp_path):
         result = self.streamed(60.0, tmp_path)
