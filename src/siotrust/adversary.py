@@ -20,8 +20,11 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
+
+import numpy as np
 
 from .authn import DecisionRecord
 from .social import ConfigError, Device, Identity, IdentitySource
@@ -63,7 +66,11 @@ class AttackerProfile:
 
 
 class AttackerEngine:
-    """Drives one attacker device according to its profile."""
+    """Drives one attacker device according to its profile.
+
+    The simulation observes for it: `observed[k]` is set once
+    `observable[k]` has been in radius, and the attacker forges from it.
+    """
 
     def __init__(
         self,
@@ -71,33 +78,24 @@ class AttackerEngine:
         profile: AttackerProfile,
         managers: frozenset[str],
         rng: random.Random,
+        observable: Sequence[Device],
+        observed: np.ndarray,
     ) -> None:
         self.device = device
         self.profile = profile
         self.managers = managers  # every manager id of the network
         self.rng = rng
+        self.observable = observable
+        self.observed = observed
         self.pool: list[Identity] = []
         self.presented: Identity | None = None
-        self.observed_devices: set[str] = set()
-        self.observed_interests: set[str] = set()
         self._active_index = 0
         self._round_robin = 0
         self._deny_streak = 0
         self._attempted: set[str] = set()
         self._last_attempt = -math.inf
 
-    # -- observation and identity acquisition --------------------------------
-
-    def observe(self, devices_in_radius: Sequence[Device]) -> None:
-        """Eavesdrop on nearby traffic to collect forgeable material.
-
-        A device's interests are static, so a device already observed adds
-        nothing new and is skipped.
-        """
-        for dev in devices_in_radius:
-            if dev.id not in self.observed_devices:
-                self.observed_devices.add(dev.id)
-                self.observed_interests.update(dev.interests)
+    # -- identity acquisition ---------------------------------------------------
 
     def steal_identity(self, victim: Device) -> Identity:
         """Copy a victim's presented profile under the victim's identity id.
@@ -117,24 +115,25 @@ class AttackerEngine:
     def fabricate_identity(self) -> Identity:
         """Mint a fresh identity with forged attribute sets.
 
-        Forged friends and interests are random subsets of what the attacker
-        has observed so far; the subset size is configurable and may be zero.
-        The id `fab-<device id>-<pool size>` is unique: the pool only grows,
-        device ids are unique, and the engine names every legitimate device
-        `d…`.
+        Forged friends and interests are random subsets of the observed
+        devices' ids and of the union of their interests; the subset size is
+        configurable, and at zero nothing observed is read. The id
+        `fab-<device id>-<pool size>` is unique: the pool only grows, device
+        ids are unique, and the engine names every legitimate device `d…`.
         """
         k = self.profile.forged_set_size
+        seen = list(compress(self.observable, self.observed)) if k else []
         identity = Identity(
             id=f"fab-{self.device.id}-{len(self.pool)}",
-            friends=self._forge(self.observed_devices, k),
-            interests=self._forge(self.observed_interests, k),
+            friends=self._forge([d.id for d in seen], k),
+            interests=self._forge(set().union(*(d.interests for d in seen)), k),
             source=IdentitySource.FABRICATED,
         )
         self.pool.append(identity)
         return identity
 
-    def _forge(self, observed: set[str], k: int) -> set[str]:
-        if k <= 0 or not observed:
+    def _forge(self, observed: Collection[str], k: int) -> set[str]:
+        if not observed:
             return set()
         ordered = sorted(observed)
         return set(self.rng.sample(ordered, min(k, len(ordered))))
@@ -155,20 +154,19 @@ class AttackerEngine:
         """One scheduling step; returns the (identity, target) to request with.
 
         `in_range` holds the devices in eavesdrop radius, nearest first. The
-        attacker observes them, steals from them and targets their nearest
-        manager (churn: the nearest not yet tried). No target, an empty pool
-        with nothing to steal, or a running attempt interval yield None.
+        attacker steals from them and targets their nearest manager (churn:
+        the nearest not yet tried). No target, an empty pool with nothing to
+        steal, or a running attempt interval yield None. It does not observe
+        them: the simulation has marked them in its `observed` row before
+        any attempt of the tick, and a fabrication forges from that row.
         """
-        self.observe(in_range)
         if self.profile.behavior is AttackBehavior.CHURN:
             return self._churn_attempt(now, in_range)
         return self._multi_attempt(now, in_range)
 
     def _churn_attempt(self, now: float, in_range: Sequence[Device]) -> tuple[Identity, Device] | None:
-        if not self.pool:
-            if self._acquire(in_range) is None:
-                return None
-            self._active_index = len(self.pool) - 1
+        if not self.pool and self._acquire(in_range) is None:  # the index is 0 until the pool holds one
+            return None
         active = self.pool[self._active_index]
         self.presented = active
         if now - self._last_attempt < self.profile.attempt_interval:
@@ -186,9 +184,7 @@ class AttackerEngine:
     def _multi_attempt(self, now: float, in_range: Sequence[Device]) -> tuple[Identity, Device] | None:
         if len(self.pool) < self.profile.pool_size:
             self._acquire(in_range)  # grow the pool opportunistically
-        if not self.pool:
-            return None
-        if now - self._last_attempt < self.profile.attempt_interval:
+        if not self.pool or now - self._last_attempt < self.profile.attempt_interval:
             return None
         target = next((d for d in in_range if d.id in self.managers), None)
         if target is None:
@@ -214,10 +210,7 @@ class AttackerEngine:
         """Feed the verdict back; churn rotates after a deny streak."""
         if self.profile.behavior is not AttackBehavior.CHURN:
             return
-        if granted:
-            self._deny_streak = 0
-            return
-        self._deny_streak += 1
+        self._deny_streak = 0 if granted else self._deny_streak + 1
         if self._deny_streak >= self.profile.deny_streak_limit:
             self.presented = self._rotate(victims)
 

@@ -59,25 +59,30 @@ def pairwise_similarity(
     )
 
 
-def similarity_matrix(rows: Sequence[SocialProfile], columns: Sequence[SocialProfile],
-                      weights: SimilarityWeights = DEFAULT_WEIGHTS) -> np.ndarray:
-    """`pairwise_similarity` of each row profile against each column profile, bit for bit.
+class SimilarityColumns:
+    """`pairwise_similarity` of row profiles against column profiles indexed once, bit for bit.
 
     |A&B| counts one per shared element, exactly (no float matrix product);
     |A|B| is |A| + |B| - |A&B|. The division and `fw*F + iw*I` are the same.
     """
-    return weights.friend_weight * _jaccard_matrix([r.friends for r in rows], [c.friends for c in columns]) + (
-        weights.interest_weight * _jaccard_matrix([r.interests for r in rows], [c.interests for c in columns])
-    )
+
+    def __init__(self, columns: Sequence[SocialProfile], weights: SimilarityWeights = DEFAULT_WEIGHTS) -> None:
+        self.weights = weights
+        self._index = [(_holders(sets), [len(s) for s in sets])
+                       for sets in ([c.friends for c in columns], [c.interests for c in columns])]
+
+    def rows(self, rows: Sequence[SocialProfile]) -> np.ndarray:
+        friends, interests = (_jaccard_matrix(sets, *index) for sets, index in
+                              zip(([r.friends for r in rows], [r.interests for r in rows]), self._index))
+        return self.weights.friend_weight * friends + self.weights.interest_weight * interests
 
 
-def _jaccard_matrix(rows: Sequence[Collection[str]], columns: Sequence[Collection[str]]) -> np.ndarray:
-    shared = np.zeros((len(rows), len(columns)), dtype=np.int64)
-    in_columns = _holders(columns)
+def _jaccard_matrix(rows: Sequence[Collection[str]], in_columns: dict[str, list[int]], sizes: list[int]) -> np.ndarray:
+    shared = np.zeros((len(rows), len(sizes)), dtype=np.int64)
     for element, in_rows in _holders(rows).items():
         if element in in_columns:  # an element no column holds is shared with none
             shared[np.ix_(in_rows, in_columns[element])] += 1
-    union = np.array([len(s) for s in rows], dtype=np.int64)[:, None] + [len(s) for s in columns] - shared
+    union = np.array([len(s) for s in rows], dtype=np.int64)[:, None] + sizes - shared
     return np.divide(shared, union, out=np.zeros(shared.shape), where=union > 0)
 
 
@@ -110,7 +115,7 @@ def form_communities(
     numbered by their smallest member id.
     """
     ordered = sorted({d.id: d for d in devices}.values(), key=lambda d: d.id)
-    matrix = similarity_matrix(ordered, ordered, weights)
+    matrix = SimilarityColumns(ordered, weights).rows(ordered)
     return partition_by_similarity([d.id for d in ordered], matrix, context, threshold)
 
 

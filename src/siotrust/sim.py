@@ -16,11 +16,10 @@ Time advances in fixed ticks. Each tick runs the same pipeline:
   3. service interactions between members in radius
   4. random-waypoint movement
 
-Proximity is computed on device indices, never as an n x n matrix. The
-interactions take the squared distance of every pair i < j as one vector
-of n(n-1)/2 floats; the attackers take one block of rows, attackers by all
-devices; a nearest-manager lookup takes rows against the managers. Each
-entry is the same `dx*dx + dy*dy` a full matrix would hold.
+Proximity is computed on device indices, never as an n x n matrix: each
+tick first takes one vector of `dx*dx + dy*dy` for every pair i < j, as a
+full matrix would hold it. Every phase before movement reads that vector:
+the interactions whole, nearest managers and attacker rows by pair position.
 
 Managers join their own network at t=0 without adjudication; admitted
 identities stay members. Epoch monitoring produces trust assessments, not
@@ -53,9 +52,9 @@ from .authn import AccessGate, AccessRequest, DecisionRecord, Verdict
 from .community import (
     Community,
     SimilarityWeights,
-    pairwise_similarity,  # noqa: F401  S comes from similarity_matrix; perfbench counts this name
+    SimilarityColumns,
+    pairwise_similarity,  # noqa: F401  S comes from SimilarityColumns; perfbench counts this name
     partition_by_similarity,
-    similarity_matrix,
 )
 from .dataset import FriendshipGraph, load_friendship_edges, sample_subgraph, synthetic_small_world
 from .metrics import ConfusionCounters, MetricsReport
@@ -268,6 +267,7 @@ class _StaticSimilarity:
     legitimate or stolen id. A fabricated id gets its row when first seen,
     from the identity its attacker pooled, which the engine puts in
     `fabricated` when it logs the fabrication.
+    Both take their rows against one index of the legitimate devices' sets.
     A mean is a Python `sum` over a row, so it equals `community_similarity`.
     """
 
@@ -280,8 +280,12 @@ class _StaticSimilarity:
         self._means: dict[tuple[str, int], float] = {}
 
     @cached_property
+    def _columns(self) -> SimilarityColumns:
+        return SimilarityColumns(self.legit, self.weights)
+
+    @cached_property
     def matrix(self) -> np.ndarray:
-        return similarity_matrix(self.legit, self.legit, self.weights)
+        return self._columns.rows(self.legit)
 
     def pair(self, a: str, b: str) -> float:  # nothing in a run calls this; perfbench counts its calls
         return self.matrix[self._index[a], self._index[b]].item()
@@ -290,7 +294,7 @@ class _StaticSimilarity:
         if identity_id in self._index:
             return self.matrix[self._index[identity_id]]
         if identity_id not in self._rows:
-            self._rows[identity_id] = similarity_matrix([self.fabricated[identity_id]], self.legit, self.weights)[0]
+            self._rows[identity_id] = self._columns.rows([self.fabricated[identity_id]])[0]
         return self._rows[identity_id]
 
     def community_mean(self, identity_id: str, community: Community) -> float:
@@ -377,7 +381,7 @@ class SimulationEngine:
         self.rec_cache: Recommendations = NO_RECOMMENDATIONS
 
         self._build_world()
-        self.similarity = _StaticSimilarity(config.weights(), self.devices[self.legit_mask].tolist())
+        self.similarity = _StaticSimilarity(config.weights(), self.legit_devices.tolist())
         code = self.log.symbols.code
         for device_id in self.ids:  # the table is empty: each device's index becomes its code
             code(device_id)
@@ -389,7 +393,7 @@ class SimulationEngine:
             trust_threshold=config.trust_threshold,
             attacker_devices=self.attackers,
         )
-        self._last_request: dict[str, float] = {}
+        self._last_request = [-math.inf] * len(self.ids)  # by device index
         self._roster_size = -1  # len(gate.members) when the legitimate presentations were taken
 
     # -- world construction ---------------------------------------------------
@@ -446,10 +450,14 @@ class SimulationEngine:
         self.targets = self.rng.uniform(lows, highs, size=(n, 2))
         self.devices = np.empty(n, dtype=object)  # the one device table, by index; it takes index arrays
         self.devices[:] = devices
-        self.speeds = np.array([d.speed for d in devices])
+        self.legit_devices = self.devices[self.legit_mask]
+        self.step_lengths = np.array([d.speed for d in devices]) * cfg.tick  # metres moved per tick
+        # attackers x legitimate devices: whom each attacker has had in radius; its engine holds its row
+        self.observed = np.zeros((len(self.attacker_indices), len(self.legit_devices)), dtype=bool)
         profile = cfg.attacker_profile()
         self.engines = [  # in `attacker_indices` order
-            AttackerEngine(device, profile, self.managers, self.pyrng) for device in self.devices[self.attacker_indices]
+            AttackerEngine(device, profile, self.managers, self.pyrng, self.legit_devices, row)
+            for device, row in zip(self.devices[self.attacker_indices], self.observed)
         ]
         self._area_low = lows
         self._area_high = highs
@@ -489,18 +497,19 @@ class SimulationEngine:
             self.gate.bootstrap_member(manager, manager)
             self.log.append(0.0, "bootstrap", manager)
 
-        self._pending = [(i, self.devices[i]) for i in self._subordinates.tolist()]
+        self._pending = self._subordinates.tolist()
         steps = int(round(cfg.duration / cfg.tick))
         epoch = 1  # the next epoch's number; see the module docstring
         for step in range(steps):
             now = step * cfg.tick
-            # only `_move` moves a device: every phase before it sees one set of positions
+            # only `_move` moves a device: every phase before it reads this one pair vector
+            sq_dist = self._squared_distances()
             while now + 1e-9 >= epoch * cfg.epoch_interval:
-                self._epoch(now)
+                self._epoch(now, sq_dist)
                 epoch += 1
-            self._legit_requests(now)
-            self._attacker_requests(now)
-            self._interactions(now, self._squared_distances())
+            self._legit_requests(now, sq_dist)
+            self._attacker_requests(now, sq_dist)
+            self._interactions(now, sq_dist)
             self._move()
             self.log.spill()
             self.assessments.spill()
@@ -536,33 +545,29 @@ class SimulationEngine:
         dy = delta[:, 1]
         return dx * dx + dy * dy
 
-    def _block(self, rows: np.ndarray, columns: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """Squared distances from each device in `rows` to each in `columns`.
+    @cached_property
+    def _attacker_pairs(self) -> np.ndarray:
+        """The `_pairs` position of each (attacker, legitimate device), attackers x legitimate devices: static."""
+        return _pair_position(self.attacker_indices[:, None], np.flatnonzero(self.legit_mask), len(self.ids))
 
-        Entry for entry what `_squared_distances` gives the pair: the
-        difference only changes sign when the two swap, and squares the same.
-        """
-        x = self.positions[:, 0]
-        y = self.positions[:, 1]
-        dx = x[rows, None] - x[None, columns]
-        dy = y[rows, None] - y[None, columns]
-        return dx * dx + dy * dy
+    def _nearest_managers(self, sq_dist: np.ndarray, devices: np.ndarray) -> np.ndarray:
+        """The index of each non-manager device's nearest manager; equal distances go to the first id."""
+        managers = self.manager_indices
+        return managers[np.argmin(sq_dist[_pair_position(devices[:, None], managers, len(self.ids))], axis=1)]
 
-    def _nearest_managers(self, devices: np.ndarray) -> np.ndarray:
-        """The index of each device's nearest manager; equal distances go to the first id."""
-        return self.manager_indices[np.argmin(self._block(devices, self.manager_indices), axis=1)]
-
-    def _attacker_ranges(self) -> list[list[Device]]:
+    def _attacker_ranges(self, sq_dist: np.ndarray) -> list[list[Device]]:
         """Per attacker, in `attacker_indices` order: the legitimate devices in radius.
 
-        Nearest first, ties by id, managers among them, from one block of
-        attacker rows and one sort on (attacker, distance, index). An
-        attacker is never legitimate, so never in its own range.
+        Nearest first, ties by id, managers among them, from the attackers'
+        rows of the pair vector and one sort on (attacker, distance, index).
+        Each attacker's row of `observed` gains the devices in its list.
         """
-        block = self._block(self.attacker_indices)
-        rows, columns = np.nonzero(self.legit_mask & (block <= self.cfg.interaction_radius**2))
+        block = sq_dist[self._attacker_pairs]
+        in_radius = block <= self.cfg.interaction_radius**2
+        self.observed |= in_radius
+        rows, columns = np.nonzero(in_radius)
         order = np.lexsort((columns, block[rows, columns], rows))
-        in_range = self.devices[columns[order]].tolist()
+        in_range = self.legit_devices[columns[order]].tolist()
         bounds = np.searchsorted(rows[order], np.arange(len(self.attacker_indices) + 1)).tolist()
         return [in_range[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
@@ -573,26 +578,23 @@ class SimulationEngine:
         """Indices of the legitimate devices that are not managers, in id order."""
         return np.flatnonzero(self.legit_mask & ~self.manager_mask)
 
-    def _legit_requests(self, now: float) -> None:
+    def _legit_requests(self, now: float, sq_dist: np.ndarray) -> None:
         """Requests from the subordinates not on the roster, each at most once per retry interval.
 
         The pending list only shrinks: an identity never leaves the roster,
         and the only identity a request in this loop admits is its own.
         """
-        cfg = self.cfg
-        members = self.gate.members
-        self._pending = [(i, device) for i, device in self._pending if device.id not in members]
-        for index, device in self._pending:
-            last = self._last_request.get(device.id, -math.inf)
-            if now - last < cfg.request_retry_interval:
-                continue
-            manager = self.devices[self._nearest_managers(np.array([index]))[0]]
-            self._adjudicate(AccessRequest(now, device.id, device.id, manager.id))
-            self._last_request[device.id] = now
+        members, ids, last = self.gate.members, self.ids, self._last_request
+        self._pending = [i for i in self._pending if ids[i] not in members]
+        due = [i for i in self._pending if now - last[i] >= self.cfg.request_retry_interval]
+        if due:  # most ticks have none, and the gather costs more than the two loops
+            for device, manager in zip(due, self._nearest_managers(sq_dist, np.array(due)).tolist()):
+                self._adjudicate(AccessRequest(now, ids[device], ids[device], ids[manager]))
+                last[device] = now
 
-    def _attacker_requests(self, now: float) -> None:
+    def _attacker_requests(self, now: float, sq_dist: np.ndarray) -> None:
         cfg = self.cfg
-        for engine, in_range in zip(self.engines, self._attacker_ranges()):
+        for engine, in_range in zip(self.engines, self._attacker_ranges(sq_dist)):
             held = len(engine.pool)
             picked = engine.attempt(now, in_range)
             self._log_acquisitions(engine, held, now)
@@ -708,14 +710,12 @@ class SimulationEngine:
         self.log.extend(now, "exp", evaluators, subject_codes, self._outcomes[positive.view(np.uint8)])
 
     def _move(self) -> None:
-        tick = self.cfg.tick
         delta = self.targets - self.positions
         dist = np.hypot(delta[:, 0], delta[:, 1])
-        step = self.speeds * tick
-        arrive = dist <= step
+        arrive = dist <= self.step_lengths
         moving = ~arrive
         if moving.any():
-            scale = (step[moving] / dist[moving])[:, None]
+            scale = (self.step_lengths[moving] / dist[moving])[:, None]
             self.positions[moving] += delta[moving] * scale
         if arrive.any():
             self.positions[arrive] = self.targets[arrive]
@@ -724,10 +724,10 @@ class SimulationEngine:
 
     # -- epoch tasks --------------------------------------------------------------
 
-    def _epoch(self, now: float) -> None:
+    def _epoch(self, now: float, sq_dist: np.ndarray) -> None:
         self._form_communities(now)
         self._duplicate_scan(now)
-        self._rebuild_recommendations()
+        self._rebuild_recommendations(sq_dist)
         self._monitor_members(now)
         self._snapshot_positions(now)
 
@@ -767,7 +767,7 @@ class SimulationEngine:
         for identity_id, presenters in duplicated:
             self.log.append(now, "duplicate-scan", identity_id, "|".join(sorted(presenters)), penalty)
 
-    def _rebuild_recommendations(self) -> None:
+    def _rebuild_recommendations(self, sq_dist: np.ndarray) -> None:
         """Periodic opinion exchange.
 
         Managers broadcast their own opinions to every other manager;
@@ -787,7 +787,7 @@ class SimulationEngine:
         relation = self.cfg.relation
         routes = list(self._manager_routes)
         devices = self.devices
-        nearest = self._nearest_managers(self._subordinates)
+        nearest = self._nearest_managers(sq_dist, self._subordinates)
         for device, manager in zip(self._subordinates.tolist(), nearest.tolist()):
             if classify_relation(devices[manager], devices[device]) is relation:
                 routes.append((device, [manager]))
@@ -833,6 +833,12 @@ class SimulationEngine:
 
     def _snapshot_positions(self, now: float) -> None:
         self.log.extend(now, "pos", np.arange(len(self.ids)), self.positions[:, 0], self.positions[:, 1])
+
+
+def _pair_position(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """The position in `_pairs` of each pair (i, j) of n devices, i != j in either order; shapes broadcast."""
+    low, high = np.minimum(i, j), np.maximum(i, j)  # the upper triangle's rows before `low` hold low*(2n-low-1)/2
+    return low * (2 * n - low - 1) // 2 + high - low - 1
 
 
 def _interaction_outcomes(

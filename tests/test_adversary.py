@@ -1,6 +1,7 @@
 import csv
 import random
 
+import numpy as np
 import pytest
 
 from siotrust.adversary import (
@@ -36,8 +37,16 @@ def build_world(manager_count=2, victim_count=3):
     return frozenset(m.id for m in managers), managers, victims, attacker
 
 
-def make_engine(manager_ids, attacker, seed=7, **kw):
-    return AttackerEngine(attacker, AttackerProfile(**kw), manager_ids, random.Random(seed))
+def make_engine(manager_ids, attacker, seed=7, observable=(), **kw):
+    """An engine whose observation row, unset, spans `observable`."""
+    row = np.zeros(len(observable), dtype=bool)
+    return AttackerEngine(attacker, AttackerProfile(**kw), manager_ids, random.Random(seed), list(observable), row)
+
+
+def observe(engine, devices):
+    """Mark `devices` in the engine's observation row, as the simulation does for those in radius."""
+    ids = {d.id for d in devices}
+    engine.observed |= [d.id in ids for d in engine.observable]
 
 
 class TestProfile:
@@ -92,29 +101,29 @@ class TestFabrication:
         assert minted.source is IdentitySource.FABRICATED
 
     def test_forged_sets_come_from_observation(self):
-        manager_ids, _, victims, attacker = build_world()
-        engine = make_engine(manager_ids, attacker, forged_set_size=2)
-        engine.observe(victims)
+        manager_ids, managers, victims, attacker = build_world(victim_count=4)
+        engine = make_engine(manager_ids, attacker, forged_set_size=2, observable=victims + managers)
+        observe(engine, victims[:3])  # v3 is observable but never in radius
         minted = engine.fabricate_identity()
         assert len(minted.friends) == 2
-        assert minted.friends <= engine.observed_devices
+        assert minted.friends <= {"v0", "v1", "v2"}
         assert len(minted.interests) == 2
-        assert minted.interests <= engine.observed_interests
+        assert minted.interests <= {"hobby-0", "hobby-1", "hobby-2"}
 
     def test_forgery_is_seed_stable(self):
         draws = []
         for _ in range(2):
             manager_ids, _, victims, attacker = build_world()
-            engine = make_engine(manager_ids, attacker, seed=11, forged_set_size=2)
-            engine.observe(victims)
+            engine = make_engine(manager_ids, attacker, seed=11, forged_set_size=2, observable=victims)
+            observe(engine, victims)
             minted = engine.fabricate_identity()
             draws.append((sorted(minted.friends), sorted(minted.interests)))
         assert draws[0] == draws[1]
 
     def test_zero_size_forges_nothing(self):
         manager_ids, _, victims, attacker = build_world()
-        engine = make_engine(manager_ids, attacker, forged_set_size=0)
-        engine.observe(victims)
+        engine = make_engine(manager_ids, attacker, forged_set_size=0, observable=victims)
+        observe(engine, victims)
         minted = engine.fabricate_identity()
         assert minted.friends == set() and minted.interests == set()
 
@@ -245,12 +254,15 @@ class TestMultiSchedule:
 class TestInRange:
     """An attempt is handed one list: the devices in radius, nearest first."""
 
-    def test_attempt_observes_the_devices_it_is_handed(self):
+    def test_attempt_forges_from_the_row_not_the_list(self):
+        # the simulation observes; an attempt reads only what the row marks
         manager_ids, managers, victims, attacker = build_world()
-        engine = make_engine(manager_ids, attacker, identity_source=IdentitySource.FABRICATED)
-        engine.attempt(0.0, victims + managers)
-        assert engine.observed_devices == {d.id for d in victims + managers}
-        assert engine.observed_interests == {"hobby-0", "hobby-1", "hobby-2"}
+        engine = make_engine(manager_ids, attacker, identity_source=IdentitySource.FABRICATED, forged_set_size=3,
+                             observable=victims + managers)
+        observe(engine, victims[:1])
+        identity, _ = engine.attempt(0.0, victims + managers)
+        assert engine.observed.tolist() == [True, False, False, False, False]
+        assert (identity.friends, identity.interests) == ({"v0"}, {"hobby-0"})
 
     @pytest.mark.parametrize("behavior", list(AttackBehavior))
     def test_targets_the_nearest_device_in_the_manager_set(self, behavior):

@@ -7,12 +7,12 @@ from hypothesis import example, given, strategies as st
 
 from siotrust.community import (
     Community,
+    SimilarityColumns,
     SimilarityWeights,
     community_similarity,
     form_communities,
     jaccard,
     pairwise_similarity,
-    similarity_matrix,
     write_communities_csv,
 )
 from siotrust.social import ConfigError, Device, DeviceClass, context_for
@@ -104,7 +104,7 @@ class TestSimilarityMatrix:
     def test_equals_pairwise_similarity_bit_for_bit(self, rows, columns, weights):
         row_profiles = [make(f"r{k}", *sets) for k, sets in enumerate(rows)]
         column_profiles = [make(f"c{k}", *sets) for k, sets in enumerate(columns)]
-        got = similarity_matrix(row_profiles, column_profiles, weights)
+        got = SimilarityColumns(column_profiles, weights).rows(row_profiles)
         assert got.shape == (len(rows), len(columns)) and got.dtype == np.float64
         want = [[pairwise_similarity(r, c, weights) for c in column_profiles] for r in row_profiles]
         assert bits(got.tolist()) == bits(want)

@@ -182,8 +182,8 @@ def test_exchange_and_store_sizes_match_their_pins(name):
     received = []
     rebuild = engine._rebuild_recommendations
 
-    def recording():
-        rebuild()
+    def recording(*args):
+        rebuild(*args)
         received.append(len(engine.rec_cache))
 
     engine._rebuild_recommendations = recording

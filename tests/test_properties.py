@@ -3,6 +3,8 @@
 Each example runs one seed through the batch entry point and reads its
 outputs back: every admission follows a grant, log time never goes
 backwards, and the decision CSV recounts to the run's confusion counters.
+The scenarios draw forged sets of 0 or 3 and deny streaks of 1 or 3, so
+fabrications read the attackers' observation rows.
 """
 
 import csv
@@ -23,6 +25,8 @@ scenarios = st.builds(
     duration=st.integers(1, 90).map(float),
     behavior=st.sampled_from(AttackBehavior),
     identity_source=st.sampled_from([IdentitySource.STOLEN, IdentitySource.FABRICATED]),
+    forged_set_size=st.sampled_from([0, 3]),
+    deny_streak_limit=st.sampled_from([1, 3]),
     context_kind=st.sampled_from(sorted(DEFAULT_BASE_RATES)),
     relation=st.sampled_from(RelationType),
     seed=st.integers(0, 2**32 - 1),

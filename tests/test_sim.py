@@ -4,6 +4,7 @@ import gc
 import io
 import math
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -13,13 +14,20 @@ from hypothesis import given, strategies as st
 from siotrust import record
 from siotrust.adversary import AttackBehavior, AttackerEngine
 from siotrust.metrics import CHUNK_LINES, ConfusionCounters
-from siotrust.community import Community, SimilarityWeights, community_similarity, pairwise_similarity
+from siotrust.community import (
+    Community,
+    SimilarityColumns,
+    SimilarityWeights,
+    community_similarity,
+    pairwise_similarity,
+)
 from siotrust.sim import (
     SHARED_HOME,
     EventLog,
     ScenarioConfig,
     SimulationEngine,
     _interaction_outcomes,
+    _pair_position,
     _StaticSimilarity,
     run_scenario,
 )
@@ -612,6 +620,20 @@ def reference_matrix(positions):
     return dx * dx + dy * dy
 
 
+def block_reference(engine, rows, columns=slice(None)):
+    """Squared distances from each device in `rows` to each in `columns`: the block kernel the pair vector replaced."""
+    x = engine.positions[:, 0]
+    y = engine.positions[:, 1]
+    dx = x[rows, None] - x[None, columns]
+    dy = y[rows, None] - y[None, columns]
+    return dx * dx + dy * dy
+
+
+def nearest_managers_reference(engine, devices):
+    """Each device's nearest manager from a block of its rows against the managers."""
+    return engine.manager_indices[np.argmin(block_reference(engine, devices, engine.manager_indices), axis=1)]
+
+
 def reference_in_range(engine, device_index, sq_dist, mask):
     """The scalar ordering: hits under `mask` other than the device, by (distance, id)."""
     row = sq_dist[device_index]
@@ -649,11 +671,21 @@ class TestPairKernel:
         near = np.flatnonzero(got <= radius_sq)
         want_i, want_j = np.nonzero(np.triu(matrix <= radius_sq, k=1))
         assert (ii[near].tolist(), jj[near].tolist()) == (want_i.tolist(), want_j.tolist())
-        # the row blocks hold the same entries, and the nearest manager is the row's first minimum
-        assert world._block(np.arange(n)).tolist() == matrix.tolist()
-        managers = world.manager_indices
-        nearest = world._nearest_managers(np.arange(n)).tolist()
-        assert nearest == [managers[int(np.argmin(matrix[i, managers]))] for i in range(n)]
+        # the attackers' rows hold the matrix entries, and the nearest manager is the row's first minimum
+        block = np.ix_(world.attacker_indices, np.flatnonzero(world.legit_mask))
+        assert got[world._attacker_pairs].tolist() == matrix[block].tolist()
+        managers, others = world.manager_indices, np.flatnonzero(~world.manager_mask)
+        nearest = world._nearest_managers(got, others).tolist()
+        assert nearest == [managers[int(np.argmin(matrix[i, managers]))] for i in others.tolist()]
+
+    @given(n=st.integers(2, 80))
+    def test_a_pair_position_is_its_place_in_the_pairs(self, n):
+        ii, jj = SimulationEngine._pairs.func(types.SimpleNamespace(ids=range(n)))
+        assert _pair_position(ii, jj, n).tolist() == list(range(n * (n - 1) // 2))
+        # every pair i != j, in either order
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        k = _pair_position(i, j, n)
+        assert (ii[k].tolist(), jj[k].tolist()) == (np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
 
     def test_the_radius_itself_is_in_range(self):
         # d001, d002 and d003 sit at 225.0, 225.1 and 224.9 from d000; every
@@ -680,7 +712,7 @@ def two_list_ranges(engine):
     Per attacker: (legitimate devices in radius, the managers among them),
     both nearest first, ties by id.
     """
-    block = engine._block(engine.attacker_indices)
+    block = block_reference(engine, engine.attacker_indices)
     rows, columns = np.nonzero(engine.legit_mask & (block <= engine.cfg.interaction_radius**2))
     order = np.lexsort((columns, block[rows, columns], rows))
     rows, columns = rows[order], columns[order]
@@ -707,7 +739,7 @@ class TestInRange:
     def test_order_equals_the_distance_id_sort(self, world, positions):
         world.positions = positions
         matrix = reference_matrix(positions)
-        ranges = world._attacker_ranges()
+        ranges = world._attacker_ranges(world._squared_distances())
         assert_one_list_equals_two(world, ranges)
         for index, in_range in zip(world.attacker_indices.tolist(), ranges):
             assert in_range == reference_in_range(world, index, matrix, world.legit_mask)
@@ -717,21 +749,37 @@ class TestInRange:
     @pytest.mark.parametrize("source", [IdentitySource.STOLEN, IdentitySource.FABRICATED])
     @pytest.mark.parametrize("behavior", [AttackBehavior.CHURN, AttackBehavior.MULTI])
     def test_every_tick_equals_the_two_list_reference(self, behavior, source):
+        """The block kernel's in-range lists and nearest managers, and the observe loop's sets, on every tick."""
         config = ScenarioConfig(node_count=40, duration=300.0, seed=3, behavior=behavior, identity_source=source,
                                 forged_set_size=3, deny_streak_limit=1)
         engine = SimulationEngine(config)
-        ranges = engine._attacker_ranges
-        managers_seen = []
+        ranges, nearest = engine._attacker_ranges, engine._nearest_managers
+        managers_seen, picks = [], []
+        observed = {e.device.id: (set(), set()) for e in engine.engines}
 
-        def checked():
-            got = ranges()
+        def checked(sq_dist):
+            got = ranges(sq_dist)
             assert_one_list_equals_two(engine, got)
             managers_seen.append(sum(d.id in engine.managers for in_range in got for d in in_range))
+            for attacker, in_range in zip(engine.engines, got):
+                devices, interests = observed[attacker.device.id]
+                observe_loop(devices, interests, in_range)
+                seen = engine.legit_devices[attacker.observed].tolist()
+                assert {d.id for d in seen} == devices
+                assert set().union(*(d.interests for d in seen)) == interests
+            return got
+
+        def checked_nearest(sq_dist, devices):
+            got = nearest(sq_dist, devices)
+            assert got.tolist() == nearest_managers_reference(engine, devices).tolist()
+            picks.append(len(devices))
             return got
 
         engine._attacker_ranges = checked
+        engine._nearest_managers = checked_nearest
         engine.run()
-        assert len(managers_seen) == 300 and any(managers_seen)
+        assert len(managers_seen) == 300 and any(managers_seen) and sum(picks) > 0
+        assert all(devices for devices, _ in observed.values())
 
 
 def scalar_outcome(draw, subject_is_attacker, p_positive_legit, p_negative_attacker):
@@ -895,33 +943,50 @@ def test_acquisition_lines_name_each_attackers_pool(behavior, source):
     assert sum(map(len, logged.values())) > len(logged)
 
 
-def observe_every_time(self, devices_in_radius):
-    """The observe loop before already observed devices were skipped."""
-    for dev in devices_in_radius:
-        self.observed_devices.add(dev.id)
-        self.observed_interests.update(dev.interests)
+def observe_loop(devices, interests, in_range):
+    """The per-device observe loop the mask replaced: add each device's id and interests to the sets."""
+    for dev in in_range:
+        if dev.id not in devices:
+            devices.add(dev.id)
+            interests.update(dev.interests)
 
 
 def test_observing_each_device_once_gathers_the_same_sets(monkeypatch):
     # fabricated identities forge their sets from what was observed, so the
-    # forged sets and the log read the observations
+    # forged sets and the log read the observations; the reference observes
+    # in `attempt` into sets and forges from the sets
     config = ScenarioConfig(node_count=40, duration=300.0, identity_source=IdentitySource.FABRICATED,
                             forged_set_size=3, seed=2)
-    skipping = SimulationEngine(config)
-    skipped = skipping.run()
-    monkeypatch.setattr(AttackerEngine, "observe", observe_every_time)
-    every = SimulationEngine(config)
-    assert every.run().log.text() == skipped.log.text()
+    masked = SimulationEngine(config)
+    masked_run = masked.run()
+    attempt = AttackerEngine.attempt
 
-    def observations(engine):
-        return {e.device.id: (e.observed_devices, e.observed_interests) for e in engine.engines}
+    def observing_attempt(self, now, in_range):
+        observe_loop(self.__dict__.setdefault("loop_devices", set()),
+                     self.__dict__.setdefault("loop_interests", set()), in_range)
+        return attempt(self, now, in_range)
+
+    def forging_from_the_sets(self):
+        k = self.profile.forged_set_size
+        identity = Identity(f"fab-{self.device.id}-{len(self.pool)}", self._forge(self.loop_devices, k),
+                            self._forge(self.loop_interests, k), IdentitySource.FABRICATED)
+        self.pool.append(identity)
+        return identity
+
+    monkeypatch.setattr(AttackerEngine, "attempt", observing_attempt)
+    monkeypatch.setattr(AttackerEngine, "fabricate_identity", forging_from_the_sets)
+    looped = SimulationEngine(config)
+    assert looped.run().log.text() == masked_run.log.text()
 
     def forged(engine):
         return {i.id: (i.friends, i.interests) for e in engine.engines for i in e.pool}
 
-    assert observations(skipping) == observations(every)
-    assert forged(skipping) == forged(every)
-    assert any(friends and interests for friends, interests in forged(every).values())
+    for mask_engine, loop_engine in zip(masked.engines, looped.engines):
+        seen = masked.legit_devices[mask_engine.observed].tolist()
+        assert {d.id for d in seen} == loop_engine.loop_devices
+        assert set().union(*(d.interests for d in seen)) == loop_engine.loop_interests
+    assert forged(masked) == forged(looped)
+    assert any(friends and interests for friends, interests in forged(masked).values())
 
 
 class TestRecordFootprint:
@@ -1093,6 +1158,21 @@ class TestStaticSimilarity:
         assert similarity.community_mean("d0", alone) == community_similarity(roster["d0"], alone, roster) > 0.0
         assert similarity.community_mean("d2", pair) == community_similarity(roster["d2"], pair, roster)
         assert similarity.pair("d0", "d2") == pairwise_similarity(roster["d0"], roster["d2"])
+
+    def test_one_column_index_per_run(self, monkeypatch):
+        built = []
+        init = SimilarityColumns.__init__
+
+        def counting(self, *args):
+            built.append(len(args[0]))
+            init(self, *args)
+
+        monkeypatch.setattr(SimilarityColumns, "__init__", counting)
+        engine = SimulationEngine(ScenarioConfig(node_count=40, duration=300.0, seed=2,
+                                                 identity_source=IdentitySource.FABRICATED, forged_set_size=3))
+        engine.run()
+        assert len(engine.similarity._rows) > 1  # fabricated ids took their own rows
+        assert built == [len(engine.legit_ids)]
 
     def test_the_matrix_waits_for_the_first_epoch(self):
         engine = SimulationEngine(ScenarioConfig(node_count=30, duration=20.0, seed=5))

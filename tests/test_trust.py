@@ -193,7 +193,7 @@ class TestRecommendation:
         engine.store.record_experience("d001", "x", "positive")
         engine.store.record_experience("d002", "x", "negative")
         engine.store.record_experience("adv00", "x", "negative")  # attackers never send
-        engine._rebuild_recommendations()
+        engine._rebuild_recommendations(engine._squared_distances())
         received = as_dict(engine.rec_cache, engine.log.symbols)
         assert received[("d000", "x")] == Opinion(1, 0, base).expected_value()
         assert ("d001", "x") not in received
@@ -210,7 +210,7 @@ class TestRecommendation:
         # under the por filter no legitimate pair qualifies as a sender
         engine = small_engine(relation=RelationType.POR, context_kind="park")
         engine.store.record_experience("d001", "d010", "positive")
-        engine._rebuild_recommendations()
+        engine._rebuild_recommendations(engine._squared_distances())
         assert len(engine.rec_cache) == 0
         request = AccessRequest(0.0, "d010", "d010", "d000")
         assert engine._adjudicate(request).assessment.recommended == 0.2
