@@ -8,7 +8,6 @@ detection metrics and trust distributions.
 
 from .adversary import AttackBehavior, AttackerEngine, AttackerProfile
 from .authn import (
-    AccessDecision,
     AccessGate,
     AccessRequest,
     AdmissionError,
@@ -68,7 +67,6 @@ from .trust import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessDecision",
     "AccessGate",
     "AccessRequest",
     "AdmissionError",

@@ -1,13 +1,14 @@
 """Threshold admission control run by manager nodes.
 
-A request presents an identity to a manager; the manager blends its own
-opinion (D), the presented profile's similarity to the manager's community
-(S) and filtered recommendations (R) into overall trust, then grants
-strictly above the trust threshold. The gate only decides: the caller
-gathers D, S and R and hands them over as values. A grant must precede
-admission; admitting the same identity through a second device is an
-identity conflict, which is surfaced to the caller as an observation rather
-than acted on directly (trust is the only verdict path).
+A request presents an identity to a manager. The caller assesses it,
+blending the manager's own opinion (D), the presented profile's similarity
+to the manager's community (S) and filtered recommendations (R) into
+overall trust T, and hands T to the gate. The gate only decides: it grants
+strictly above the trust threshold and keeps the books, the grant ledger,
+the member roster and the decision log. A grant must precede admission;
+admitting the same identity through a second device is an identity
+conflict, which is surfaced to the caller as an observation rather than
+acted on directly (trust is the only verdict path).
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-from .community import community_similarity  # noqa: F401  the gate is handed S; perfbench times this name
-from .social import RelationType
-from .trust import TrustAssessment, assess
+from .community import community_similarity  # noqa: F401  the gate is handed T; perfbench times this name
+from .trust import assess  # noqa: F401  the engine assesses; perfbench counts calls here
 
 
 class RoutingError(Exception):
@@ -51,12 +51,6 @@ class AccessRequest:
 
 
 @dataclass(frozen=True)
-class AccessDecision:
-    verdict: Verdict
-    assessment: TrustAssessment
-
-
-@dataclass(frozen=True)
 class DecisionRecord:
     """One adjudication, as logged to the decision CSV; `presenter` is the requesting device."""
 
@@ -80,23 +74,21 @@ class DecisionRecord:
 class AccessGate:
     """Admission control over one scenario's manager set, given as device ids.
 
-    The gate decides and keeps the books: it blends the D, S and R it is
-    handed as values, applies the threshold, logs the decision, and owns
-    the grant ledger and the member roster. It sources no evidence; the
-    simulation engine gathers all three.
+    The gate decides and keeps the books: it applies the threshold to the
+    T it is handed, logs the decision, and owns the grant ledger and the
+    member roster. It sources no evidence; the simulation engine gathers
+    D, S and R and makes the assessment.
     """
 
     def __init__(
         self,
         managers: frozenset[str],
-        relation_filter: RelationType,
         trust_threshold: float = 0.6,
         attacker_devices: frozenset[str] = frozenset(),
     ) -> None:
         if not 0.0 <= trust_threshold <= 1.0:
             raise ValueError(f"trust threshold out of range: {trust_threshold}")
         self.managers = managers
-        self.relation_filter = relation_filter
         self.trust_threshold = trust_threshold
         self.attacker_devices = attacker_devices  # the engine's set; marks decisions, never reaches the verdict
         self._grants: set[tuple[str, str]] = set()
@@ -104,47 +96,29 @@ class AccessGate:
         self.members: dict[str, set[str]] = {}
         self.decisions: list[DecisionRecord] = []
 
-    # -- membership queries -------------------------------------------------
-
-    def is_member(self, identity: str) -> bool:
-        return identity in self.members
-
     def bootstrap_member(self, identity: str, presenter: str) -> None:
         """Seed a member without a grant (manager mesh at scenario start)."""
         self.members.setdefault(identity, set()).add(presenter)
 
-    # -- evaluation ---------------------------------------------------------
-
-    def evaluate(
-        self, request: AccessRequest, direct: float, similarity: float, recommended: float
-    ) -> AccessDecision:
-        """Adjudicate one request on the given D, S and R, and log the decision."""
+    def evaluate(self, request: AccessRequest, trust: float) -> DecisionRecord:
+        """Grant strictly above the threshold; book the grant and the decision, and return the decision."""
         manager = request.target_manager
         if manager not in self.managers:
             raise RoutingError(f"target {manager!r} is not a manager")
-
-        split = "internal" if self.is_member(request.identity) else "external"
-        assessment = assess(
-            request.time, manager, request.identity, self.relation_filter,
-            direct, similarity, recommended, split,
-        )
-        if assessment.trust > self.trust_threshold:
-            verdict = Verdict.GRANT
+        verdict = Verdict.GRANT if trust > self.trust_threshold else Verdict.DENY
+        if verdict is Verdict.GRANT:
             self._grants.add((request.identity, manager))
-        else:
-            verdict = Verdict.DENY
-        self.decisions.append(
-            DecisionRecord(
-                time=request.time,
-                manager=manager,
-                identity=request.identity,
-                attacker=request.presenter in self.attacker_devices,
-                verdict=verdict,
-                trust=assessment.trust,
-                presenter=request.presenter,
-            )
+        record = DecisionRecord(
+            time=request.time,
+            manager=manager,
+            identity=request.identity,
+            attacker=request.presenter in self.attacker_devices,
+            verdict=verdict,
+            trust=trust,
+            presenter=request.presenter,
         )
-        return AccessDecision(verdict=verdict, assessment=assessment)
+        self.decisions.append(record)
+        return record
 
     # -- admission ----------------------------------------------------------
 

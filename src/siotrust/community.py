@@ -9,6 +9,8 @@ strictly exceeds the threshold.
 from __future__ import annotations
 
 import csv
+import functools
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Protocol, Sequence
@@ -24,6 +26,11 @@ class SocialProfile(Protocol):
     id: str
     friends: set[str]
     interests: set[str]
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """Left to right from 0, as `sum` adds floats up to Python 3.11; from 3.12 `sum` compensates."""
+    return functools.reduce(operator.add, values, 0)
 
 
 def jaccard(a: set[str] | frozenset[str], b: set[str] | frozenset[str]) -> float:
@@ -170,7 +177,7 @@ def community_similarity(
     others = [m for m in community.members if m != subject.id]
     if not others:
         return 0.0
-    total = sum(pairwise_similarity(subject, roster[m], weights) for m in others)
+    total = sum_in_order(pairwise_similarity(subject, roster[m], weights) for m in others)
     return total / len(others)
 
 

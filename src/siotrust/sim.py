@@ -48,13 +48,14 @@ from typing import Any, Mapping, TextIO
 import numpy as np
 
 from .adversary import AttackBehavior, AttackerEngine, AttackerProfile
-from .authn import AccessGate, AccessRequest, DecisionRecord, Verdict
+from .authn import AccessGate, AccessRequest, DecisionRecord
 from .community import (
     Community,
     SimilarityWeights,
     SimilarityColumns,
     pairwise_similarity,  # noqa: F401  S comes from SimilarityColumns; perfbench counts this name
     partition_by_similarity,
+    sum_in_order,
 )
 from .dataset import FriendshipGraph, load_friendship_edges, sample_subgraph, synthetic_small_world
 from .metrics import ConfusionCounters, MetricsReport
@@ -75,7 +76,7 @@ from .trust import (
     AssessmentTable,
     OpinionStore,
     Recommendations,
-    assess,  # noqa: F401  the engine assesses in arrays; perfbench counts scalar calls here
+    assess,
     exchange_recommendations,
     overall_trust_array,
 )
@@ -268,7 +269,7 @@ class _StaticSimilarity:
     from the identity its attacker pooled, which the engine puts in
     `fabricated` when it logs the fabrication.
     Both take their rows against one index of the legitimate devices' sets.
-    A mean is a Python `sum` over a row, so it equals `community_similarity`.
+    A mean is `sum_in_order` over a row, so it equals `community_similarity`.
     """
 
     def __init__(self, weights: SimilarityWeights, legit: list[Device]) -> None:
@@ -303,7 +304,7 @@ class _StaticSimilarity:
         found = self._means.get(key)
         if found is None:
             others = [self._index[m] for m in community.members if m != identity_id]
-            found = sum(self.row(identity_id)[others].tolist()) / len(others) if others else 0.0
+            found = sum_in_order(self.row(identity_id)[others].tolist()) / len(others) if others else 0.0
             self._means[key] = found
         return found
 
@@ -389,7 +390,6 @@ class SimulationEngine:
 
         self.gate = AccessGate(
             managers=self.managers,
-            relation_filter=config.relation,
             trust_threshold=config.trust_threshold,
             attacker_devices=self.attackers,
         )
@@ -613,32 +613,33 @@ class SimulationEngine:
                 )
             decision = self._adjudicate(AccessRequest(now, identity.id, attacker_id, target.id))
             held = len(engine.pool)
-            engine.notify(decision.verdict is Verdict.GRANT, in_range)
+            engine.notify(decision.granted, in_range)
             self._log_acquisitions(engine, held, now)
 
-    def _adjudicate(self, request: AccessRequest):
-        """Gather D, S and R (R as in monitoring), let the gate decide, log and admit."""
+    def _adjudicate(self, request: AccessRequest) -> DecisionRecord:
+        """Assess a request and let the gate decide on its T; log the decision, and admit on a grant.
+
+        D, S and R are gathered as in monitoring. The row is split internal
+        when the presented identity is already on the roster.
+        """
         manager, subject = request.target_manager, request.identity
         find = self.log.symbols.find
-        decision = self.gate.evaluate(
-            request,
-            direct=self.store.direct_trust(manager, subject),
-            similarity=self._request_similarity(subject, manager),
-            recommended=self.rec_cache.received(find(manager), [find(subject)], self.store.base_rate)[0].item(),
+        assessment = assess(
+            request.time, manager, subject, self.cfg.relation,
+            self.store.direct_trust(manager, subject),
+            self._request_similarity(subject, manager),
+            self.rec_cache.received(find(manager), [find(subject)], self.store.base_rate)[0].item(),
+            "internal" if subject in self.gate.members else "external",
         )
-        self.assessments.append(*decision.assessment)
-        kind = "attacker" if self.gate.decisions[-1].attacker else "legit"
-        verdict = "grant" if decision.verdict is Verdict.GRANT else "deny"
+        decision = self.gate.evaluate(request, assessment.trust)
+        self.assessments.append(*assessment)
         self.log.append(
-            request.time, "decision", request.target_manager, request.identity, request.presenter,
-            kind, verdict, decision.assessment.trust, decision.assessment.split,
+            request.time, "decision", manager, subject, request.presenter,
+            "attacker" if decision.attacker else "legit", decision.verdict.value, decision.trust, assessment.split,
         )
-        if decision.verdict is Verdict.GRANT:
-            conflicts = self.gate.admit(request.identity, request.target_manager, request.presenter)
-            self.log.append(
-                request.time, "admit", request.identity, request.target_manager, request.presenter,
-                "|".join(conflicts) or "-",
-            )
+        if decision.granted:
+            conflicts = self.gate.admit(subject, manager, request.presenter)
+            self.log.append(request.time, "admit", subject, manager, request.presenter, "|".join(conflicts) or "-")
         return decision
 
     def _log_acquisitions(self, engine: AttackerEngine, held: int, now: float) -> None:
@@ -808,11 +809,12 @@ class SimulationEngine:
         These assessments feed the trust trace and the in-network side of
         the ESR split. Membership itself is not revisited. Each manager's
         D, S and R are taken over the sorted members at once, blended as
-        arrays and appended to the assessment columns: D for all managers
-        comes from one read of the opinion store, S is computed once per
-        community, since it does not depend on the manager, and R is one
-        read of the manager's row of the exchange. Members and managers go
-        by id-table code; a manager's index is its code.
+        arrays and appended to the assessment columns: D is one gather of
+        the store's manager x member cells, never the whole store, S is
+        computed once per community, since it does not depend on the
+        manager, and R is one read of the manager's row of the exchange.
+        Members and managers go by id-table code; a manager's index is its
+        code.
         """
         base = self.store.base_rate
         code = self.log.symbols.code

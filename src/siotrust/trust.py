@@ -79,10 +79,11 @@ class OpinionStore:
     (`record.Symbols`; the engine passes the run's own): the counts are one
     int64 array indexed `[negative/positive, evaluator code, subject code]`.
     Its used extent grows to cover the highest code written on each axis,
-    and an axis's capacity at least doubles when that extent outgrows it; so a
+    and an axis's capacity at least doubles when that extent reaches it; so a
     batch of experiences is one `np.add.at`, and a read of the whole store
-    is a view. Reads take -1 (an id the table does not hold) or a code
-    beyond the extent as an id with no evidence.
+    is a view. Each axis keeps a spare row or column past its extent, never
+    written, so a read of -1 (an id the table does not hold) or of a code
+    at or beyond the extent finds zero counts: an id with no evidence.
     An entry is held, i.e. an opinion exists, once it has any evidence;
     every write adds some, so held is `positive + negative > 0` and a zero
     entry reads exactly like an absent one. Vectorised expected values use
@@ -107,10 +108,8 @@ class OpinionStore:
 
     def get(self, evaluator: str, subject: str) -> Opinion | None:
         """A copy of the held opinion, or None when there is no evidence."""
-        row, column = self.symbols.find(evaluator), self.symbols.find(subject)
         rows, columns = self._extent
-        if not (0 <= row < rows and 0 <= column < columns):
-            return None
+        row, column = min(self.symbols.find(evaluator), rows), min(self.symbols.find(subject), columns)
         negative, positive = self._counts[:, row, column].tolist()
         if positive == 0 and negative == 0:
             return None
@@ -136,8 +135,8 @@ class OpinionStore:
         codes = [np.asarray(axis, dtype=np.intp) for axis in (evaluators, subjects)]
         self._extent = tuple(max(used, int(axis.max(initial=-1)) + 1) for used, axis in zip(self._extent, codes))
         capacity = self._counts.shape[1:]
-        if any(used > have for used, have in zip(self._extent, capacity)):
-            grown = np.zeros((2, *(have if used <= have else max(used, 2 * have)
+        if any(used >= have for used, have in zip(self._extent, capacity)):
+            grown = np.zeros((2, *(have if used < have else max(used + 1, 2 * have)
                                    for used, have in zip(self._extent, capacity))), dtype=np.int64)
             grown[:, : capacity[0], : capacity[1]] = self._counts
             self._counts = grown
@@ -156,24 +155,27 @@ class OpinionStore:
         negative, positive = self._counts[:, :rows, :columns]
         return positive, negative
 
-    def expected_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """(E, held) over the whole store, E bit-equal to Opinion.expected_value.
+    def _expected(self, positive: np.ndarray, mass: np.ndarray) -> np.ndarray:
+        """E elementwise from counts and mass = positive + negative + 2, bit-equal to Opinion.expected_value.
 
         E is computed as `positive/mass + a*(2/mass)`, the same operations in
-        the same order as `Opinion.components` and `expected_value`; entries
-        that are not held carry the vacuous value and must be masked.
+        the same order as `Opinion.components` and `expected_value`; an
+        entry with no evidence reads 0/2 + a*(2/2), the base rate itself.
         """
+        return positive / mass + self.base_rate * (2 / mass)
+
+    def expected_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """(E, held) over the whole store; entries that are not held carry the vacuous value and must be masked."""
         positive, negative = self._evidence()
         mass = positive + negative + 2
-        return positive / mass + self.base_rate * (2 / mass), mass > 2
+        return self._expected(positive, mass), mass > 2
 
     def direct_trust_matrix(self, evaluators: np.ndarray, subjects: np.ndarray) -> np.ndarray:
-        """direct_trust for every (evaluator code, subject code) pair, as one float matrix."""
-        expected, held = self.expected_values()
-        rows, columns = held.shape
-        # one extra vacuous row and column, which -1 and codes beyond the extent index
-        trust = np.pad(np.where(held, expected, self.base_rate), (0, 1), constant_values=self.base_rate)
-        return trust[np.ix_(np.minimum(evaluators, rows), np.minimum(subjects, columns))]
+        """direct_trust for every (evaluator code, subject code) pair, gathering only those cells."""
+        rows, columns = self._extent  # -1 and codes at or past the extent read a spare, zero row or column
+        cells = np.ix_(np.minimum(evaluators, rows), np.minimum(subjects, columns))
+        negative, positive = self._counts[:, cells[0], cells[1]]
+        return self._expected(positive, positive + negative + 2)
 
     def by_evaluator(self) -> dict[str, dict[str, Opinion]]:
         """Every held opinion as a copy, grouped by evaluator, both levels sorted."""
@@ -212,8 +214,8 @@ def exchange_recommendations(store: OpinionStore, routes: Sequence[tuple[int, Se
       - no matrix product or reduction: their summation order differs and
         moves some means by one ulp.
     """
-    expected, held = store.expected_values()
-    sent = np.where(held, expected, 0.0)
+    sent, held = store.expected_values()
+    sent[~held] = 0.0  # E is a fresh array: what a sender does not hold adds nothing
     receivers = 1 + max((r for _, targets in routes for r in targets), default=-1)
     sums = np.zeros((receivers, held.shape[1]))
     counts = np.zeros(sums.shape, dtype=np.int64)

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import pytest
 
@@ -13,7 +14,7 @@ from siotrust.authn import (
 from siotrust.community import community_similarity
 from siotrust.sim import ScenarioConfig, SimulationEngine
 from siotrust.social import RelationType
-from siotrust.trust import Opinion
+from siotrust.trust import Opinion, TrustAssessment, assess
 
 
 MANAGERS = frozenset({"m0", "m1"})  # "s0" is a subordinate
@@ -24,59 +25,100 @@ def request(identity, manager="m0", time=0.0, presenter=None):
 
 
 def make_gate(**kw):
-    return AccessGate(MANAGERS, RelationType.CLOR, **kw)
+    return AccessGate(MANAGERS, **kw)
+
+
+def assessed(gate, presented, direct, similarity, recommended):
+    """Blend D, S and R under CLOR as the engine does, and hand the gate T."""
+    trust = assess(presented.time, presented.target_manager, presented.identity, RelationType.CLOR,
+                   direct, similarity, recommended).trust
+    return gate.evaluate(presented, trust)
 
 
 def vacuous(gate, presented, base_rate=1.0):
     """Evaluate with no evidence at all: D, S and R all at the base rate."""
-    return gate.evaluate(presented, base_rate, base_rate, base_rate)
+    return assessed(gate, presented, base_rate, base_rate, base_rate)
+
+
+def small_engine():
+    """A 30-node world before its first epoch: no community yet, so S is the base rate."""
+    return SimulationEngine(ScenarioConfig(node_count=30, duration=60.0, seed=5))
+
+
+def recording_rows(engine):
+    """Keep each row the engine appends to its assessment columns; only a request appends one."""
+    rows = []
+    append = engine.assessments.append
+
+    def recording(*row):
+        rows.append(TrustAssessment(*row))
+        append(*row)
+
+    engine.assessments.append = recording
+    return rows
 
 
 class TestEvaluate:
     def test_vacuous_world_scores_the_base_rate(self):
         decision = vacuous(make_gate(), request("s0"), base_rate=0.4)
-        assert decision.assessment.trust == pytest.approx(0.4, abs=1e-12)
+        assert decision.trust == pytest.approx(0.4, abs=1e-12)
         assert decision.verdict is Verdict.DENY
 
     def test_high_base_rate_grants(self):
         decision = vacuous(make_gate(), request("s0"), base_rate=1.0)
-        assert decision.assessment.trust == 1.0
-        assert decision.verdict is Verdict.GRANT
+        assert decision.trust == 1.0
+        assert decision.verdict is Verdict.GRANT and decision.granted
 
     def test_threshold_is_strictly_greater(self):
-        decision = vacuous(make_gate(), request("s0"), base_rate=0.6)
-        assert decision.assessment.trust == pytest.approx(0.6)
-        assert decision.verdict is Verdict.DENY
+        for threshold in (0.6, 0.0, 1.0):
+            gate = make_gate(trust_threshold=threshold)
+            at = gate.evaluate(request("s0"), threshold)
+            assert at.trust == threshold and at.verdict is Verdict.DENY
+            with pytest.raises(AdmissionError):
+                gate.admit("s0", "m0", "s0")
+            if threshold < 1.0:
+                above = gate.evaluate(request("s0"), math.nextafter(threshold, 2.0))
+                assert above.verdict is Verdict.GRANT
+                assert gate.admit("s0", "m0", "s0") == ()
 
     def test_only_managers_adjudicate(self):
-        gate = make_gate()
+        gate = make_gate(attacker_devices=frozenset({"adv"}))
         for target in ("s0", "unknown"):
             with pytest.raises(RoutingError):
-                vacuous(gate, request("s0", manager=target))
-        assert gate.decisions == []
+                gate.evaluate(request("s0", manager=target, presenter="adv"), 1.0)
+        # nothing was booked: no decision, no grant, no member
+        assert gate.decisions == [] and gate.members == {}
+        for target in ("s0", "unknown"):
+            with pytest.raises(AdmissionError):
+                gate.admit("s0", target, "adv")
 
     def test_direct_evidence_moves_the_verdict(self):
         gate = make_gate()
         assert vacuous(gate, request("s0"), base_rate=0.5).verdict is Verdict.DENY
         direct = Opinion(30, 0, 0.5).expected_value()
-        decision = gate.evaluate(request("s0"), direct, 0.5, 0.5)
+        decision = assessed(gate, request("s0"), direct, 0.5, 0.5)
         # D = 30/32 + 0.5 * 2/32, S and R vacuous at 0.5
-        assert decision.assessment.trust == pytest.approx(0.35 * 0.96875 + 0.65 * 0.5)
+        assert decision.trust == pytest.approx(0.35 * 0.96875 + 0.65 * 0.5)
         assert decision.verdict is Verdict.GRANT
 
     def test_split_follows_membership(self):
-        gate = make_gate()
-        external = vacuous(gate, request("s0"))
-        assert external.assessment.split == "external"
-        gate.bootstrap_member("s0", "s0")
-        internal = vacuous(gate, request("s0"))
-        assert internal.assessment.split == "internal"
+        # the engine splits a request: internal when the identity is already on the roster
+        engine = small_engine()
+        rows = recording_rows(engine)
+        manager = min(engine.managers)
+        engine._adjudicate(request("d010", manager=manager))
+        engine.gate.bootstrap_member("d011", "d011")
+        engine._adjudicate(request("d011", manager=manager))
+        assert [(row.subject, row.split) for row in rows] == [("d010", "external"), ("d011", "internal")]
+        logged = [line for line in engine.log.text().splitlines() if " decision " in line]
+        assert [line.rsplit("=", 1)[1] for line in logged] == ["external", "internal"]
 
     def test_decision_log_records_attacker_flag(self):
         gate = make_gate(attacker_devices=frozenset({"adv"}))
-        vacuous(gate, request("s0"))
+        first = gate.evaluate(request("s0"), 0.5)
         vacuous(gate, request("s0", presenter="adv"))
         legit, attack = gate.decisions
+        assert first is legit  # evaluate returns the record it books
         assert not legit.attacker and legit.true_device_kind == "legitimate"
         assert attack.attacker and attack.true_device_kind == "attacker"
         assert (legit.presenter, attack.presenter) == ("s0", "adv")
@@ -85,13 +127,14 @@ class TestEvaluate:
 def gate_similarity_samples(overrides):
     """Run a scenario and record every gate evaluation.
 
-    Returns the engine and one (request, the presented profile, S the
-    engine handed the gate, the manager's community at that moment or None,
-    R handed over, the manager's received recommendation or None) sample
-    per evaluation.
+    Returns the engine and one (request, the presented profile, the S the
+    engine assessed, the manager's community at that moment or None, the R
+    assessed, the manager's received recommendation or None) sample per
+    evaluation.
     """
     engine = SimulationEngine(ScenarioConfig.from_mapping({**overrides, "seed": 1}))
     adjudicate, find = engine._adjudicate, engine.log.symbols.find
+    rows = recording_rows(engine)
     samples = []
     attackers = {e.device.id: e for e in engine.engines}
 
@@ -103,7 +146,9 @@ def gate_similarity_samples(overrides):
         subject = [find(presented.identity)]
         cached = engine.rec_cache.received(find(presented.target_manager), subject, -1.0)[0].item()
         decision = adjudicate(presented)
-        assessment = decision.assessment
+        assessment = rows[-1]
+        assert (assessment.evaluator, assessment.subject, assessment.trust) == (
+            presented.target_manager, presented.identity, decision.trust)
         samples.append((presented, profile, assessment.similarity, community, assessment.recommended,
                         None if cached < 0.0 else cached))
         return decision
@@ -124,14 +169,25 @@ def gate_runs():
 
 
 class TestSimilarityHook:
-    """The gate blends the S it is given; the engine hands it the community S."""
+    """The engine blends the community S of the presented identity into the T it hands the gate."""
 
     def test_injected_similarity_sees_request_and_manager(self):
-        presented = request("s0", manager="m1")
-        decision = make_gate().evaluate(presented, 1.0, 0.25, 1.0)
-        assert decision.assessment.evaluator == "m1"
-        assert decision.assessment.similarity == 0.25
-        assert decision.assessment.trust == pytest.approx(0.35 + 0.35 * 0.25 + 0.3)
+        engine = small_engine()
+        rows = recording_rows(engine)
+        asked = []
+
+        def similarity(identity_id, manager_id):
+            asked.append((identity_id, manager_id))
+            return 0.25
+
+        engine._request_similarity = similarity
+        manager = max(engine.managers)
+        decision = engine._adjudicate(request("d010", manager=manager))
+        assert asked == [("d010", manager)]
+        (row,) = rows
+        assert (row.evaluator, row.similarity) == (manager, 0.25)
+        base = engine.store.base_rate  # no evidence and no exchange yet: D and R are the base rate
+        assert row.trust == decision.trust == pytest.approx(0.35 * base + 0.35 * 0.25 + 0.3 * base)
 
     def test_no_community_yet_falls_back_to_base_rate(self, gate_runs):
         for engine, samples in gate_runs:
@@ -156,11 +212,9 @@ class TestSimilarityHook:
 
 
 class TestRecommenderHook:
-    """The gate blends the R it is given; the engine hands it the exchange's R."""
+    """The engine blends the exchange's R into the T it hands the gate."""
 
     def test_injected_cache_wins(self, gate_runs):
-        decision = make_gate().evaluate(request("s0"), 1.0, 1.0, 0.25)
-        assert decision.assessment.recommended == 0.25
         for _, samples in gate_runs:
             received = [(r, cached) for _, _, _, _, r, cached in samples if cached is not None]
             assert received
@@ -186,7 +240,7 @@ class TestMembership:
         gate = make_gate()
         vacuous(gate, request("s0"))
         assert gate.admit("s0", "m0", "s0") == ()
-        assert gate.is_member("s0")
+        assert "s0" in gate.members
         assert gate.members["s0"] == {"s0"}
 
     def test_second_presenter_is_a_conflict(self):

@@ -21,10 +21,11 @@ float twin (`"tick": 1.0, "duration": 120.0`), `t=30.0` and not `t=30`.
 """
 
 import hashlib
+import math
 
 import pytest
 
-from siotrust import ScenarioConfig, SimulationEngine, cli, metrics, record, run_scenario, trust
+from siotrust import ScenarioConfig, SimulationEngine, cli, community, metrics, record, run_scenario, sim, trust
 from siotrust.metrics import CHUNK_LINES, write_esr_csv
 from siotrust.trust import write_trust_trace_csv
 
@@ -120,12 +121,28 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def batch_hashes(name, out) -> dict[str, str]:
+    """Run a golden config's seed 1 through `run_batch` and hash every file but the manifest."""
+    cli.run_batch(ScenarioConfig.from_mapping(GOLDEN[name][0]), [1], out)
+    return {p.name: sha256(p) for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_outputs_match_pinned_hashes(name, tmp_path):
-    overrides, expected = GOLDEN[name]
-    cli.run_batch(ScenarioConfig.from_mapping(overrides), [1], tmp_path)
-    got = {p.name: sha256(p) for p in sorted(tmp_path.iterdir()) if p.name != "manifest.json"}
-    assert got == expected
+    assert batch_hashes(name, tmp_path) == GOLDEN[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_pins_hold_where_sum_compensates(name, tmp_path, monkeypatch):
+    """S adds left to right, so the pins hold on every supported Python.
+
+    From Python 3.12 the builtin `sum` compensates float additions, as
+    `math.fsum` does; with `fsum` standing in for `sum` where S is summed,
+    the bytes must not move.
+    """
+    for module in (sim, community):
+        monkeypatch.setattr(module, "sum", math.fsum, raising=False)
+    assert batch_hashes(name, tmp_path) == GOLDEN[name][1]
 
 
 def test_fabricated_config_mints_identities(tmp_path):

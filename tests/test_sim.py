@@ -842,7 +842,7 @@ class ScalarInteractions(SimulationEngine):
                 ):
                     member[i] = True
                     identity_of[i] = presented.id
-            elif self.gate.is_member(device_id):
+            elif device_id in self.gate.members:
                 member[i] = True
                 identity_of[i] = device_id
         names = self.log.symbols.names
@@ -1027,6 +1027,29 @@ class TestRecordFootprint:
         assert len(long_run.log) > 1.5 * len(short_run.log)
         assert len(long_run.assessments) > 1.5 * len(short_run.assessments)
         assert long == short
+
+
+class TestMonitorMemory:
+    def test_reads_the_manager_by_member_cells_not_the_whole_store(self):
+        engine = SimulationEngine(ScenarioConfig(node_count=30, duration=60.0, seed=5))
+        engine.run()  # communities formed and members on the roster
+        # one opinion far out on both axes: the store is now much wider than the block monitoring reads
+        code = engine.log.symbols.code
+        far = [code(f"far-{k}") for k in range(1200)][-1]
+        engine.store.record_coded([far], [far], np.array([True]))
+        rows, columns = engine.store._extent
+        block = len(engine.managers) * len(engine.gate.members)
+        assert rows * columns > 1000 * block
+        engine._monitor_members(60.0)  # first-use caches outside the measurement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            engine._monitor_members(60.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # a gather of the block and its rows; a whole-store E alone is 8 bytes a cell
+        assert peak < 8 * rows * columns, (peak, rows * columns)
 
 
 class TestStreamedRecordFootprint:

@@ -213,7 +213,8 @@ class TestRecommendation:
         engine._rebuild_recommendations(engine._squared_distances())
         assert len(engine.rec_cache) == 0
         request = AccessRequest(0.0, "d010", "d010", "d000")
-        assert engine._adjudicate(request).assessment.recommended == 0.2
+        engine._adjudicate(request)
+        assert list(engine.assessments)[-1].recommended == 0.2
 
     def test_aggregate_expected_fallback(self):
         store = OpinionStore(base_rate=0.4)
@@ -542,7 +543,7 @@ class TestDenseStore:
     def test_growth_on_one_axis_reads_as_a_store_that_never_grows(self, axis, batches):
         # axis 0 takes evaluator codes up to 199 and subject codes below 8, axis 1 the reverse
         symbols = Symbols()
-        for k in range(200):
+        for k in range(300):  # ids past every capacity reached here, never written
             symbols.code(f"v{k}")
         grown, roomy = OpinionStore(0.4, symbols), OpinionStore(0.4, symbols)
         roomy._counts = np.zeros((2, 256, 256), dtype=np.int64)  # room for every code written here
@@ -566,6 +567,15 @@ class TestDenseStore:
         names = [f"v{k}" for k in range(0, 200, 7)]
         for evaluator, subject in itertools.product(names, names):
             assert grown.get(evaluator, subject) == roomy.get(evaluator, subject)
+        # the gather reads what the scalar API reads, from -1 to past the capacity, around every edge
+        for store in (grown, roomy):
+            edges = (*store._extent, *store._counts.shape[1:])
+            codes = sorted({-1, *range(10), *range(0, 300, 13), *(k + d for k in edges for d in (-1, 0, 1))})
+            ids = [symbols.names[c] if 0 <= c < len(symbols.names) else "absent" for c in codes]
+            matrix = store.direct_trust_matrix(np.array(codes), np.array(codes))
+            assert list(map(repr, matrix.ravel().tolist())) == [
+                repr(store.direct_trust(evaluator, subject)) for evaluator in ids for subject in ids
+            ]
 
     def test_a_batch_of_no_units_is_refused(self):
         store = OpinionStore(base_rate=0.5)
