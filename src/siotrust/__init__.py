@@ -6,7 +6,7 @@ seeded attack scenarios over an abstract proximity world and reports
 detection metrics and trust distributions.
 """
 
-from .adversary import AttackBehavior, AttackerEngine, AttackerProfile
+from .adversary import AttackBehavior, AttackerEngine
 from .authn import (
     AccessGate,
     AccessRequest,
@@ -21,7 +21,6 @@ from .community import (
     SimilarityWeights,
     community_similarity,
     form_communities,
-    jaccard,
     pairwise_similarity,
     write_communities_csv,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "AdmissionError",
     "AttackBehavior",
     "AttackerEngine",
-    "AttackerProfile",
     "Community",
     "ConfigError",
     "ConfusionCounters",
@@ -106,7 +104,6 @@ __all__ = [
     "false_negative_rate",
     "false_positive_rate",
     "form_communities",
-    "jaccard",
     "load_friendship_edges",
     "overall_trust",
     "pairwise_similarity",

@@ -9,6 +9,12 @@ pace. Identities are either stolen (a full copy of a victim's presented
 profile, victim within eavesdrop radius) or fabricated (fresh id, forged
 attribute sets built from whatever the attacker has observed).
 
+Every attacker of a run reads the run's `ScenarioConfig`, the one record
+of the attack: `behavior` picks the schedule, `identity_source` the
+source, and `pool_size`, `attempt_interval`, `deny_streak_limit`,
+`idle_fraction` and `forged_set_size` tune them. An identity does not
+carry its source; the config names it for every identity of the run.
+
 Attackers never emit recommendations; the simulation's exchange and
 forwarding passes skip attacker devices entirely.
 """
@@ -18,16 +24,18 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 import numpy as np
 
 from .authn import DecisionRecord
-from .social import ConfigError, Device, Identity, IdentitySource
+from .social import Device, Identity, IdentitySource
+
+if TYPE_CHECKING:
+    from .sim import ScenarioConfig
 
 
 class AttackBehavior(Enum):
@@ -35,38 +43,8 @@ class AttackBehavior(Enum):
     MULTI = "multi"
 
 
-@dataclass(frozen=True)
-class AttackerProfile:
-    """Tunables for one attacker device."""
-
-    behavior: AttackBehavior = AttackBehavior.CHURN
-    identity_source: IdentitySource = IdentitySource.STOLEN
-    pool_size: int = 8
-    attempt_interval: float = 10.0
-    deny_streak_limit: int = 3
-    speed_factor: float = 0.5
-    idle_fraction: float = 2 / 3
-    forged_set_size: int = 0
-
-    def __post_init__(self) -> None:
-        if self.identity_source is IdentitySource.LEGITIMATE:
-            raise ConfigError("attacker identities are stolen or fabricated")
-        if self.pool_size < 1:
-            raise ConfigError(f"pool size must be positive: {self.pool_size}")
-        if self.attempt_interval <= 0:
-            raise ConfigError(f"attempt interval must be positive: {self.attempt_interval}")
-        if self.deny_streak_limit < 1:
-            raise ConfigError(f"deny streak limit must be positive: {self.deny_streak_limit}")
-        if not 0.0 <= self.idle_fraction < 1.0:
-            raise ConfigError(f"idle fraction out of range: {self.idle_fraction}")
-        if self.speed_factor <= 0:
-            raise ConfigError(f"speed factor must be positive: {self.speed_factor}")
-        if self.forged_set_size < 0:
-            raise ConfigError(f"forged set size must be non-negative: {self.forged_set_size}")
-
-
 class AttackerEngine:
-    """Drives one attacker device according to its profile.
+    """Drives one attacker device as the run's config sets out.
 
     The simulation observes for it: `observed[k]` is set once
     `observable[k]` has been in radius, and the attacker forges from it.
@@ -75,14 +53,14 @@ class AttackerEngine:
     def __init__(
         self,
         device: Device,
-        profile: AttackerProfile,
+        config: ScenarioConfig,
         managers: frozenset[str],
         rng: random.Random,
         observable: Sequence[Device],
         observed: np.ndarray,
     ) -> None:
         self.device = device
-        self.profile = profile
+        self.config = config
         self.managers = managers  # every manager id of the network
         self.rng = rng
         self.observable = observable
@@ -107,7 +85,6 @@ class AttackerEngine:
             id=victim.id,
             friends=set(victim.friends),
             interests=set(victim.interests),
-            source=IdentitySource.STOLEN,
         )
         self.pool.append(identity)
         return identity
@@ -121,13 +98,12 @@ class AttackerEngine:
         `fab-<device id>-<pool size>` is unique: the pool only grows, device
         ids are unique, and the engine names every legitimate device `d…`.
         """
-        k = self.profile.forged_set_size
+        k = self.config.forged_set_size
         seen = list(compress(self.observable, self.observed)) if k else []
         identity = Identity(
             id=f"fab-{self.device.id}-{len(self.pool)}",
             friends=self._forge([d.id for d in seen], k),
             interests=self._forge(set().union(*(d.interests for d in seen)), k),
-            source=IdentitySource.FABRICATED,
         )
         self.pool.append(identity)
         return identity
@@ -140,7 +116,7 @@ class AttackerEngine:
 
     def _acquire(self, victims: Sequence[Device]) -> Identity | None:
         """Fresh identity from the configured source, if one is obtainable."""
-        if self.profile.identity_source is IdentitySource.STOLEN:
+        if self.config.identity_source is IdentitySource.STOLEN:
             stolen = {identity.id for identity in self.pool}  # a stolen identity's id is its victim's
             for victim in victims:
                 if victim.id not in stolen:
@@ -160,7 +136,7 @@ class AttackerEngine:
         them: the simulation has marked them in its `observed` row before
         any attempt of the tick, and a fabrication forges from that row.
         """
-        if self.profile.behavior is AttackBehavior.CHURN:
+        if self.config.behavior is AttackBehavior.CHURN:
             return self._churn_attempt(now, in_range)
         return self._multi_attempt(now, in_range)
 
@@ -169,7 +145,7 @@ class AttackerEngine:
             return None
         active = self.pool[self._active_index]
         self.presented = active
-        if now - self._last_attempt < self.profile.attempt_interval:
+        if now - self._last_attempt < self.config.attempt_interval:
             return None
         if self._attempted >= self.managers:
             active = self._rotate(in_range)
@@ -182,14 +158,14 @@ class AttackerEngine:
         return active, target
 
     def _multi_attempt(self, now: float, in_range: Sequence[Device]) -> tuple[Identity, Device] | None:
-        if len(self.pool) < self.profile.pool_size:
+        if len(self.pool) < self.config.pool_size:
             self._acquire(in_range)  # grow the pool opportunistically
-        if not self.pool or now - self._last_attempt < self.profile.attempt_interval:
+        if not self.pool or now - self._last_attempt < self.config.attempt_interval:
             return None
         target = next((d for d in in_range if d.id in self.managers), None)
         if target is None:
             return None
-        active_count = max(1, math.floor(len(self.pool) * (1.0 - self.profile.idle_fraction)))
+        active_count = max(1, math.floor(len(self.pool) * (1.0 - self.config.idle_fraction)))
         identity = self.pool[self._round_robin % active_count]
         self._round_robin += 1
         self.presented = identity
@@ -208,24 +184,24 @@ class AttackerEngine:
 
     def notify(self, granted: bool, victims: Sequence[Device] = ()) -> None:
         """Feed the verdict back; churn rotates after a deny streak."""
-        if self.profile.behavior is not AttackBehavior.CHURN:
+        if self.config.behavior is not AttackBehavior.CHURN:
             return
         self._deny_streak = 0 if granted else self._deny_streak + 1
-        if self._deny_streak >= self.profile.deny_streak_limit:
+        if self._deny_streak >= self.config.deny_streak_limit:
             self.presented = self._rotate(victims)
 
 
-def write_attack_csv(decisions: Iterable[DecisionRecord], profile: AttackerProfile, path: str | Path) -> None:
+def write_attack_csv(decisions: Iterable[DecisionRecord], config: ScenarioConfig, path: str | Path) -> None:
     """The attack trace: one row per decision on an attacker device's request.
 
-    Every attacker runs `profile`, so each row's source and schedule are its.
+    Every attacker runs `config`, so each row's source and schedule are its.
     """
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ["time", "attacker_device", "identity", "source", "behavior", "target_manager"]
         )
-        source, behavior = profile.identity_source.value, profile.behavior.value
+        source, behavior = config.identity_source.value, config.behavior.value
         for d in decisions:
             if d.attacker:
                 writer.writerow([repr(d.time), d.presenter, d.identity, source, behavior, d.manager])

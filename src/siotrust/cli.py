@@ -169,7 +169,7 @@ def _run_one(config: ScenarioConfig, out_dir: Path) -> SeedSummary:
     write_decision_csv(result.decisions, partial["decisions"])
     write_esr_csv(result.assessments, partial["esr"])
     write_communities_csv(result.communities, partial["communities"])
-    write_attack_csv(result.decisions, config.attacker_profile(), partial["attacks"])
+    write_attack_csv(result.decisions, config, partial["attacks"])
     for key, path in partial.items():
         os.replace(path, finals[key])
     return result.summary()

@@ -47,7 +47,7 @@ from typing import Any, Mapping, TextIO
 
 import numpy as np
 
-from .adversary import AttackBehavior, AttackerEngine, AttackerProfile
+from .adversary import AttackBehavior, AttackerEngine
 from .authn import AccessGate, AccessRequest, DecisionRecord
 from .community import (
     Community,
@@ -165,7 +165,7 @@ class ScenarioConfig:
             )
         for name in ("area_width", "area_height", "speed", "duration", "tick",
                      "interaction_radius", "interaction_period", "epoch_interval",
-                     "request_retry_interval"):
+                     "request_retry_interval", "attempt_interval", "attacker_speed_factor"):
             value = getattr(self, name)
             if value <= 0:
                 raise ConfigError(f"{name} must be positive: {value}")
@@ -183,11 +183,16 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not 0 <= value <= INT_FIELD_MAX:
                 raise ConfigError(f"{name} out of range [0, {INT_FIELD_MAX}]: {value}")
-        if self.shared_interest_count < 1:
-            raise ConfigError(f"shared interest count must be positive: {self.shared_interest_count}")
+        for name in ("shared_interest_count", "pool_size", "deny_streak_limit"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1: {value}")
+        if self.forged_set_size < 0:
+            raise ConfigError(f"forged_set_size must be non-negative: {self.forged_set_size}")
+        if not 0.0 <= self.idle_fraction < 1.0:
+            raise ConfigError(f"idle_fraction out of range [0, 1): {self.idle_fraction}")
         self.context()  # unknown kind or bad override fails here
         self.weights()
-        self.attacker_profile()
 
     # -- derived sizes ------------------------------------------------------
 
@@ -214,18 +219,6 @@ class ScenarioConfig:
     def weights(self) -> SimilarityWeights:
         return SimilarityWeights(self.friend_weight, self.interest_weight)
 
-    def attacker_profile(self) -> AttackerProfile:
-        return AttackerProfile(
-            behavior=self.behavior,
-            identity_source=self.identity_source,
-            pool_size=self.pool_size,
-            attempt_interval=self.attempt_interval,
-            deny_streak_limit=self.deny_streak_limit,
-            speed_factor=self.attacker_speed_factor,
-            idle_fraction=self.idle_fraction,
-            forged_set_size=self.forged_set_size,
-        )
-
     # -- manifest round-trip --------------------------------------------------
 
     def to_mapping(self) -> dict[str, Any]:
@@ -244,10 +237,14 @@ class ScenarioConfig:
             if name not in known:
                 raise ConfigError(f"unknown scenario parameter: {name!r}")
             kwargs[name] = raw
-        try:
-            for name, enum in _ENUM_FIELDS:
-                if name in kwargs and not isinstance(kwargs[name], enum):
+        for name, enum in _ENUM_FIELDS:
+            if name in kwargs and not isinstance(kwargs[name], enum):
+                try:
                     kwargs[name] = enum(str(kwargs[name]))
+                except ValueError as exc:
+                    choices = ", ".join(member.value for member in enum)
+                    raise ConfigError(f"{exc}: {name} must be one of {choices}") from exc
+        try:
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
@@ -454,9 +451,8 @@ class SimulationEngine:
         self.step_lengths = np.array([d.speed for d in devices]) * cfg.tick  # metres moved per tick
         # attackers x legitimate devices: whom each attacker has had in radius; its engine holds its row
         self.observed = np.zeros((len(self.attacker_indices), len(self.legit_devices)), dtype=bool)
-        profile = cfg.attacker_profile()
         self.engines = [  # in `attacker_indices` order
-            AttackerEngine(device, profile, self.managers, self.pyrng, self.legit_devices, row)
+            AttackerEngine(device, cfg, self.managers, self.pyrng, self.legit_devices, row)
             for device, row in zip(self.devices[self.attacker_indices], self.observed)
         ]
         self._area_low = lows
@@ -646,12 +642,13 @@ class SimulationEngine:
         """Log the identities `engine` acquired since its pool held `held`.
 
         The pool only grows, by one identity per acquisition, so these are
-        the pool's entries from `held` on. A stolen identity's id is its
-        victim's id; a fabricated one goes to `similarity`, which takes its
-        S row from it. Both happen before the identity is first presented.
+        the pool's entries from `held` on, and the run's identity source is
+        theirs. A stolen identity's id is its victim's id; a fabricated one
+        goes to `similarity`, which takes its S row from it. Both happen
+        before the identity is first presented.
         """
         for identity in engine.pool[held:]:
-            if identity.source is IdentitySource.STOLEN:
+            if self.cfg.identity_source is IdentitySource.STOLEN:
                 self.log.append(now, "theft", engine.device.id, identity.id, identity.id)
             else:
                 self.similarity.fabricated[identity.id] = identity

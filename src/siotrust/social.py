@@ -4,7 +4,9 @@ Devices carry the static social profile (friend list, interest tags, owner,
 manufacturer batch, home place, work group) that relation classification and
 similarity work from. A legitimate device presents its own id and profile;
 an attacker presents a stolen or fabricated `Identity` it acquired, and its
-`AttackerEngine`'s pool is the one record of those identities.
+`AttackerEngine`'s pool is the one record of those identities. An identity
+holds only what it presents: the run's `ScenarioConfig` names the one
+`IdentitySource` every attacker of the run draws from.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ class DeviceClass(Enum):
 
 
 class IdentitySource(Enum):
-    LEGITIMATE = "legitimate"
     STOLEN = "stolen"
     FABRICATED = "fabricated"
 
@@ -125,7 +126,6 @@ class Identity:
     id: str
     friends: set[str] = field(default_factory=set)
     interests: set[str] = field(default_factory=set)
-    source: IdentitySource = IdentitySource.LEGITIMATE
 
 
 def classify_relation(i: Device, j: Device) -> RelationType:

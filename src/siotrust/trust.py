@@ -59,18 +59,6 @@ class Opinion:
         belief, _, uncertainty = self.components()
         return belief + self.base_rate * uncertainty
 
-    def record(self, outcome: Outcome) -> None:
-        if outcome == "positive":
-            self.positive += 1
-        elif outcome == "negative":
-            self.negative += 1
-        else:
-            raise ValueError(f"unknown outcome: {outcome!r}")
-
-    @property
-    def total(self) -> int:
-        return self.positive + self.negative
-
 
 class OpinionStore:
     """Evidence counts keyed by (evaluator device id, subject identity id).

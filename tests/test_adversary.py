@@ -7,7 +7,6 @@ import pytest
 from siotrust.adversary import (
     AttackBehavior,
     AttackerEngine,
-    AttackerProfile,
     write_attack_csv,
 )
 from siotrust.authn import DecisionRecord, Verdict
@@ -40,7 +39,7 @@ def build_world(manager_count=2, victim_count=3):
 def make_engine(manager_ids, attacker, seed=7, observable=(), **kw):
     """An engine whose observation row, unset, spans `observable`."""
     row = np.zeros(len(observable), dtype=bool)
-    return AttackerEngine(attacker, AttackerProfile(**kw), manager_ids, random.Random(seed), list(observable), row)
+    return AttackerEngine(attacker, ScenarioConfig(**kw), manager_ids, random.Random(seed), list(observable), row)
 
 
 def observe(engine, devices):
@@ -50,27 +49,31 @@ def observe(engine, devices):
 
 
 class TestProfile:
+    """An attacker's profile is its run's config: the attacker fields of `ScenarioConfig`."""
+
     def test_defaults_hold_together(self):
-        profile = AttackerProfile()
-        assert profile.behavior is AttackBehavior.CHURN
-        assert profile.identity_source is IdentitySource.STOLEN
+        manager_ids, _, _, attacker = build_world()
+        config = make_engine(manager_ids, attacker).config
+        assert config.behavior is AttackBehavior.CHURN
+        assert config.identity_source is IdentitySource.STOLEN
 
     @pytest.mark.parametrize(
         "kw",
         [
-            {"identity_source": IdentitySource.LEGITIMATE},
+            {"identity_source": "legitimate"},
             {"pool_size": 0},
             {"attempt_interval": 0.0},
             {"deny_streak_limit": 0},
             {"idle_fraction": 1.0},
             {"idle_fraction": -0.1},
-            {"speed_factor": 0.0},
+            {"attacker_speed_factor": 0.0},
             {"forged_set_size": -1},
         ],
     )
     def test_bad_profiles_rejected(self, kw):
-        with pytest.raises(ConfigError):
-            AttackerProfile(**kw)
+        (key,) = kw
+        with pytest.raises(ConfigError, match=key):  # the error names the field as a config spells it
+            ScenarioConfig.from_mapping(kw)
 
 
 class TestTheft:
@@ -79,7 +82,6 @@ class TestTheft:
         engine = make_engine(manager_ids, attacker)
         stolen = engine.steal_identity(victims[0])
         assert stolen.id == "v0"
-        assert stolen.source is IdentitySource.STOLEN
         assert stolen.friends == victims[0].friends
         assert stolen.friends is not victims[0].friends
         assert engine.pool == [stolen]
@@ -98,7 +100,6 @@ class TestFabrication:
         minted = engine.fabricate_identity()
         assert minted.friends == set()
         assert minted.interests == set()
-        assert minted.source is IdentitySource.FABRICATED
 
     def test_forged_sets_come_from_observation(self):
         manager_ids, managers, victims, attacker = build_world(victim_count=4)
@@ -282,7 +283,7 @@ def test_attack_csv(tmp_path):
         DecisionRecord(10.0, "m0", "v1", False, Verdict.GRANT, 0.7, presenter="v1"),
     ]
     path = tmp_path / "attacks.csv"
-    write_attack_csv(decisions, AttackerProfile(), path)
+    write_attack_csv(decisions, ScenarioConfig(), path)
     header, row = list(csv.reader(path.read_text().splitlines()))
     assert header == ["time", "attacker_device", "identity", "source", "behavior", "target_manager"]
     assert row == ["10.0", "a0", "v3", "stolen", "churn", "m1"]

@@ -287,6 +287,17 @@ class TestBadInput:
         assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "error: 'nope' is not a valid AttackBehavior" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad", [{"pool_size": 0}, {"attacker_speed_factor": 0}, {"identity_source": "legitimate"}]
+    )
+    def test_attacker_field_errors_name_the_key(self, tmp_path, capsys, bad):
+        path = tmp_path / "attack.json"
+        path.write_text(json.dumps(bad))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        (key,) = bad
+        assert any(line.startswith("error: ") and key in line for line in capsys.readouterr().err.splitlines())
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "ghost.json")]) == 2
 

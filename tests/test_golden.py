@@ -6,7 +6,7 @@ under a second) and every per-seed file plus `metrics.csv` must hash to the
 value pinned here. A change that alters outputs on purpose re-pins these and
 says why.
 
-The seven configs cover the default stolen/churn scenario, stolen identities
+The nine configs cover the default stolen/churn scenario, stolen identities
 under the multi schedule (an attacker steals on every tick until its pool
 is full), fabricated identities under the multi schedule (the opinion store
 and recommendation cache grow along the identity axis), fabricated
@@ -18,6 +18,11 @@ is due, so its forged sets read what it observed on those ticks), the
 recommendation cache stays empty, and an integer `tick` and `duration`:
 the config stores them as floats, so the run writes the bytes of its
 float twin (`"tick": 1.0, "duration": 120.0`), `t=30.0` and not `t=30`.
+Two more set every attacker field off its default, churn (attempt
+interval, deny streak, speed factor) and multi over fabricated identities
+(pool size, idle fraction, attempt interval, forged set size). The default
+attempt interval equals the default interaction period, so only these two
+tell a crossed field read apart.
 """
 
 import hashlib
@@ -76,6 +81,33 @@ GOLDEN = {
             "events-s1.log": "ae067155d2da468789c8a2758a43d86b96e05fb7eeae899114c37e57d5ea4b26",
             "metrics.csv": "d0bc79ee165bbbaf9e9e247f7fc91e2f1517096e7c5c68e9bdab662f90e24f35",
             "trust-s1.csv": "195996f5c56a016d0c5ef63540b5b21242283967f30d591be60740cbce4e4def",
+        },
+    ),
+    "churn-off-default-40": (
+        {"node_count": 40, "attempt_interval": 7.0, "deny_streak_limit": 1, "attacker_speed_factor": 0.8},
+        {
+            "attacks-s1.csv": "7e1f43102ebf5162ac9bc39e29017322a35b0016a36e5118c135af23760ec650",
+            "communities-s1.csv": "bb346db0b31f82c0391b7725c5f26b7b91327285546173f5e5efc1c623055173",
+            "decisions-s1.csv": "4917affca181fb9ee71fb3b6fe3c4a5b81a0bf6063dad5e5ebb7c507a51e2170",
+            "esr-s1.csv": "704eec8838e4bf2d515b78fd653f7390636f17cadef0969cd22ecee31e5b7866",
+            "events-s1.log": "3897faeb615fc8df653430055ec81450152ea4444503985271350d6bf1e0e2d4",
+            "metrics.csv": "b3784617b8b2c5968cbf89ed7d2326d23a0c7401ea7e4e863e4af95a941b90bc",
+            "trust-s1.csv": "86481fcc3d1d641209d282c0975d6ddcac109fcb929a1621b9096aad6393c6fd",
+        },
+    ),
+    "fabricated-multi-off-default-40": (
+        {
+            "node_count": 40, "identity_source": "fabricated", "behavior": "multi", "pool_size": 3,
+            "idle_fraction": 0.5, "attempt_interval": 7.0, "forged_set_size": 2,
+        },
+        {
+            "attacks-s1.csv": "ab8afd64e751d59ec23a264ee850b6da7b7fef9166742c1ea693db679754a446",
+            "communities-s1.csv": "bb346db0b31f82c0391b7725c5f26b7b91327285546173f5e5efc1c623055173",
+            "decisions-s1.csv": "77d9bb34820eb741dfde1be4d033a3d241b981ca32661344aeb98b7d207cb9db",
+            "esr-s1.csv": "62c68e6b93bd34bf6af89e04e339502b5942604c56ffbc9d1ece51a1610b6da9",
+            "events-s1.log": "abb64c5fb6391951a3c8ff2f678d98368566c9ef498b064424c17a3ab7713f73",
+            "metrics.csv": "dd1b5f08b2f90a34a6b06f7b71f2068e53eb3060d8c10f2ca0078d0756982e22",
+            "trust-s1.csv": "cf82a6b524eb107f1937ee812ea70f8cd2891bab611b162e73981d128011000c",
         },
     ),
     "stolen-multi-40": (

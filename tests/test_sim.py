@@ -487,7 +487,8 @@ class TestRunSemantics:
         pools = {e.device.id: e.pool for e in engine.engines}
         for decision in attacker_decisions:
             assert decision.identity in {identity.id for identity in pools[decision.presenter]}
-        assert {i.source for e in engine.engines for i in e.pool} == {IdentitySource.STOLEN}
+        # the default source is theft: every pooled identity bears a legitimate victim's id
+        assert {i.id for e in engine.engines for i in e.pool} <= set(engine.legit_ids)
         assert all(d.presenter == d.identity for d in result.decisions if not d.attacker)
 
     def test_counters_match_a_recount(self, small_run):
@@ -967,9 +968,9 @@ def test_observing_each_device_once_gathers_the_same_sets(monkeypatch):
         return attempt(self, now, in_range)
 
     def forging_from_the_sets(self):
-        k = self.profile.forged_set_size
+        k = self.config.forged_set_size
         identity = Identity(f"fab-{self.device.id}-{len(self.pool)}", self._forge(self.loop_devices, k),
-                            self._forge(self.loop_interests, k), IdentitySource.FABRICATED)
+                            self._forge(self.loop_interests, k))
         self.pool.append(identity)
         return identity
 
@@ -1158,9 +1159,8 @@ class TestStaticSimilarity:
         ids = [d.id for d in devices]
         roster = {d.id: d for d in devices}
         victim_device = devices[victim % len(devices)]
-        stolen = Identity(victim_device.id, set(victim_device.friends), set(victim_device.interests),
-                          IdentitySource.STOLEN)
-        fabricated = Identity("fab-adv0-0", set(forged[0]), set(forged[1]), IdentitySource.FABRICATED)
+        stolen = Identity(victim_device.id, set(victim_device.friends), set(victim_device.interests))
+        fabricated = Identity("fab-adv0-0", set(forged[0]), set(forged[1]))
         community = Community(0, tuple(ids[k] for k in sorted({k % len(ids) for k in members})), "residence")
         similarity = _StaticSimilarity(weights, devices)
         similarity.fabricated[fabricated.id] = fabricated
