@@ -9,8 +9,6 @@ detection metrics and trust distributions.
 from .adversary import AttackBehavior, AttackerEngine
 from .authn import (
     AccessGate,
-    AccessRequest,
-    AdmissionError,
     DecisionRecord,
     RoutingError,
     Verdict,
@@ -67,8 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccessGate",
-    "AccessRequest",
-    "AdmissionError",
     "AttackBehavior",
     "AttackerEngine",
     "Community",

@@ -74,14 +74,6 @@ class ConfusionCounters:
         """All adjudicated requests."""
         return self.acd + self.false_neg + self.lci + self.false_pos
 
-    @property
-    def true_pos(self) -> int:
-        return self.acd
-
-    @property
-    def true_neg(self) -> int:
-        return self.lci
-
 
 def detection_rate(c: ConfusionCounters) -> float | None:
     """Percent of attacker requests denied; None when no attacks happened."""
@@ -99,7 +91,7 @@ def accuracy(c: ConfusionCounters) -> float | None:
 
 def false_negative_rate(c: ConfusionCounters) -> float | None:
     """Percent of attacks granted, out of all adjudicated attacks."""
-    denominator = c.false_neg + c.true_pos
+    denominator = c.false_neg + c.acd
     if denominator == 0:
         return None
     return 100.0 * c.false_neg / denominator
@@ -107,7 +99,7 @@ def false_negative_rate(c: ConfusionCounters) -> float | None:
 
 def false_positive_rate(c: ConfusionCounters) -> float | None:
     """Percent of legitimate requests denied, out of all legitimate requests."""
-    denominator = c.false_pos + c.true_neg
+    denominator = c.false_pos + c.lci
     if denominator == 0:
         return None
     return 100.0 * c.false_pos / denominator

@@ -21,10 +21,11 @@ tick first takes one vector of `dx*dx + dy*dy` for every pair i < j, as a
 full matrix would hold it. Every phase before movement reads that vector:
 the interactions whole, nearest managers and attacker rows by pair position.
 
-Managers join their own network at t=0 without adjudication; admitted
-identities stay members. Epoch monitoring produces trust assessments, not
-verdicts, so a granted device is never retroactively expelled and the
-false-positive story of a run depends only on request adjudication.
+Managers are members under their own ids from the start, without
+adjudication; a grant admits the presenting device, and members stay.
+Epoch monitoring produces trust assessments, not verdicts, so a granted
+device is never retroactively expelled and the false-positive story of a
+run depends only on request adjudication.
 
 Determinism contract: a config and a seed fix every byte of the event log.
 All randomness flows from two seeded generators (a numpy PCG64 stream for
@@ -48,7 +49,7 @@ from typing import Any, Mapping, TextIO
 import numpy as np
 
 from .adversary import AttackBehavior, AttackerEngine
-from .authn import AccessGate, AccessRequest, DecisionRecord
+from .authn import AccessGate, DecisionRecord
 from .community import (
     Community,
     SimilarityWeights,
@@ -335,9 +336,6 @@ class RunResult:
         """What a batch keeps of this run once its files are written."""
         return SeedSummary(self.config, self.counters, len(self.decisions))
 
-    def metrics_report(self) -> MetricsReport:
-        return self.summary().metrics_report()
-
 
 @dataclass(frozen=True)
 class SeedSummary:
@@ -489,8 +487,7 @@ class SimulationEngine:
 
     def run(self) -> RunResult:
         cfg = self.cfg
-        for manager in sorted(self.managers):
-            self.gate.bootstrap_member(manager, manager)
+        for manager in sorted(self.managers):  # the gate's first members
             self.log.append(0.0, "bootstrap", manager)
 
         self._pending = self._subordinates.tolist()
@@ -585,7 +582,7 @@ class SimulationEngine:
         due = [i for i in self._pending if now - last[i] >= self.cfg.request_retry_interval]
         if due:  # most ticks have none, and the gather costs more than the two loops
             for device, manager in zip(due, self._nearest_managers(sq_dist, np.array(due)).tolist()):
-                self._adjudicate(AccessRequest(now, ids[device], ids[device], ids[manager]))
+                self._adjudicate(now, ids[device], ids[device], ids[manager])
                 last[device] = now
 
     def _attacker_requests(self, now: float, sq_dist: np.ndarray) -> None:
@@ -607,35 +604,36 @@ class SimulationEngine:
                 self.log.append(
                     now, "duplicate", identity.id, attacker_id, target.id, cfg.duplicate_request_penalty
                 )
-            decision = self._adjudicate(AccessRequest(now, identity.id, attacker_id, target.id))
+            decision = self._adjudicate(now, identity.id, attacker_id, target.id)
             held = len(engine.pool)
             engine.notify(decision.granted, in_range)
             self._log_acquisitions(engine, held, now)
 
-    def _adjudicate(self, request: AccessRequest) -> DecisionRecord:
-        """Assess a request and let the gate decide on its T; log the decision, and admit on a grant.
+    def _adjudicate(self, now: float, subject: str, presenter: str, manager: str) -> DecisionRecord:
+        """Assess `presenter`'s request for `subject` at `manager`, let the gate decide on its T, and log it.
 
         D, S and R are gathered as in monitoring. The row is split internal
-        when the presented identity is already on the roster.
+        when the presented identity is already on the roster. A grant has
+        admitted the presenter; its `admit` line names the identity's other
+        holders, an identity conflict.
         """
-        manager, subject = request.target_manager, request.identity
         find = self.log.symbols.find
         assessment = assess(
-            request.time, manager, subject, self.cfg.relation,
+            now, manager, subject, self.cfg.relation,
             self.store.direct_trust(manager, subject),
             self._request_similarity(subject, manager),
             self.rec_cache.received(find(manager), [find(subject)], self.store.base_rate)[0].item(),
             "internal" if subject in self.gate.members else "external",
         )
-        decision = self.gate.evaluate(request, assessment.trust)
+        decision = self.gate.evaluate(now, subject, presenter, manager, assessment.trust)
         self.assessments.append(*assessment)
         self.log.append(
-            request.time, "decision", manager, subject, request.presenter,
+            now, "decision", manager, subject, presenter,
             "attacker" if decision.attacker else "legit", decision.verdict.value, decision.trust, assessment.split,
         )
         if decision.granted:
-            conflicts = self.gate.admit(subject, manager, request.presenter)
-            self.log.append(request.time, "admit", subject, manager, request.presenter, "|".join(conflicts) or "-")
+            conflicts = "|".join(sorted(h for h in self.gate.members[subject] if h != presenter)) or "-"
+            self.log.append(now, "admit", subject, manager, presenter, conflicts)
         return decision
 
     def _log_acquisitions(self, engine: AttackerEngine, held: int, now: float) -> None:

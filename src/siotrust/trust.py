@@ -205,18 +205,20 @@ def exchange_recommendations(store: OpinionStore, routes: Sequence[tuple[int, Se
     sent, held = store.expected_values()
     sent[~held] = 0.0  # E is a fresh array: what a sender does not hold adds nothing
     receivers = 1 + max((r for _, targets in routes for r in targets), default=-1)
-    sums = np.zeros((receivers, held.shape[1]))
+    columns = held.shape[1]
+    # one more row and column than delivered, never held: `Recommendations` reads through them
+    sums = np.zeros((receivers + 1, columns + 1))
     counts = np.zeros(sums.shape, dtype=np.int64)
     for sender, targets in routes:
         if sender >= len(sent):  # a sender beyond the store's rows holds nothing
             continue
         if len(targets) == 1:  # a subordinate's route: one row, basic indexing adds in place
             (target,) = targets
-            sums[target] += sent[sender]
-            counts[target] += held[sender]
+            sums[target, :columns] += sent[sender]
+            counts[target, :columns] += held[sender]
         else:
-            sums[targets] += sent[sender]
-            counts[targets] += held[sender]
+            sums[targets, :columns] += sent[sender]
+            counts[targets, :columns] += held[sender]
     return Recommendations(sums / np.maximum(counts, 1), counts > 0)
 
 
@@ -224,14 +226,14 @@ class Recommendations:
     """What an exchange delivered, read-only: receiver code x subject code -> mean.
 
     A mean is held when the receiver was sent at least one opinion about
-    the subject. A code of -1 or beyond the arrays, such as a subject first
-    coded after the exchange, holds none, as it held none in the exchange.
+    the subject. The arrays' last row and column are never held: -1 and
+    codes beyond the arrays, such as a subject first coded after the
+    exchange, read them, and hold none, as they held none in the exchange.
     """
 
     def __init__(self, means: np.ndarray, held: np.ndarray) -> None:
-        # one more row and column, never held, which -1 and codes beyond the arrays index
-        self._means = np.pad(means, (0, 1))
-        self._held = np.pad(held, (0, 1))
+        self._means = means
+        self._held = held
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._held))
@@ -244,7 +246,7 @@ class Recommendations:
 
 
 # what every receiver holds before the first exchange; read-only, so one serves every run
-NO_RECOMMENDATIONS = Recommendations(np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
+NO_RECOMMENDATIONS = Recommendations(np.zeros((1, 1)), np.zeros((1, 1), dtype=bool))
 
 
 def weights_from_relation(relation: RelationType) -> tuple[float, float, float]:

@@ -1,16 +1,10 @@
 import csv
 import math
+from typing import NamedTuple
 
 import pytest
 
-from siotrust.authn import (
-    AccessGate,
-    AccessRequest,
-    AdmissionError,
-    RoutingError,
-    Verdict,
-    write_decision_csv,
-)
+from siotrust.authn import AccessGate, RoutingError, Verdict, write_decision_csv
 from siotrust.community import community_similarity
 from siotrust.sim import ScenarioConfig, SimulationEngine
 from siotrust.social import RelationType
@@ -20,19 +14,28 @@ from siotrust.trust import Opinion, TrustAssessment, assess
 MANAGERS = frozenset({"m0", "m1"})  # "s0" is a subordinate
 
 
+class Request(NamedTuple):
+    """A request's fields, in the order `AccessGate.evaluate` and the engine's `_adjudicate` take them."""
+
+    time: float
+    identity: str
+    presenter: str
+    manager: str
+
+
 def request(identity, manager="m0", time=0.0, presenter=None):
-    return AccessRequest(time=time, identity=identity, presenter=presenter or identity, target_manager=manager)
+    return Request(time, identity, presenter or identity, manager)
 
 
-def make_gate(**kw):
-    return AccessGate(MANAGERS, **kw)
+def make_gate(trust_threshold=0.6, attacker_devices=frozenset()):
+    return AccessGate(MANAGERS, trust_threshold, attacker_devices)
 
 
 def assessed(gate, presented, direct, similarity, recommended):
     """Blend D, S and R under CLOR as the engine does, and hand the gate T."""
-    trust = assess(presented.time, presented.target_manager, presented.identity, RelationType.CLOR,
+    trust = assess(presented.time, presented.manager, presented.identity, RelationType.CLOR,
                    direct, similarity, recommended).trust
-    return gate.evaluate(presented, trust)
+    return gate.evaluate(*presented, trust)
 
 
 def vacuous(gate, presented, base_rate=1.0):
@@ -72,25 +75,21 @@ class TestEvaluate:
     def test_threshold_is_strictly_greater(self):
         for threshold in (0.6, 0.0, 1.0):
             gate = make_gate(trust_threshold=threshold)
-            at = gate.evaluate(request("s0"), threshold)
+            at = gate.evaluate(*request("s0"), threshold)
             assert at.trust == threshold and at.verdict is Verdict.DENY
-            with pytest.raises(AdmissionError):
-                gate.admit("s0", "m0", "s0")
+            assert "s0" not in gate.members  # a denial admits nobody
             if threshold < 1.0:
-                above = gate.evaluate(request("s0"), math.nextafter(threshold, 2.0))
+                above = gate.evaluate(*request("s0"), math.nextafter(threshold, 2.0))
                 assert above.verdict is Verdict.GRANT
-                assert gate.admit("s0", "m0", "s0") == ()
+                assert gate.members["s0"] == {"s0"}
 
     def test_only_managers_adjudicate(self):
         gate = make_gate(attacker_devices=frozenset({"adv"}))
         for target in ("s0", "unknown"):
             with pytest.raises(RoutingError):
-                gate.evaluate(request("s0", manager=target, presenter="adv"), 1.0)
-        # nothing was booked: no decision, no grant, no member
-        assert gate.decisions == [] and gate.members == {}
-        for target in ("s0", "unknown"):
-            with pytest.raises(AdmissionError):
-                gate.admit("s0", target, "adv")
+                gate.evaluate(*request("s0", manager=target, presenter="adv"), 1.0)
+        # nothing was booked: no decision, and the roster holds the managers only
+        assert gate.decisions == [] and gate.members == {"m0": {"m0"}, "m1": {"m1"}}
 
     def test_direct_evidence_moves_the_verdict(self):
         gate = make_gate()
@@ -106,16 +105,16 @@ class TestEvaluate:
         engine = small_engine()
         rows = recording_rows(engine)
         manager = min(engine.managers)
-        engine._adjudicate(request("d010", manager=manager))
-        engine.gate.bootstrap_member("d011", "d011")
-        engine._adjudicate(request("d011", manager=manager))
+        engine._adjudicate(*request("d010", manager=manager))
+        engine.gate.members["d011"] = {"d011"}
+        engine._adjudicate(*request("d011", manager=manager))
         assert [(row.subject, row.split) for row in rows] == [("d010", "external"), ("d011", "internal")]
         logged = [line for line in engine.log.text().splitlines() if " decision " in line]
         assert [line.rsplit("=", 1)[1] for line in logged] == ["external", "internal"]
 
     def test_decision_log_records_attacker_flag(self):
         gate = make_gate(attacker_devices=frozenset({"adv"}))
-        first = gate.evaluate(request("s0"), 0.5)
+        first = gate.evaluate(*request("s0"), 0.5)
         vacuous(gate, request("s0", presenter="adv"))
         legit, attack = gate.decisions
         assert first is legit  # evaluate returns the record it books
@@ -138,17 +137,18 @@ def gate_similarity_samples(overrides):
     samples = []
     attackers = {e.device.id: e for e in engine.engines}
 
-    def recording(presented):
+    def recording(*fields):
+        presented = Request(*fields)
         # what the request presents: the attacker's current identity, or the device itself
         attacker = attackers.get(presented.presenter)
         profile = engine.devices[engine.ids.index(presented.presenter)] if attacker is None else attacker.presented
-        community = engine._community_of.get(presented.target_manager)
+        community = engine._community_of.get(presented.manager)
         subject = [find(presented.identity)]
-        cached = engine.rec_cache.received(find(presented.target_manager), subject, -1.0)[0].item()
-        decision = adjudicate(presented)
+        cached = engine.rec_cache.received(find(presented.manager), subject, -1.0)[0].item()
+        decision = adjudicate(*presented)
         assessment = rows[-1]
         assert (assessment.evaluator, assessment.subject, assessment.trust) == (
-            presented.target_manager, presented.identity, decision.trust)
+            presented.manager, presented.identity, decision.trust)
         samples.append((presented, profile, assessment.similarity, community, assessment.recommended,
                         None if cached < 0.0 else cached))
         return decision
@@ -182,7 +182,7 @@ class TestSimilarityHook:
 
         engine._request_similarity = similarity
         manager = max(engine.managers)
-        decision = engine._adjudicate(request("d010", manager=manager))
+        decision = engine._adjudicate(*request("d010", manager=manager))
         assert asked == [("d010", manager)]
         (row,) = rows
         assert (row.evaluator, row.similarity) == (manager, 0.25)
@@ -233,23 +233,37 @@ class TestRecommenderHook:
 class TestMembership:
     def test_admit_requires_a_grant(self):
         gate = make_gate()
-        with pytest.raises(AdmissionError):
-            gate.admit("s0", "m0", "s0")
+        assert not vacuous(gate, request("s0"), base_rate=0.5).granted
+        assert gate.members == {"m0": {"m0"}, "m1": {"m1"}}  # the managers are the first members
 
     def test_grant_then_admit(self):
         gate = make_gate()
-        vacuous(gate, request("s0"))
-        assert gate.admit("s0", "m0", "s0") == ()
-        assert "s0" in gate.members
+        assert vacuous(gate, request("s0")).granted
         assert gate.members["s0"] == {"s0"}
 
     def test_second_presenter_is_a_conflict(self):
         gate = make_gate()
         vacuous(gate, request("s0"))
-        gate.admit("s0", "m0", "s0")
         vacuous(gate, request("s0", presenter="intruder", time=5.0))
-        assert gate.admit("s0", "m0", "intruder") == ("s0",)
         assert gate.members["s0"] == {"s0", "intruder"}
+
+    def test_admit_line_names_the_other_holders_sorted(self):
+        # no 40-node golden pin logs a two-holder conflict; the roster is set by hand
+        engine = small_engine()
+        engine.gate.trust_threshold = 0.0  # every request is granted
+        manager = min(engine.managers)
+        engine.gate.members["d010"] = {"d010", "adv02"}
+        for presenter in ("adv00", "adv02", "d011"):
+            engine._adjudicate(*request("d010", manager=manager, presenter=presenter))
+        engine._adjudicate(*request("d012", manager=manager))
+        admitted = [line.split(" ", 2)[2] for line in engine.log.text().splitlines() if " admit " in line]
+        assert admitted == [
+            f"identity=d010 manager={manager} presenter=adv00 conflicts=adv02|d010",
+            f"identity=d010 manager={manager} presenter=adv02 conflicts=adv00|d010",
+            f"identity=d010 manager={manager} presenter=d011 conflicts=adv00|adv02|d010",
+            f"identity=d012 manager={manager} presenter=d012 conflicts=-",
+        ]
+        assert engine.gate.members["d010"] == {"d010", "adv00", "adv02", "d011"}
 
 
 def test_decision_csv(tmp_path):

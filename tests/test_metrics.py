@@ -41,7 +41,7 @@ class TestCounters:
         assert (c.acd, c.false_neg, c.lci, c.false_pos) == (1, 1, 1, 1)
         assert c.aot == 2
         assert c.ar == 4
-        assert (c.true_pos, c.true_neg) == (1, 1)
+        assert (false_negative_rate(c), false_positive_rate(c)) == (50.0, 50.0)  # read off acd and lci
 
     def test_from_requests_equals_incremental(self):
         rng = random.Random(77)

@@ -531,7 +531,7 @@ class TestRunSemantics:
 
     def test_metrics_report_carries_the_scenario(self, small_run):
         _, result = small_run
-        report = result.metrics_report()
+        report = result.summary().metrics_report()
         assert report.scenario == "churn-stolen"
         assert report.context == "residence"
         assert report.relation == "clor"
@@ -700,7 +700,7 @@ class TestPairKernel:
         ]
         assert reference_matrix(engine.positions)[d000, d001] == 225.0
         for device_id in engine.legit_ids:
-            engine.gate.bootstrap_member(device_id, device_id)
+            engine.gate.members[device_id] = {device_id}
         engine._interactions(0.0, engine._squared_distances())
         ii, jj = engine._pairs
         met = np.flatnonzero(engine.last_interaction == 0.0)
@@ -913,14 +913,14 @@ def test_member_presentation_follows_the_roster():
     def presented():
         return [names[c] if c >= 0 else None for c in engine._member_presentation().tolist()]
 
-    assert presented() == [None] * 30
-    engine.gate.bootstrap_member("d010", "d010")
-    engine.gate.bootstrap_member("d003", "adv01")  # an identity on the roster makes its device a member
-    expected = [i if i in ("d003", "d010") else None for i in engine.ids]
+    assert presented() == [i if i in engine.managers else None for i in engine.ids]  # the first members
+    engine.gate.members["d010"] = {"d010"}
+    engine.gate.members["d012"] = {"adv01"}  # an identity on the roster makes its device a member
+    expected = [i if i in engine.managers or i in ("d010", "d012") else None for i in engine.ids]
     assert presented() == expected
     attacker = next(e for e in engine.engines if e.device.id == "adv01")
-    attacker.presented = attacker.steal_identity(engine.devices[engine.ids.index("d003")])
-    assert presented() == [("d003" if i == "adv01" else p) for i, p in zip(engine.ids, expected)]
+    attacker.presented = attacker.steal_identity(engine.devices[engine.ids.index("d012")])
+    assert presented() == [("d012" if i == "adv01" else p) for i, p in zip(engine.ids, expected)]
 
 
 @pytest.mark.parametrize("source", [IdentitySource.STOLEN, IdentitySource.FABRICATED])

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from siotrust.authn import AccessRequest
 from siotrust.sim import ScenarioConfig, SimulationEngine, run_scenario
 from siotrust.social import RelationType
 from siotrust.metrics import CHUNK_LINES
@@ -201,8 +200,7 @@ class TestRecommendation:
         engine.store.record_experience("d001", "d010", "positive")
         engine._rebuild_recommendations(engine._squared_distances())
         assert len(engine.rec_cache) == 0
-        request = AccessRequest(0.0, "d010", "d010", "d000")
-        engine._adjudicate(request)
+        engine._adjudicate(0.0, "d010", "d010", "d000")
         assert list(engine.assessments)[-1].recommended == 0.2
 
     def test_aggregate_expected_fallback(self):
