@@ -21,7 +21,6 @@ forwarding passes skip attacker devices entirely.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from enum import Enum
@@ -32,6 +31,7 @@ from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 import numpy as np
 
 from .authn import DecisionRecord
+from .record import write_csv
 from .social import Device, Identity, IdentitySource
 
 if TYPE_CHECKING:
@@ -196,12 +196,9 @@ def write_attack_csv(decisions: Iterable[DecisionRecord], config: ScenarioConfig
 
     Every attacker runs `config`, so each row's source and schedule are its.
     """
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["time", "attacker_device", "identity", "source", "behavior", "target_manager"]
-        )
-        source, behavior = config.identity_source.value, config.behavior.value
-        for d in decisions:
-            if d.attacker:
-                writer.writerow([repr(d.time), d.presenter, d.identity, source, behavior, d.manager])
+    source, behavior = config.identity_source.value, config.behavior.value
+    write_csv(
+        path,
+        ["time", "attacker_device", "identity", "source", "behavior", "target_manager"],
+        ([repr(d.time), d.presenter, d.identity, source, behavior, d.manager] for d in decisions if d.attacker),
+    )

@@ -13,13 +13,13 @@ than acting on it directly (trust is the only verdict path).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
 from .community import community_similarity  # noqa: F401  the gate is handed T; perfbench times this name
+from .record import write_csv
 from .trust import assess  # noqa: F401  the engine assesses; perfbench counts calls here
 
 
@@ -98,17 +98,11 @@ class AccessGate:
 
 
 def write_decision_csv(records: Iterable[DecisionRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["time", "manager", "identity", "true_device_kind", "verdict", "trust"])
-        for record in records:
-            writer.writerow(
-                [
-                    repr(record.time),
-                    record.manager,
-                    record.identity,
-                    record.true_device_kind,
-                    record.verdict.value,
-                    repr(record.trust),
-                ]
-            )
+    write_csv(
+        path,
+        ["time", "manager", "identity", "true_device_kind", "verdict", "trust"],
+        (
+            [repr(r.time), r.manager, r.identity, r.true_device_kind, r.verdict.value, repr(r.trust)]
+            for r in records
+        ),
+    )

@@ -22,10 +22,11 @@ from typing import Any, Sequence
 
 from .authn import write_decision_csv
 from .community import write_communities_csv
-from .adversary import write_attack_csv
+from .adversary import AttackBehavior, write_attack_csv
 from .metrics import write_esr_csv, write_metrics_csv
+from .record import open_output
 from .sim import ScenarioConfig, SeedSummary, SimulationEngine
-from .social import ConfigError
+from .social import DEFAULT_BASE_RATES, ConfigError, IdentitySource, RelationType
 from .trust import write_trust_trace_csv  # noqa: F401  the trace streams from the run; perfbench spans this name
 
 MANIFEST_FORMAT = "siotrust-manifest/1"
@@ -55,19 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
         dest="attacker_pct",
         help="attacker fraction of the node count, e.g. 0.1",
     )
-    parser.add_argument("--behavior", choices=["churn", "multi"], help="attacker request schedule")
+    parser.add_argument("--behavior", choices=[b.value for b in AttackBehavior], help="attacker request schedule")
+    parser.add_argument("--identity", choices=[s.value for s in IdentitySource], help="attacker identity source")
+    parser.add_argument("--context", choices=list(DEFAULT_BASE_RATES), help="evaluation context (sets the base rate)")
     parser.add_argument(
-        "--identity", choices=["stolen", "fabricated"], help="attacker identity source"
-    )
-    parser.add_argument(
-        "--context",
-        choices=["residence", "office", "school", "gym", "park"],
-        help="evaluation context (sets the base rate)",
-    )
-    parser.add_argument(
-        "--relation",
-        choices=["por", "oor", "clor", "cwor", "sor"],
-        help="relation filter for recommendations and weights",
+        "--relation", choices=[r.value for r in RelationType], help="relation filter for recommendations and weights"
     )
     parser.add_argument("--seed", type=int, help="base seed (default 1)")
     parser.add_argument("--seeds", type=int, help="number of consecutive seeds to run (default 1)")
@@ -162,9 +155,7 @@ def _run_one(config: ScenarioConfig, out_dir: Path) -> SeedSummary:
     for path in finals.values():
         path.unlink(missing_ok=True)
     partial = {key: path.with_name(path.name + ".partial") for key, path in finals.items()}
-    with open(partial["events"], "w", encoding="utf-8", newline="") as events, open(
-        partial["trust"], "w", encoding="utf-8", newline=""
-    ) as trust:
+    with open_output(partial["events"]) as events, open_output(partial["trust"]) as trust:
         result = SimulationEngine(config, events, trust).run()
     write_decision_csv(result.decisions, partial["decisions"])
     write_esr_csv(result.assessments, partial["esr"])
@@ -210,7 +201,7 @@ def run_batch(base: ScenarioConfig, seeds: Sequence[int], out_dir: Path) -> list
         "outputs": {str(seed): _output_names(seed) for seed in seeds},
         "aggregate": {"metrics": "metrics.csv"},
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="") as handle:
+    with open_output(out_dir / "manifest.json") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return summaries
@@ -225,6 +216,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         base, seeds = resolve(args)
+        for note in base.unread_fields():
+            print(f"warning: {note}")
         out_dir = Path(args.out) if args.out else Path("siotrust-out")
         summaries = run_batch(base, seeds, out_dir)
     except ConfigError as exc:

@@ -8,7 +8,6 @@ strictly exceeds the threshold.
 
 from __future__ import annotations
 
-import csv
 import functools
 import operator
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ from typing import Collection, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
+from .record import write_csv
 from .social import ConfigError, Context, Device
 
 
@@ -183,9 +183,8 @@ def community_similarity(
 
 def write_communities_csv(communities: Iterable[Community], path: str | Path) -> None:
     """Dump community membership, one row per device."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["community_id", "device_id", "context_kind"])
-        for community in communities:
-            for member in community.members:
-                writer.writerow([community.id, member, community.context_kind])
+    write_csv(
+        path,
+        ["community_id", "device_id", "context_kind"],
+        ([c.id, member, c.context_kind] for c in communities for member in c.members),
+    )

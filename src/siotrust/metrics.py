@@ -5,29 +5,27 @@ positive (an attack correctly detected), a granted one a false negative.
 Granted legitimate requests are true negatives (legitimate correctly
 identified), denied ones false positives. Undefined rates (an empty
 denominator) surface as None, never as zero.
+
+The writers of the metrics table and the ESR file take every output rule from `record`.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, TextIO
 
 import numpy as np
+
+from .record import check_unquoted, chunk_bounds, float_texts, join_columns, open_output, write_csv
+
+if TYPE_CHECKING:
+    from .trust import AssessmentTable
 
 
 class AdjudicatedRequest(Protocol):
     attacker: bool
     granted: bool
-
-
-class TrustColumns(Protocol):
-    """What the ESR writer reads of a `trust.AssessmentTable`."""
-
-    splits: Sequence[str]
-
-    def split_trust(self, split: str) -> np.ndarray: ...
 
 
 @dataclass
@@ -138,22 +136,9 @@ def _cell(value: float | None) -> str:
 
 
 def write_metrics_csv(reports: Iterable[MetricsReport], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["scenario", "context", "relation", "seed", "DR", "ACC", "FN", "FP"])
-        for report in reports:
-            writer.writerow(
-                [
-                    report.scenario,
-                    report.context,
-                    report.relation,
-                    report.seed,
-                    _cell(report.dr),
-                    _cell(report.acc),
-                    _cell(report.fn),
-                    _cell(report.fp),
-                ]
-            )
+    header = ["scenario", "context", "relation", "seed", "DR", "ACC", "FN", "FP"]
+    rows = ([r.scenario, r.context, r.relation, r.seed, *map(_cell, (r.dr, r.acc, r.fn, r.fp))] for r in reports)
+    write_csv(path, header, rows)
 
 
 def esr_cdf(values: Sequence[float]) -> list[tuple[float, float]] | None:
@@ -185,54 +170,7 @@ def esr_cdf(values: Sequence[float]) -> list[tuple[float, float]] | None:
     return curve
 
 
-# Lines per write in the chunked writers: bounded memory, few write calls.
-CHUNK_LINES = 4096
-
-
-def check_unquoted(text: str, rows: int, columns: int) -> str:
-    """`text` as is, if its `rows` lines hold no field csv.writer would quote.
-
-    The chunked writers format rows as plain comma-joined lines. That is
-    byte-equal to `csv.writer` only while no field holds a comma, a quote or
-    a line break, which engine ids, relation values, split names and float
-    reprs never do; anything else raises instead of writing a broken row.
-    """
-    if (
-        text.count(",") != rows * (columns - 1)
-        or text.count("\n") != rows
-        or '"' in text
-        or "\r" in text
-    ):
-        raise ValueError("a CSV field holds a comma, quote or line break")
-    return text
-
-
-def float_texts(values: np.ndarray, suffix: str = "") -> np.ndarray:
-    """`repr(value) + suffix` for every float64, as an object array.
-
-    Each distinct bit pattern is formatted once and shared by every row that
-    holds it. Keying on bits, not on value, keeps 0.0 and -0.0 apart: equal
-    values with different text.
-    """
-    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64), return_inverse=True)
-    texts = np.array([repr(v) + suffix for v in bits.view(np.float64).tolist()], dtype=object)
-    return texts[inverse]
-
-
-def join_columns(columns: Sequence[np.ndarray | str], rows: int) -> str:
-    """Row-major concatenation of text columns, `rows` long each.
-
-    A column is an object array of strings or one string shared by every
-    row. The text is assembled from references to those strings in one
-    `str.join`, with no intermediate object per row.
-    """
-    grid = np.empty((rows, len(columns)), dtype=object)
-    for k, column in enumerate(columns):
-        grid[:, k] = column
-    return "".join(grid.ravel().tolist())
-
-
-def write_esr_csv(assessments: TrustColumns, path: str | Path) -> None:
+def write_esr_csv(assessments: AssessmentTable, path: str | Path) -> None:
     """ESR curves per split (internal/external); empty splits emit no rows.
 
     `assessments` is a run's `trust.AssessmentTable`, which keeps its T and
@@ -242,11 +180,11 @@ def write_esr_csv(assessments: TrustColumns, path: str | Path) -> None:
     and -0.0 tied in row order. Each point carries `esr_cdf`'s fraction,
     the count of values at or below it over n: T is never NaN, so
     `searchsorted(side="right")` finds the end of its run of ties as `!=`
-    does. Rows are written `CHUNK_LINES` at a time, each T and each
-    fraction formatted once per chunk, the same bytes `csv.writer` would
-    write.
+    does. Rows are written a chunk (`record.chunk_bounds`) at a time, each
+    T and each fraction formatted once per chunk, the same bytes `csv.writer`
+    would write.
     """
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open_output(path) as handle:
         handle.write("split,trust,cum_fraction\n")
         for split in sorted(assessments.splits):
             _write_curve(handle, split, assessments.split_trust(split))
@@ -256,8 +194,8 @@ def _write_curve(handle: TextIO, split: str, ordered: np.ndarray) -> None:
     """One split's ESR rows; sorts `ordered` in place, and it is freed on return."""
     ordered.sort(kind="stable")
     n = len(ordered)
-    for start in range(0, n, CHUNK_LINES):
-        chunk = ordered[start:start + CHUNK_LINES]
+    for start, stop in chunk_bounds(n):
+        chunk = ordered[start:stop]
         fractions = np.searchsorted(ordered, chunk, side="right") / n
         columns = [f"{split},", float_texts(chunk, ","), float_texts(fractions, "\n")]
         handle.write(check_unquoted(join_columns(columns, len(chunk)), len(chunk), 3))

@@ -1,4 +1,4 @@
-"""The columnar run record: the per-run id table, and the event log.
+"""The columnar run record, and how every run file's bytes are written.
 
 A run keeps its record as columns of small integers and floats, and formats
 text only when a file is written. Events and trust assessments (see
@@ -6,19 +6,88 @@ text only when a file is written. Events and trust assessments (see
 time as a float64, so neither holds a Python object per row. Given an open
 file, a record part streams instead: it writes its rows a chunk at a time
 as the run makes them and drops them (see `Spool`).
+
+It is also the one home of the output bytes: every run file is opened by
+`open_output`, every small CSV is written by `write_csv`, and the chunked
+writers (event log, trust trace, ESR) take `chunk_bounds` and the text kernels.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from array import array
 from pathlib import Path
 from string import Formatter
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .metrics import CHUNK_LINES, join_columns
+# Lines per write in the chunked writers: bounded memory, few write calls.
+CHUNK_LINES = 4096
+
+
+def chunk_bounds(count: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each run of at most `CHUNK_LINES` of `count` rows, the size read as iteration starts."""
+    size = CHUNK_LINES
+    for start in range(0, count, size):
+        yield start, min(start + size, count)
+
+
+def open_output(path: str | Path) -> TextIO:
+    """A run file opened for writing: UTF-8, with a bare line feed ending each line on every platform."""
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header and rows in the one CSV dialect of the run files."""
+    with open_output(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def check_unquoted(text: str, rows: int, columns: int) -> str:
+    """`text` as is, if its `rows` lines hold no field csv.writer would quote.
+
+    The chunked writers format rows as plain comma-joined lines. That is
+    byte-equal to `write_csv` only while no field holds a comma, a quote or
+    a line break, which engine ids, relation values, split names and float
+    reprs never do; anything else raises instead of writing a broken row.
+    """
+    if (
+        text.count(",") != rows * (columns - 1)
+        or text.count("\n") != rows
+        or '"' in text
+        or "\r" in text
+    ):
+        raise ValueError("a CSV field holds a comma, quote or line break")
+    return text
+
+
+def float_texts(values: np.ndarray, suffix: str = "") -> np.ndarray:
+    """`repr(value) + suffix` for every float64, as an object array.
+
+    Each distinct bit pattern is formatted once and shared by every row that
+    holds it. Keying on bits, not on value, keeps 0.0 and -0.0 apart: equal
+    values with different text.
+    """
+    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64), return_inverse=True)
+    texts = np.array([repr(v) + suffix for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse]
+
+
+def join_columns(columns: Sequence[np.ndarray | str], rows: int) -> str:
+    """Row-major concatenation of text columns, `rows` long each.
+
+    A column is an object array of strings or one string shared by every
+    row. The text is assembled from references to those strings in one
+    `str.join`, with no intermediate object per row.
+    """
+    grid = np.empty((rows, len(columns)), dtype=object)
+    for k, column in enumerate(columns):
+        grid[:, k] = column
+    return "".join(grid.ravel().tolist())
 
 
 class Symbols:
@@ -126,18 +195,23 @@ def time_texts(times: np.ndarray, template: str) -> np.ndarray:
 class Spool:
     """Rows pending as columns, kept whole or streamed to an open file.
 
-    Without a sink, every row stays for the readers of the whole record.
-    With one (an open text file, which the caller closes), `flush` formats
+    Without a sink, every row stays for the readers of the whole record,
+    and `_write` writes them as one file. With one (an open text file, which
+    the caller closes), the sink gets the `header` at once; `flush` formats
     the pending rows a chunk at a time (`_chunks`), writes them and drops
     them, and `spill` flushes once `CHUNK_LINES` rows are pending; a reader
     of the whole record then raises instead of returning part of the run.
     A subclass keeps its pending columns in the attributes `_drop` resets.
     """
 
+    header = ""  # the file's text before its first row
+
     def __init__(self, sink: TextIO | None) -> None:
         self._sink = sink
         self._written = 0  # rows written to the sink and dropped
         self._drop()
+        if sink is not None:
+            sink.write(self.header)
 
     def _drop(self) -> None:
         raise NotImplementedError
@@ -146,15 +220,14 @@ class Spool:
         raise NotImplementedError
 
     def _chunks(self) -> Iterator[str]:
-        """The pending rows' text, `CHUNK_LINES` rows at a time."""
+        """The pending rows' text, a chunk (`chunk_bounds`) at a time."""
         raise NotImplementedError
 
     def flush(self) -> None:
         """Write the pending rows to the sink and drop them; without a sink, keep them."""
         if self._sink is None or not self._pending():
             return
-        for chunk in self._chunks():
-            self._sink.write(chunk)
+        self._sink.writelines(self._chunks())
         self._written += self._pending()
         self._drop()
 
@@ -166,6 +239,13 @@ class Spool:
     def _require_whole(self) -> None:
         if self._sink is not None:
             raise ValueError(f"this {type(self).__name__} streams to a file and holds only unwritten rows")
+
+    def _write(self, path: str | Path) -> None:
+        """The whole record as the file a sink would have received; a record that streams raises."""
+        self._require_whole()
+        with open_output(path) as handle:
+            handle.write(self.header)
+            handle.writelines(self._chunks())
 
 
 class EventLog(Spool):
@@ -256,8 +336,7 @@ class EventLog(Spool):
         values = np.frombuffer(self._values, dtype=np.float64)
         arity = _ARITY[kinds]
         offsets = np.cumsum(arity) - arity  # where each event's fields start
-        for start in range(0, count, CHUNK_LINES):
-            stop = min(start + CHUNK_LINES, count)
+        for start, stop in chunk_bounds(count):
             prefixes = time_texts(times[start:stop], "t={!r} ")
             edges = [start, *(np.flatnonzero(np.diff(kinds[start:stop])) + start + 1).tolist(), stop]
             text = []
@@ -278,11 +357,8 @@ class EventLog(Spool):
         return "".join(self._chunks())
 
     def write(self, path: str | Path) -> None:
-        """The log as `text()` gives it, written `CHUNK_LINES` lines at a time."""
-        self._require_whole()
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            for chunk in self._chunks():
-                handle.write(chunk)
+        """The log as `text()` gives it, written a chunk at a time; a log that streams raises."""
+        self._write(path)
 
     def __len__(self) -> int:
         """Every event appended, written to the sink or not."""

@@ -86,6 +86,12 @@ SHARED_HOME = "home-0"
 
 # ScenarioConfig's enum fields: `from_mapping` turns a string into its member, the config takes nothing else
 _ENUM_FIELDS = (("relation", RelationType), ("behavior", AttackBehavior), ("identity_source", IdentitySource))
+# the attacker fields a schedule or an identity source never reads
+_UNREAD_FIELDS = {
+    AttackBehavior.CHURN: ("pool_size", "idle_fraction"),
+    AttackBehavior.MULTI: ("deny_streak_limit",),
+    IdentitySource.STOLEN: ("forged_set_size",),
+}
 
 
 @dataclass(frozen=True)
@@ -219,6 +225,16 @@ class ScenarioConfig:
 
     def weights(self) -> SimilarityWeights:
         return SimilarityWeights(self.friend_weight, self.interest_weight)
+
+    def unread_fields(self) -> list[str]:
+        """A note for each field set off its default that the configured schedule or identity source never reads."""
+        defaults = {f.name: f.default for f in fields(self)}
+        notes = []
+        for mode, kind in ((self.behavior, "schedule"), (self.identity_source, "identity source")):
+            for name in _UNREAD_FIELDS.get(mode, ()):
+                if getattr(self, name) != defaults[name]:
+                    notes.append(f"{name} is set to {getattr(self, name)!r}, but the {mode.value} {kind} never reads it")
+        return notes
 
     # -- manifest round-trip --------------------------------------------------
 

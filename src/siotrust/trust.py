@@ -29,8 +29,7 @@ from typing import Iterator, Literal, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .metrics import CHUNK_LINES, check_unquoted, float_texts, join_columns
-from .record import NameTexts, Spool, Symbols, time_texts
+from .record import NameTexts, Spool, Symbols, check_unquoted, chunk_bounds, float_texts, join_columns, time_texts
 from .social import RelationType
 
 Outcome = Literal["positive", "negative"]
@@ -333,9 +332,6 @@ _SPLITS = ("internal", "external")
 _RELATIONS = tuple(RelationType)
 
 
-TRUST_HEADER = "time,evaluator,subject,relation,D,S,R,T\n"
-
-
 class AssessmentTable(Spool):
     """Every trust assessment of a run, as columns.
 
@@ -354,14 +350,14 @@ class AssessmentTable(Spool):
     needs.
     """
 
+    header = "time,evaluator,subject,relation,D,S,R,T\n"
+
     def __init__(self, symbols: Symbols | None = None, sink: TextIO | None = None) -> None:
         self.symbols = Symbols() if symbols is None else symbols
         self._trust = array("d")  # every row's T and split, written or not
         self._split = array("B")
         self._names = NameTexts(self.symbols.names, ",")
         super().__init__(sink)
-        if sink is not None:
-            sink.write(TRUST_HEADER)
 
     def _drop(self) -> None:
         self._time = array("d")
@@ -462,8 +458,8 @@ class AssessmentTable(Spool):
         relation = np.frombuffer(self._relation, dtype=np.uint8)
         direct, similarity, recommended = (np.frombuffer(c, dtype=np.float64) for c in self._components)
         trust = np.frombuffer(self._trust, dtype=np.float64)[self._written :]
-        for start in range(0, count, CHUNK_LINES):
-            rows = slice(start, min(start + CHUNK_LINES, count))
+        for start, stop in chunk_bounds(count):
+            rows = slice(start, stop)
             columns = [
                 time_texts(time[rows], "{!r},"),
                 self._names.of(evaluator[rows]),
@@ -474,17 +470,12 @@ class AssessmentTable(Spool):
                 float_texts(recommended[rows], ","),
                 float_texts(trust[rows], "\n"),
             ]
-            lines = rows.stop - rows.start
-            yield check_unquoted(join_columns(columns, lines), lines, 8)
+            yield check_unquoted(join_columns(columns, stop - start), stop - start, 8)
 
 
 def write_trust_trace_csv(assessments: AssessmentTable, path: str | Path) -> None:
-    """One CSV row per assessment, `CHUNK_LINES` at a time (see `AssessmentTable._chunks`).
+    """One CSV row per assessment, a chunk at a time (see `AssessmentTable._chunks`).
 
     A table that streamed its trace to a file raises.
     """
-    assessments._require_whole()
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(TRUST_HEADER)
-        for chunk in assessments._chunks():
-            handle.write(chunk)
+    assessments._write(path)

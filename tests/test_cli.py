@@ -5,8 +5,10 @@ import os
 
 import pytest
 
-from siotrust import ConfigError, ScenarioConfig, SimulationEngine, record, trust
-from siotrust.cli import main, run_batch
+from siotrust import ConfigError, ScenarioConfig, SimulationEngine, record
+from siotrust.adversary import AttackBehavior
+from siotrust.cli import build_parser, main, run_batch
+from siotrust.social import DEFAULT_BASE_RATES, IdentitySource, RelationType
 
 SMALL = {"node_count": 30, "duration": 60.0}
 
@@ -108,8 +110,7 @@ class TestFailedSeed:
 
     def test_a_single_seed(self, tmp_path, monkeypatch):
         run_batch(ScenarioConfig(**SMALL), [5], tmp_path / "clean")
-        for module in (record, trust):
-            monkeypatch.setattr(module, "CHUNK_LINES", 100)  # flush often enough to see the run's start
+        monkeypatch.setattr(record, "CHUNK_LINES", 100)  # flush often enough to see the run's start
         self.fail_mid_run(monkeypatch, 5)
         out = tmp_path / "failed"
         with pytest.raises(RuntimeError, match="seed 5 broke"):
@@ -150,6 +151,41 @@ class TestFailedSeed:
         assert len(complete) == 6
         for name in complete:
             assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
+
+
+class TestUnreadFields:
+    """A field the configured schedule or identity source never reads is named on stdout, and changes no byte."""
+
+    @pytest.mark.parametrize(
+        "behavior, unread, reader",
+        [
+            ("churn", {"pool_size": 3, "idle_fraction": 0.1}, "churn schedule"),
+            ("multi", {"deny_streak_limit": 1}, "multi schedule"),
+            ("multi", {"forged_set_size": 3}, "stolen identity source"),
+        ],
+    )
+    def test_warns_and_writes_the_default_bytes(self, tmp_path, capsys, behavior, unread, reader):
+        runs = {}
+        for label, fields in (("set", unread), ("default", {})):
+            config = tmp_path / f"{label}.json"
+            config.write_text(json.dumps({"node_count": 40, "behavior": behavior, **fields}))
+            assert main(["--config", str(config), "--out", str(tmp_path / label)]) == 0
+            runs[label] = capsys.readouterr()
+        warnings = [line for line in runs["set"].out.splitlines() if line.startswith("warning: ")]
+        assert [line.split()[1] for line in warnings] == list(unread)
+        assert all(reader in line for line in warnings)
+        assert runs["set"].err == "" and "warning" not in runs["default"].out
+        names = sorted(p.name for p in (tmp_path / "default").iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (tmp_path / "set" / name).read_bytes() == (tmp_path / "default" / name).read_bytes(), name
+
+
+def test_flag_choices_come_from_their_sources():
+    choices = {action.dest: action.choices for action in build_parser()._actions}
+    assert choices["behavior"] == [member.value for member in AttackBehavior]
+    assert choices["identity"] == [member.value for member in IdentitySource]
+    assert choices["relation"] == [member.value for member in RelationType]
+    assert choices["context"] == list(DEFAULT_BASE_RATES)
 
 
 class TestPrecedence:

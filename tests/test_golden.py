@@ -22,16 +22,23 @@ Two more set every attacker field off its default, churn (attempt
 interval, deny streak, speed factor) and multi over fabricated identities
 (pool size, idle fraction, attempt interval, forged set size). The default
 attempt interval equals the default interaction period, so only these two
-tell a crossed field read apart.
+tell a crossed field read apart. One more pin reads a friendship file, a
+40-node ring, instead of generating the world.
+
+`record.CHUNK_LINES` is the one chunk size of every chunked writer, so the
+flush-boundary test patches it there alone.
 """
 
+import collections
 import hashlib
+import json
 import math
 
 import pytest
 
 from siotrust import ScenarioConfig, SimulationEngine, cli, community, metrics, record, run_scenario, sim, trust
-from siotrust.metrics import CHUNK_LINES, write_esr_csv
+from siotrust.metrics import write_esr_csv
+from siotrust.record import CHUNK_LINES
 from siotrust.trust import write_trust_trace_csv
 
 GOLDEN = {
@@ -149,19 +156,49 @@ GOLDEN = {
 }
 
 
+# The 40-node ring file the CI replays, each device befriending the next
+# three, read at node_count 40: the friendship-file path
+# (`load_friendship_edges`, `sample_subgraph`) instead of a synthetic world.
+RING_40 = {
+    "attacks-s1.csv": "a1a0fd821da9b65297e87c7575819c247c597b6dc1c7beb2f533adffb85a9972",
+    "communities-s1.csv": "bb346db0b31f82c0391b7725c5f26b7b91327285546173f5e5efc1c623055173",
+    "decisions-s1.csv": "568c218173ec9b2515d68ba1e961dc9d5a3498080ac106a81be99fcc61211f42",
+    "esr-s1.csv": "1bf0efead0fb22bbb20ffd10db54da77dd9348222436815fcee18ff43bed3d8b",
+    "events-s1.log": "33debd3669ae5d4d1ba6735521ffca015d16ac778f5c4954b6ffa0330b891f9a",
+    "metrics.csv": "2aac9b767b597c52e608ca80564c68fcd1460aff9e2857ec1e0ed48e88e9df87",
+    "trust-s1.csv": "8e5b6c6afeaac4b98c11401d6f86659fcf38b3c0bcf8b0b11c8cdf79584f9012",
+}
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def batch_hashes(name, out) -> dict[str, str]:
-    """Run a golden config's seed 1 through `run_batch` and hash every file but the manifest."""
-    cli.run_batch(ScenarioConfig.from_mapping(GOLDEN[name][0]), [1], out)
+def batch_hashes(overrides, out) -> dict[str, str]:
+    """Run a config's seed 1 through `run_batch` and hash every file but the manifest."""
+    cli.run_batch(ScenarioConfig.from_mapping(overrides), [1], out)
     return {p.name: sha256(p) for p in sorted(out.iterdir()) if p.name != "manifest.json"}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_outputs_match_pinned_hashes(name, tmp_path):
-    assert batch_hashes(name, tmp_path) == GOLDEN[name][1]
+    assert batch_hashes(GOLDEN[name][0], tmp_path) == GOLDEN[name][1]
+
+
+def test_friendship_file_matches_pinned_hashes(tmp_path):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("".join(f"{i} {(i + k) % 40}\n" for i in range(40) for k in (1, 2, 3)))
+    assert batch_hashes({"node_count": 40, "friends_path": str(edges)}, tmp_path / "out") == RING_40
+
+
+@pytest.mark.parametrize("name", ["churn-off-default-40", "fabricated-multi-off-default-40"])
+def test_off_default_configs_warn_of_nothing(name, tmp_path, capsys):
+    """Every attacker field these set is read by their schedule and identity source."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**GOLDEN[name][0], "duration": 30.0}))
+    assert cli.main(["--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    printed = capsys.readouterr()
+    assert "warning" not in printed.out and printed.err == ""
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -174,7 +211,7 @@ def test_pins_hold_where_sum_compensates(name, tmp_path, monkeypatch):
     """
     for module in (sim, community):
         monkeypatch.setattr(module, "sum", math.fsum, raising=False)
-    assert batch_hashes(name, tmp_path) == GOLDEN[name][1]
+    assert batch_hashes(GOLDEN[name][0], tmp_path) == GOLDEN[name][1]
 
 
 def test_fabricated_config_mints_identities(tmp_path):
@@ -199,13 +236,29 @@ def test_flush_boundaries_do_not_change_bytes(name, lines, tmp_path, monkeypatch
     result.log.write(want / "events-s1.log")
     write_trust_trace_csv(result.assessments, want / "trust-s1.csv")
     write_esr_csv(result.assessments, want / "esr-s1.csv")
-    for module in (metrics, record, trust):
-        monkeypatch.setattr(module, "CHUNK_LINES", lines)
+    monkeypatch.setattr(record, "CHUNK_LINES", lines)
     got = tmp_path / "got"
     got.mkdir()
     cli._run_one(config, got)
     for path in want.iterdir():
         assert (got / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_one_patch_point_governs_every_chunked_writer(tmp_path, monkeypatch):
+    """`record.CHUNK_LINES` alone sizes the chunks of the event log, the trust trace and the ESR file."""
+    monkeypatch.setattr(record, "CHUNK_LINES", 7)
+    join_columns = record.join_columns
+    joined = collections.defaultdict(list)  # module -> rows of each join it made
+    for module in (record, trust, metrics):
+
+        def spy(columns, rows, name=module.__name__):
+            joined[name].append(rows)
+            return join_columns(columns, rows)
+
+        monkeypatch.setattr(module, "join_columns", spy)
+    cli._run_one(ScenarioConfig.from_mapping({**GOLDEN["default-40"][0], "seed": 1}), tmp_path)
+    assert sorted(joined) == ["siotrust.metrics", "siotrust.record", "siotrust.trust"]
+    assert {name: max(rows) for name, rows in joined.items()} == dict.fromkeys(joined, 7)
 
 
 def test_por_config_leaves_the_recommendation_cache_empty():

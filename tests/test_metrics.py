@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from siotrust.metrics import (
-    CHUNK_LINES,
     ConfusionCounters,
     MetricsReport,
     accuracy,
@@ -17,10 +16,10 @@ from siotrust.metrics import (
     esr_cdf,
     false_negative_rate,
     false_positive_rate,
-    float_texts,
     write_esr_csv,
     write_metrics_csv,
 )
+from siotrust.record import CHUNK_LINES, float_texts
 from siotrust.social import RelationType
 from siotrust.trust import AssessmentTable
 

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from siotrust import record
+from siotrust.record import CHUNK_LINES
 from siotrust.adversary import AttackBehavior, AttackerEngine
-from siotrust.metrics import CHUNK_LINES, ConfusionCounters
+from siotrust.metrics import ConfusionCounters
 from siotrust.community import (
     Community,
     SimilarityColumns,
@@ -1008,7 +1009,7 @@ class TestRecordFootprint:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # 17 bytes of columns per event and 46 per assessment, plus the
+        # 21 bytes of columns per event and 50 per assessment, plus the
         # arrays' headroom and the decisions and communities
         assert retained <= 32 * len(result.log) + 64 * len(result.assessments)
 

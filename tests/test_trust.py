@@ -9,8 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from siotrust.sim import ScenarioConfig, SimulationEngine, run_scenario
 from siotrust.social import RelationType
-from siotrust.metrics import CHUNK_LINES
-from siotrust.record import Symbols
+from siotrust.record import CHUNK_LINES, Symbols
 from siotrust.trust import (
     AssessmentTable,
     Opinion,
