@@ -15,8 +15,10 @@ import argparse
 import json
 import os
 import sys
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -28,6 +30,7 @@ from .record import open_output
 from .sim import ScenarioConfig, SeedSummary, SimulationEngine
 from .social import DEFAULT_BASE_RATES, ConfigError, IdentitySource, RelationType
 from .trust import write_trust_trace_csv  # noqa: F401  the trace streams from the run; perfbench spans this name
+from .writer import Writer
 
 MANIFEST_FORMAT = "siotrust-manifest/1"
 
@@ -149,18 +152,28 @@ def _output_names(seed: int) -> dict[str, str]:
     }
 
 
-def _run_one(config: ScenarioConfig, out_dir: Path) -> SeedSummary:
-    """Remove an earlier run's six files, then run one seed and write its own; a raise leaves only `.partial` files."""
+def _run_one(config: ScenarioConfig, out_dir: Path, fork: bool = False) -> SeedSummary:
+    """Remove an earlier run's six files, then run one seed and write its own; a raise leaves only `.partial` files.
+
+    With `fork`, a writer process (`writer.Writer`) formats the event log
+    and the trust trace while the run goes on and while this process writes
+    the other four files; the six are renamed once it reports them written.
+    """
     finals = {key: out_dir / name for key, name in _output_names(config.seed).items()}
     for path in finals.values():
         path.unlink(missing_ok=True)
     partial = {key: path.with_name(path.name + ".partial") for key, path in finals.items()}
-    with open_output(partial["events"]) as events, open_output(partial["trust"]) as trust:
+    with ExitStack() as sinks:
+        if fork:
+            writer = sinks.enter_context(Writer(partial["events"], partial["trust"]))
+            events = trust = writer
+        else:
+            events, trust = (sinks.enter_context(open_output(partial[key])) for key in ("events", "trust"))
         result = SimulationEngine(config, events, trust).run()
-    write_decision_csv(result.decisions, partial["decisions"])
-    write_esr_csv(result.assessments, partial["esr"])
-    write_communities_csv(result.communities, partial["communities"])
-    write_attack_csv(result.decisions, config, partial["attacks"])
+        write_decision_csv(result.decisions, partial["decisions"])
+        write_esr_csv(result.assessments, partial["esr"])
+        write_communities_csv(result.communities, partial["communities"])
+        write_attack_csv(result.decisions, config, partial["attacks"])
     for key, path in partial.items():
         os.replace(path, finals[key])
     return result.summary()
@@ -168,6 +181,11 @@ def _run_one(config: ScenarioConfig, out_dir: Path) -> SeedSummary:
 
 def run_batch(base: ScenarioConfig, seeds: Sequence[int], out_dir: Path) -> list[SeedSummary]:
     """Run every seed (concurrently), then write the aggregate files.
+
+    Seeds run on a thread pool of one thread per CPU. A batch of one seed,
+    on Linux with a second CPU and with no other thread in this process,
+    formats its event log and trust trace in a forked writer process
+    instead (see `_run_one`); the bytes are the same either way.
 
     Returns one summary per seed, in seed-list order. A seed that raises
     propagates its error once the other seeds have finished, and no
@@ -186,12 +204,15 @@ def run_batch(base: ScenarioConfig, seeds: Sequence[int], out_dir: Path) -> list
     for name in ("metrics.csv", "manifest.json"):
         (out_dir / name).unlink(missing_ok=True)
     configs = [base.with_seed(seed) for seed in seeds]
-    workers = min(len(configs), os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    workers = min(len(configs), cpus)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(lambda cfg: _run_one(cfg, out_dir), configs))
     else:
-        summaries = [_run_one(cfg, out_dir) for cfg in configs]
+        # a fork beside another thread may copy a lock that thread holds
+        fork = cpus > 1 and sys.platform == "linux" and threading.active_count() == 1
+        summaries = [_run_one(cfg, out_dir, fork) for cfg in configs]
 
     write_metrics_csv((s.metrics_report() for s in summaries), out_dir / "metrics.csv")
     manifest = {

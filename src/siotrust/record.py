@@ -192,6 +192,13 @@ def time_texts(times: np.ndarray, template: str) -> np.ndarray:
     return np.repeat(np.array(texts, dtype=object), np.diff(np.r_[0, edges, len(times)]))
 
 
+class Channel:
+    """A sink whose rows another process formats: `Spool.flush` hands it the spool (see `writer.Writer`)."""
+
+    def ship(self, spool: Spool) -> None:
+        raise NotImplementedError
+
+
 class Spool:
     """Rows pending as columns, kept whole or streamed to an open file.
 
@@ -201,16 +208,20 @@ class Spool:
     the pending rows a chunk at a time (`_chunks`), writes them and drops
     them, and `spill` flushes once `CHUNK_LINES` rows are pending; a reader
     of the whole record then raises instead of returning part of the run.
-    A subclass keeps its pending columns in the attributes `_drop` resets.
+    With a `Channel` as the sink, `flush` ships the pending column buffers
+    (`_buffers`) instead, and a writer process loads them into a mirror
+    spool on the file (`_load`) whose own `flush` formats them: the same
+    code, so the same bytes. A subclass keeps its pending columns in the
+    attributes `_drop` resets.
     """
 
     header = ""  # the file's text before its first row
 
-    def __init__(self, sink: TextIO | None) -> None:
+    def __init__(self, sink: TextIO | Channel | None) -> None:
         self._sink = sink
         self._written = 0  # rows written to the sink and dropped
         self._drop()
-        if sink is not None:
+        if sink is not None and not isinstance(sink, Channel):
             sink.write(self.header)
 
     def _drop(self) -> None:
@@ -219,15 +230,27 @@ class Spool:
     def _pending(self) -> int:
         raise NotImplementedError
 
+    def _buffers(self) -> tuple[array, ...]:
+        """The pending rows' columns, in the order `_load` takes them."""
+        raise NotImplementedError
+
+    def _load(self, buffers: Sequence[bytes]) -> None:
+        """Append a twin's shipped `_buffers()` to the pending rows; the twin's id table must match this one's."""
+        for column, data in zip(self._buffers(), buffers, strict=True):
+            column.frombytes(data)
+
     def _chunks(self) -> Iterator[str]:
         """The pending rows' text, a chunk (`chunk_bounds`) at a time."""
         raise NotImplementedError
 
     def flush(self) -> None:
-        """Write the pending rows to the sink and drop them; without a sink, keep them."""
+        """Write the pending rows to the sink, or ship them through a `Channel`, and drop them; without a sink, keep them."""
         if self._sink is None or not self._pending():
             return
-        self._sink.writelines(self._chunks())
+        if isinstance(self._sink, Channel):
+            self._sink.ship(self)
+        else:
+            self._sink.writelines(self._chunks())
         self._written += self._pending()
         self._drop()
 
@@ -277,6 +300,9 @@ class EventLog(Spool):
 
     def _pending(self) -> int:
         return len(self._kinds)
+
+    def _buffers(self) -> tuple[array, ...]:
+        return self._kinds, self._times, self._fields, self._values
 
     def _stamp(self, time: float) -> None:
         if time < self._last_time:

@@ -60,7 +60,7 @@ from .community import (
 )
 from .dataset import FriendshipGraph, load_friendship_edges, sample_subgraph, synthetic_small_world
 from .metrics import ConfusionCounters, MetricsReport
-from .record import INT_FIELD_MAX, EventLog
+from .record import INT_FIELD_MAX, Channel, EventLog
 from .social import (
     ConfigError,
     Context,
@@ -377,10 +377,13 @@ class SimulationEngine:
     Given open text files `events` and `trust`, the run streams its event
     log and its trust trace to them, a chunk at a time between ticks, and
     keeps no row of either once written (see `record.Spool`); the caller
-    closes the files. Without them the run keeps its whole record.
+    closes the files. Given a `writer.Writer` as both, it ships those rows
+    to a writer process instead. Without them the run keeps its whole record.
     """
 
-    def __init__(self, config: ScenarioConfig, events: TextIO | None = None, trust: TextIO | None = None) -> None:
+    def __init__(
+        self, config: ScenarioConfig, events: TextIO | Channel | None = None, trust: TextIO | Channel | None = None
+    ) -> None:
         self.cfg = config
         self.context = config.context()
         self.rng = np.random.Generator(np.random.PCG64(config.seed))

@@ -347,7 +347,7 @@ class AssessmentTable(Spool):
     Given a `sink`, the table writes the trust trace to it as the run goes
     (see `record.Spool`): the header at once, then each flushed row, and
     keeps of a written row only T and the split, 9 bytes, which the ESR
-    needs.
+    needs. A writer process's mirror of the table keeps neither.
     """
 
     header = "time,evaluator,subject,relation,D,S,R,T\n"
@@ -368,6 +368,17 @@ class AssessmentTable(Spool):
 
     def _pending(self) -> int:
         return len(self._time)
+
+    def _buffers(self) -> tuple[array, ...]:
+        """The pending columns, then the pending rows' T: a copy, since every row's T stays for the ESR."""
+        return (self._time, self._evaluator, self._subject, self._relation, *self._components, self._trust[self._written :])
+
+    def _load(self, buffers: Sequence[bytes]) -> None:
+        """A mirror's load: the shipment's T replaces the mirror's, so it keeps no T it has written."""
+        *columns, trust = buffers
+        for column, data in zip(self._buffers()[:-1], columns, strict=True):
+            column.frombytes(data)
+        self._trust = array("d", trust)
 
     def append(
         self,
@@ -457,7 +468,7 @@ class AssessmentTable(Spool):
         subject = np.frombuffer(self._subject, dtype=np.intc)
         relation = np.frombuffer(self._relation, dtype=np.uint8)
         direct, similarity, recommended = (np.frombuffer(c, dtype=np.float64) for c in self._components)
-        trust = np.frombuffer(self._trust, dtype=np.float64)[self._written :]
+        trust = np.frombuffer(self._trust, dtype=np.float64)[len(self._trust) - count :]  # the pending rows' T
         for start, stop in chunk_bounds(count):
             rows = slice(start, stop)
             columns = [

@@ -1,7 +1,9 @@
 import collections
 import csv
 import json
+import multiprocessing
 import os
+import signal
 
 import pytest
 
@@ -18,6 +20,12 @@ def config_path(tmp_path):
     path = tmp_path / "small.json"
     path.write_text(json.dumps(SMALL))
     return str(path)
+
+
+@pytest.fixture(autouse=True)
+def no_process_outlives_a_test():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def read_metrics(out_dir):
@@ -108,17 +116,41 @@ class TestFailedSeed:
 
         monkeypatch.setattr(SimulationEngine, "_move", failing)
 
-    def test_a_single_seed(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("path", ["in_process", "writer_path"], ids=["in-process", "writer"])
+    def test_a_single_seed(self, tmp_path, monkeypatch, request, path):
         run_batch(ScenarioConfig(**SMALL), [5], tmp_path / "clean")
+        request.getfixturevalue(path)
         monkeypatch.setattr(record, "CHUNK_LINES", 100)  # flush often enough to see the run's start
         self.fail_mid_run(monkeypatch, 5)
         out = tmp_path / "failed"
         with pytest.raises(RuntimeError, match="seed 5 broke"):
             run_batch(ScenarioConfig(**SMALL), [5], out)
+        assert multiprocessing.active_children() == []
         assert {p.name for p in out.iterdir()} == {"events-s5.log.partial", "trust-s5.csv.partial"}
         for partial, final in (("events-s5.log.partial", "events-s5.log"), ("trust-s5.csv.partial", "trust-s5.csv")):
             written, whole = (out / partial).read_bytes(), (tmp_path / "clean" / final).read_bytes()
             assert 1000 < len(written) < len(whole) and whole.startswith(written), partial
+
+    def test_a_killed_writer_process_fails_the_seed(self, tmp_path, monkeypatch, writer_path):
+        monkeypatch.setattr(record, "CHUNK_LINES", 100)
+        move = SimulationEngine._move
+        moves = collections.Counter()
+
+        def killing(engine):
+            moves[engine.cfg.seed] += 1
+            if moves[engine.cfg.seed] == 40:
+                (child,) = multiprocessing.active_children()
+                os.kill(child.pid, signal.SIGKILL)
+            move(engine)
+
+        monkeypatch.setattr(SimulationEngine, "_move", killing)
+        out = tmp_path / "out"
+        with pytest.raises(ChildProcessError, match="died with exit code -9"):
+            run_batch(ScenarioConfig(**SMALL), [5], out)
+        assert multiprocessing.active_children() == []
+        names = {p.name for p in out.iterdir()}
+        assert {"events-s5.log.partial", "trust-s5.csv.partial"} <= names
+        assert all(name.endswith(".partial") for name in names), names
 
     def test_one_seed_of_a_pooled_batch(self, tmp_path, monkeypatch):
         base = ScenarioConfig(**SMALL)

@@ -27,6 +27,10 @@ tell a crossed field read apart. One more pin reads a friendship file, a
 
 `record.CHUNK_LINES` is the one chunk size of every chunked writer, so the
 flush-boundary test patches it there alone.
+
+The pins and the flush-boundary test hold on both paths a one-seed batch
+can take: formatting in this process, and in a writer process
+(`siotrust.writer`) that formats the shipments of the engine's flushes.
 """
 
 import collections
@@ -181,8 +185,28 @@ def batch_hashes(overrides, out) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_outputs_match_pinned_hashes(name, tmp_path):
+def test_outputs_match_pinned_hashes(name, tmp_path, in_process):
     assert batch_hashes(GOLDEN[name][0], tmp_path) == GOLDEN[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_writer_process_outputs_match_pinned_hashes(name, tmp_path, writer_path):
+    assert batch_hashes(GOLDEN[name][0], tmp_path) == GOLDEN[name][1]
+
+
+def test_writer_process_on_the_default_pipe_size_writes_the_pinned_bytes(tmp_path, monkeypatch, writer_path):
+    """Where the system refuses a wider pipe, the writer keeps the default one and the bytes."""
+    import fcntl  # POSIX only, as the writer process is
+
+    refused = []
+
+    def refuse(fd, command, *args):
+        refused.append(command)
+        raise PermissionError("pipe size over the limit")
+
+    monkeypatch.setattr(fcntl, "fcntl", refuse)
+    assert batch_hashes(GOLDEN["default-40"][0], tmp_path) == GOLDEN["default-40"][1]
+    assert refused == [fcntl.F_SETPIPE_SZ]
 
 
 def test_friendship_file_matches_pinned_hashes(tmp_path):
@@ -229,6 +253,17 @@ def test_flush_boundaries_do_not_change_bytes(name, lines, tmp_path, monkeypatch
     one event kind, the `t=30` and `t=30.0` prefixes of an integer tick and
     the 0.0 and -0.0 of T all meet chunk and flush boundaries.
     """
+    check_flush_boundaries(name, lines, tmp_path, monkeypatch, fork=False)
+
+
+@pytest.mark.parametrize("lines", [1, 7, CHUNK_LINES])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_writer_process_flush_boundaries_do_not_change_bytes(name, lines, tmp_path, monkeypatch, writer_path):
+    """As above, with a writer process formatting the shipments each flush makes."""
+    check_flush_boundaries(name, lines, tmp_path, monkeypatch, fork=True)
+
+
+def check_flush_boundaries(name, lines, tmp_path, monkeypatch, fork):
     config = ScenarioConfig.from_mapping({**GOLDEN[name][0], "seed": 1})
     result = run_scenario(config)
     want = tmp_path / "want"
@@ -239,7 +274,7 @@ def test_flush_boundaries_do_not_change_bytes(name, lines, tmp_path, monkeypatch
     monkeypatch.setattr(record, "CHUNK_LINES", lines)
     got = tmp_path / "got"
     got.mkdir()
-    cli._run_one(config, got)
+    cli._run_one(config, got, fork)
     for path in want.iterdir():
         assert (got / path.name).read_bytes() == path.read_bytes(), path.name
 

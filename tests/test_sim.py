@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from siotrust import record
+from siotrust import record, writer
 from siotrust.record import CHUNK_LINES
 from siotrust.adversary import AttackBehavior, AttackerEngine
 from siotrust.metrics import ConfusionCounters
@@ -1097,6 +1097,34 @@ class TestStreamedRecordFootprint:
         assert more_events - events > 2 * (more_assessments - assessments)
         # 9 bytes of T and split per assessment plus the arrays' headroom; nothing per event or tick
         assert long - short <= 12 * (more_assessments - assessments)
+
+    def test_a_mirror_writes_the_same_bytes_and_keeps_no_row(self, tmp_path, monkeypatch):
+        """The writer process's side of a shipment, without the pipe: each flush's columns go to a `Mirror`."""
+        monkeypatch.setattr(record, "CHUNK_LINES", 50)  # many shipments, with names added between them
+        files = {"events": io.StringIO(), "trust": io.StringIO()}
+        mirror = writer.Mirror(files["events"], files["trust"])
+        table_rows = []  # rows in each trust-trace shipment
+
+        class Direct(record.Channel):
+            named = 0
+
+            def ship(self, spool):
+                part, names = type(spool).__name__, spool.symbols.names
+                buffers = [bytes(buffer) for buffer in spool._buffers()]
+                mirror.take(part, names[self.named :], buffers)
+                self.named = len(names)
+                assert not any(len(column) for twin in mirror._spools.values() for column in twin._buffers())
+                if part == "AssessmentTable":
+                    table_rows.append(len(buffers[-1]) // 8)  # T is the last buffer, 8 bytes a row
+
+        channel = Direct()
+        shipped = SimulationEngine(ScenarioConfig(node_count=40, seed=1, duration=120.0), channel, channel).run()
+        self.streamed(120.0, tmp_path)
+        assert files["events"].getvalue() == (tmp_path / "events.log").read_text()
+        assert files["trust"].getvalue() == (tmp_path / "trust.csv").read_text()
+        # the engine keeps every row's T for the ESR; the mirror only the last shipment's
+        assert len(table_rows) > 2 and sum(table_rows) == len(shipped.assessments)
+        assert len(mirror._spools["AssessmentTable"]._trust) == table_rows[-1]
 
     def test_readers_of_the_whole_record_raise(self, tmp_path):
         result = self.streamed(60.0, tmp_path)

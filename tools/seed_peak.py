@@ -5,9 +5,12 @@
 Runs `siotrust.cli.run_batch` on one seed of the default scenario, resized
 to `--nodes`, in this process, and prints one JSON object: the process's
 peak RSS (`ru_maxrss`) just before the ESR file is written and at the end,
-both in MB, and the wall time. `ru_maxrss` never falls, so run each
-measurement in a fresh process. The seed writes its files under `--out`
-(about 850 MB at 1000 nodes) and they are left there.
+the largest peak of a child it waited for (`RUSAGE_CHILDREN`: the writer
+process that formats the event log and trust trace on a machine with a
+second CPU; 0 if there was none), all in MB, and the wall time.
+`ru_maxrss` never falls, so run each measurement in a fresh process. The
+seed writes its files under `--out` (about 850 MB at 1000 nodes) and they
+are left there.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from siotrust import cli
 from siotrust.sim import ScenarioConfig
 
 
-def peak_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+def peak_mb(who: int = resource.RUSAGE_SELF) -> float:
+    return resource.getrusage(who).ru_maxrss / 1024
 
 
 def main() -> None:
@@ -51,6 +54,7 @@ def main() -> None:
         "peak_rss_before_esr_mb": round(before_esr[0], 1),
         "peak_rss_mb": round(end, 1),
         "esr_adds_mb": round(end - before_esr[0], 1),
+        "peak_rss_children_mb": round(peak_mb(resource.RUSAGE_CHILDREN), 1),
         "wall_s": round(wall, 2),
     }))
 
