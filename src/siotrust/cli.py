@@ -30,7 +30,6 @@ from .record import open_output
 from .sim import ScenarioConfig, SeedSummary, SimulationEngine
 from .social import DEFAULT_BASE_RATES, ConfigError, IdentitySource, RelationType
 from .trust import write_trust_trace_csv  # noqa: F401  the trace streams from the run; perfbench spans this name
-from .writer import Writer
 
 MANIFEST_FORMAT = "siotrust-manifest/1"
 
@@ -165,6 +164,8 @@ def _run_one(config: ScenarioConfig, out_dir: Path, fork: bool = False) -> SeedS
     partial = {key: path.with_name(path.name + ".partial") for key, path in finals.items()}
     with ExitStack() as sinks:
         if fork:
+            from .writer import Writer  # multiprocessing is imported only where a seed forks
+
             writer = sinks.enter_context(Writer(partial["events"], partial["trust"]))
             events = trust = writer
         else:

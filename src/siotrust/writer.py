@@ -12,11 +12,19 @@ table, so they share the one pipe.
 
 The child stops at the end of its pipe, so it cannot outlive the process
 that started it.
+
+While the child runs, this process is held on the CPU it was on and the
+child on the others. Otherwise the waits for the child (a full pipe, its
+report) let the scheduler move this process onto the child's CPU, so that
+a seed's run, and whatever the caller does after it, changed CPU at every
+seed; on a machine whose CPUs differ in speed, that moves the caller's
+timings between them.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue
 import signal
 import threading
@@ -46,17 +54,28 @@ class Writer(Channel):
         incoming, self._data = context.Pipe(duplex=False)
         self._status, report = context.Pipe(duplex=False)
         _widen(self._data)
+        self._cpus = os.sched_getaffinity(0)
+        here = _current_cpu()
+        others = self._cpus - {here}
         self._process = context.Process(
             target=_serve, args=(events, trust, incoming, report, (self._data, self._status)), name="siotrust-writer"
         )
         try:
+            if others:
+                os.sched_setaffinity(0, {here})
             self._process.start()
         except BaseException:
+            os.sched_setaffinity(0, self._cpus)
             for end in (incoming, report, self._data, self._status):
                 end.close()
             raise
         incoming.close()
         report.close()
+        if others:
+            try:
+                os.sched_setaffinity(self._process.pid, others)
+            except ProcessLookupError:  # the child is gone already; its report says why
+                pass
         self._named = 0  # id-table names shipped so far
 
     def ship(self, spool: Spool) -> None:
@@ -96,6 +115,7 @@ class Writer(Channel):
             self._process.join()
             self._process.close()
             self._status.close()
+            os.sched_setaffinity(0, self._cpus)
 
 
 class Mirror:
@@ -107,11 +127,16 @@ class Mirror:
         self._spools = {"EventLog": log, "AssessmentTable": AssessmentTable(log.symbols, trust)}
 
     def take(self, part: str, names: list[str], buffers: list[bytes]) -> None:
-        """Write one shipment: `part`'s pending columns, after the id-table `names` added since the last one."""
+        """Write one shipment: `part`'s pending columns, after the id-table `names` added since the last one.
+
+        Empties `buffers` once the columns hold their copy, so that a large
+        shipment is not held twice while it is formatted.
+        """
         for name in names:
             self._symbols.code(name)
         spool = self._spools[part]
         spool._load(buffers)
+        buffers.clear()
         spool.flush()
 
 
@@ -123,6 +148,12 @@ def _widen(pipe: Connection) -> None:
         fcntl.fcntl(pipe.fileno(), fcntl.F_SETPIPE_SZ, PIPE_BYTES)
     except OSError:  # over the system's limit
         pass
+
+
+def _current_cpu() -> int:
+    """The CPU this process last ran on: `processor`, field 39 of its stat line; field 3 follows the parenthesised name."""
+    with open("/proc/self/stat") as stat:
+        return int(stat.read().rsplit(")", 1)[1].split()[36])
 
 
 def _serve(events: Path, trust: Path, incoming: Connection, report: Connection, parents: tuple[Connection, ...]) -> None:

@@ -19,11 +19,12 @@ def in_process(monkeypatch):
 def writer_path(monkeypatch):
     """Two CPUs, as `run_batch` reads them: a one-seed batch formats in a writer process.
 
-    Checks afterwards that every seed run took that path, and that no
-    process outlived it.
+    Checks afterwards that every seed run took that path, that no process
+    outlived it, and that this process got its CPU affinity back.
     """
     if sys.platform != "linux":
         pytest.skip("the writer process runs on Linux only")
+    cpus = os.sched_getaffinity(0)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     forks = []
     run_one = cli._run_one
@@ -36,3 +37,4 @@ def writer_path(monkeypatch):
     yield
     assert forks and all(forks), forks
     assert multiprocessing.active_children() == []
+    assert os.sched_getaffinity(0) == cpus

@@ -1111,11 +1111,12 @@ class TestStreamedRecordFootprint:
             def ship(self, spool):
                 part, names = type(spool).__name__, spool.symbols.names
                 buffers = [bytes(buffer) for buffer in spool._buffers()]
-                mirror.take(part, names[self.named :], buffers)
-                self.named = len(names)
-                assert not any(len(column) for twin in mirror._spools.values() for column in twin._buffers())
                 if part == "AssessmentTable":
                     table_rows.append(len(buffers[-1]) // 8)  # T is the last buffer, 8 bytes a row
+                mirror.take(part, names[self.named :], buffers)
+                self.named = len(names)
+                assert not buffers  # the mirror dropped the shipment once loaded
+                assert not any(len(column) for twin in mirror._spools.values() for column in twin._buffers())
 
         channel = Direct()
         shipped = SimulationEngine(ScenarioConfig(node_count=40, seed=1, duration=120.0), channel, channel).run()
