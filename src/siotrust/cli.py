@@ -5,7 +5,10 @@ command-line flags (in that order of precedence), expands the seed list,
 runs every seed, and writes one set of output files per seed plus an
 aggregate metrics table and a manifest. A seed streams its event log and
 trust trace while it runs, and writes each of its files under a `.partial`
-name that becomes the final one only once all of them are written.
+name that becomes the final one only once all of them are written. On
+Linux, where the process may run on a second CPU, a batch runs its seeds
+on one CPU and formats those two files on the others, in writer processes
+(`siotrust.writer`).
 Re-running from the manifest reproduces the event logs byte for byte.
 """
 
@@ -18,9 +21,9 @@ import sys
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from .authn import write_decision_csv
 from .community import write_communities_csv
@@ -30,6 +33,9 @@ from .record import open_output
 from .sim import ScenarioConfig, SeedSummary, SimulationEngine
 from .social import DEFAULT_BASE_RATES, ConfigError, IdentitySource, RelationType
 from .trust import write_trust_trace_csv  # noqa: F401  the trace streams from the run; perfbench spans this name
+
+if TYPE_CHECKING:
+    from .writer import Writers
 
 MANIFEST_FORMAT = "siotrust-manifest/1"
 
@@ -151,23 +157,23 @@ def _output_names(seed: int) -> dict[str, str]:
     }
 
 
-def _run_one(config: ScenarioConfig, out_dir: Path, fork: bool = False) -> SeedSummary:
+def _run_one(config: ScenarioConfig, out_dir: Path, writers: Writers | None = None) -> SeedSummary:
     """Remove an earlier run's six files, then run one seed and write its own; a raise leaves only `.partial` files.
 
-    With `fork`, a writer process (`writer.Writer`) formats the event log
-    and the trust trace while the run goes on and while this process writes
-    the other four files; the six are renamed once it reports them written.
+    With `writers`, the seed borrows a free writer process
+    (`writer.Writers`), which formats the event log and the trust trace
+    while the run goes on and while this process writes the other four
+    files; the six are renamed once it reports them written. Where that
+    slot's writer has been retired, the seed formats in process.
     """
     finals = {key: out_dir / name for key, name in _output_names(config.seed).items()}
     for path in finals.values():
         path.unlink(missing_ok=True)
     partial = {key: path.with_name(path.name + ".partial") for key, path in finals.items()}
     with ExitStack() as sinks:
-        if fork:
-            from .writer import Writer  # multiprocessing is imported only where a seed forks
-
-            writer = sinks.enter_context(Writer(partial["events"], partial["trust"]))
-            events = trust = writer
+        writer = sinks.enter_context(writers.borrow()) if writers is not None else None
+        if writer is not None:
+            events = trust = sinks.enter_context(writer.seed(partial["events"], partial["trust"]))
         else:
             events, trust = (sinks.enter_context(open_output(partial[key])) for key in ("events", "trust"))
         result = SimulationEngine(config, events, trust).run()
@@ -180,13 +186,40 @@ def _run_one(config: ScenarioConfig, out_dir: Path, fork: bool = False) -> SeedS
     return result.summary()
 
 
+@contextmanager
+def _held_on_one_cpu() -> Iterator[set[int]]:
+    """Hold the calling thread, and the threads it starts, on the CPU it is on; yield the other CPUs it may use.
+
+    Restores the thread's CPU mask on every path. On one CPU the pool's
+    threads hand the interpreter lock to each other more cheaply than
+    across two. And while the caller waits for a writer, the scheduler
+    would otherwise move it onto the writer's CPU, so that what it runs
+    next changed CPU from batch to batch; on a machine whose CPUs differ
+    in speed, that moves its timings.
+    """
+    mask = os.sched_getaffinity(0)
+    with open("/proc/thread-self/stat") as stat:
+        # `processor`, field 39: the CPU this thread last ran on; field 3 follows the parenthesised name
+        here = int(stat.read().rsplit(")", 1)[1].split()[36])
+    os.sched_setaffinity(0, {here})
+    try:
+        yield mask - {here}
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
 def run_batch(base: ScenarioConfig, seeds: Sequence[int], out_dir: Path) -> list[SeedSummary]:
     """Run every seed (concurrently), then write the aggregate files.
 
-    Seeds run on a thread pool of one thread per CPU. A batch of one seed,
-    on Linux with a second CPU and with no other thread in this process,
-    formats its event log and trust trace in a forked writer process
-    instead (see `_run_one`); the bytes are the same either way.
+    Seeds run on a thread pool of one thread per CPU (`os.cpu_count`). On
+    Linux, where this process may run on a second CPU, the batch holds the
+    calling thread and its pool on the CPU it is on, and, with no other
+    thread in this process, forks one writer process per pool slot onto
+    the other CPUs before the pool starts; each seed formats its event log
+    and trust trace in a free one (see `_run_one`). A batch of one seed is
+    the one-slot case. The bytes are the same either way, and the caller's
+    CPU mask is restored, and every writer joined, before this returns or
+    raises.
 
     Returns one summary per seed, in seed-list order. A seed that raises
     propagates its error once the other seeds have finished, and no
@@ -205,15 +238,23 @@ def run_batch(base: ScenarioConfig, seeds: Sequence[int], out_dir: Path) -> list
     for name in ("metrics.csv", "manifest.json"):
         (out_dir / name).unlink(missing_ok=True)
     configs = [base.with_seed(seed) for seed in seeds]
-    cpus = os.cpu_count() or 1
-    workers = min(len(configs), cpus)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(lambda cfg: _run_one(cfg, out_dir), configs))
-    else:
-        # a fork beside another thread may copy a lock that thread holds
-        fork = cpus > 1 and sys.platform == "linux" and threading.active_count() == 1
-        summaries = [_run_one(cfg, out_dir, fork) for cfg in configs]
+    workers = min(len(configs), os.cpu_count() or 1)
+    spare = sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1  # a second CPU to run on
+    # a fork beside another thread may copy a lock that thread holds
+    fork = spare and threading.active_count() == 1
+    with ExitStack() as batch:
+        writers = None
+        if fork or (spare and workers > 1):
+            others = batch.enter_context(_held_on_one_cpu())
+            if fork:
+                from .writer import Writers  # multiprocessing is imported only where a batch forks
+
+                writers = batch.enter_context(Writers(workers, others))
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                summaries = list(pool.map(lambda cfg: _run_one(cfg, out_dir, writers), configs))
+        else:
+            summaries = [_run_one(cfg, out_dir, writers) for cfg in configs]
 
     write_metrics_csv((s.metrics_report() for s in summaries), out_dir / "metrics.csv")
     manifest = {

@@ -1,24 +1,22 @@
-"""The writer process: one seed's event log and trust trace formatted beside its run.
+"""Writer processes: each seed's event log and trust trace formatted beside its run.
 
 Formatting those two files is about half of a seed, and it holds the
-interpreter lock, so a thread cannot overlap it with the run. A `Writer` is
-the sink of both of the engine's spools (see `record.Spool`). Each flush
-ships the spool's pending column buffers, with the id-table names added
-since the last shipment, down a pipe to a forked child. The child loads each
-shipment into a mirror `EventLog` or `AssessmentTable` on the `.partial`
-file and calls the same `flush`, so it writes the bytes the in-process path
-writes, and it keeps no row once written. The two spools share one id
-table, so they share the one pipe.
+interpreter lock, so a thread cannot overlap it with the run. A batch that
+may fork starts one `Writer` per pool slot (`Writers`) before the pool's
+first thread starts, and each seed borrows a free one for its run. A
+`Writer` is the sink of both of the seed's spools (see `record.Spool`).
+Each flush ships the spool's pending column buffers, with the id-table
+names added since the last shipment, down a pipe to a forked child. The
+two spools share one id table, so they share the one pipe.
 
-The child stops at the end of its pipe, so it cannot outlive the process
+The child serves its slot's seeds in turn. For each it receives the two
+`.partial` paths, the shipments, and an end marker. It loads each shipment
+into a mirror `EventLog` or `AssessmentTable` on the file and calls the
+same `flush`, so it writes the bytes the in-process path writes, and it
+keeps no row once written. At the end marker it closes both files, reports,
+and waits for the next seed, for which it builds a fresh mirror and id
+table. It stops at the end of its pipe, so it cannot outlive the process
 that started it.
-
-While the child runs, this process is held on the CPU it was on and the
-child on the others. Otherwise the waits for the child (a full pipe, its
-report) let the scheduler move this process onto the child's CPU, so that
-a seed's run, and whatever the caller does after it, changed CPU at every
-seed; on a machine whose CPUs differ in speed, that moves the caller's
-timings between them.
 """
 
 from __future__ import annotations
@@ -28,9 +26,11 @@ import os
 import queue
 import signal
 import threading
+from array import array
+from contextlib import contextmanager
 from multiprocessing.connection import Connection
 from pathlib import Path
-from typing import TextIO
+from typing import Iterator, Sequence, TextIO
 
 from .record import Channel, EventLog, Spool, open_output
 from .trust import AssessmentTable
@@ -40,54 +40,76 @@ QUEUED = 4  # shipments the child holds unformatted; a 1000-node monitoring epoc
 
 
 class Writer(Channel):
-    """A forked child that writes a seed's event log and trust trace; use it as a context manager.
+    """A forked child, run on `cpus`, that writes the event log and trust trace of one seed after another.
 
-    Leaving the `with` block waits for the child to write and close both
-    files, and raises the error it reports, or `ChildProcessError` if it
-    died without one. Leaving on an error ends the pipe instead, so the child
-    stops after the shipments it already holds. Either way the child is
-    joined before the block is left.
+    A writer that raised, or that its owner closed, is retired: it serves
+    no more seeds.
     """
 
-    def __init__(self, events: Path, trust: Path) -> None:
+    def __init__(self, cpus: set[int], inherited: Sequence[Connection]) -> None:
+        """Fork the child; it closes `inherited`, the other writers' ends of their pipes in this process."""
         context = multiprocessing.get_context("fork")  # flushes stdout and stderr before it forks
         incoming, self._data = context.Pipe(duplex=False)
         self._status, report = context.Pipe(duplex=False)
+        self.ends = (self._data, self._status)
         _widen(self._data)
-        self._cpus = os.sched_getaffinity(0)
-        here = _current_cpu()
-        others = self._cpus - {here}
         self._process = context.Process(
-            target=_serve, args=(events, trust, incoming, report, (self._data, self._status)), name="siotrust-writer"
+            target=_serve, args=(incoming, report, (*inherited, *self.ends)), name="siotrust-writer"
         )
         try:
-            if others:
-                os.sched_setaffinity(0, {here})
             self._process.start()
         except BaseException:
-            os.sched_setaffinity(0, self._cpus)
-            for end in (incoming, report, self._data, self._status):
+            for end in self.ends:
                 end.close()
             raise
-        incoming.close()
-        report.close()
-        if others:
-            try:
-                os.sched_setaffinity(self._process.pid, others)
-            except ProcessLookupError:  # the child is gone already; its report says why
-                pass
-        self._named = 0  # id-table names shipped so far
+        finally:
+            incoming.close()
+            report.close()
+        try:
+            os.sched_setaffinity(self._process.pid, cpus)
+        except ProcessLookupError:  # the child is gone already; its report says why
+            pass
+        self._named = 0  # id-table names of the current seed shipped so far
+
+    @property
+    def retired(self) -> bool:
+        return self._data.closed
+
+    @contextmanager
+    def seed(self, events: Path, trust: Path) -> Iterator[Writer]:
+        """Ship one seed's rows to the child, which writes them to `events` and `trust`.
+
+        Leaving the `with` block waits for the child to write and close both
+        files, and raises the error it reports, or `ChildProcessError` if it
+        died without one. Leaving on an error ends the pipe instead, so the
+        child stops after the shipments it already holds. Either way a
+        writer that raised is closed before the block is left.
+        """
+        try:
+            self._send((events, trust))
+            self._named = 0
+            yield self
+            self._send(None)  # the run is over
+            reported = self._report()
+            if reported is not None:
+                raise reported
+        except BaseException:
+            self.close()
+            raise
 
     def ship(self, spool: Spool) -> None:
         names = spool.symbols.names
         buffers = spool._buffers()
+        self._send((type(spool).__name__, names[self._named :], len(buffers)), buffers)
+        self._named = len(names)
+
+    def _send(self, message: object, buffers: Sequence[array] = ()) -> None:
         try:
-            self._data.send((type(spool).__name__, names[self._named :], len(buffers)))
+            self._data.send(message)
             for buffer in buffers:
                 self._data.send_bytes(buffer)
         except BrokenPipeError:  # the child stopped; its report says why
             raise self._report() from None
-        self._named = len(names)
 
     def _report(self) -> BaseException | None:
         """Wait for the child's report: None once it has written and closed both files, else what stopped it."""
@@ -97,25 +119,58 @@ class Writer(Channel):
             self._process.join()
             return ChildProcessError(f"the writer process died with exit code {self._process.exitcode}")
 
-    def __enter__(self) -> Writer:
+    def close(self) -> None:
+        """End the pipe and join the child, which stops after the shipments it already holds."""
+        if self.retired:
+            return
+        self._data.close()
+        self._process.join()
+        self._process.close()
+        self._status.close()
+
+
+class Writers:
+    """A batch's writers, one per pool slot, all forked at once; use it as a context manager.
+
+    Fork them before any other thread starts: a fork beside another thread
+    may copy a lock that thread holds. Leaving the `with` block closes every
+    writer, so no child outlives the batch.
+    """
+
+    def __init__(self, count: int, cpus: set[int]) -> None:
+        self._writers: list[Writer] = []
+        try:
+            for _ in range(count):
+                inherited = [end for writer in self._writers for end in writer.ends]
+                self._writers.append(Writer(cpus, inherited))
+        except BaseException:
+            self.close()
+            raise
+        self._free: queue.SimpleQueue[Writer] = queue.SimpleQueue()
+        for writer in self._writers:
+            self._free.put(writer)
+
+    @contextmanager
+    def borrow(self) -> Iterator[Writer | None]:
+        """A free writer for one seed, or None where this slot's writer is retired: that seed formats in process.
+
+        There are as many writers as seeds run at once, so one is always free.
+        """
+        writer = self._free.get()
+        try:
+            yield None if writer.retired else writer
+        finally:
+            self._free.put(writer)
+
+    def close(self) -> None:
+        for writer in self._writers:
+            writer.close()
+
+    def __enter__(self) -> Writers:
         return self
 
     def __exit__(self, kind, error, trace) -> None:
-        try:
-            if kind is None:
-                try:
-                    self._data.send(None)  # the run is over
-                except BrokenPipeError:
-                    pass
-                reported = self._report()
-                if reported is not None:
-                    raise reported
-        finally:
-            self._data.close()
-            self._process.join()
-            self._process.close()
-            self._status.close()
-            os.sched_setaffinity(0, self._cpus)
+        self.close()
 
 
 class Mirror:
@@ -150,47 +205,47 @@ def _widen(pipe: Connection) -> None:
         pass
 
 
-def _current_cpu() -> int:
-    """The CPU this process last ran on: `processor`, field 39 of its stat line; field 3 follows the parenthesised name."""
-    with open("/proc/self/stat") as stat:
-        return int(stat.read().rsplit(")", 1)[1].split()[36])
-
-
-def _serve(events: Path, trust: Path, incoming: Connection, report: Connection, parents: tuple[Connection, ...]) -> None:
-    """The child: format each shipment into its mirror until the run is over, then report."""
+def _serve(incoming: Connection, report: Connection, parents: tuple[Connection, ...]) -> None:
+    """The child: write each seed's files from its shipments and report, until the pipe ends or a seed fails."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupted parent ends the pipe, which stops this process
     for end in parents:
-        end.close()  # else the parent's exit would not end the pipe here
-    try:
-        shipments: queue.Queue = queue.Queue(QUEUED)
-        threading.Thread(target=_receive, args=(incoming, shipments), daemon=True).start()
-        with open_output(events) as events_file, open_output(trust) as trust_file:
-            mirror = Mirror(events_file, trust_file)
-            while (shipment := shipments.get()) is not None:
-                if isinstance(shipment, Exception):
-                    raise shipment
-                mirror.take(*shipment)
-        outcome = None
-    except Exception as exc:
-        outcome = exc
-    try:
-        report.send(outcome)
-    except BrokenPipeError:  # the parent is gone
-        pass
-    except Exception:  # an error that does not pickle
-        report.send(RuntimeError(f"the writer process failed: {outcome!r}"))
+        end.close()  # else the parent's closing a pipe would not end it here
+    messages: queue.Queue = queue.Queue(QUEUED)
+    threading.Thread(target=_receive, args=(incoming, messages), daemon=True).start()
+    while not isinstance(paths := messages.get(), Exception):  # an EOFError once the parent closed the pipe
+        try:
+            with open_output(paths[0]) as events, open_output(paths[1]) as trust:
+                mirror = Mirror(events, trust)
+                while (shipment := messages.get()) is not None:
+                    if isinstance(shipment, Exception):
+                        raise shipment
+                    mirror.take(*shipment)
+            outcome = None
+        except Exception as exc:
+            outcome = exc
+        try:
+            report.send(outcome)
+        except BrokenPipeError:  # the parent is gone
+            return
+        except Exception:  # an error that does not pickle
+            report.send(RuntimeError(f"the writer process failed: {outcome!r}"))
+        if outcome is not None:
+            return  # the parent retires this writer
 
 
-def _receive(incoming: Connection, shipments: queue.Queue) -> None:
-    """Move shipments from the pipe to the queue as they come, so that a send rarely waits on a format.
+def _receive(incoming: Connection, messages: queue.Queue) -> None:
+    """Move messages from the pipe to the queue as they come, so that a send rarely waits on a format.
 
-    Puts None after the last one, or the error that ended the pipe: an
-    `EOFError` if the parent closed it early.
+    Each seed comes as its two paths, its shipments (a header, then that
+    many column buffers, put as one item) and None. Puts the error that
+    ended the pipe last: an `EOFError` once the parent closed it.
     """
     try:
-        while (header := incoming.recv()) is not None:
-            part, names, count = header
-            shipments.put((part, names, [incoming.recv_bytes() for _ in range(count)]))
-        shipments.put(None)
+        while True:
+            messages.put(incoming.recv())
+            while (header := incoming.recv()) is not None:
+                part, names, count = header
+                messages.put((part, names, [incoming.recv_bytes() for _ in range(count)]))
+            messages.put(None)
     except Exception as exc:
-        shipments.put(exc)
+        messages.put(exc)

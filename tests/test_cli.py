@@ -4,10 +4,11 @@ import json
 import multiprocessing
 import os
 import signal
+import threading
 
 import pytest
 
-from siotrust import ConfigError, ScenarioConfig, SimulationEngine, record
+from siotrust import ConfigError, ScenarioConfig, SimulationEngine, record, writer
 from siotrust.adversary import AttackBehavior
 from siotrust.cli import build_parser, main, run_batch
 from siotrust.social import DEFAULT_BASE_RATES, IdentitySource, RelationType
@@ -148,9 +149,11 @@ class TestFailedSeed:
         assert {"events-s5.log.partial", "trust-s5.csv.partial"} <= names
         assert all(name.endswith(".partial") for name in names), names
 
-    def test_one_seed_of_a_pooled_batch(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("path", ["in_process", "writer_path"], ids=["in-process", "writer"])
+    def test_one_seed_of_a_pooled_batch(self, tmp_path, monkeypatch, request, path):
         base = ScenarioConfig(**SMALL)
         run_batch(base, [6], tmp_path / "alone")
+        request.getfixturevalue(path)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two seeds on the thread pool
         self.fail_mid_run(monkeypatch, 5)
         out = tmp_path / "pooled"
@@ -163,6 +166,44 @@ class TestFailedSeed:
         for name in complete:
             assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
         assert "metrics.csv" not in names and "manifest.json" not in names
+
+    def test_a_killed_writer_process_of_a_pooled_batch_fails_its_seed_alone(self, tmp_path, monkeypatch, writer_path):
+        """The killed writer is retired, and the seeds after it still write a solo run's bytes."""
+        base = ScenarioConfig(**SMALL)
+        for seed in (6, 7):
+            run_batch(base, [seed], tmp_path / "alone")
+        monkeypatch.setattr(record, "CHUNK_LINES", 100)
+        serving = {}  # pool thread -> the writer it borrowed last
+        seed_of = writer.Writer.seed
+
+        def recording(self, events, trust):
+            serving[threading.get_ident()] = self
+            return seed_of(self, events, trust)
+
+        monkeypatch.setattr(writer.Writer, "seed", recording)
+        move = SimulationEngine._move
+        moves = collections.Counter()
+
+        def killing(engine):
+            moves[engine.cfg.seed] += 1
+            if engine.cfg.seed == 5 and moves[5] == 40:
+                os.kill(serving[threading.get_ident()]._process.pid, signal.SIGKILL)
+            move(engine)
+
+        monkeypatch.setattr(SimulationEngine, "_move", killing)
+        out = tmp_path / "pooled"
+        with pytest.raises(ChildProcessError, match="died with exit code -9"):
+            run_batch(base, [5, 6, 7], out)
+        names = {p.name for p in out.iterdir()}
+        failed = {name for name in names if "-s5." in name}
+        assert {"events-s5.log.partial", "trust-s5.csv.partial"} <= failed
+        assert all(name.endswith(".partial") for name in failed), failed
+        for seed in (6, 7):
+            complete = {name for name in names if f"-s{seed}." in name}
+            assert len(complete) == 6, complete
+            for name in complete:
+                assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
+        assert "metrics.csv" not in names
 
     def test_a_failed_batch_leaves_no_earlier_batch_file_under_a_final_name(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -179,6 +220,44 @@ class TestFailedSeed:
         assert len(complete) == 6
         for name in complete:
             assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
+
+
+class TestPooledWriters:
+    """A pooled batch forks one writer process per pool slot before its first thread starts."""
+
+    def test_pool_threads_run_on_the_callers_cpu_and_writers_on_the_others(self, tmp_path, monkeypatch, writer_path):
+        cpus = os.sched_getaffinity(0)
+        move = SimulationEngine._move
+        moves = collections.Counter()
+        threads, children = [], []
+
+        def placing(engine):
+            moves[engine.cfg.seed] += 1
+            if moves[engine.cfg.seed] == 40:
+                caller = os.sched_getaffinity(threading.main_thread().native_id)
+                threads.append((caller, os.sched_getaffinity(0)))
+                if engine.cfg.seed == 1:
+                    children.extend(os.sched_getaffinity(child.pid) for child in multiprocessing.active_children())
+            move(engine)
+
+        monkeypatch.setattr(SimulationEngine, "_move", placing)
+        run_batch(ScenarioConfig(**SMALL), [1, 2, 3, 4], tmp_path)
+        assert len(threads) == 4 and len(children) == 2
+        for caller, thread in threads:
+            assert len(caller) == 1 and thread == caller
+        assert children == [cpus - threads[0][0]] * 2
+
+    def test_every_writer_forks_beside_no_other_thread(self, tmp_path, monkeypatch, writer_path):
+        fork = os.fork
+        threads = []
+
+        def counting():
+            threads.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        run_batch(ScenarioConfig(**SMALL), [1, 2, 3, 4], tmp_path)
+        assert threads == [1, 1]
 
 
 class TestUnreadFields:

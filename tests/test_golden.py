@@ -28,9 +28,10 @@ tell a crossed field read apart. One more pin reads a friendship file, a
 `record.CHUNK_LINES` is the one chunk size of every chunked writer, so the
 flush-boundary test patches it there alone.
 
-The pins and the flush-boundary test hold on both paths a one-seed batch
-can take: formatting in this process, and in a writer process
-(`siotrust.writer`) that formats the shipments of the engine's flushes.
+The pins and the flush-boundary test hold on both paths a seed can take:
+formatting in this process, and in a writer process (`siotrust.writer`)
+that formats the shipments of the engine's flushes, one seed after another
+when the seeds of a batch share a pool slot.
 """
 
 import collections
@@ -246,14 +247,14 @@ def test_fabricated_config_mints_identities(tmp_path):
 
 @pytest.mark.parametrize("lines", [1, 7, CHUNK_LINES])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_flush_boundaries_do_not_change_bytes(name, lines, tmp_path, monkeypatch):
+def test_flush_boundaries_do_not_change_bytes(name, lines, tmp_path, monkeypatch, in_process):
     """The streamed files equal the in-memory record's writers, whatever the flush size.
 
     Size 1 flushes every tick and formats one row per chunk, so a run of
     one event kind, the `t=30` and `t=30.0` prefixes of an integer tick and
     the 0.0 and -0.0 of T all meet chunk and flush boundaries.
     """
-    check_flush_boundaries(name, lines, tmp_path, monkeypatch, fork=False)
+    check_flush_boundaries(name, lines, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("lines", [1, 7])
@@ -264,10 +265,10 @@ def test_writer_process_flush_boundaries_do_not_change_bytes(name, lines, tmp_pa
     `CHUNK_LINES` itself is the writer pins' flush size, so only the sizes
     that add shipment boundaries run here.
     """
-    check_flush_boundaries(name, lines, tmp_path, monkeypatch, fork=True)
+    check_flush_boundaries(name, lines, tmp_path, monkeypatch)
 
 
-def check_flush_boundaries(name, lines, tmp_path, monkeypatch, fork):
+def check_flush_boundaries(name, lines, tmp_path, monkeypatch):
     config = ScenarioConfig.from_mapping({**GOLDEN[name][0], "seed": 1})
     result = run_scenario(config)
     want = tmp_path / "want"
@@ -277,8 +278,29 @@ def check_flush_boundaries(name, lines, tmp_path, monkeypatch, fork):
     write_esr_csv(result.assessments, want / "esr-s1.csv")
     monkeypatch.setattr(record, "CHUNK_LINES", lines)
     got = tmp_path / "got"
-    got.mkdir()
-    cli._run_one(config, got, fork)
+    cli.run_batch(config, [1], got)
+    for path in want.iterdir():
+        assert (got / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("name", ["default-40", "fabricated-multi-40"])
+def test_pooled_writers_write_the_bytes_of_seeds_run_in_process(name, tmp_path, monkeypatch, request):
+    """Four seeds on two pool slots, each with its writer process, write what they write in process.
+
+    Some writer serves two seeds or more, each over many shipments, so an
+    id table or a count of shipped names carried from one seed to the next
+    moves the bytes; the fabricated config adds names to the table mid-run.
+    """
+    seeds = [1, 2, 3, 4]
+    base = ScenarioConfig.from_mapping(GOLDEN[name][0])
+    want = tmp_path / "want"
+    want.mkdir()
+    for seed in seeds:
+        cli._run_one(base.with_seed(seed), want)
+    request.getfixturevalue("writer_path")
+    monkeypatch.setattr(record, "CHUNK_LINES", 100)
+    got = tmp_path / "got"
+    cli.run_batch(base, seeds, got)
     for path in want.iterdir():
         assert (got / path.name).read_bytes() == path.read_bytes(), path.name
 

@@ -1,16 +1,17 @@
-"""Peak RSS of one streamed CLI seed, and what writing its ESR file adds to it.
+"""Peak RSS of a streamed CLI batch, and what writing its ESR files adds to it.
 
     PYTHONPATH=src python3 tools/seed_peak.py --nodes 1000 --seed 123 --out seed-peak-out
+    PYTHONPATH=src python3 tools/seed_peak.py --nodes 100 --seeds 4 --out seed-peak-out
 
-Runs `siotrust.cli.run_batch` on one seed of the default scenario, resized
-to `--nodes`, in this process, and prints one JSON object: the process's
-peak RSS (`ru_maxrss`) just before the ESR file is written and at the end,
-the largest peak of a child it waited for (`RUSAGE_CHILDREN`: the writer
-process that formats the event log and trust trace on a machine with a
-second CPU; 0 if there was none), all in MB, and the wall time.
-`ru_maxrss` never falls, so run each measurement in a fresh process. The
-seed writes its files under `--out` (about 850 MB at 1000 nodes) and they
-are left there.
+Runs `siotrust.cli.run_batch` on `--seeds` consecutive seeds (default one)
+of the default scenario, resized to `--nodes`, in this process, and prints
+one JSON object: the process's peak RSS (`ru_maxrss`) just before the last
+ESR file is written and at the end, the largest peak of a child it waited
+for (`RUSAGE_CHILDREN`: a writer process that formats the event logs and
+trust traces on a machine with a second CPU; 0 if there was none), all in
+MB, and the wall time. `ru_maxrss` never falls, so run each measurement in
+a fresh process. The seeds write their files under `--out` (about 850 MB
+for one seed at 1000 nodes) and they are left there.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--nodes", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=123)
+    parser.add_argument("--seeds", type=int, default=1, help="consecutive seeds in the batch, from --seed on")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
@@ -45,15 +47,16 @@ def main() -> None:
 
     cli.write_esr_csv = measured
     start = time.perf_counter()
-    cli.run_batch(ScenarioConfig(node_count=args.nodes), [args.seed], args.out)
+    cli.run_batch(ScenarioConfig(node_count=args.nodes), list(range(args.seed, args.seed + args.seeds)), args.out)
     wall = time.perf_counter() - start
     end = peak_mb()
     print(json.dumps({
         "nodes": args.nodes,
         "seed": args.seed,
-        "peak_rss_before_esr_mb": round(before_esr[0], 1),
+        "seeds": args.seeds,
+        "peak_rss_before_esr_mb": round(before_esr[-1], 1),
         "peak_rss_mb": round(end, 1),
-        "esr_adds_mb": round(end - before_esr[0], 1),
+        "esr_adds_mb": round(end - before_esr[-1], 1),
         "peak_rss_children_mb": round(peak_mb(resource.RUSAGE_CHILDREN), 1),
         "wall_s": round(wall, 2),
     }))
