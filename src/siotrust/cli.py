@@ -30,7 +30,7 @@ from .community import write_communities_csv
 from .adversary import AttackBehavior, write_attack_csv
 from .metrics import write_esr_csv, write_metrics_csv
 from .record import open_output
-from .sim import ScenarioConfig, SeedSummary, SimulationEngine
+from .sim import ScenarioConfig, SeedSummary, SimulationEngine, load_friends
 from .social import DEFAULT_BASE_RATES, ConfigError, IdentitySource, RelationType
 from .trust import write_trust_trace_csv  # noqa: F401  the trace streams from the run; perfbench spans this name
 
@@ -281,6 +281,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         base, seeds = resolve(args)
         for note in base.unread_fields():
             print(f"warning: {note}")
+        if base.friends_path is not None and (loops := load_friends(base.friends_path).dropped_self_loops):
+            print(f"warning: dropped {loops} self-loop(s) from {base.friends_path}")
         out_dir = Path(args.out) if args.out else Path("siotrust-out")
         summaries = run_batch(base, seeds, out_dir)
     except ConfigError as exc:

@@ -7,12 +7,9 @@ falls back to a seeded small-world generator when no file is given.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -38,7 +35,7 @@ def load_friendship_edges(path: str | Path) -> FriendshipGraph:
 
     Two whitespace-separated node tokens per line; `#` starts a comment.
     Reversed duplicates collapse into one undirected edge. Self-loops are
-    dropped and counted (a warning is logged with the total). The result is
+    dropped and counted in `dropped_self_loops`. The result is
     order-insensitive: shuffling the file yields the same graph.
     """
     graph = FriendshipGraph()
@@ -56,8 +53,6 @@ def load_friendship_edges(path: str | Path) -> FriendshipGraph:
             continue
         graph.adjacency.setdefault(a, set()).add(b)
         graph.adjacency.setdefault(b, set()).add(a)
-    if graph.dropped_self_loops:
-        log.warning("dropped %d self-loop(s) from %s", graph.dropped_self_loops, path)
     return graph
 
 

@@ -146,28 +146,15 @@ def esr_cdf(values: Sequence[float]) -> list[tuple[float, float]] | None:
 
     Tied values all carry the fraction of samples at or below them, so the
     curve is nondecreasing and ends at exactly 1.0. An empty sample set has
-    no CDF and yields None rather than a degenerate curve.
-
-    One pass over the sorted values, from the top: a value that differs
-    from the one above it ends a run of ties, and the whole run carries
-    `(index of its last element + 1) / n`, which is what `bisect_right`
-    over the sorted values gives each of them. Ties are found with `!=`,
-    so 0.0 and -0.0 tie, as they do under `bisect_right`.
+    no CDF and yields None rather than a degenerate curve. The points are
+    the ESR file's: a float64 copy of `values`, stably sorted, each with
+    `_fractions` over it.
     """
     if not values:
         return None
-    ordered = sorted(values)
-    n = len(ordered)
-    curve = []
-    above = None
-    end = n
-    for value in reversed(ordered):
-        if value != above:
-            above, fraction = value, end / n
-        curve.append((value, fraction))
-        end -= 1
-    curve.reverse()
-    return curve
+    ordered = np.array(values, dtype=np.float64)
+    ordered.sort(kind="stable")
+    return list(zip(ordered.tolist(), _fractions(ordered, ordered).tolist()))
 
 
 def write_esr_csv(assessments: AssessmentTable, path: str | Path) -> None:
@@ -177,12 +164,11 @@ def write_esr_csv(assessments: AssessmentTable, path: str | Path) -> None:
     split columns also when it streamed the trust trace. Splits are written
     one at a time, so only one split's T is held. A split's points are its
     values stably sorted in place, which is the order `sorted` gives, 0.0
-    and -0.0 tied in row order. Each point carries `esr_cdf`'s fraction,
-    the count of values at or below it over n: T is never NaN, so
-    `searchsorted(side="right")` finds the end of its run of ties as `!=`
-    does. Rows are written a chunk (`record.chunk_bounds`) at a time, each
-    T and each fraction formatted once per chunk, the same bytes `csv.writer`
-    would write.
+    and -0.0 tied in row order. Each point carries `esr_cdf`'s fraction
+    (`_fractions`), the count of values at or below it over n. Rows are
+    written a chunk (`record.chunk_bounds`) at a time, each T and each
+    fraction formatted once per chunk, the same bytes `csv.writer` would
+    write.
     """
     with open_output(path) as handle:
         handle.write("split,trust,cum_fraction\n")
@@ -193,9 +179,16 @@ def write_esr_csv(assessments: AssessmentTable, path: str | Path) -> None:
 def _write_curve(handle: TextIO, split: str, ordered: np.ndarray) -> None:
     """One split's ESR rows; sorts `ordered` in place, and it is freed on return."""
     ordered.sort(kind="stable")
-    n = len(ordered)
-    for start, stop in chunk_bounds(n):
+    for start, stop in chunk_bounds(len(ordered)):
         chunk = ordered[start:stop]
-        fractions = np.searchsorted(ordered, chunk, side="right") / n
-        columns = [f"{split},", float_texts(chunk, ","), float_texts(fractions, "\n")]
+        columns = [f"{split},", float_texts(chunk, ","), float_texts(_fractions(ordered, chunk), "\n")]
         handle.write(check_unquoted(join_columns(columns, len(chunk)), len(chunk), 3))
+
+
+def _fractions(ordered: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The share of the sorted `ordered` at or below each of `points`: where its run of ties ends, over n.
+
+    T is never NaN, so `searchsorted(side="right")` finds the end of a run
+    of ties as `!=` does, 0.0 and -0.0 tied.
+    """
+    return np.searchsorted(ordered, points, side="right") / len(ordered)

@@ -478,10 +478,7 @@ class SimulationEngine:
 
     def _friendship_graph(self, size: int) -> FriendshipGraph:
         if self.cfg.friends_path is not None:
-            try:
-                full = load_friendship_edges(self.cfg.friends_path)
-            except ValueError as exc:  # a malformed line, or bytes that are not UTF-8
-                raise ConfigError(f"friendship file {self.cfg.friends_path!r}: {exc}") from exc
+            full = load_friends(self.cfg.friends_path)
             if full.node_count < size:
                 raise ConfigError(
                     f"friendship file has {full.node_count} nodes, scenario needs {size}"
@@ -867,6 +864,14 @@ def _interaction_outcomes(
     `p_negative_attacker`: the same `<` comparisons a scalar rule makes.
     """
     return np.where(subject_is_attacker, ~(draws < p_negative_attacker), draws < p_positive_legit)
+
+
+def load_friends(path: str) -> FriendshipGraph:
+    """The friendship file at `path`; a malformed line, or bytes that are not UTF-8, raise `ConfigError`."""
+    try:
+        return load_friendship_edges(path)
+    except ValueError as exc:
+        raise ConfigError(f"friendship file {path!r}: {exc}") from exc
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:

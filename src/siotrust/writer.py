@@ -9,14 +9,16 @@ Each flush ships the spool's pending column buffers, with the id-table
 names added since the last shipment, down a pipe to a forked child. The
 two spools share one id table, so they share the one pipe.
 
-The child serves its slot's seeds in turn. For each it receives the two
-`.partial` paths, the shipments, and an end marker. It loads each shipment
+The child serves its slot's seeds in turn, reading its pipe in one loop
+on one thread. For each seed it reads the two `.partial` paths, the
+shipments, and an end marker. It loads each shipment, as it reads it,
 into a mirror `EventLog` or `AssessmentTable` on the file and calls the
-same `flush`, so it writes the bytes the in-process path writes, and it
-keeps no row once written. At the end marker it closes both files, reports,
-and waits for the next seed, for which it builds a fresh mirror and id
-table. It stops at the end of its pipe, so it cannot outlive the process
-that started it.
+same `flush`, so it writes the bytes the in-process path writes. It holds
+at most the shipment it is formatting and keeps no row once written; the
+pipe (`PIPE_BYTES`) is its only buffer. At the end marker it closes both
+files, reports, and waits for the next seed, for which it builds a fresh
+mirror and id table. It stops at the end of its pipe, so it cannot outlive
+the process that started it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import multiprocessing
 import os
 import queue
 import signal
-import threading
 from array import array
 from contextlib import contextmanager
 from multiprocessing.connection import Connection
@@ -36,7 +37,6 @@ from .record import Channel, EventLog, Spool, open_output
 from .trust import AssessmentTable
 
 PIPE_BYTES = 1 << 20  # the data pipe's buffer: a sender waits on the default 64 KiB far longer
-QUEUED = 4  # shipments the child holds unformatted; a 1000-node monitoring epoch ships about 9 MB at once
 
 
 class Writer(Channel):
@@ -82,7 +82,7 @@ class Writer(Channel):
         Leaving the `with` block waits for the child to write and close both
         files, and raises the error it reports, or `ChildProcessError` if it
         died without one. Leaving on an error ends the pipe instead, so the
-        child stops after the shipments it already holds. Either way a
+        child stops after the shipments already in the pipe. Either way a
         writer that raised is closed before the block is left.
         """
         try:
@@ -120,7 +120,7 @@ class Writer(Channel):
             return ChildProcessError(f"the writer process died with exit code {self._process.exitcode}")
 
     def close(self) -> None:
-        """End the pipe and join the child, which stops after the shipments it already holds."""
+        """End the pipe and join the child, which stops after the shipments already in it."""
         if self.retired:
             return
         self._data.close()
@@ -206,20 +206,26 @@ def _widen(pipe: Connection) -> None:
 
 
 def _serve(incoming: Connection, report: Connection, parents: tuple[Connection, ...]) -> None:
-    """The child: write each seed's files from its shipments and report, until the pipe ends or a seed fails."""
+    """The child: write each seed's files from its shipments and report, until the pipe ends or a seed fails.
+
+    Each seed comes as its two paths, its shipments (a header, then that
+    many column buffers) and None. The child formats each shipment as it
+    reads it, so the pipe is its only buffer.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupted parent ends the pipe, which stops this process
     for end in parents:
         end.close()  # else the parent's closing a pipe would not end it here
-    messages: queue.Queue = queue.Queue(QUEUED)
-    threading.Thread(target=_receive, args=(incoming, messages), daemon=True).start()
-    while not isinstance(paths := messages.get(), Exception):  # an EOFError once the parent closed the pipe
+    while True:
+        try:
+            paths = incoming.recv()
+        except EOFError:  # the parent closed the pipe
+            return
         try:
             with open_output(paths[0]) as events, open_output(paths[1]) as trust:
                 mirror = Mirror(events, trust)
-                while (shipment := messages.get()) is not None:
-                    if isinstance(shipment, Exception):
-                        raise shipment
-                    mirror.take(*shipment)
+                while (header := incoming.recv()) is not None:
+                    part, names, count = header
+                    mirror.take(part, names, [incoming.recv_bytes() for _ in range(count)])
             outcome = None
         except Exception as exc:
             outcome = exc
@@ -231,21 +237,3 @@ def _serve(incoming: Connection, report: Connection, parents: tuple[Connection, 
             report.send(RuntimeError(f"the writer process failed: {outcome!r}"))
         if outcome is not None:
             return  # the parent retires this writer
-
-
-def _receive(incoming: Connection, messages: queue.Queue) -> None:
-    """Move messages from the pipe to the queue as they come, so that a send rarely waits on a format.
-
-    Each seed comes as its two paths, its shipments (a header, then that
-    many column buffers, put as one item) and None. Puts the error that
-    ended the pipe last: an `EOFError` once the parent closed it.
-    """
-    try:
-        while True:
-            messages.put(incoming.recv())
-            while (header := incoming.recv()) is not None:
-                part, names, count = header
-                messages.put((part, names, [incoming.recv_bytes() for _ in range(count)]))
-            messages.put(None)
-    except Exception as exc:
-        messages.put(exc)

@@ -260,6 +260,21 @@ class TestPooledWriters:
         assert threads == [1, 1]
 
 
+class TestWriterProcess:
+    def test_reads_its_pipe_on_one_thread(self, tmp_path, monkeypatch, writer_path):
+        monkeypatch.setattr(record, "CHUNK_LINES", 10)
+        ship = writer.Writer.ship
+        threads = []
+
+        def counting(self, spool):
+            ship(self, spool)
+            threads.append(len(os.listdir(f"/proc/{self._process.pid}/task")))
+
+        monkeypatch.setattr(writer.Writer, "ship", counting)
+        run_batch(ScenarioConfig(**SMALL), [5], tmp_path)
+        assert len(threads) > 10 and set(threads) == {1}, threads
+
+
 class TestUnreadFields:
     """A field the configured schedule or identity source never reads is named on stdout, and changes no byte."""
 
@@ -285,6 +300,17 @@ class TestUnreadFields:
         names = sorted(p.name for p in (tmp_path / "default").iterdir() if p.name != "manifest.json")
         for name in names:
             assert (tmp_path / "set" / name).read_bytes() == (tmp_path / "default" / name).read_bytes(), name
+
+
+def test_a_self_loop_warns_once_a_batch_on_stdout(tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("".join(f"{i} {(i + k) % 40}\n" for i in range(40) for k in (1, 2)) + "5 5\n")
+    flags = ["--nodes", "30", "--duration", "60", "--seeds", "2", "--friends", str(edges)]
+    assert main([*flags, "--out", str(tmp_path / "o")]) == 0
+    printed = capsys.readouterr()
+    warnings = [line for line in printed.out.splitlines() if line.startswith("warning: ")]
+    assert warnings == [f"warning: dropped 1 self-loop(s) from {edges}"]
+    assert printed.err == ""
 
 
 def test_flag_choices_come_from_their_sources():

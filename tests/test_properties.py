@@ -1,8 +1,10 @@
 """Engine invariants over small random scenarios, checked on the written files.
 
-Each example runs one seed through the batch entry point and reads its
-outputs back: every admission follows a grant, log time never goes
-backwards, and the decision CSV recounts to the run's confusion counters.
+Each example runs one seed through the batch entry point, on each of the
+two paths that format its event log and trust trace (in process, and in a
+writer process), and reads its outputs back: every admission follows a
+grant, log time never goes backwards, and the decision CSV recounts to the
+run's confusion counters.
 The scenarios draw forged sets of 0 or 3 and deny streaks of 1 or 3, so
 fabrications read the attackers' observation rows.
 """
@@ -11,7 +13,8 @@ import csv
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from siotrust.adversary import AttackBehavior
 from siotrust.cli import run_batch
@@ -39,9 +42,15 @@ def fields_of(line: str) -> tuple[float, str, dict[str, str]]:
     return float(stamp.removeprefix("t=")), kind, dict(pair.split("=", 1) for pair in pairs)
 
 
-@settings(max_examples=15, deadline=None)
+@pytest.fixture(params=["in_process", "writer_path"], ids=["in-process", "writer"])
+def path(request):
+    """Where each example formats its event log and trust trace (see conftest.py)."""
+    request.getfixturevalue(request.param)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(config=scenarios)
-def test_admissions_follow_grants_time_advances_and_decisions_recount(config):
+def test_admissions_follow_grants_time_advances_and_decisions_recount(config, path):
     with tempfile.TemporaryDirectory() as out:
         (result,) = run_batch(config, [config.seed], Path(out))
         lines = (Path(out) / f"events-s{config.seed}.log").read_text().splitlines()
