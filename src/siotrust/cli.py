@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence
 from .authn import write_decision_csv
 from .community import write_communities_csv
 from .adversary import AttackBehavior, write_attack_csv
+from .dataset import FriendshipGraph
 from .metrics import write_esr_csv, write_metrics_csv
 from .record import open_output
 from .sim import ScenarioConfig, SeedSummary, SimulationEngine, load_friends
@@ -157,7 +158,9 @@ def _output_names(seed: int) -> dict[str, str]:
     }
 
 
-def _run_one(config: ScenarioConfig, out_dir: Path, writers: Writers | None = None) -> SeedSummary:
+def _run_one(
+    config: ScenarioConfig, out_dir: Path, writers: Writers | None = None, friends: FriendshipGraph | None = None
+) -> SeedSummary:
     """Remove an earlier run's six files, then run one seed and write its own; a raise leaves only `.partial` files.
 
     With `writers`, the seed borrows a free writer process
@@ -176,7 +179,7 @@ def _run_one(config: ScenarioConfig, out_dir: Path, writers: Writers | None = No
             events = trust = sinks.enter_context(writer.seed(partial["events"], partial["trust"]))
         else:
             events, trust = (sinks.enter_context(open_output(partial[key])) for key in ("events", "trust"))
-        result = SimulationEngine(config, events, trust).run()
+        result = SimulationEngine(config, events, trust, friends).run()
         write_decision_csv(result.decisions, partial["decisions"])
         write_esr_csv(result.assessments, partial["esr"])
         write_communities_csv(result.communities, partial["communities"])
@@ -208,22 +211,28 @@ def _held_on_one_cpu() -> Iterator[set[int]]:
         os.sched_setaffinity(0, mask)
 
 
-def run_batch(base: ScenarioConfig, seeds: Sequence[int], out_dir: Path) -> list[SeedSummary]:
+def run_batch(
+    base: ScenarioConfig, seeds: Sequence[int], out_dir: Path, friends: FriendshipGraph | None = None
+) -> list[SeedSummary]:
     """Run every seed (concurrently), then write the aggregate files.
 
-    Seeds run on a thread pool of one thread per CPU (`os.cpu_count`). On
-    Linux, where this process may run on a second CPU, the batch holds the
-    calling thread and its pool on the CPU it is on, and, with no other
-    thread in this process, forks one writer process per pool slot onto
-    the other CPUs before the pool starts; each seed formats its event log
-    and trust trace in a free one (see `_run_one`). A batch of one seed is
-    the one-slot case. The bytes are the same either way, and the caller's
-    CPU mask is restored, and every writer joined, before this returns or
-    raises.
+    A batch counts the CPUs this process may run on: its CPU mask
+    (`os.sched_getaffinity`), or `os.cpu_count` where there is no mask call.
+    Several seeds run on a thread pool of one thread per CPU, at most one
+    per seed: one thread on one CPU. On Linux, where this process may run
+    on a second CPU, the batch holds the calling thread and its pool on the
+    CPU it is on, and, with no other thread in this process, forks one
+    writer process per pool slot onto the other CPUs before the pool
+    starts; each seed formats its event log and trust trace in a free one
+    (see `_run_one`). A batch of one seed is the one-slot case, run on the
+    calling thread. The bytes are the same either way, and the caller's CPU
+    mask is restored, and every writer joined, before this returns or
+    raises. The friendship file, if any, is parsed once, unless the caller
+    passes its graph as `friends`, and every seed samples from that graph.
 
     Returns one summary per seed, in seed-list order. A seed that raises
-    propagates its error once the other seeds have finished, and no
-    aggregate file is written; an earlier run's are removed up front.
+    propagates its error once every other seed has run, at any CPU count,
+    and no aggregate file is written; an earlier run's are removed up front.
 
     An empty seed list is refused before anything is written, since its
     manifest could not be replayed; so is a repeated seed, whose two runs
@@ -234,12 +243,15 @@ def run_batch(base: ScenarioConfig, seeds: Sequence[int], out_dir: Path) -> list
     repeated = sorted(seed for seed, count in Counter(seeds).items() if count > 1)
     if repeated:
         raise ConfigError(f"seed list repeats seed(s) {', '.join(map(str, repeated))}: {list(seeds)}")
+    if friends is None and base.friends_path is not None:
+        friends = load_friends(base.friends_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in ("metrics.csv", "manifest.json"):
         (out_dir / name).unlink(missing_ok=True)
     configs = [base.with_seed(seed) for seed in seeds]
-    workers = min(len(configs), os.cpu_count() or 1)
-    spare = sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1  # a second CPU to run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(len(configs), cpus)
+    spare = sys.platform == "linux" and cpus > 1  # a second CPU to run on
     # a fork beside another thread may copy a lock that thread holds
     fork = spare and threading.active_count() == 1
     with ExitStack() as batch:
@@ -250,11 +262,12 @@ def run_batch(base: ScenarioConfig, seeds: Sequence[int], out_dir: Path) -> list
                 from .writer import Writers  # multiprocessing is imported only where a batch forks
 
                 writers = batch.enter_context(Writers(workers, others))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                summaries = list(pool.map(lambda cfg: _run_one(cfg, out_dir, writers), configs))
+        if len(configs) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:  # waits for every seed: none is cancelled
+                runs = [pool.submit(_run_one, cfg, out_dir, writers, friends) for cfg in configs]
+            summaries = [run.result() for run in runs]
         else:
-            summaries = [_run_one(cfg, out_dir, writers) for cfg in configs]
+            summaries = [_run_one(configs[0], out_dir, writers, friends)]
 
     write_metrics_csv((s.metrics_report() for s in summaries), out_dir / "metrics.csv")
     manifest = {
@@ -281,10 +294,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         base, seeds = resolve(args)
         for note in base.unread_fields():
             print(f"warning: {note}")
-        if base.friends_path is not None and (loops := load_friends(base.friends_path).dropped_self_loops):
-            print(f"warning: dropped {loops} self-loop(s) from {base.friends_path}")
+        friends = None if base.friends_path is None else load_friends(base.friends_path)
+        if friends is not None and friends.dropped_self_loops:
+            print(f"warning: dropped {friends.dropped_self_loops} self-loop(s) from {base.friends_path}")
         out_dir = Path(args.out) if args.out else Path("siotrust-out")
-        summaries = run_batch(base, seeds, out_dir)
+        summaries = run_batch(base, seeds, out_dir, friends)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -379,10 +379,16 @@ class SimulationEngine:
     keeps no row of either once written (see `record.Spool`); the caller
     closes the files. Given a `writer.Writer` as both, it ships those rows
     to a writer process instead. Without them the run keeps its whole record.
+    Given `friends`, the graph `config.friends_path` parses to, the engine
+    samples its world from that instead of reading the file again.
     """
 
     def __init__(
-        self, config: ScenarioConfig, events: TextIO | Channel | None = None, trust: TextIO | Channel | None = None
+        self,
+        config: ScenarioConfig,
+        events: TextIO | Channel | None = None,
+        trust: TextIO | Channel | None = None,
+        friends: FriendshipGraph | None = None,
     ) -> None:
         self.cfg = config
         self.context = config.context()
@@ -395,7 +401,7 @@ class SimulationEngine:
         self._community_of: dict[str, Community] = {}
         self.rec_cache: Recommendations = NO_RECOMMENDATIONS
 
-        self._build_world()
+        self._build_world(friends)
         self.similarity = _StaticSimilarity(config.weights(), self.legit_devices.tolist())
         code = self.log.symbols.code
         for device_id in self.ids:  # the table is empty: each device's index becomes its code
@@ -412,9 +418,9 @@ class SimulationEngine:
 
     # -- world construction ---------------------------------------------------
 
-    def _build_world(self) -> None:
+    def _build_world(self, friends: FriendshipGraph | None) -> None:
         cfg = self.cfg
-        graph = self._friendship_graph(cfg.legit_count)
+        graph = self._friendship_graph(cfg.legit_count, friends)
         ranked = sorted(graph.nodes())
         width = max(3, len(str(cfg.legit_count - 1)))
         name_of = {node: f"d{i:0{width}d}" for i, node in enumerate(ranked)}
@@ -476,9 +482,9 @@ class SimulationEngine:
         self._area_high = highs
         self.last_interaction = np.full(n * (n - 1) // 2, -math.inf)  # by pair, as `_pairs` orders them
 
-    def _friendship_graph(self, size: int) -> FriendshipGraph:
+    def _friendship_graph(self, size: int, friends: FriendshipGraph | None) -> FriendshipGraph:
         if self.cfg.friends_path is not None:
-            full = load_friends(self.cfg.friends_path)
+            full = load_friends(self.cfg.friends_path) if friends is None else friends
             if full.node_count < size:
                 raise ConfigError(
                     f"friendship file has {full.node_count} nodes, scenario needs {size}"

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from siotrust import ConfigError, ScenarioConfig, SimulationEngine, record, writer
+from siotrust import ConfigError, ScenarioConfig, SimulationEngine, cli, record, sim, writer
 from siotrust.adversary import AttackBehavior
 from siotrust.cli import build_parser, main, run_batch
 from siotrust.social import DEFAULT_BASE_RATES, IdentitySource, RelationType
@@ -111,16 +111,14 @@ class TestFailedSeed:
 
         monkeypatch.setattr(SimulationEngine, "_move", failing)
 
-    @pytest.mark.parametrize("path", ["in_process", "writer_path"], ids=["in-process", "writer"])
-    def test_a_single_seed(self, tmp_path, monkeypatch, request, path):
+    def test_a_single_seed(self, tmp_path, monkeypatch, path):
         run_batch(ScenarioConfig(**SMALL), [5], tmp_path / "clean")
-        request.getfixturevalue(path)
         monkeypatch.setattr(record, "CHUNK_LINES", 100)  # flush often enough to see the run's start
         self.fail_mid_run(monkeypatch, 5)
         out = tmp_path / "failed"
         with pytest.raises(RuntimeError, match="seed 5 broke"):
-            run_batch(ScenarioConfig(**SMALL), [5], out)
-        assert {p.name for p in out.iterdir()} == {"events-s5.log.partial", "trust-s5.csv.partial"}
+            run_batch(ScenarioConfig(**SMALL), path(5), out)
+        assert {p.name for p in out.iterdir() if "-s5." in p.name} == {"events-s5.log.partial", "trust-s5.csv.partial"}
         for partial, final in (("events-s5.log.partial", "events-s5.log"), ("trust-s5.csv.partial", "trust-s5.csv")):
             written, whole = (out / partial).read_bytes(), (tmp_path / "clean" / final).read_bytes()
             assert 1000 < len(written) < len(whole) and whole.startswith(written), partial
@@ -135,9 +133,8 @@ class TestFailedSeed:
             moves[engine.cfg.seed] += 1
             if moves[engine.cfg.seed] == 40:
                 (child,) = multiprocessing.active_children()
-                if len(cpus) > 1:  # this process keeps its CPU, and the child runs on the others
-                    here = os.sched_getaffinity(0)
-                    assert len(here) == 1 and os.sched_getaffinity(child.pid) == cpus - here
+                here = os.sched_getaffinity(0)  # this process keeps its CPU, and the child runs on the others
+                assert len(here) == 1 and os.sched_getaffinity(child.pid) == cpus - here
                 os.kill(child.pid, signal.SIGKILL)
             move(engine)
 
@@ -149,29 +146,32 @@ class TestFailedSeed:
         assert {"events-s5.log.partial", "trust-s5.csv.partial"} <= names
         assert all(name.endswith(".partial") for name in names), names
 
-    @pytest.mark.parametrize("path", ["in_process", "writer_path"], ids=["in-process", "writer"])
-    def test_one_seed_of_a_pooled_batch(self, tmp_path, monkeypatch, request, path):
+    def test_one_seed_of_a_pooled_batch(self, tmp_path, monkeypatch, path):
         base = ScenarioConfig(**SMALL)
-        run_batch(base, [6], tmp_path / "alone")
-        request.getfixturevalue(path)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two seeds on the thread pool
+        others = path(6)
+        run_batch(base, others, tmp_path / "alone")
         self.fail_mid_run(monkeypatch, 5)
         out = tmp_path / "pooled"
         with pytest.raises(RuntimeError, match="seed 5 broke"):
-            run_batch(base, [5, 6], out)
-        names = {p.name for p in out.iterdir()}
-        assert {name for name in names if "-s5." in name} == {"events-s5.log.partial", "trust-s5.csv.partial"}
-        complete = {name for name in names if "-s6." in name}
-        assert len(complete) == 6 and not any(name.endswith(".partial") for name in complete)
+            run_batch(base, [5, *others], out)
+        complete = {p.name for p in out.iterdir()} - {"events-s5.log.partial", "trust-s5.csv.partial"}
+        assert complete == {p.name for p in (tmp_path / "alone").iterdir()} - {"metrics.csv", "manifest.json"}
         for name in complete:
             assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
-        assert "metrics.csv" not in names and "manifest.json" not in names
+
+    def test_every_seed_runs_before_the_error_propagates_on_one_cpu(self, tmp_path, monkeypatch, in_process):
+        """Where the mask and the machine both read one CPU, the batch runs on a one-thread pool."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        self.fail_mid_run(monkeypatch, 5)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="seed 5 broke"):
+            run_batch(ScenarioConfig(**SMALL), [5, 6, 7], out)
+        assert {"events-s6.log", "events-s7.log"} <= {p.name for p in out.iterdir()}  # renamed once all six are written
 
     def test_a_killed_writer_process_of_a_pooled_batch_fails_its_seed_alone(self, tmp_path, monkeypatch, writer_path):
         """The killed writer is retired, and the seeds after it still write a solo run's bytes."""
         base = ScenarioConfig(**SMALL)
-        for seed in (6, 7):
-            run_batch(base, [seed], tmp_path / "alone")
+        run_batch(base, [6, 7], tmp_path / "alone")
         monkeypatch.setattr(record, "CHUNK_LINES", 100)
         serving = {}  # pool thread -> the writer it borrowed last
         seed_of = writer.Writer.seed
@@ -259,6 +259,15 @@ class TestPooledWriters:
         run_batch(ScenarioConfig(**SMALL), [1, 2, 3, 4], tmp_path)
         assert threads == [1, 1]
 
+    def test_pool_and_writers_count_the_cpus_of_the_mask(self, tmp_path, monkeypatch, writer_path):
+        """Six seeds on a two-CPU mask of an eight-CPU machine: two pool threads and two writers."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        pool, fork, made = cli.ThreadPoolExecutor, os.fork, []
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", lambda max_workers: made.append(max_workers) or pool(max_workers))
+        monkeypatch.setattr(os, "fork", lambda: made.append("fork") or fork())
+        run_batch(ScenarioConfig(node_count=12, duration=10.0), [1, 2, 3, 4, 5, 6], tmp_path)
+        assert made == ["fork", "fork", 2]
+
 
 class TestWriterProcess:
     def test_reads_its_pipe_on_one_thread(self, tmp_path, monkeypatch, writer_path):
@@ -302,11 +311,14 @@ class TestUnreadFields:
             assert (tmp_path / "set" / name).read_bytes() == (tmp_path / "default" / name).read_bytes(), name
 
 
-def test_a_self_loop_warns_once_a_batch_on_stdout(tmp_path, capsys):
+def test_a_self_loop_warns_once_a_batch_on_stdout(tmp_path, capsys, monkeypatch):
     edges = tmp_path / "edges.txt"
     edges.write_text("".join(f"{i} {(i + k) % 40}\n" for i in range(40) for k in (1, 2)) + "5 5\n")
-    flags = ["--nodes", "30", "--duration", "60", "--seeds", "2", "--friends", str(edges)]
+    parse, parsed = sim.load_friendship_edges, []
+    monkeypatch.setattr(sim, "load_friendship_edges", lambda path: parsed.append(path) or parse(path))
+    flags = ["--nodes", "30", "--duration", "60", "--seeds", "3", "--friends", str(edges)]
     assert main([*flags, "--out", str(tmp_path / "o")]) == 0
+    assert parsed == [str(edges)]  # once a batch, for the warning and for every seed's world
     printed = capsys.readouterr()
     warnings = [line for line in printed.out.splitlines() if line.startswith("warning: ")]
     assert warnings == [f"warning: dropped 1 self-loop(s) from {edges}"]

@@ -28,10 +28,13 @@ tell a crossed field read apart. One more pin reads a friendship file, a
 `record.CHUNK_LINES` is the one chunk size of every chunked writer, so the
 flush-boundary test patches it there alone.
 
-The pins and the flush-boundary test hold on both paths a seed can take:
-formatting in this process, and in a writer process (`siotrust.writer`)
-that formats the shipments of the engine's flushes, one seed after another
-when the seeds of a batch share a pool slot.
+The pins hold on each path a seed's files can take (the `path` fixture):
+formatting in this process, in a writer process (`siotrust.writer`) that
+formats the shipments of the engine's flushes, and in a pooled writer that
+serves one seed after another. The flush-boundary test runs in this process
+against the in-memory record's writers. `tests/test_properties.py` covers
+the other paths' flush boundaries: over random scenarios, flushing every 1
+to 7 rows, every file a batch writes must equal the in-process run's.
 """
 
 import collections
@@ -186,13 +189,12 @@ def batch_hashes(overrides, out) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_outputs_match_pinned_hashes(name, tmp_path, in_process):
-    assert batch_hashes(GOLDEN[name][0], tmp_path) == GOLDEN[name][1]
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_writer_process_outputs_match_pinned_hashes(name, tmp_path, writer_path):
-    assert batch_hashes(GOLDEN[name][0], tmp_path) == GOLDEN[name][1]
+def test_outputs_match_pinned_hashes(name, tmp_path, path):
+    """Batched with other seeds, seed 1's own files hold their pins; metrics.csv then has a row for each."""
+    seeds = path(1)
+    cli.run_batch(ScenarioConfig.from_mapping(GOLDEN[name][0]), seeds, tmp_path)
+    pinned = {file: digest for file, digest in GOLDEN[name][1].items() if len(seeds) == 1 or "-s1." in file}
+    assert {file: sha256(tmp_path / file) for file in pinned} == pinned
 
 
 def test_writer_process_on_the_default_pipe_size_writes_the_pinned_bytes(tmp_path, monkeypatch, writer_path):
@@ -254,21 +256,6 @@ def test_flush_boundaries_do_not_change_bytes(name, lines, tmp_path, monkeypatch
     one event kind, the `t=30` and `t=30.0` prefixes of an integer tick and
     the 0.0 and -0.0 of T all meet chunk and flush boundaries.
     """
-    check_flush_boundaries(name, lines, tmp_path, monkeypatch)
-
-
-@pytest.mark.parametrize("lines", [1, 7])
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_writer_process_flush_boundaries_do_not_change_bytes(name, lines, tmp_path, monkeypatch, writer_path):
-    """As above, with a writer process formatting the shipments each flush makes.
-
-    `CHUNK_LINES` itself is the writer pins' flush size, so only the sizes
-    that add shipment boundaries run here.
-    """
-    check_flush_boundaries(name, lines, tmp_path, monkeypatch)
-
-
-def check_flush_boundaries(name, lines, tmp_path, monkeypatch):
     config = ScenarioConfig.from_mapping({**GOLDEN[name][0], "seed": 1})
     result = run_scenario(config)
     want = tmp_path / "want"
@@ -279,28 +266,6 @@ def check_flush_boundaries(name, lines, tmp_path, monkeypatch):
     monkeypatch.setattr(record, "CHUNK_LINES", lines)
     got = tmp_path / "got"
     cli.run_batch(config, [1], got)
-    for path in want.iterdir():
-        assert (got / path.name).read_bytes() == path.read_bytes(), path.name
-
-
-@pytest.mark.parametrize("name", ["default-40", "fabricated-multi-40"])
-def test_pooled_writers_write_the_bytes_of_seeds_run_in_process(name, tmp_path, monkeypatch, request):
-    """Four seeds on two pool slots, each with its writer process, write what they write in process.
-
-    Some writer serves two seeds or more, each over many shipments, so an
-    id table or a count of shipped names carried from one seed to the next
-    moves the bytes; the fabricated config adds names to the table mid-run.
-    """
-    seeds = [1, 2, 3, 4]
-    base = ScenarioConfig.from_mapping(GOLDEN[name][0])
-    want = tmp_path / "want"
-    want.mkdir()
-    for seed in seeds:
-        cli._run_one(base.with_seed(seed), want)
-    request.getfixturevalue("writer_path")
-    monkeypatch.setattr(record, "CHUNK_LINES", 100)
-    got = tmp_path / "got"
-    cli.run_batch(base, seeds, got)
     for path in want.iterdir():
         assert (got / path.name).read_bytes() == path.read_bytes(), path.name
 

@@ -1,10 +1,11 @@
-"""Engine invariants over small random scenarios, checked on the written files.
+"""Engine invariants and cross-path bytes over small random scenarios, checked on the written files.
 
-Each example runs one seed through the batch entry point, on each of the
-two paths that format its event log and trust trace (in process, and in a
-writer process), and reads its outputs back: every admission follows a
-grant, log time never goes backwards, and the decision CSV recounts to the
-run's confusion counters.
+Each example runs a seed through the batch entry point on each path its
+files can take (the `path` fixture), flushing every 1 to 7 rows
+(`record.CHUNK_LINES`): every admission follows a grant, log time never
+goes backwards, the decision CSV recounts to the run's confusion counters,
+and every file the batch writes but the manifest equals that of the same
+seeds run in process at the default flush size.
 The scenarios draw forged sets of 0 or 3 and deny streaks of 1 or 3, so
 fabrications read the attackers' observation rows.
 """
@@ -16,9 +17,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from siotrust import record
 from siotrust.adversary import AttackBehavior
-from siotrust.cli import run_batch
-from siotrust.metrics import ConfusionCounters
+# `_run_one` as bound before a fixture wraps it: given no writers, it formats in process
+from siotrust.cli import _run_one as run_in_process, run_batch
+from siotrust.metrics import ConfusionCounters, write_metrics_csv
 from siotrust.sim import ScenarioConfig
 from siotrust.social import DEFAULT_BASE_RATES, IdentitySource, RelationType
 
@@ -42,20 +45,22 @@ def fields_of(line: str) -> tuple[float, str, dict[str, str]]:
     return float(stamp.removeprefix("t=")), kind, dict(pair.split("=", 1) for pair in pairs)
 
 
-@pytest.fixture(params=["in_process", "writer_path"], ids=["in-process", "writer"])
-def path(request):
-    """Where each example formats its event log and trust trace (see conftest.py)."""
-    request.getfixturevalue(request.param)
-
-
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(config=scenarios)
-def test_admissions_follow_grants_time_advances_and_decisions_recount(config, path):
+@given(config=scenarios, chunk_lines=st.integers(1, 7))
+def test_admissions_follow_grants_time_advances_and_decisions_recount(config, chunk_lines, path):
+    seeds = path(config.seed)
     with tempfile.TemporaryDirectory() as out:
-        (result,) = run_batch(config, [config.seed], Path(out))
-        lines = (Path(out) / f"events-s{config.seed}.log").read_text().splitlines()
-        with open(Path(out) / f"decisions-s{config.seed}.csv", newline="") as handle:
-            rows = list(csv.DictReader(handle))
+        want, got = Path(out) / "want", Path(out) / "got"
+        want.mkdir()
+        alone = [run_in_process(config.with_seed(seed), want) for seed in seeds]
+        write_metrics_csv((summary.metrics_report() for summary in alone), want / "metrics.csv")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(record, "CHUNK_LINES", chunk_lines)
+            result = run_batch(config, seeds, got)[0]
+        written = {file.name: file.read_bytes() for file in got.iterdir() if file.name != "manifest.json"}
+        assert written == {file.name: file.read_bytes() for file in want.iterdir()}
+    lines = written[f"events-s{config.seed}.log"].decode().splitlines()
+    rows = list(csv.DictReader(written[f"decisions-s{config.seed}.csv"].decode().splitlines()))
 
     granted = set()
     last = float("-inf")
