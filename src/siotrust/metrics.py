@@ -166,9 +166,8 @@ def write_esr_csv(assessments: AssessmentTable, path: str | Path) -> None:
     values stably sorted in place, which is the order `sorted` gives, 0.0
     and -0.0 tied in row order. Each point carries `esr_cdf`'s fraction
     (`_fractions`), the count of values at or below it over n. Rows are
-    written a chunk (`record.chunk_bounds`) at a time, each T and each
-    fraction formatted once per chunk, the same bytes `csv.writer` would
-    write.
+    written a chunk (`record.chunk_bounds`) at a time in the run files' one
+    CSV dialect, each T and each fraction formatted once per chunk.
     """
     with open_output(path) as handle:
         handle.write("split,trust,cum_fraction\n")
@@ -181,7 +180,7 @@ def _write_curve(handle: TextIO, split: str, ordered: np.ndarray) -> None:
     ordered.sort(kind="stable")
     for start, stop in chunk_bounds(len(ordered)):
         chunk = ordered[start:stop]
-        columns = [f"{split},", float_texts(chunk, ","), float_texts(_fractions(ordered, chunk), "\n")]
+        columns = [f"{split},", float_texts(chunk, "{!r},"), float_texts(_fractions(ordered, chunk), "{!r}\n")]
         handle.write(check_unquoted(join_columns(columns, len(chunk)), len(chunk), 3))
 
 

@@ -7,14 +7,15 @@ time as a float64, so neither holds a Python object per row. Given an open
 file, a record part streams instead: it writes its rows a chunk at a time
 as the run makes them and drops them (see `Spool`).
 
-It is also the one home of the output bytes: every run file is opened by
-`open_output`, every small CSV is written by `write_csv`, and the chunked
-writers (event log, trust trace, ESR) take `chunk_bounds` and the text kernels.
+It is also the one home of the output bytes: `open_output` opens every run
+file, one kernel (`float_texts`) formats every float, and every CSV file is
+in one dialect, comma-joined fields that `check_unquoted` keeps unquoted.
+No field can need quoting: ids, labels and float reprs never do, and a
+config refuses a context kind that would.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
 from pathlib import Path
@@ -40,20 +41,19 @@ def open_output(path: str | Path) -> TextIO:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """A header and rows in the one CSV dialect of the run files."""
+    """A header and rows in the run files' CSV dialect, each field's `str`; checked before the file is opened."""
+    lines = [",".join(map(str, row)) + "\n" for row in (header, *rows)]
+    text = check_unquoted("".join(lines), len(lines), len(header))
     with open_output(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(text)
 
 
 def check_unquoted(text: str, rows: int, columns: int) -> str:
-    """`text` as is, if its `rows` lines hold no field csv.writer would quote.
+    """`text` as is, if its `rows` lines of `columns` comma-joined fields hold no field that needs quoting.
 
-    The chunked writers format rows as plain comma-joined lines. That is
-    byte-equal to `write_csv` only while no field holds a comma, a quote or
-    a line break, which engine ids, relation values, split names and float
-    reprs never do; anything else raises instead of writing a broken row.
+    No field may hold a comma, a quote or a line break, which ids, relation
+    values, split names, context kinds and float reprs never do; anything
+    else raises instead of writing a broken row.
     """
     if (
         text.count(",") != rows * (columns - 1)
@@ -65,15 +65,17 @@ def check_unquoted(text: str, rows: int, columns: int) -> str:
     return text
 
 
-def float_texts(values: np.ndarray, suffix: str = "") -> np.ndarray:
-    """`repr(value) + suffix` for every float64, as an object array.
+def float_texts(values: np.ndarray, template: str) -> np.ndarray:
+    """`template.format(value)` for every float64, as an object array; `template` holds one field, `{!r}`.
 
     Each distinct bit pattern is formatted once and shared by every row that
     holds it. Keying on bits, not on value, keeps 0.0 and -0.0 apart: equal
-    values with different text.
+    values with different text. The text around the field is joined to each
+    `repr` rather than by `str.format`, which parses the template per value.
     """
+    head, tail = template.split("{!r}")
     bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64), return_inverse=True)
-    texts = np.array([repr(v) + suffix for v in bits.view(np.float64).tolist()], dtype=object)
+    texts = np.array([head + text + tail for text in map(repr, bits.view(np.float64).tolist())], dtype=object)
     return texts[inverse]
 
 
@@ -179,19 +181,6 @@ class NameTexts:
         return self._texts[codes]
 
 
-def time_texts(times: np.ndarray, template: str) -> np.ndarray:
-    """`template.format(time)` for each row's time, an object array; `times` is not empty.
-
-    Rows come in time order, a tick's rows together, so each run of equal
-    times is formatted once. Runs are found on the bit patterns, which keeps
-    0.0 and -0.0 apart: equal times, with different text.
-    """
-    bits = times.view(np.int64)
-    edges = np.flatnonzero(bits[1:] != bits[:-1]) + 1  # where a new time starts
-    texts = [template.format(time) for time in times[np.r_[0, edges]].tolist()]
-    return np.repeat(np.array(texts, dtype=object), np.diff(np.r_[0, edges, len(times)]))
-
-
 class Channel:
     """A sink whose rows another process formats: `Spool.flush` hands it the spool (see `writer.Writer`)."""
 
@@ -280,7 +269,7 @@ class EventLog(Spool):
     95 % of a run's events, is three small integers beside its kind and
     time. Nothing is formatted until `text()`, `write()` or, for a log
     given a `sink`, `flush()`. They format each run of same-kind events as
-    columns: the `t=<repr> ` prefix once per run of equal times in a chunk,
+    columns: the `t=<repr> ` prefix once per distinct time in a chunk,
     each float once, ids and constant text by reference. Two runs agree iff
     their texts agree byte for byte, which is exactly what the determinism
     tests compare.
@@ -363,7 +352,7 @@ class EventLog(Spool):
         arity = _ARITY[kinds]
         offsets = np.cumsum(arity) - arity  # where each event's fields start
         for start, stop in chunk_bounds(count):
-            prefixes = time_texts(times[start:stop], "t={!r} ")
+            prefixes = float_texts(times[start:stop], "t={!r} ")
             edges = [start, *(np.flatnonzero(np.diff(kinds[start:stop])) + start + 1).tolist(), stop]
             text = []
             for lo, hi in zip(edges, edges[1:]):

@@ -152,6 +152,9 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be a {enum.__name__}: {getattr(self, name)!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative: {self.seed}")
+        # the run files write it unquoted (see `record.check_unquoted`)
+        if not isinstance(self.context_kind, str) or any(c in self.context_kind for c in ',"\r\n'):
+            raise ConfigError(f"context_kind must be a string with no comma, quote or line break: {self.context_kind!r}")
         if self.friends_path is not None:
             if not isinstance(self.friends_path, str):
                 raise ConfigError(f"friends_path must be a path string: {self.friends_path!r}")

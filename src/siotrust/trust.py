@@ -29,7 +29,7 @@ from typing import Iterator, Literal, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .record import NameTexts, Spool, Symbols, check_unquoted, chunk_bounds, float_texts, join_columns, time_texts
+from .record import NameTexts, Spool, Symbols, check_unquoted, chunk_bounds, float_texts, join_columns
 from .social import RelationType
 
 Outcome = Literal["positive", "negative"]
@@ -453,11 +453,11 @@ class AssessmentTable(Spool):
     def _chunks(self) -> Iterator[str]:
         """The pending rows as trust-trace lines: time, ids, relation, then D, S, R, T by repr.
 
-        Rows are assembled from text columns, the same bytes `csv.writer`
-        writes: no field needs quoting (`check_unquoted` raises if one
-        would). Ids are formatted once per table entry, times once per run
-        of equal times in a chunk, and D, S, R and T once per distinct value
-        in a chunk, which for D and S is a few hundred values over 10^5 rows.
+        Rows are assembled from text columns in the run files' one CSV
+        dialect: no field needs quoting (`check_unquoted` raises if one
+        would). Ids are formatted once per table entry, and the time, D, S,
+        R and T once per distinct value in a chunk (`float_texts`), which for
+        D and S is a few hundred values over 10^5 rows.
         """
         count = len(self._time)
         if count == 0:
@@ -472,14 +472,14 @@ class AssessmentTable(Spool):
         for start, stop in chunk_bounds(count):
             rows = slice(start, stop)
             columns = [
-                time_texts(time[rows], "{!r},"),
+                float_texts(time[rows], "{!r},"),
                 self._names.of(evaluator[rows]),
                 self._names.of(subject[rows]),
                 relations[relation[rows]],
-                float_texts(direct[rows], ","),
-                float_texts(similarity[rows], ","),
-                float_texts(recommended[rows], ","),
-                float_texts(trust[rows], "\n"),
+                float_texts(direct[rows], "{!r},"),
+                float_texts(similarity[rows], "{!r},"),
+                float_texts(recommended[rows], "{!r},"),
+                float_texts(trust[rows], "{!r}\n"),
             ]
             yield check_unquoted(join_columns(columns, stop - start), stop - start, 8)
 

@@ -108,8 +108,12 @@ class Writer(Channel):
             self._data.send(message)
             for buffer in buffers:
                 self._data.send_bytes(buffer)
+            return
         except BrokenPipeError:  # the child stopped; its report says why
-            raise self._report() from None
+            pass
+        # raised outside the handler, so the report keeps no traceback of the send: its frames view the
+        # message's pickle buffer, which, collected in a cycle while viewed, prints an ignored BufferError
+        raise self._report()
 
     def _report(self) -> BaseException | None:
         """Wait for the child's report: None once it has written and closed both files, else what stopped it."""

@@ -140,8 +140,10 @@ class TestFailedSeed:
 
         monkeypatch.setattr(SimulationEngine, "_move", killing)
         out = tmp_path / "out"
-        with pytest.raises(ChildProcessError, match="died with exit code -9"):
+        with pytest.raises(ChildProcessError, match="died with exit code -9") as died:
             run_batch(ScenarioConfig(**SMALL), [5], out)
+        # no traceback of the broken send, whose frames would pin its pickle buffer until a cycle is collected
+        assert died.value.__context__ is None
         names = {p.name for p in out.iterdir()}
         assert {"events-s5.log.partial", "trust-s5.csv.partial"} <= names
         assert all(name.endswith(".partial") for name in names), names
@@ -282,6 +284,27 @@ class TestWriterProcess:
         monkeypatch.setattr(writer.Writer, "ship", counting)
         run_batch(ScenarioConfig(**SMALL), [5], tmp_path)
         assert len(threads) > 10 and set(threads) == {1}, threads
+
+    def test_ships_each_id_table_name_once(self, tmp_path, monkeypatch, writer_path):
+        """Over one seed, the shipped name slices concatenate to the engine's final id table."""
+        monkeypatch.setattr(record, "CHUNK_LINES", 10)
+        ship, send = writer.Writer.ship, writer.Writer._send
+        tables, shipped = [], []
+
+        def shipping(self, spool):
+            tables.append(spool.symbols.names)
+            ship(self, spool)
+
+        def sending(self, message, buffers=()):
+            if buffers:  # a shipment: (spool type, names added since the last one, buffer count)
+                shipped.extend(message[1])
+            send(self, message, buffers)
+
+        monkeypatch.setattr(writer.Writer, "ship", shipping)
+        monkeypatch.setattr(writer.Writer, "_send", sending)
+        run_batch(ScenarioConfig(**SMALL), [5], tmp_path)
+        assert len(tables) > 10 and all(table is tables[0] for table in tables)
+        assert shipped == tables[0]
 
 
 class TestUnreadFields:
@@ -477,6 +500,13 @@ class TestBadInput:
         assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
         (key,) = bad
         assert any(line.startswith("error: ") and key in line for line in capsys.readouterr().err.splitlines())
+        assert not (tmp_path / "o").exists()
+
+    def test_a_context_kind_that_would_need_quoting_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "kind.json"
+        path.write_text(json.dumps({"node_count": 12, "duration": 30.0, "context_kind": "a,b", "base_rate": 0.5}))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: context_kind")
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):

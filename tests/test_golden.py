@@ -25,16 +25,26 @@ attempt interval equals the default interaction period, so only these two
 tell a crossed field read apart. One more pin reads a friendship file, a
 40-node ring, instead of generating the world.
 
-`record.CHUNK_LINES` is the one chunk size of every chunked writer, so the
-flush-boundary test patches it there alone.
+Each output rule is checked once. The pins hold on each path a seed's
+files can take (the `path` fixture): formatting in this process, in a
+writer process (`siotrust.writer`) that formats the shipments of the
+engine's flushes, and in a pooled writer that serves one seed after
+another. Every leg runs with `math.fsum` standing in for the builtin `sum`
+in `sim` and `community`: from Python 3.12 the builtin compensates float
+additions as `fsum` does, and S adds left to right, so the pins must hold
+on every supported Python. A run kept whole writes the same pinned bytes
+through the record's own writers, with no streamed rerun. Flush boundaries
+are `tests/test_properties.py`'s: over random scenarios, flushing every 1
+to 7 rows (`record.CHUNK_LINES`, the one chunk size of every chunked
+writer), every file a batch writes on each path must equal the in-process
+run's.
 
-The pins hold on each path a seed's files can take (the `path` fixture):
-formatting in this process, in a writer process (`siotrust.writer`) that
-formats the shipments of the engine's flushes, and in a pooled writer that
-serves one seed after another. The flush-boundary test runs in this process
-against the in-memory record's writers. `tests/test_properties.py` covers
-the other paths' flush boundaries: over random scenarios, flushing every 1
-to 7 rows, every file a batch writes must equal the in-process run's.
+Every float in every file is formatted by one kernel (`record.float_texts`),
+and every file is written in one CSV dialect: plain comma-joined fields,
+which `record.check_unquoted` refuses to write if a field would need
+quoting. A config cannot supply such a field: the context kind, the one
+free text a run writes, is refused if it holds a comma, a quote or a line
+break.
 """
 
 import collections
@@ -46,7 +56,6 @@ import pytest
 
 from siotrust import ScenarioConfig, SimulationEngine, cli, community, metrics, record, run_scenario, sim, trust
 from siotrust.metrics import write_esr_csv
-from siotrust.record import CHUNK_LINES
 from siotrust.trust import write_trust_trace_csv
 
 GOLDEN = {
@@ -189,8 +198,13 @@ def batch_hashes(overrides, out) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_outputs_match_pinned_hashes(name, tmp_path, path):
-    """Batched with other seeds, seed 1's own files hold their pins; metrics.csv then has a row for each."""
+def test_outputs_match_pinned_hashes(name, tmp_path, monkeypatch, path):
+    """Batched with other seeds, seed 1's own files hold their pins; metrics.csv then has a row for each.
+
+    `math.fsum` stands in for `sum` where S is summed: from Python 3.12 the builtin compensates as it does.
+    """
+    for module in (sim, community):
+        monkeypatch.setattr(module, "sum", math.fsum, raising=False)
     seeds = path(1)
     cli.run_batch(ScenarioConfig.from_mapping(GOLDEN[name][0]), seeds, tmp_path)
     pinned = {file: digest for file, digest in GOLDEN[name][1].items() if len(seeds) == 1 or "-s1." in file}
@@ -228,46 +242,21 @@ def test_off_default_configs_warn_of_nothing(name, tmp_path, capsys):
     assert "warning" not in printed.out and printed.err == ""
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_pins_hold_where_sum_compensates(name, tmp_path, monkeypatch):
-    """S adds left to right, so the pins hold on every supported Python.
-
-    From Python 3.12 the builtin `sum` compensates float additions, as
-    `math.fsum` does; with `fsum` standing in for `sum` where S is summed,
-    the bytes must not move.
-    """
-    for module in (sim, community):
-        monkeypatch.setattr(module, "sum", math.fsum, raising=False)
-    assert batch_hashes(GOLDEN[name][0], tmp_path) == GOLDEN[name][1]
-
-
 def test_fabricated_config_mints_identities(tmp_path):
     overrides, _ = GOLDEN["fabricated-multi-40"]
     cli.run_batch(ScenarioConfig.from_mapping(overrides), [1], tmp_path)
     assert any(" fabricate attacker=" in line for line in (tmp_path / "events-s1.log").read_text().splitlines())
 
 
-@pytest.mark.parametrize("lines", [1, 7, CHUNK_LINES])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_flush_boundaries_do_not_change_bytes(name, lines, tmp_path, monkeypatch, in_process):
-    """The streamed files equal the in-memory record's writers, whatever the flush size.
-
-    Size 1 flushes every tick and formats one row per chunk, so a run of
-    one event kind, the `t=30` and `t=30.0` prefixes of an integer tick and
-    the 0.0 and -0.0 of T all meet chunk and flush boundaries.
-    """
-    config = ScenarioConfig.from_mapping({**GOLDEN[name][0], "seed": 1})
-    result = run_scenario(config)
-    want = tmp_path / "want"
-    want.mkdir()
-    result.log.write(want / "events-s1.log")
-    write_trust_trace_csv(result.assessments, want / "trust-s1.csv")
-    write_esr_csv(result.assessments, want / "esr-s1.csv")
-    monkeypatch.setattr(record, "CHUNK_LINES", lines)
-    got = tmp_path / "got"
-    cli.run_batch(config, [1], got)
-    for path in want.iterdir():
-        assert (got / path.name).read_bytes() == path.read_bytes(), path.name
+def test_whole_record_writers_match_pinned_hashes(name, tmp_path):
+    """A run kept whole writes its event log, trust trace and ESR file with the pinned bytes."""
+    result = run_scenario(ScenarioConfig.from_mapping({**GOLDEN[name][0], "seed": 1}))
+    result.log.write(tmp_path / "events-s1.log")
+    write_trust_trace_csv(result.assessments, tmp_path / "trust-s1.csv")
+    write_esr_csv(result.assessments, tmp_path / "esr-s1.csv")
+    files = ("events-s1.log", "trust-s1.csv", "esr-s1.csv")
+    assert {file: sha256(tmp_path / file) for file in files} == {file: GOLDEN[name][1][file] for file in files}
 
 
 def test_one_patch_point_governs_every_chunked_writer(tmp_path, monkeypatch):

@@ -19,7 +19,7 @@ from siotrust.metrics import (
     write_esr_csv,
     write_metrics_csv,
 )
-from siotrust.record import CHUNK_LINES, float_texts
+from siotrust.record import CHUNK_LINES, float_texts, write_csv
 from siotrust.social import RelationType
 from siotrust.trust import AssessmentTable
 
@@ -106,6 +106,28 @@ class TestMetricsCsv:
         assert rows[1][:4] == ["churn-stolen", "residence", "clor", "1"]
         assert float(rows[1][4]) == pytest.approx(75.0)
         assert rows[2][4:] == ["NA", "NA", "NA", "NA"]
+
+
+# fields written unquoted: text with no comma, quote or line break, and numbers
+plain = st.text(st.characters(blacklist_characters=',"\r\n')) | st.integers() | st.floats(allow_nan=False)
+
+
+class TestWriteCsv:
+    @given(rows=st.lists(st.tuples(plain, plain, plain), max_size=20))
+    def test_bytes_equal_the_csv_writer(self, rows, tmp_path_factory):
+        out = tmp_path_factory.mktemp("csv")
+        write_csv(out / "got.csv", ["a", "b", "c"], iter(rows))
+        with open(out / "want.csv", "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["a", "b", "c"])
+            writer.writerows(rows)
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("bad", ["a,b", 'say "hi"', "two\nlines", "cr\r"])
+    def test_a_field_that_needs_quoting_writes_no_file(self, bad, tmp_path):
+        with pytest.raises(ValueError, match="comma, quote or line break"):
+            write_csv(tmp_path / "bad.csv", ["a", "b"], [["ok", "ok"], ["ok", bad]])
+        assert not (tmp_path / "bad.csv").exists()
 
 
 class TestEsrCdf:
@@ -226,30 +248,12 @@ class TestEsrAgainstTheReference:
             write_splits({"in,ternal": [0.5]}, tmp_path / "esr.csv")
 
 
-def esr_cdf_csv(split_values, path):
-    """The writer the argsort one replaced: esr_cdf's (value, fraction) points, each by repr."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("split,trust,cum_fraction\n")
-        for split in sorted(split_values):
-            curve = esr_cdf(split_values[split])
-            if curve is not None:
-                handle.write("".join(f"{split},{value!r},{fraction!r}\n" for value, fraction in curve))
-
-
 class TestEsrAgainstTheCdfWriter:
-    @given(internal=st.lists(awkward, max_size=80), external=st.lists(awkward, max_size=80))
-    def test_bytes_equal_esr_cdf_and_repr(self, internal, external, tmp_path_factory):
-        out = tmp_path_factory.mktemp("esr")
-        splits = {"internal": internal, "external": external}
-        write_splits(splits, out / "got.csv")
-        esr_cdf_csv(splits, out / "want.csv")
-        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
-
     def test_zero_ties_keep_row_order_across_chunks(self, tmp_path):
         # 0.0 and -0.0 tie; a stable sort keeps their row order, as sorted does
         values = [-0.0, 0.0, 0.5, 0.0, -0.0, 1e-05, 0.5] * (CHUNK_LINES // 3)
         write_splits({"external": values}, tmp_path / "got.csv")
-        esr_cdf_csv({"external": values}, tmp_path / "want.csv")
+        reference_esr_csv({"external": values}, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         head = (tmp_path / "got.csv").read_text().splitlines()[1:5]
         assert [line.split(",")[1] for line in head] == ["-0.0", "0.0", "0.0", "-0.0"]
@@ -258,7 +262,7 @@ class TestEsrAgainstTheCdfWriter:
     def test_an_interleaved_table_equals_its_splits(self, rows, tmp_path_factory):
         out = tmp_path_factory.mktemp("esr")
         write_esr_csv(interleaved_table(rows), out / "got.csv")
-        esr_cdf_csv(split_lists(rows), out / "want.csv")
+        reference_esr_csv(split_lists(rows), out / "want.csv")
         assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
     def test_an_interleaved_table_keeps_zero_ties_across_chunks(self, tmp_path):
@@ -266,7 +270,7 @@ class TestEsrAgainstTheCdfWriter:
         rows = [(rng.choice([0.0, -0.0, 0.0, -0.0, 0.5, rng.random()]), rng.choice(AssessmentTable.splits))
                 for _ in range(4 * CHUNK_LINES + 7)]
         write_esr_csv(interleaved_table(rows), tmp_path / "got.csv")
-        esr_cdf_csv(split_lists(rows), tmp_path / "want.csv")
+        reference_esr_csv(split_lists(rows), tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         lines = (tmp_path / "got.csv").read_text().splitlines()[1:]
         for split in AssessmentTable.splits:  # each split's first chunk edge falls inside its run of zeros
@@ -312,7 +316,7 @@ class TestEsrWriterMemory:
 
 
 class TestFloatTexts:
-    @given(st.lists(awkward | st.floats(allow_nan=False), max_size=50), st.sampled_from(["", ","]))
-    def test_each_value_prints_its_repr(self, values, suffix):
-        got = float_texts(np.array(values, dtype=np.float64), suffix)
-        assert got.tolist() == [repr(v) + suffix for v in values]
+    @given(st.lists(awkward | st.floats(allow_nan=False), max_size=50), st.sampled_from(["{!r}", "{!r},", "t={!r} "]))
+    def test_each_value_prints_its_repr(self, values, template):
+        got = float_texts(np.array(values, dtype=np.float64), template)
+        assert got.tolist() == [template.format(v) for v in values]

@@ -83,6 +83,7 @@ class TestScenarioConfig:
             {"friend_weight": 0.9},
             {"pool_size": 0},
             {"idle_fraction": 1.0},
+            *({"context_kind": kind, "base_rate": 0.5} for kind in ("a,b", 'say "hi"', "two\nlines", "cr\r")),
         ],
     )
     def test_bad_configs_rejected(self, kw):
@@ -243,13 +244,11 @@ class TestEventLog:
         monkeypatch.setattr(record, "CHUNK_LINES", 4)
         formatted = collections.Counter()
 
-        class CountingTemplate(str):
-            def format(self, time):
-                formatted[time] += 1
-                return super().format(time)
+        def counting(time):  # the one float format of `record.float_texts`
+            formatted[time] += 1
+            return repr(time)
 
-        time_texts = record.time_texts
-        monkeypatch.setattr(record, "time_texts", lambda times, template: time_texts(times, CountingTemplate(template)))
+        monkeypatch.setattr(record, "repr", counting, raising=False)
         sink = io.StringIO()
         log = EventLog(sink)
         expected, chunks = [], set()
@@ -262,7 +261,7 @@ class TestEventLog:
         log.flush()
         assert sink.getvalue() == "".join(expected)
         assert len(log) == len(expected)
-        # once per run of equal times in a chunk: a tick split across a flush is formatted in both chunks
+        # once per distinct time in a chunk: a tick split across a flush is formatted in both chunks
         assert formatted == collections.Counter(time for time, _ in chunks)
         assert max(formatted.values()) == 2
         names = record.NameTexts(log.symbols.names, ",")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from siotrust.sim import ScenarioConfig, SimulationEngine, run_scenario
+from siotrust.sim import ScenarioConfig, SimulationEngine
 from siotrust.social import RelationType
 from siotrust.record import CHUNK_LINES, Symbols
 from siotrust.trust import (
@@ -324,48 +324,6 @@ class TestTrustTraceCsv:
         item = TrustAssessment(1.0, bad_id, "s", RelationType.SOR, 0.5, 0.5, 0.5, 0.5)
         with pytest.raises(ValueError, match="comma, quote or line break"):
             write_table(table_of([item]), tmp_path / "trace.csv")
-
-
-class _Reprs(dict):
-    """repr memo of the chunked writer the columnar one replaced; zero is never stored."""
-
-    def __missing__(self, value):
-        text = repr(value)
-        if value:
-            self[value] = text
-        return text
-
-
-def previous_trust_csv(assessments, path):
-    """The chunked row writer the columnar one replaced, T formatted on its own."""
-    times, directs, similarities = _Reprs(), _Reprs(), _Reprs()
-    rows = iter(assessments)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("time,evaluator,subject,relation,D,S,R,T\n")
-        while chunk := list(itertools.islice(rows, CHUNK_LINES)):
-            handle.write("".join(
-                f"{times[time]},{evaluator},{subject},{relation.value},"
-                f"{directs[d]},{similarities[s]},{r!r},{t!r}\n"
-                for time, evaluator, subject, relation, d, s, r, t, _ in chunk
-            ))
-
-
-class TestSharedTrustText:
-    @pytest.mark.parametrize(
-        "overrides", [{"node_count": 40}, {"node_count": 30, "tick": 1, "duration": 120, "identity_source": "fabricated"}]
-    )
-    def test_a_run_writes_what_the_previous_writer_wrote(self, overrides, tmp_path):
-        result = run_scenario(ScenarioConfig.from_mapping(overrides))
-        write_trust_trace_csv(result.assessments, tmp_path / "got.csv")
-        previous_trust_csv(result.assessments, tmp_path / "want.csv")
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-
-    @given(items=st.lists(rows, max_size=40))
-    def test_any_rows_write_what_the_previous_writer_wrote(self, items, tmp_path_factory):
-        out = tmp_path_factory.mktemp("shared")
-        write_table(table_of(items), out / "got.csv")
-        previous_trust_csv(items, out / "want.csv")
-        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
 
 # -- dense store and the vectorised epoch reads ------------------------------
